@@ -1,13 +1,16 @@
 """Command-line front end.
 
-Subcommands operate on the canonical JSON documents of the serialize
-module and print either a human-readable text summary or the same
-machine-readable document format.  Exit codes: 0 on success, 1 when
-``corpus verify`` finds a mismatch, 2 on malformed input.
+Every subcommand and every corpus check runs through one table,
+``OPERATIONS``, behind ``run_operation``: an operation parses its input
+documents, then computes its result document.  Subcommands print either
+a human-readable text summary or the same machine-readable document
+format.  Exit codes: 0 on success, 1 when ``corpus verify`` finds a
+mismatch, 2 on malformed input.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -17,7 +20,7 @@ import click
 
 from . import serialize as ser
 from .comparator import COMBINED, FULL, TOPOLOGICAL, InvariantReport, compare
-from .cover import normalize_unit_twists, verify_cover_laws, lift_cover
+from .cover import lift_cover, normalize_unit_twists, verify_cover_laws
 from .decomposition import power as power_map
 from .spectrum import delta_from_branch_data, pa_obstruction, spectrum_min, spectrum_values
 from .staircase import refiber
@@ -25,6 +28,155 @@ from .torus import classify_torus, torus_commensurable
 
 CORPUS_ROOT = Path(__file__).resolve().parent / "corpus"
 
+
+class MalformedInput(ValueError):
+    """The input documents of an operation do not parse, or its
+    computation rejects them."""
+
+
+# ---------------------------------------------------------------------------
+# result documents; a field shared by two documents is built in one place
+
+def _rat_or_none(x):
+    return None if x is None else ser.rat(x)
+
+
+def _classify(phi):
+    nt = classify_torus(phi)
+    dilatation = None if nt.dilatation is None else ser.quadratic_doc(nt.dilatation)
+    return {"kind": nt.kind, "period": nt.period, "dilatation": dilatation}
+
+
+def _torus_compare(phi1, phi2):
+    v = torus_commensurable(phi1, phi2)
+    return {"kind": v.kind, "scale": _rat_or_none(v.scale)}
+
+
+def _cover(phi, c):
+    lifted = lift_cover(phi, c)
+    laws = [
+        {"piece": ch.piece, "law": ch.law, "lhs": ser.pair(ch.lhs), "rhs": ser.pair(ch.rhs), "ok": ch.ok}
+        for ch in verify_cover_laws(phi, c, lifted)
+    ]
+    return {"lifted": ser.reducible_doc(lifted), "laws": laws}
+
+
+def _normalize(phi):
+    normalized, cert = normalize_unit_twists(phi)
+    return {
+        "normalized": ser.reducible_doc(normalized),
+        "certificate": {"power": cert.power, "cover": ser.covering_doc(cert.cover)},
+    }
+
+
+def _refibered(manifold, plan):
+    """The refibered map, its invariant report and the fields that both
+    staircase documents share."""
+    result = refiber(manifold, plan)
+    doc = {
+        "fiber": None if result.fiber is None else ser.surface_doc(result.fiber),
+        "connected": result.connected,
+        "monodromy_order": result.monodromy_order,
+        "uncalibrated": list(result.uncalibrated),
+    }
+    return result.map, ser.report_doc(InvariantReport.of(result.map)), doc
+
+
+def _staircase(manifold, plan):
+    phi, report, doc = _refibered(manifold, plan)
+    return {**doc, "twists": [ser.rat(t) for t in sorted(c.twist for c in phi.curves)], "pi": report["pi"]}
+
+
+def _staircase_map(manifold, plan):
+    phi, report, doc = _refibered(manifold, plan)
+    return {**doc, "map": ser.reducible_doc(phi), "invariants": report}
+
+
+def _branch_delta(b):
+    surface, delta = delta_from_branch_data(b)
+    return {"surface": ser.surface_doc(surface), "delta": ser.delta_doc(delta)}
+
+
+def _pa_obstruction(pa1, pa2):
+    v = pa_obstruction(*pa1, *pa2)
+    return {"ok": v.ok, "s": _rat_or_none(v.s), "s_prime": _rat_or_none(v.s_prime)}
+
+
+def _spectrum_min(q):
+    m = spectrum_min(q)
+    return {"value": ser.quadratic_doc(m.value), "translate": ser.pair(m.translate)}
+
+
+def _spectrum(q):
+    return {"values": [ser.quadratic_doc(v) for v in spectrum_values(q)], "min": _spectrum_min(q)}
+
+
+def _query(docs, args):
+    q = ser.query_from_doc(docs[0])
+    return (q,) if args.get("radius") is None else (dataclasses.replace(q, radius=args["radius"]),)
+
+
+# ---------------------------------------------------------------------------
+# the operation table: name -> (parse(docs, args) -> run arguments, run)
+#
+# Parsers look the serialize readers up at call time, so a reader
+# replaced on the module (by a test or a profiler) is the one called.
+
+OPERATIONS = {
+    "classify": (lambda d, a: (ser.torus_from_doc(d[0]),), _classify),
+    "torus_compare": (lambda d, a: (ser.torus_from_doc(d[0]), ser.torus_from_doc(d[1])), _torus_compare),
+    "invariants": (
+        lambda d, a: (ser.reducible_from_doc(d[0]),),
+        lambda phi: ser.report_doc(InvariantReport.of(phi)),
+    ),
+    "compare": (
+        lambda d, a: (ser.reducible_from_doc(d[0]), ser.reducible_from_doc(d[1]), a.get("mode", FULL)),
+        lambda phi1, phi2, mode: ser.verdict_doc(compare(phi1, phi2, mode)),
+    ),
+    "power": (
+        lambda d, a: (ser.reducible_from_doc(d[0]), a["k"]),
+        lambda phi, k: ser.reducible_doc(power_map(phi, k)),
+    ),
+    "cover": (lambda d, a: (ser.reducible_from_doc(d[0]), ser.covering_from_doc(d[1])), _cover),
+    "normalize": (lambda d, a: (ser.reducible_from_doc(d[0]),), _normalize),
+    "staircase": (lambda d, a: (ser.manifold_from_doc(d[0]), ser.plan_from_doc(d[1])), _staircase),
+    "staircase_map": (lambda d, a: (ser.manifold_from_doc(d[0]), ser.plan_from_doc(d[1])), _staircase_map),
+    "branch_delta": (lambda d, a: (ser.branch_from_doc(d[0]),), _branch_delta),
+    "pa_obstruction": (lambda d, a: (ser.pa_data_from_doc(d[0]), ser.pa_data_from_doc(d[1])), _pa_obstruction),
+    "spectrum_min": (_query, _spectrum_min),
+    "spectrum_count_below": (
+        lambda d, a: (*_query(d, a), Fraction(a["bound"])),
+        lambda q, bound: {"count": sum(1 for v in spectrum_values(q) if v < bound)},
+    ),
+    "spectrum": (_query, _spectrum),
+}
+
+# what a malformed document can raise while it is parsed
+_PARSE_ERRORS = (ValueError, KeyError, TypeError, AttributeError, IndexError)
+
+
+def run_operation(op, docs, args):
+    """Run one operation on its input documents; returns the result document.
+
+    The single error boundary of the table: any parse failure, and a
+    ``ValueError`` or ``KeyError`` from the computation, is raised as
+    ``MalformedInput``.
+    """
+    if op not in OPERATIONS:
+        raise MalformedInput("unknown corpus operation %r" % (op,))
+    parse, run = OPERATIONS[op]
+    try:
+        parsed = parse(docs, args)
+    except _PARSE_ERRORS as e:
+        raise MalformedInput(e) from e
+    try:
+        return run(*parsed)
+    except (ValueError, KeyError) as e:
+        raise MalformedInput(e) from e
+
+
+# ---------------------------------------------------------------------------
+# subcommands
 
 def _print(doc, fmt):
     if fmt == "machine":
@@ -61,14 +213,15 @@ def _load(path):
         raise click.ClickException(str(e))
 
 
-def _fail_malformed(e):
-    click.echo("malformed input: %s" % e, err=True)
-    sys.exit(2)
-
-
-format_option = click.option(
-    "--format", "fmt", type=click.Choice(["text", "machine"]), default="text"
-)
+def _command(op, paths, fmt, **args):
+    """Load the input files, run ``op`` and print its document."""
+    docs = [_load(p) for p in paths]
+    try:
+        doc = run_operation(op, docs, args)
+    except MalformedInput as e:
+        click.echo("malformed input: %s" % e, err=True)
+        sys.exit(2)
+    _print(doc, fmt)
 
 
 @click.group()
@@ -76,215 +229,44 @@ def main():
     """Exact commensurability invariants of surface automorphisms."""
 
 
-@main.command()
-@click.argument("input_file", type=click.Path(exists=True))
-@format_option
-def classify(input_file, fmt):
-    """Nielsen-Thurston class of a torus automorphism."""
-    try:
-        phi = ser.torus_from_doc(_load(input_file))
-        nt = classify_torus(phi)
-    except (ValueError, KeyError) as e:
-        _fail_malformed(e)
-    doc = {
-        "kind": nt.kind,
-        "period": nt.period,
-        "dilatation": None if nt.dilatation is None else ser.quadratic_doc(nt.dilatation),
-    }
-    _print(doc, fmt)
+def _subcommand(name, op, doc, files, *params):
+    """Register subcommand ``name``: its file arguments are loaded as the
+    input documents of ``op``, its other parameters become the args."""
+
+    def callback(fmt, **args):
+        _command(op, [args.pop(f) for f in files], fmt, **args)
+
+    fmt = click.Option(["--format", "fmt"], type=click.Choice(["text", "machine"]), default="text")
+    inputs = [click.Argument([f], type=click.Path(exists=True)) for f in files]
+    main.add_command(click.Command(name, callback=callback, help=doc, params=[*inputs, *params, fmt]))
 
 
-@main.command()
-@click.argument("input_file", type=click.Path(exists=True))
-@format_option
-def invariants(input_file, fmt):
-    """A, Pi, P, and stretch-factor set of a decomposition graph."""
-    try:
-        phi = ser.reducible_from_doc(_load(input_file))
-        report = InvariantReport.of(phi)
-    except (ValueError, KeyError) as e:
-        _fail_malformed(e)
-    _print(ser.report_doc(report), fmt)
-
-
-@main.command(name="compare")
-@click.argument("input1", type=click.Path(exists=True))
-@click.argument("input2", type=click.Path(exists=True))
-@click.option("--mode", type=click.Choice([FULL, TOPOLOGICAL, COMBINED]), default=FULL)
-@format_option
-def compare_cmd(input1, input2, mode, fmt):
-    """Obstruction verdict between two decomposition graphs."""
-    try:
-        phi1 = ser.reducible_from_doc(_load(input1))
-        phi2 = ser.reducible_from_doc(_load(input2))
-        verdict = compare(phi1, phi2, mode)
-    except (ValueError, KeyError) as e:
-        _fail_malformed(e)
-    _print(ser.verdict_doc(verdict), fmt)
-
-
-@main.command(name="power")
-@click.argument("input_file", type=click.Path(exists=True))
-@click.argument("k", type=int)
-@format_option
-def power_cmd(input_file, k, fmt):
-    """The decomposition graph of the k-th power."""
-    try:
-        phi = ser.reducible_from_doc(_load(input_file))
-        result = power_map(phi, k)
-    except (ValueError, KeyError) as e:
-        _fail_malformed(e)
-    _print(ser.reducible_doc(result), fmt)
-
-
-@main.command()
-@click.argument("input_file", type=click.Path(exists=True))
-@click.argument("cover_file", type=click.Path(exists=True))
-@format_option
-def cover(input_file, cover_file, fmt):
-    """Lift a decomposition graph through covering data."""
-    try:
-        phi = ser.reducible_from_doc(_load(input_file))
-        c = ser.covering_from_doc(_load(cover_file))
-        lifted = lift_cover(phi, c)
-        checks = verify_cover_laws(phi, c)
-    except (ValueError, KeyError) as e:
-        _fail_malformed(e)
-    doc = {
-        "lifted": ser.reducible_doc(lifted),
-        "laws": [
-            {
-                "piece": ch.piece,
-                "law": ch.law,
-                "lhs": ser.pair(ch.lhs),
-                "rhs": ser.pair(ch.rhs),
-                "ok": ch.ok,
-            }
-            for ch in checks
-        ],
-    }
-    _print(doc, fmt)
-
-
-@main.command()
-@click.argument("input_file", type=click.Path(exists=True))
-@format_option
-def normalize(input_file, fmt):
-    """Reduce a D-type graph to unit twists, with certificate."""
-    try:
-        phi = ser.reducible_from_doc(_load(input_file))
-        normalized, cert = normalize_unit_twists(phi)
-    except (ValueError, KeyError) as e:
-        _fail_malformed(e)
-    doc = {
-        "normalized": ser.reducible_doc(normalized),
-        "certificate": {"power": cert.power, "cover": ser.covering_doc(cert.cover)},
-    }
-    _print(doc, fmt)
-
-
-@main.command()
-@click.argument("manifold_file", type=click.Path(exists=True))
-@click.argument("plan_file", type=click.Path(exists=True))
-@format_option
-def staircase(manifold_file, plan_file, fmt):
-    """Refiber a graph manifold along a staircase plan."""
-    try:
-        manifold = ser.manifold_from_doc(_load(manifold_file))
-        plan = ser.plan_from_doc(_load(plan_file))
-        result = refiber(manifold, plan)
-        report = InvariantReport.of(result.map)
-    except (ValueError, KeyError) as e:
-        _fail_malformed(e)
-    doc = {
-        "fiber": None if result.fiber is None else ser.surface_doc(result.fiber),
-        "connected": result.connected,
-        "monodromy_order": result.monodromy_order,
-        "uncalibrated": list(result.uncalibrated),
-        "map": ser.reducible_doc(result.map),
-        "invariants": ser.report_doc(report),
-    }
-    _print(doc, fmt)
-
-
-@main.command()
-@click.argument("query_file", type=click.Path(exists=True))
-@click.option("--radius", type=int, default=None, help="override the query radius")
-@format_option
-def spectrum(query_file, radius, fmt):
-    """Enumerated spectrum values and minimum of an Anosov model."""
-    try:
-        q = ser.query_from_doc(_load(query_file))
-        if radius is not None:
-            q = ser.query_from_doc({**ser.query_doc(q), "radius": radius})
-        values = spectrum_values(q)
-        m = spectrum_min(q)
-    except (ValueError, KeyError) as e:
-        _fail_malformed(e)
-    doc = {
-        "values": [ser.quadratic_doc(v) for v in values],
-        "min": {"value": ser.quadratic_doc(m.value), "translate": ser.pair(m.translate)},
-    }
-    _print(doc, fmt)
+_subcommand("classify", "classify", "Nielsen-Thurston class of a torus automorphism.", ["input_file"])
+_subcommand(
+    "invariants", "invariants", "A, Pi, P, and stretch-factor set of a decomposition graph.", ["input_file"]
+)
+_subcommand(
+    "compare", "compare", "Obstruction verdict between two decomposition graphs.", ["input1", "input2"],
+    click.Option(["--mode"], type=click.Choice([FULL, TOPOLOGICAL, COMBINED]), default=FULL),
+)
+_subcommand(
+    "power", "power", "The decomposition graph of the k-th power.", ["input_file"],
+    click.Argument(["k"], type=int),
+)
+_subcommand("cover", "cover", "Lift a decomposition graph through covering data.", ["input_file", "cover_file"])
+_subcommand("normalize", "normalize", "Reduce a D-type graph to unit twists, with certificate.", ["input_file"])
+_subcommand(
+    "staircase", "staircase_map", "Refiber a graph manifold along a staircase plan.",
+    ["manifold_file", "plan_file"],
+)
+_subcommand(
+    "spectrum", "spectrum", "Enumerated spectrum values and minimum of an Anosov model.", ["query_file"],
+    click.Option(["--radius"], type=int, default=None, help="override the query radius"),
+)
 
 
 # ---------------------------------------------------------------------------
 # corpus
-
-def run_operation(op, inputs, args):
-    """Execute one corpus check; returns the actual result document."""
-    if op == "classify":
-        nt = classify_torus(ser.torus_from_doc(inputs[0]))
-        return {
-            "kind": nt.kind,
-            "period": nt.period,
-            "dilatation": None if nt.dilatation is None else ser.quadratic_doc(nt.dilatation),
-        }
-    if op == "torus_compare":
-        v = torus_commensurable(ser.torus_from_doc(inputs[0]), ser.torus_from_doc(inputs[1]))
-        return {"kind": v.kind, "scale": None if v.scale is None else ser.rat(v.scale)}
-    if op == "invariants":
-        return ser.report_doc(InvariantReport.of(ser.reducible_from_doc(inputs[0])))
-    if op == "compare":
-        verdict = compare(
-            ser.reducible_from_doc(inputs[0]),
-            ser.reducible_from_doc(inputs[1]),
-            args.get("mode", FULL),
-        )
-        return ser.verdict_doc(verdict)
-    if op == "staircase":
-        result = refiber(ser.manifold_from_doc(inputs[0]), ser.plan_from_doc(inputs[1]))
-        report = InvariantReport.of(result.map)
-        return {
-            "fiber": None if result.fiber is None else ser.surface_doc(result.fiber),
-            "connected": result.connected,
-            "monodromy_order": result.monodromy_order,
-            "uncalibrated": list(result.uncalibrated),
-            "twists": [ser.rat(t) for t in sorted(c.twist for c in result.map.curves)],
-            "pi": [ser.pair(p) for p in sorted(report.pi)],
-        }
-    if op == "branch_delta":
-        surface, delta = delta_from_branch_data(ser.branch_from_doc(inputs[0]))
-        return {"surface": ser.surface_doc(surface), "delta": ser.delta_doc(delta)}
-    if op == "pa_obstruction":
-        lam1, d1 = ser.pa_data_from_doc(inputs[0])
-        lam2, d2 = ser.pa_data_from_doc(inputs[1])
-        v = pa_obstruction(lam1, d1, lam2, d2)
-        return {
-            "ok": v.ok,
-            "s": None if v.s is None else ser.rat(v.s),
-            "s_prime": None if v.s_prime is None else ser.rat(v.s_prime),
-        }
-    if op == "spectrum_min":
-        m = spectrum_min(ser.query_from_doc(inputs[0]))
-        return {"value": ser.quadratic_doc(m.value), "translate": ser.pair(m.translate)}
-    if op == "spectrum_count_below":
-        q = ser.query_from_doc(inputs[0])
-        bound = Fraction(args["bound"])
-        values = spectrum_values(q)
-        return {"count": sum(1 for v in values if v < bound)}
-    raise ValueError("unknown corpus operation %r" % (op,))
-
 
 def verify_entry(entry_dir):
     """Run every check of one corpus entry; returns mismatch strings."""
@@ -296,7 +278,7 @@ def verify_entry(entry_dir):
         inputs = [documents[name] for name in check["inputs"]]
         try:
             actual = run_operation(check["operation"], inputs, check.get("args", {}))
-        except (ValueError, KeyError) as e:
+        except MalformedInput as e:
             failures.append("%s: raised %s" % (check["name"], e))
             continue
         if actual != check["expected"]:

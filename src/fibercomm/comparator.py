@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .decomposition import a_total, pi_invariant, p_polynomial, validate_or_raise
-from .quadratic import unit_log_ratio
 
 FULL = "full"
 TOPOLOGICAL = "topological"
@@ -125,28 +124,20 @@ def match_flip_scale(x, y):
 
 def _dilatation_scale_ok(s, d1, d2):
     """Whether log of every stretch factor of side 1 is s times one of
-    side 2's, under some bijection of the two label sets."""
-    if len(d1) != len(d2):
+    side 2's, under some bijection of the two sets of values.
+
+    Labels are matched by value alone: a boundary rotation does not
+    change the stretch factor, so two pieces sharing a value count once.
+    """
+    remaining = {v.value for v in d2}
+    values = {u.value for u in d1}
+    if len(values) != len(remaining):
         return False
-    remaining = list(d2)
-
-    def ratio(u, v):
-        if u.exact != v.exact:
-            return None
-        if u.exact:
-            r = unit_log_ratio(u.unit, v.unit)
-            return r
-        if u.name != v.name:
-            return None
-        return u.exponent / v.exponent
-
-    for u in d1:
-        for v in remaining:
-            if ratio(u, v) == s:
-                remaining.remove(v)
-                break
-        else:
+    for u in values:
+        match = next((v for v in remaining if u.log_ratio(v) == s), None)
+        if match is None:
             return False
+        remaining.remove(match)
     return True
 
 
@@ -155,12 +146,7 @@ def _compare_combined(x, y):
     candidates = set()
     for u in x.dilatations:
         for v in y.dilatations:
-            if u.exact and v.exact:
-                r = unit_log_ratio(u.unit, v.unit)
-            elif not u.exact and not v.exact and u.name == v.name:
-                r = u.exponent / v.exponent
-            else:
-                r = None
+            r = u.log_ratio(v)
             if r is not None and r > 0:
                 candidates.add(r)
     if not x.dilatations and not y.dilatations:

@@ -215,14 +215,14 @@ class LawCheck:
         return self.lhs == self.rhs
 
 
-def verify_cover_laws(phi, c):
+def verify_cover_laws(phi, c, lifted):
     """Recheck the covering transformation laws on every lifted piece.
 
+    ``lifted`` is the graph to check, normally ``lift_cover(phi, c)``.
     For each degree-l component over S: the pair invariant multiplies by
     l, and the chi-normalized pair invariant is unchanged.  Returns the
     full list of checks; all must pass for a valid cover.
     """
-    lifted = lift_cover(phi, c)
     checks = []
     for p in phi.pieces:
         base = a_piece(phi, p.id)

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .quadratic import QuadraticUnit
+from .quadratic import QuadraticUnit, unit_log_ratio
 from .surfaces import Surface
 
 
@@ -62,6 +62,23 @@ class DilatationLabel:
     @property
     def exact(self):
         return self.unit is not None
+
+    @property
+    def value(self):
+        """The stretch factor alone: the label without its rotation."""
+        return replace(self, rotation=None)
+
+    def log_ratio(self, other):
+        """log(self) / log(other) as an exact Fraction, or None when the
+        two stretch factors are not log-commensurable (exact against
+        symbolic, distinct names, or units of unrelated fields)."""
+        if self.exact != other.exact:
+            return None
+        if self.exact:
+            return unit_log_ratio(self.unit, other.unit)
+        if self.name != other.name:
+            return None
+        return self.exponent / other.exponent
 
     def power(self, k):
         if self.exact:

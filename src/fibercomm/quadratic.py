@@ -151,6 +151,9 @@ class QuadraticNumber:
         return cmp if a > 0 else -cmp
 
     def __eq__(self, other):
+        if isinstance(other, QuadraticNumber) and other.D != self.D:
+            # distinct fields share only the rationals
+            return self.b == other.b == 0 and self.a == other.a
         try:
             o = self._coerce(other)
         except (ValueError, TypeError):
@@ -158,7 +161,8 @@ class QuadraticNumber:
         return self.a == o.a and self.b == o.b
 
     def __hash__(self):
-        return hash((self.D, self.a, self.b))
+        # a rational value equals its Fraction, so it hashes like one
+        return hash(self.a) if self.b == 0 else hash((self.D, self.a, self.b))
 
     def __lt__(self, other):
         return (self - other).sign() < 0

@@ -21,11 +21,11 @@ Two exact obstructions for pseudo-Anosov maps are computed here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .decomposition import DilatationLabel
-from .quadratic import QuadraticNumber, squarefree_part, unit_log_ratio
+from .quadratic import QuadraticNumber, squarefree_part
 from .surfaces import Surface
 
 
@@ -109,14 +109,9 @@ def pa_obstruction(lam1, delta1, lam2, delta2):
         s = None
     elif lam1.exact != lam2.exact:
         return PAVerdict(False, witness="exact vs symbolic stretch factors")
-    elif lam1.exact:
-        s = unit_log_ratio(lam1.unit, lam2.unit)
-        if s is None:
-            return PAVerdict(False, witness="log stretch factors are incommensurable")
-    else:
-        if lam1.name != lam2.name:
-            return PAVerdict(False, witness="distinct symbolic stretch factors")
-        s = lam1.exponent / lam2.exponent
+    elif (s := lam1.log_ratio(lam2)) is None:
+        reason = "log stretch factors are incommensurable" if lam1.exact else "distinct symbolic stretch factors"
+        return PAVerdict(False, witness=reason)
 
     d1, d2 = delta1.as_dict, delta2.as_dict
     if set(d1) != set(d2):
@@ -183,16 +178,33 @@ def _measure_form(matrix):
     return f, D, m, abs(c)
 
 
-def _translates(q):
-    """All candidate straight-arc classes within the radius box."""
+def _translates(q, L):
+    """All candidate straight-arc classes within the radius box.
+
+    Each translate v is yielded as the integer pair L*v, for L a common
+    denominator of the marked points: the self-pairings first, then the
+    O-to-P translates.
+    """
     offset = (q.point[0] - q.origin[0], q.point[1] - q.origin[1])
     R = q.radius
-    for base in ((Fraction(0), Fraction(0)), offset):
+    for bx, by in ((0, 0), (int(offset[0] * L), int(offset[1] * L))):
         for i in range(-R, R + 1):
             for j in range(-R, R + 1):
-                v = (base[0] + i, base[1] + j)
+                v = (bx + L * i, by + L * j)
                 if v != (0, 0):
                     yield v
+
+
+def _spectrum_keys(q):
+    """Integer keys of the enumerated translates, in ``_translates`` order.
+
+    Returns (D, scale, L, keyed): keyed yields (k, w) for each translate
+    v = w / L, whose measure product is k * sqrt(D) / scale.  Keys order
+    and deduplicate exactly like the values they stand for.
+    """
+    f, D, m, abs_c = _measure_form(q.matrix)
+    L = math.lcm(*(x.denominator for x in q.origin + q.point))
+    return D, L * L * m * abs_c * D, L, ((abs(f(w)), w) for w in _translates(q, L))
 
 
 def spectrum_values(q):
@@ -204,12 +216,8 @@ def spectrum_values(q):
     unless a translate lies on an eigenline (impossible for rational
     translates of an Anosov matrix, so zero never occurs).
     """
-    f, D, m, abs_c = _measure_form(q.matrix)
-    values = set()
-    for v in _translates(q):
-        val = abs(f(v))
-        values.add(QuadraticNumber(D, 0, Fraction(val) / (m * abs_c * D)))
-    return sorted(values)
+    D, scale, _, keyed = _spectrum_keys(q)
+    return [QuadraticNumber(D, 0, Fraction(k, scale)) for k in sorted({k for k, _ in keyed})]
 
 
 @dataclass(frozen=True)
@@ -222,14 +230,9 @@ def spectrum_min(q):
     """Minimum enumerated value with an achieving translate.
 
     An upper bound for the true spectral minimum; monotone
-    non-increasing in the radius.
+    non-increasing in the radius.  Among tied translates the first in
+    enumeration order is kept.
     """
-    f, D, m, abs_c = _measure_form(q.matrix)
-    best = None
-    for v in _translates(q):
-        val = abs(f(v))
-        if best is None or val < best[0]:
-            best = (val, v)
-    if best is None:
-        raise ValueError("no nonzero translate in the radius box")
-    return SpectrumMin(QuadraticNumber(D, 0, Fraction(best[0]) / (m * abs_c * D)), best[1])
+    D, scale, L, keyed = _spectrum_keys(q)
+    k, w = min(keyed, key=lambda kw: kw[0])
+    return SpectrumMin(QuadraticNumber(D, 0, Fraction(k, scale)), (Fraction(w[0], L), Fraction(w[1], L)))

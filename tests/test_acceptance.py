@@ -21,7 +21,7 @@ from fibercomm.comparator import (
     NOT_OBSTRUCTED,
     compare,
 )
-from fibercomm.cover import normalize_unit_twists, verify_cover_laws
+from fibercomm.cover import lift_cover, normalize_unit_twists, verify_cover_laws
 from fibercomm.decomposition import (
     a_total,
     negate_twists,
@@ -131,7 +131,7 @@ def test_criterion_4_law_suites():
 
         cover = _double_cover(phi)
         if cover is not None:
-            assert all(ch.ok for ch in verify_cover_laws(phi, cover))
+            assert all(ch.ok for ch in verify_cover_laws(phi, cover, lift_cover(phi, cover)))
         checked += 1
 
 

@@ -2,8 +2,11 @@ import json
 import shutil
 from fractions import Fraction as F
 
+import click
+import pytest
 from click.testing import CliRunner
 
+from fibercomm import cli
 from fibercomm import serialize as ser
 from fibercomm.cli import CORPUS_ROOT, main
 from fibercomm.families import (
@@ -21,6 +24,15 @@ def write(path, doc):
 
 def run(*argv):
     return CliRunner().invoke(main, list(argv))
+
+
+SUBCOMMANDS = sorted(name for name, cmd in main.commands.items() if not isinstance(cmd, click.Group))
+
+
+def argv_for(name, path):
+    """Arguments for subcommand ``name`` with every input file at ``path``."""
+    params = [p for p in main.commands[name].params if isinstance(p, click.Argument)]
+    return [name] + [path if isinstance(p.type, click.Path) else "1" for p in params]
 
 
 def test_classify_text_and_machine(tmp_path):
@@ -138,3 +150,48 @@ def test_malformed_input_exits_2(tmp_path):
     assert r.exit_code == 2
     r = run("classify", str(tmp_path / "missing.json"))
     assert r.exit_code == 2
+    short_row = write(tmp_path / "row.json", {"type": "torus_automorphism", "matrix": [[2, 1]]})
+    r = run("classify", short_row)
+    assert r.exit_code == 2 and "malformed input" in r.output and "Traceback" not in r.output
+    graph = ser.reducible_doc(d_type_family(3, 2))
+    graph["pieces"][0]["genus"] = "1"
+    string_genus = write(tmp_path / "genus.json", graph)
+    r = run("invariants", string_genus)
+    assert r.exit_code == 2 and "malformed input" in r.output and "Traceback" not in r.output
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_top_level_list_exits_2(tmp_path, name):
+    r = run(*argv_for(name, write(tmp_path / "list.json", [1, 2])))
+    assert r.exit_code == 2, r.output
+    assert "malformed input" in r.output and "Traceback" not in r.output
+
+
+def test_corpus_verify_reports_malformed_check(tmp_path):
+    root = tmp_path / "corpus"
+    shutil.copytree(CORPUS_ROOT, root)
+    entry = root / "ex2.9" / "input.json"
+    doc = ser.load(entry)
+    doc["documents"]["rot4"] = [1, 2]
+    ser.dump(entry, doc)
+    r = run("corpus", "verify", "--root", str(root))
+    assert r.exit_code == 1
+    assert "ex2.9: FAIL" in r.output and "order-4 rotation: raised" in r.output
+
+
+def test_every_operation_goes_through_the_table(tmp_path, monkeypatch):
+    corpus_ops = {
+        check["operation"] for p in CORPUS_ROOT.glob("*/expected.json") for check in ser.load(p)["checks"]
+    }
+    assert corpus_ops <= set(cli.OPERATIONS)
+    seen = []
+    monkeypatch.setattr(cli, "run_operation", lambda op, docs, args: seen.append(op) or {})
+    path = write(tmp_path / "doc.json", {})
+    for name in SUBCOMMANDS:
+        del seen[:]
+        r = run(*argv_for(name, path))
+        assert r.exit_code == 0, r.output
+        assert len(seen) == 1 and seen[0] in cli.OPERATIONS
+    del seen[:]
+    run("corpus", "verify")
+    assert set(seen) == corpus_ops

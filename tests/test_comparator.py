@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -14,8 +15,10 @@ from fibercomm.comparator import (
     compare,
     match_flip_scale,
 )
-from fibercomm.decomposition import negate_twists, power
+from fibercomm.decomposition import DilatationLabel, Piece, ReducibleMap, ReducingCurve, negate_twists, power
 from fibercomm.families import d_type_family, twist_composition
+from fibercomm.quadratic import fundamental_unit
+from fibercomm.surfaces import Surface
 
 
 def test_power_scaling_feasible_set():
@@ -113,3 +116,22 @@ def test_compare_is_symmetric_on_verdicts():
         assert v1.incommensurable == v2.incommensurable
         if not v1.incommensurable:
             assert {1 / s for s in v1.feasible} == set(v2.feasible)
+
+
+@pytest.mark.parametrize(
+    "label", [DilatationLabel(unit=fundamental_unit(5)), DilatationLabel(name="lam")], ids=["exact", "symbolic"]
+)
+def test_rotation_does_not_change_stretch_factor(label):
+    # two pseudo-Anosov pieces share one stretch factor; only the
+    # boundary rotations of their labels differ between the graphs
+    def graph(r1, r2):
+        pieces = (
+            Piece("p", Surface(1, 1), ("s",), dilatation=replace(label, rotation=r1)),
+            Piece("q", Surface(1, 1), ("s",), dilatation=replace(label, rotation=r2)),
+        )
+        return ReducibleMap(pieces, (ReducingCurve("c", ("p", "s"), ("q", "s"), F(1)),))
+
+    mixed, same = graph(F(1, 3), F(2, 3)), graph(F(1, 3), F(1, 3))
+    for mode in (FULL, TOPOLOGICAL, COMBINED):
+        assert compare(mixed, same, mode).kind == NOT_OBSTRUCTED
+        assert compare(same, mixed, mode).kind == NOT_OBSTRUCTED

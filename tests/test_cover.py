@@ -104,7 +104,7 @@ def test_verify_cover_laws_pass():
         c = connected_double_cover(phi)
         if c is None:
             continue
-        checks = verify_cover_laws(phi, c)
+        checks = verify_cover_laws(phi, c, lift_cover(phi, c))
         assert checks and all(ch.ok for ch in checks)
         tested += 1
 
@@ -117,7 +117,7 @@ def test_identity_cover_is_trivial():
     lifted = lift_cover(phi, c)
     assert a_total(lifted) == a_total(phi)
     assert pi_invariant(lifted) == pi_invariant(phi)
-    assert all(ch.ok for ch in verify_cover_laws(phi, c))
+    assert all(ch.ok for ch in verify_cover_laws(phi, c, lifted))
 
 
 def test_corrupted_partition_rejected():

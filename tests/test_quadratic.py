@@ -165,3 +165,11 @@ def test_unit_invariants_enforced():
         QuadraticUnit(5, 3, 1)  # norm 4
     with pytest.raises(ValueError):
         QuadraticUnit(5, Fraction(-1, 2), Fraction(1, 2))  # below 1
+
+
+def test_rational_values_hash_and_compare_as_fractions():
+    assert len({QuadraticNumber(5, 3, 0), QuadraticNumber(2, 3, 0), 3}) == 1
+    assert QuadraticNumber(5, Fraction(1, 2), 0) == QuadraticNumber(2, Fraction(1, 2), 0)
+    assert hash(QuadraticNumber(5, Fraction(1, 2), 0)) == hash(Fraction(1, 2))
+    assert QuadraticNumber(5, 0, 1) != QuadraticNumber(2, 0, 1)
+    assert QuadraticNumber(5, 3, 1) != QuadraticNumber(2, 3, 0)
