@@ -209,8 +209,11 @@ def _text_lines(doc, prefix):
 def _load(path):
     try:
         return ser.load(path)
-    except (OSError, json.JSONDecodeError) as e:
+    except OSError as e:
         raise click.ClickException(str(e))
+    except ValueError as e:  # not JSON, or not text
+        click.echo("malformed input: %s: %s" % (path, e), err=True)
+        sys.exit(2)
 
 
 def _command(op, paths, fmt, **args):
@@ -311,7 +314,9 @@ def verify(root):
     for entry in entries:
         try:
             failures = verify_entry(entry)
-        except (OSError, json.JSONDecodeError, KeyError) as e:
+        # ValueError: a file that is not JSON; KeyError, TypeError: JSON
+        # that is not laid out as a corpus entry
+        except (OSError, ValueError, KeyError, TypeError) as e:
             click.echo("%s: malformed entry (%s)" % (entry.name, e), err=True)
             sys.exit(2)
         if failures:

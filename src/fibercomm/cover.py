@@ -64,12 +64,11 @@ class ComponentCover:
             object.__setattr__(
                 self, "free_partitions", tuple(tuple(p) for p in self.free_partitions)
             )
+        # reversed, so the first entry of a repeated slot wins
+        object.__setattr__(self, "_by_slot", dict(reversed(self.slot_partitions)))
 
     def partition(self, slot):
-        for s, p in self.slot_partitions:
-            if s == slot:
-                return p
-        raise KeyError(slot)
+        return self._by_slot[slot]
 
 
 @dataclass(frozen=True)
@@ -82,12 +81,11 @@ class CoveringData:
         object.__setattr__(
             self, "components", tuple((pid, tuple(cs)) for pid, cs in self.components)
         )
+        # reversed, so the first entry of a repeated piece wins
+        object.__setattr__(self, "_by_piece", dict(reversed(self.components)))
 
     def of(self, pid):
-        for p, cs in self.components:
-            if p == pid:
-                return cs
-        raise KeyError(pid)
+        return self._by_piece[pid]
 
 
 def _validate_cover(phi, c):
@@ -107,7 +105,7 @@ def _validate_cover(phi, c):
                 except KeyError:
                     errors.append("piece %s component %d: no partition for slot %s" % (p.id, j, slot))
                     continue
-                if sum(part) != comp.degree or any(d < 1 for d in part):
+                if sum(part) != comp.degree or min(part, default=1) < 1:
                     errors.append(
                         "piece %s component %d slot %s: %r is not a partition of %d"
                         % (p.id, j, slot, part, comp.degree)
@@ -120,7 +118,7 @@ def _validate_cover(phi, c):
                 )
             else:
                 for part in frees:
-                    if sum(part) != comp.degree or any(d < 1 for d in part):
+                    if sum(part) != comp.degree or min(part, default=1) < 1:
                         errors.append(
                             "piece %s component %d: bad free partition %r" % (p.id, j, part)
                         )
@@ -192,11 +190,12 @@ def lift_cover(phi, c):
     for curve in phi.curves:
         side_a = sorted(lifted_ends[curve.end_a])
         side_b = sorted(lifted_ends[curve.end_b])
+        twists = {}  # one division per local degree, not one per preimage
         for i, ((d, pa, sa), (d2, pb, sb)) in enumerate(zip(side_a, side_b)):
             assert d == d2
-            curves.append(
-                ReducingCurve("%s~%d" % (curve.id, i), (pa, sa), (pb, sb), curve.twist / d)
-            )
+            if d not in twists:
+                twists[d] = curve.twist / d
+            curves.append(ReducingCurve("%s~%d" % (curve.id, i), (pa, sa), (pb, sb), twists[d]))
 
     lifted = ReducibleMap(tuple(pieces), tuple(curves))
     validate_or_raise(lifted)

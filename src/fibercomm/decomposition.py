@@ -23,13 +23,19 @@ From this data the twist invariants are computed exactly:
 * ``p_polynomial``    -- the chi-weighted generating polynomial that
   packages both.
 
+The per-piece pairs are computed once per graph (``piece_pairs``) and
+every invariant above reads that table.  A piece's slots are counted by
+twist value first, so a lifted graph with only the twists +1 and -1
+costs one ``Fraction`` per distinct twist, not one per slot.
+
 Twist zero is rejected: a curve with trivial fractional twist between
 periodic sides is not part of a minimal reducing system.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .quadratic import QuadraticUnit, unit_log_ratio
@@ -81,9 +87,10 @@ class DilatationLabel:
         return self.exponent / other.exponent
 
     def power(self, k):
+        rotation = None if self.rotation is None else self.rotation * k % 1
         if self.exact:
-            return replace(self, unit=self.unit ** k)
-        return replace(self, exponent=self.exponent * k)
+            return replace(self, unit=self.unit ** k, rotation=rotation)
+        return replace(self, exponent=self.exponent * k, rotation=rotation)
 
 
 # ---------------------------------------------------------------------------
@@ -204,14 +211,15 @@ def validate(phi):
         if n != 1:
             errors.append("slot %s.%s used by %d curve ends (expected 1)" % (pid, slot, n))
 
+    # built only for graphs with orbits; the first curve of a repeated id wins
+    curve_by_id = {c.id: c for c in reversed(phi.curves)} if phi.curve_orbits else {}
     for orbit in phi.curve_orbits:
         twists = set()
         for cid in orbit:
-            match = [c for c in phi.curves if c.id == cid]
-            if not match:
+            if cid not in curve_by_id:
                 errors.append("curve orbit references missing curve %s" % cid)
             else:
-                twists.add(match[0].twist)
+                twists.add(curve_by_id[cid].twist)
         if len(twists) > 1:
             errors.append("curve orbit %r mixes twists %r" % (orbit, sorted(twists)))
     for orbit in phi.piece_orbits:
@@ -237,34 +245,41 @@ def validate_or_raise(phi):
 # ---------------------------------------------------------------------------
 # invariants
 
-def a_piece(phi, pid):
-    """Reciprocal-twist pair of one piece.
+def piece_pairs(phi):
+    """Reciprocal-twist pair of every piece, as a dict piece id -> pair.
 
     Sums 1/k over the slots whose incident twist k is positive into the
     first coordinate and 1/(-k) over negative twists into the second.  A
     curve with both ends on the piece contributes through both slots.
     """
-    p = phi.piece(pid)
-    pos = Fraction(0)
-    neg = Fraction(0)
-    for slot in p.slots:
-        k = phi.curve_at(pid, slot).twist
-        if k > 0:
-            pos += 1 / k
-        elif k < 0:
-            neg += -1 / k
-    return (pos, neg)
+    cached = getattr(phi, "_cached_pairs", None)
+    if cached is None:
+        by_end = phi._index()[1]
+        cached = {}
+        for p in phi.pieces:
+            twists = (by_end[(p.id, slot)].twist for slot in p.slots)
+            counts = Counter((k.numerator, k.denominator) for k in twists)
+            pos = neg = Fraction(0)
+            for (num, den), n in counts.items():
+                if num > 0:
+                    pos += Fraction(n * den, num)
+                elif num < 0:
+                    neg += Fraction(n * den, -num)
+            cached[p.id] = (pos, neg)
+        object.__setattr__(phi, "_cached_pairs", cached)
+    return cached
+
+
+def a_piece(phi, pid):
+    """Reciprocal-twist pair of one piece (see ``piece_pairs``)."""
+    return piece_pairs(phi)[pid]
 
 
 def a_total(phi):
     """Global pair invariant: half the sum of the per-piece pairs."""
-    pos = Fraction(0)
-    neg = Fraction(0)
-    for p in phi.pieces:
-        ap, an = a_piece(phi, p.id)
-        pos += ap
-        neg += an
-    return (pos / 2, neg / 2)
+    table = piece_pairs(phi)
+    pairs = [table[p.id] for p in phi.pieces]
+    return (sum((a for a, _ in pairs), Fraction(0)) / 2, sum((b for _, b in pairs), Fraction(0)) / 2)
 
 
 def a_total_by_curves(phi):
@@ -281,7 +296,7 @@ def a_total_by_curves(phi):
 
 def normalized_a_piece(phi, pid):
     chi = phi.piece(pid).surface.chi
-    ap, an = a_piece(phi, pid)
+    ap, an = piece_pairs(phi)[pid]
     return (ap / (-chi), an / (-chi))
 
 

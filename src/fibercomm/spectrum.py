@@ -168,9 +168,7 @@ def _measure_form(matrix):
     t = a + d
     disc = t * t - 4 * det
     D = squarefree_part(disc)
-    m = 1
-    while m * m * D < disc:
-        m += 1
+    m = math.isqrt(disc // D)  # exact: D is the squarefree part of disc
 
     def f(v):
         return c * c * v[0] * v[0] + c * (t - 2 * a) * v[0] * v[1] + (a * a - a * t + det) * v[1] * v[1]

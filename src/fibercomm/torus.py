@@ -9,6 +9,7 @@ have a rational ratio.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -97,10 +98,9 @@ def _dilatation_from_trace(t, det):
     """Largest root of x**2 - |t| x + det, as a canonical QuadraticUnit."""
     disc = t * t - 4 * det
     D = squarefree_part(disc)
-    m2 = disc // D
-    m = 1
-    while m * m < m2:
-        m += 1
+    m = math.isqrt(disc // D)
+    if m * m * D != disc:
+        raise ValueError("discriminant %d is not %d times a square" % (disc, D))
     return QuadraticUnit(D, Fraction(abs(t), 2), Fraction(m, 2))
 
 

@@ -158,6 +158,10 @@ def test_malformed_input_exits_2(tmp_path):
     string_genus = write(tmp_path / "genus.json", graph)
     r = run("invariants", string_genus)
     assert r.exit_code == 2 and "malformed input" in r.output and "Traceback" not in r.output
+    not_json = tmp_path / "notjson.json"
+    not_json.write_text("{bad")
+    r = run("classify", str(not_json))
+    assert r.exit_code == 2 and "malformed input: %s:" % not_json in r.output
 
 
 @pytest.mark.parametrize("name", SUBCOMMANDS)
@@ -177,6 +181,15 @@ def test_corpus_verify_reports_malformed_check(tmp_path):
     r = run("corpus", "verify", "--root", str(root))
     assert r.exit_code == 1
     assert "ex2.9: FAIL" in r.output and "order-4 rotation: raised" in r.output
+
+
+def test_corpus_verify_reports_non_object_entry(tmp_path):
+    root = tmp_path / "corpus"
+    shutil.copytree(CORPUS_ROOT, root)
+    ser.dump(root / "ex2.9" / "input.json", [1])
+    r = run("corpus", "verify", "--root", str(root))
+    assert r.exit_code == 2
+    assert "ex2.9: malformed entry (" in r.output and "Traceback" not in r.output
 
 
 def test_every_operation_goes_through_the_table(tmp_path, monkeypatch):

@@ -15,6 +15,7 @@ from fibercomm.comparator import (
     compare,
     match_flip_scale,
 )
+from fibercomm.cover import ComponentCover, CoveringData, lift_cover
 from fibercomm.decomposition import DilatationLabel, Piece, ReducibleMap, ReducingCurve, negate_twists, power
 from fibercomm.families import d_type_family, twist_composition
 from fibercomm.quadratic import fundamental_unit
@@ -135,3 +136,62 @@ def test_rotation_does_not_change_stretch_factor(label):
     for mode in (FULL, TOPOLOGICAL, COMBINED):
         assert compare(mixed, same, mode).kind == NOT_OBSTRUCTED
         assert compare(same, mixed, mode).kind == NOT_OBSTRUCTED
+
+
+def with_pseudo_anosov_pieces(rng, phi):
+    """phi with about half its pieces made pseudo-Anosov, some sharing a
+    field or a name, with assorted boundary rotations."""
+    u5, u2 = fundamental_unit(5), fundamental_unit(2)
+    labels = [
+        DilatationLabel(unit=u5),
+        DilatationLabel(unit=u5 ** 2),
+        DilatationLabel(unit=u2),
+        DilatationLabel(name="lam"),
+        DilatationLabel(name="lam", exponent=F(3, 2)),
+        DilatationLabel(name="mu"),
+    ]
+    pieces = tuple(
+        replace(p, dilatation=replace(rng.choice(labels), rotation=rng.choice((None, F(1, 3), F(1, 2)))))
+        if rng.random() < 0.5
+        else p
+        for p in phi.pieces
+    )
+    return replace(phi, pieces=pieces)
+
+
+def uniform_cover(rng, phi):
+    """Degree L over every piece, one component each; each curve gets a
+    local degree d dividing L on both of its ends."""
+    L = rng.choice((1, 2, 3, 4, 6))
+    d = {c.id: rng.choice([x for x in (1, 2, 3) if L % x == 0]) for c in phi.curves}
+    comps = []
+    for p in phi.pieces:
+        parts = []
+        for s in p.slots:
+            ds = d[phi.curve_at(p.id, s).id]
+            parts.append((s, (ds,) * (L // ds)))
+        comps.append((p.id, (ComponentCover(L, tuple(parts)),)))
+    return CoveringData(tuple(comps))
+
+
+def test_lifted_power_never_obstructs():
+    # topological mode pins s = 1, so it sees covers only: k = 1 there
+    # (test_topological_mode shows a power obstructing in that mode)
+    rng = random.Random(47)
+    tested = 0
+    pseudo_anosov = 0
+    while tested < 60:
+        phi = with_pseudo_anosov_pieces(rng, random_reducible_map(rng, max_part=6))
+        k = rng.randint(1, 3)
+        phik = power(phi, k)
+        try:
+            lifted = lift_cover(phik, uniform_cover(rng, phik))
+        except ValueError:  # no covered surface of the right genus parity
+            continue
+        for mode in (FULL, COMBINED) if k > 1 else (FULL, TOPOLOGICAL, COMBINED):
+            v = compare(phi, lifted, mode)
+            assert v.kind == NOT_OBSTRUCTED, (mode, k)
+            assert F(1, k) in v.feasible
+        tested += 1
+        pseudo_anosov += bool(phi.dilatation_set)
+    assert pseudo_anosov > 30

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import random_reducible_map
+from conftest import random_d_type_map, random_reducible_map
 from fibercomm.comparator import FULL, InvariantReport, compare, match_flip_scale
 from fibercomm.cover import (
     ComponentCover,
@@ -16,6 +16,7 @@ from fibercomm.decomposition import (
     Piece,
     ReducibleMap,
     ReducingCurve,
+    a_piece,
     a_total,
     pi_invariant,
     validate,
@@ -226,3 +227,69 @@ def test_cover_feasibility_includes_one():
         assert F(1) in match_flip_scale(x, y)
         assert pi_invariant(lifted) == pi_invariant(phi)
         tested += 1
+
+
+def naive_piece_pairs(phi):
+    """Reciprocal-twist pairs with one Fraction division per slot."""
+    twist_at = {end: c.twist for c in phi.curves for end in c.ends}
+    pairs = {}
+    for p in phi.pieces:
+        pos = neg = F(0)
+        for slot in p.slots:
+            k = twist_at[(p.id, slot)]
+            if k > 0:
+                pos += 1 / k
+            else:
+                neg += 1 / -k
+        pairs[p.id] = (pos, neg)
+    return pairs
+
+
+def test_a_piece_matches_per_slot_sums_after_normalization():
+    rng = random.Random(43)
+    seen = set()
+    for _ in range(60):
+        phi = random_d_type_map(rng, max_part=6)
+        out, _ = normalize_unit_twists(phi)
+        for g in (phi, out):
+            expected = naive_piece_pairs(g)
+            for p in g.pieces:
+                assert a_piece(g, p.id) == expected[p.id]
+        twists = [c.twist for c in out.curves]
+        if len(twists) > len(set(twists)):
+            seen.add("repeated twists")
+        if {F(1), F(-1)} <= set(twists):
+            seen.add("both signs")
+        if any(c.end_a[0] == c.end_b[0] for c in out.curves):
+            seen.add("self-curve")
+    assert seen == {"repeated twists", "both signs", "self-curve"}
+
+
+def test_degree_zero_component_reports_degree():
+    phi = two_piece_map(F(1))
+    empty = CoveringData(
+        (
+            ("a", (ComponentCover(0, (("s", ()),)),)),
+            ("b", (ComponentCover(1, (("t", (1,)),)),)),
+        )
+    )
+    with pytest.raises(ValueError, match="piece a component 0: degree < 1") as e:
+        lift_cover(phi, empty)
+    assert "not a partition" not in str(e.value)
+
+
+def test_missing_cover_data_reported():
+    phi = two_piece_map(F(1))
+    c = CoveringData((("a", (ComponentCover(1, (("x", (1,)),)),)),))
+    with pytest.raises(ValueError) as e:
+        lift_cover(phi, c)
+    assert "piece a component 0: no partition for slot s" in str(e.value)
+    assert "no cover data for piece b" in str(e.value)
+
+
+def test_first_entry_of_a_repeated_key_wins():
+    comp = ComponentCover(2, (("s", (2,)), ("s", (1, 1))))
+    assert comp.partition("s") == (2,)
+    other = ComponentCover(1, (("s", (1,)),))
+    c = CoveringData((("a", (comp,)), ("a", (other,))))
+    assert c.of("a") == (comp,)

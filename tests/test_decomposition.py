@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -19,7 +20,7 @@ from fibercomm.decomposition import (
     power,
     validate,
 )
-from fibercomm.families import d_type_family
+from fibercomm.families import d_type_family, twist_composition
 from fibercomm.quadratic import fundamental_unit
 from fibercomm.surfaces import Surface
 
@@ -52,6 +53,20 @@ def test_validate_reports_violations():
     assert any("chi = 0" in e for e in validate(torus_piece))
     empty = ReducibleMap((Piece("a", Surface(2, 0), ()),), ())
     assert any("empty" in e for e in validate(empty))
+
+
+def test_validate_curve_orbits():
+    phi = ReducibleMap(
+        (Piece("a", Surface(1, 2), ("s1", "s2")), Piece("b", Surface(1, 2), ("t1", "t2"))),
+        (
+            ReducingCurve("c1", ("a", "s1"), ("b", "t1"), F(1, 2)),
+            ReducingCurve("c2", ("a", "s2"), ("b", "t2"), F(1, 3)),
+        ),
+    )
+    assert validate(replace(phi, curve_orbits=(("c1",), ("c2",)))) == []
+    errors = validate(replace(phi, curve_orbits=(("c1", "c2", "c9"),)))
+    assert any("missing curve c9" in e for e in errors)
+    assert any("mixes twists" in e for e in errors)
 
 
 def test_a_piece_examples():
@@ -152,6 +167,12 @@ def test_power_on_labels():
     p3 = power(phi, 3)
     assert p3.piece("a").dilatation.unit == lam ** 3
     assert p3.piece("b").dilatation.exponent == 3
+    assert p3.piece("b").dilatation.rotation is None
+    # the boundary rotation scales too, modulo full turns
+    pa = power(twist_composition(2), 3).piece("pa").dilatation
+    assert pa.rotation == 0 and pa.exponent == 3
+    assert power(twist_composition(2, F(2, 5)), 2).piece("pa").dilatation.rotation == F(4, 5)
+    assert power(twist_composition(2, F(2, 5)), 3).piece("pa").dilatation.rotation == F(1, 5)
     with pytest.raises(ValueError):
         power(phi, 0)
 

@@ -16,6 +16,7 @@ from fibercomm.spectrum import (
     spectrum_values,
 )
 from fibercomm.surfaces import Surface
+from fibercomm.torus import TorusAutomorphism
 
 
 def test_delta_from_branch_data_examples():
@@ -125,6 +126,16 @@ def test_golden_minimum():
     # f(v) = v1^2 - v1 v2 - v2^2 has minimum |f| = 1 on Z^2 \ 0
     assert m.value.D == 5 and m.value.b == F(1, 5) and m.value.a == 0
     assert abs(float(m.value)) == pytest.approx(1 / 5 ** 0.5)
+
+
+def test_large_cat_power_has_the_cat_spectrum():
+    # cat**k has the eigendirections of the cat map and the measure
+    # product has unit mass, so the spectrum does not depend on k; for
+    # k = 25 the normalizing square root is F_50, about 1.3e10
+    cat = ((2, 1), (1, 1))
+    big = (TorusAutomorphism(cat) ** 25).matrix
+    points = ((0, 0), (F(1, 3), F(1, 2)))
+    assert spectrum_values(SpectrumQuery(big, *points, 3)) == spectrum_values(SpectrumQuery(cat, *points, 3))
 
 
 def test_marked_point_minimum():

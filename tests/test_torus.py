@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,20 @@ def test_dilatation_power_law():
     lam = classify_torus(phi).dilatation
     for k in range(1, 6):
         assert classify_torus(phi ** k).dilatation == lam ** k
+
+
+def test_large_cat_power_classifies_quickly():
+    # cat**k has trace L_2k; its stretch factor is (L_2k + F_2k sqrt 5) / 2
+    lucas, fib = [2, 1], [0, 1]
+    while len(fib) <= 50:
+        lucas.append(lucas[-1] + lucas[-2])
+        fib.append(fib[-1] + fib[-2])
+    phi = TorusAutomorphism(((2, 1), (1, 1))) ** 25
+    start = time.perf_counter()
+    c = classify_torus(phi)
+    assert time.perf_counter() - start < 2.0
+    assert c.kind == ANOSOV
+    assert c.dilatation == QuadraticUnit(5, Fraction(lucas[50], 2), Fraction(fib[50], 2))
 
 
 def test_commensurability_examples():
