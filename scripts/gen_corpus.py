@@ -6,6 +6,9 @@ regeneration fails loudly if the library drifts.  Run from the repo
 root:
 
     python3 scripts/gen_corpus.py
+
+``main(root)`` writes the same files under another directory; the test
+suite regenerates into a temporary one and compares byte for byte.
 """
 
 import shutil
@@ -42,8 +45,8 @@ def check(name, source, operation, inputs, expected, args=None):
     return entry
 
 
-def write_entry(eid, description, documents, checks, notes):
-    d = ROOT / eid
+def write_entry(root, eid, description, documents, checks, notes):
+    d = root / eid
     d.mkdir(parents=True, exist_ok=True)
     ser.dump(d / "input.json", {"id": eid, "description": description, "documents": documents})
     # run every check now and require agreement before freezing
@@ -90,7 +93,7 @@ the golden ratio; [[3,2],[1,1]] lives in Q(sqrt(3)), so the pair is
 incommensurable by field mismatch.  Periodic and parabolic classes
 each form a single commensurability class.
 """
-    write_entry("ex2.9", "torus automorphism classification and comparison", docs, checks, notes)
+    return ("ex2.9", "torus automorphism classification and comparison", docs, checks, notes)
 
 
 def branch_entry():
@@ -130,7 +133,7 @@ sum (2-n) delta_n = 2 chi pins the genus.  The scaling test pairs the
 log-ratio of stretch factors with proportionality of the singularity
 vectors; a support mismatch is a definitive obstruction.
 """
-    write_entry("ex3.8", "torus branched covers: singularity vectors and scaling test", docs, checks, notes)
+    return ("ex3.8", "torus branched covers: singularity vectors and scaling test", docs, checks, notes)
 
 
 def spectrum_entry():
@@ -166,7 +169,7 @@ discreteness.  All enumerated values are strictly positive; the set is
 a certified subset of the full spectrum, so the minimum is an upper
 bound for the true spectral minimum.
 """
-    write_entry("ex3.12", "spectrum enumeration for a marked Anosov torus map", docs, checks, notes)
+    return ("ex3.12", "spectrum enumeration for a marked Anosov torus map", docs, checks, notes)
 
 
 def equal_a_entry():
@@ -221,7 +224,7 @@ recoverable.  This entry encodes graphs realizing the prose values;
 the figure label is recorded here as an unresolved discrepancy, not
 silently corrected.
 """
-    write_entry("ex4.2", "equal A but different Pi separates two maps", docs, checks, notes)
+    return ("ex4.2", "equal A but different Pi separates two maps", docs, checks, notes)
 
 
 def d_family_entry():
@@ -251,7 +254,7 @@ a +1 twist to a genus-k one-holed leaf.  The normalized invariants
 leaf genus are never obstructed from each other, while different leaf
 genera force distinct Pi sets with no common scale.
 """
-    write_entry("ex4.6", "D-type star family over n and leaf genus k", docs, checks, notes)
+    return ("ex4.6", "D-type star family over n and leaf genus k", docs, checks, notes)
 
 
 def twist_composition_entry():
@@ -277,7 +280,7 @@ fractional twist k - 1/3 and the single normalized invariant
 (1/(k - 1/3), 0).  The shared stretch factor forces s = 1 in the
 combined test, and Pi then separates every pair with different k.
 """
-    write_entry("ex4.9", "twist powers against a fixed pseudo-Anosov piece", docs, checks, notes)
+    return ("ex4.9", "twist powers against a fixed pseudo-Anosov piece", docs, checks, notes)
 
 
 def bounded_chain_entry():
@@ -315,7 +318,7 @@ horizontal curves) and 1/6, the monodromy order is 6, and the sixth
 power has integer twists 3 and 1.  Pi(phi_n) =
 {(n,0), ((2n+1)/3,0), (n/2,0)} separates every pair of members.
 """
-    write_entry("ex5.2", "bounded chain staircase family", docs, checks, notes)
+    return ("ex5.2", "bounded chain staircase family", docs, checks, notes)
 
 
 def closed_chain_entry():
@@ -366,20 +369,29 @@ values (-6(n+2), -4n, -2(n+1)), hence Sigma_{3,2}, Sigma_{1,4},
 Sigma_{1,2}, and the shears are pinned by the twist values 12 I = +-1
 and +-8 of the twelfth power of the alternate fibration.
 """
-    write_entry("ex5.3", "closed chain: two fibrations of one graph manifold", docs, checks, notes)
+    return ("ex5.3", "closed chain: two fibrations of one graph manifold", docs, checks, notes)
 
 
-def main():
-    if ROOT.exists():
-        shutil.rmtree(ROOT)
-    torus_entry()
-    branch_entry()
-    spectrum_entry()
-    equal_a_entry()
-    d_family_entry()
-    twist_composition_entry()
-    bounded_chain_entry()
-    closed_chain_entry()
+ENTRIES = (
+    torus_entry,
+    branch_entry,
+    spectrum_entry,
+    equal_a_entry,
+    d_family_entry,
+    twist_composition_entry,
+    bounded_chain_entry,
+    closed_chain_entry,
+)
+
+
+def main(root=ROOT):
+    """Write every entry under ``root`` (the bundled corpus by default),
+    replacing whatever is there."""
+    root = Path(root)
+    if root.exists():
+        shutil.rmtree(root)
+    for entry in ENTRIES:
+        write_entry(root, *entry())
 
 
 if __name__ == "__main__":

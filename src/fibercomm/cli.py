@@ -179,11 +179,11 @@ def run_operation(op, docs, args):
 # subcommands
 
 def _print(doc, fmt):
+    """Write the document with one ``click.echo``, in either format."""
     if fmt == "machine":
         click.echo(ser.canonical_dumps(doc), nl=False)
         return
-    for line in _text_lines(doc, ""):
-        click.echo(line)
+    click.echo("\n".join(_text_lines(doc, "")))
 
 
 def _text_lines(doc, prefix):

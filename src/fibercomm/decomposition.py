@@ -122,7 +122,8 @@ class ReducingCurve:
     def __post_init__(self):
         object.__setattr__(self, "end_a", tuple(self.end_a))
         object.__setattr__(self, "end_b", tuple(self.end_b))
-        object.__setattr__(self, "twist", Fraction(self.twist))
+        if not isinstance(self.twist, Fraction):
+            object.__setattr__(self, "twist", Fraction(self.twist))
 
     @property
     def ends(self):
@@ -237,9 +238,18 @@ def validate(phi):
 
 
 def validate_or_raise(phi):
+    """Raise ``ValueError`` listing the errors of ``validate``.
+
+    Success is recorded on the frozen graph, so a graph that passes is
+    checked once however many operations it goes through; a graph that
+    fails is checked, and raises, on every call.
+    """
+    if getattr(phi, "_cached_valid", False):
+        return
     errors = validate(phi)
     if errors:
         raise ValueError("invalid decomposition graph: " + "; ".join(errors))
+    object.__setattr__(phi, "_cached_valid", True)
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +352,16 @@ def power(phi, k):
         p if p.periodic else replace(p, dilatation=p.dilatation.power(k))
         for p in phi.pieces
     )
-    curves = tuple(replace(c, twist=c.twist * k) for c in phi.curves)
-    return replace(phi, pieces=pieces, curves=curves)
+    # one multiplication per distinct twist, keyed by its integers
+    # (hashing a Fraction costs about half a multiplication)
+    twists = {}
+    curves = []
+    for c in phi.curves:
+        key = (c.twist.numerator, c.twist.denominator)
+        if key not in twists:
+            twists[key] = c.twist * k
+        curves.append(ReducingCurve(c.id, c.end_a, c.end_b, twists[key]))
+    return ReducibleMap(pieces, tuple(curves), phi.piece_orbits, phi.curve_orbits)
 
 
 def negate_twists(phi):

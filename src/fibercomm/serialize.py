@@ -5,12 +5,20 @@ queries.  Rationals are serialized as "p/q" strings (or "p" when the
 denominator is 1) so no float ever enters a document; serialization is
 canonical (sorted keys, fixed indentation, trailing newline), so
 parse-then-serialize is byte-identical on canonical files.
+
+``canonical_dumps`` writes exactly ``json.dumps(doc, sort_keys=True,
+indent=2) + "\n"`` but does not call it: CPython's C encoder serves
+only ``indent=None``, so an indented ``json.dumps`` runs the pure-Python
+encoder, which costs several times more on large graphs.  Its own
+encoder joins one list of parts and escapes strings with the C
+``encode_basestring_ascii``; the stdlib call stays as its test oracle.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .cover import ComponentCover, CoveringData
 from .decomposition import DilatationLabel, Piece, ReducibleMap, ReducingCurve
@@ -28,8 +36,14 @@ def rat(x):
     return "%d/%d" % (f.numerator, f.denominator)
 
 
-def unrat(s):
-    return Fraction(s)
+def unrat(x):
+    """A document rational: a "p/q" or "p" string, or a JSON integer.
+
+    Floats and booleans are rejected, so no inexact value is read.
+    """
+    if type(x) is not str and type(x) is not int:
+        raise ValueError("expected a rational as a string or an integer, got %r" % (x,))
+    return Fraction(x)
 
 
 def pair(p):
@@ -51,7 +65,58 @@ def quadratic_from_doc(doc):
 
 
 def canonical_dumps(doc):
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    parts = []
+    _encode(doc, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _encode(v, nl, out):
+    """Append the indented JSON of ``v`` to ``out``; ``nl`` is a newline
+    plus the indentation of the line ``v`` starts on.  A string member
+    is written with its key or separator in one part."""
+    t = type(v)
+    if t is str:
+        out(_json_str(v))
+    elif t is int:
+        out(int.__repr__(v))
+    elif t is list:
+        if not v:
+            out("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for x in v:
+            if type(x) is str:
+                out(sep + _json_str(x))
+            else:
+                out(sep)
+                _encode(x, inner, out)
+            sep = "," + inner
+        out(nl + "]")
+    elif t is dict and all(type(k) is str for k in v):
+        if not v:
+            out("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k in sorted(v):
+            x = v[k]
+            if type(x) is str:
+                out(sep + _json_str(k) + ": " + _json_str(x))
+            else:
+                out(sep + _json_str(k) + ": ")
+                _encode(x, inner, out)
+            sep = "," + inner
+        out(nl + "}")
+    elif v is None:
+        out("null")
+    elif v is True:
+        out("true")
+    elif v is False:
+        out("false")
+    else:  # a value the library does not emit: the stdlib, re-indented
+        out(json.dumps(v, sort_keys=True, indent=2).replace("\n", nl))
 
 
 def _expect(doc, type_name):
@@ -134,10 +199,17 @@ def reducible_from_doc(doc):
         )
         for p in doc["pieces"]
     )
-    curves = tuple(
-        ReducingCurve(c["id"], tuple(c["end_a"]), tuple(c["end_b"]), unrat(c["twist"]))
-        for c in doc["curves"]
-    )
+    twists = {}  # each distinct twist string is parsed once
+    curves = []
+    for c in doc["curves"]:
+        t = c["twist"]
+        if type(t) is not str:
+            twist = unrat(t)
+        elif t in twists:
+            twist = twists[t]
+        else:
+            twist = twists[t] = unrat(t)
+        curves.append(ReducingCurve(c["id"], c["end_a"], c["end_b"], twist))
     return ReducibleMap(pieces, curves)
 
 

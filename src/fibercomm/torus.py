@@ -46,7 +46,11 @@ class TorusAutomorphism:
     matrix: tuple
 
     def __post_init__(self):
-        m = tuple(tuple(int(x) for x in row) for row in self.matrix)
+        m = tuple(tuple(row) for row in self.matrix)
+        for row in m:
+            for x in row:
+                if type(x) is not int:  # bools, floats and strings too
+                    raise ValueError("matrix entries must be integers, got %r" % (x,))
         object.__setattr__(self, "matrix", m)
         if _det(m) not in (1, -1):
             raise ValueError("matrix must have determinant +-1, got %d" % _det(m))

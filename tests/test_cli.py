@@ -162,6 +162,19 @@ def test_malformed_input_exits_2(tmp_path):
     not_json.write_text("{bad")
     r = run("classify", str(not_json))
     assert r.exit_code == 2 and "malformed input: %s:" % not_json in r.output
+    # rationals must be exact: no JSON floats or booleans
+    for twist in (0.1, True):
+        graph = ser.reducible_doc(d_type_family(3, 2))
+        graph["curves"][0]["twist"] = twist
+        r = run("invariants", write(tmp_path / "twist.json", graph))
+        assert r.exit_code == 2 and "malformed input" in r.output and "Traceback" not in r.output
+    # torus matrix entries must be integers: each replaces an entry of the cat map
+    for row, col, entry in ((0, 0, 2.5), (0, 1, True), (0, 0, "2")):
+        matrix = [[2, 1], [1, 1]]
+        matrix[row][col] = entry
+        path = write(tmp_path / "entry.json", {"type": "torus_automorphism", "matrix": matrix})
+        r = run("classify", path)
+        assert r.exit_code == 2 and "malformed input" in r.output and "Traceback" not in r.output
 
 
 @pytest.mark.parametrize("name", SUBCOMMANDS)

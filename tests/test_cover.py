@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_d_type_map, random_reducible_map
+from fibercomm import decomposition
 from fibercomm.comparator import FULL, InvariantReport, compare, match_flip_scale
 from fibercomm.cover import (
     ComponentCover,
@@ -200,6 +201,21 @@ def test_normalize_rejects_pseudo_anosov_pieces():
     )
     with pytest.raises(ValueError, match="periodic"):
         normalize_unit_twists(phi)
+
+
+def test_each_graph_validated_once(monkeypatch):
+    seen = []  # the graphs themselves, so no id is reused
+    check = decomposition.validate
+    monkeypatch.setattr(decomposition, "validate", lambda phi: seen.append(phi) or check(phi))
+    rng = random.Random(43)
+    for _ in range(30):
+        phi = random_d_type_map(rng, max_part=6)
+        normalized, _ = normalize_unit_twists(phi)
+        assert sum(g is normalized for g in seen) == 1
+        assert compare(phi, normalized, FULL).kind == "not_obstructed"
+        assert sum(g is normalized for g in seen) == 1
+        assert len({id(g) for g in seen}) == len(seen)
+        del seen[:]
 
 
 def test_normalize_random_property():

@@ -19,6 +19,7 @@ from fibercomm.decomposition import (
     pi_invariant,
     power,
     validate,
+    validate_or_raise,
 )
 from fibercomm.families import d_type_family, twist_composition
 from fibercomm.quadratic import fundamental_unit
@@ -67,6 +68,16 @@ def test_validate_curve_orbits():
     errors = validate(replace(phi, curve_orbits=(("c1", "c2", "c9"),)))
     assert any("missing curve c9" in e for e in errors)
     assert any("mixes twists" in e for e in errors)
+
+
+def test_invalid_graph_raises_on_every_call():
+    bad = two_piece_map(F(0))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="zero twist"):
+            validate_or_raise(bad)
+    good = two_piece_map()
+    validate_or_raise(good)
+    validate_or_raise(good)
 
 
 def test_a_piece_examples():
@@ -175,6 +186,22 @@ def test_power_on_labels():
     assert power(twist_composition(2, F(2, 5)), 3).piece("pa").dilatation.rotation == F(1, 5)
     with pytest.raises(ValueError):
         power(phi, 0)
+
+
+def test_power_keeps_orbits_and_shares_twists():
+    phi = ReducibleMap(
+        (Piece("a", Surface(1, 2), ("s1", "s2")), Piece("b", Surface(1, 2), ("t1", "t2"))),
+        (
+            ReducingCurve("c1", ("a", "s1"), ("b", "t1"), F(2, 3)),
+            ReducingCurve("c2", ("a", "s2"), ("b", "t2"), F(2, 3)),
+        ),
+        piece_orbits=(("a", "b"),),
+        curve_orbits=(("c1", "c2"),),
+    )
+    p3 = power(phi, 3)
+    assert p3.piece_orbits == phi.piece_orbits and p3.curve_orbits == phi.curve_orbits
+    assert [c.twist for c in p3.curves] == [F(2), F(2)]
+    assert validate(p3) == []
 
 
 def test_negation_flips_everything():

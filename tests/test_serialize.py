@@ -1,12 +1,18 @@
 import glob
+import importlib.util
+import json
 import os
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
+from hypothesis import example, given, strategies as st
 
+from fibercomm import cli
 from fibercomm import serialize as ser
 from fibercomm.cli import CORPUS_ROOT
-from fibercomm.decomposition import DilatationLabel
+from fibercomm.decomposition import DilatationLabel, power
 from fibercomm.families import (
     bounded_chain_manifold,
     bounded_chain_plan,
@@ -108,3 +114,62 @@ def test_branch_query_pa_round_trip():
 def test_canonical_dumps_shape():
     s = ser.canonical_dumps({"b": 1, "a": 2})
     assert s.endswith("\n") and s.index('"a"') < s.index('"b"')
+
+
+def test_rationals_are_exact():
+    assert ser.unrat(7) == F(7)
+    for bad in (0.1, 2.0, True, None, [1, 2]):
+        with pytest.raises(ValueError, match="expected a rational"):
+            ser.unrat(bad)
+
+
+# the encoder's oracle is the stdlib's indented encoder
+json_text = st.text(st.characters() | st.sampled_from('"\\/\x00\x08\x1f\n\t\x7f\u00e9\u2028\U0001f600'))
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2 ** 100), 2 ** 100) | json_text,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_text, inner, max_size=4),
+    max_leaves=40,
+)
+
+
+@given(json_values)
+@example({"": [], "q\"b\\s\x01\u00e9": {}, "z": [True, False, None, -(2 ** 70), 2 ** 70, [[]], {"": {}}]})
+@example([1.5, (2, [3, {"x": -0.25}]), {3: "int key"}, {"t": (), "u": ({},)}])  # not emitted by the library
+def test_canonical_dumps_matches_stdlib(value):
+    assert ser.canonical_dumps(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def test_large_power_document_in_both_formats(tmp_path):
+    phi = d_type_family(2000, 2)
+    path = tmp_path / "star.json"
+    ser.dump(path, ser.reducible_doc(phi))
+    runner = CliRunner()
+
+    r = runner.invoke(cli.main, ["power", str(path), "3", "--format", "machine"])
+    assert r.exit_code == 0
+    doc = ser.reducible_doc(power(phi, 3))
+    assert len(doc["curves"]) == 2000
+    assert r.output == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    r = runner.invoke(cli.main, ["power", str(path), "3"])
+    assert r.exit_code == 0
+    lines = r.output.splitlines(keepends=True)
+    assert all(line.endswith("\n") for line in lines)
+    assert sum(line.lstrip().startswith("twist:") for line in lines) == 2000
+    assert lines == [line + "\n" for line in cli._text_lines(doc, "")]
+
+
+def test_gen_corpus_regenerates_the_corpus(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "gen_corpus.py"
+    spec = importlib.util.spec_from_file_location("gen_corpus", script)
+    gen_corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_corpus)
+    root = tmp_path / "corpus"
+    gen_corpus.main(root)
+
+    def files(top):
+        return sorted(p.relative_to(top) for p in top.rglob("*") if p.is_file())
+
+    assert files(root) == files(CORPUS_ROOT)
+    for rel in files(CORPUS_ROOT):
+        assert (root / rel).read_bytes() == (CORPUS_ROOT / rel).read_bytes(), rel
