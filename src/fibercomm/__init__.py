@@ -20,6 +20,7 @@ from .spectrum import (
     SpectrumQuery,
     delta_from_branch_data,
     pa_obstruction,
+    spectrum_count_below,
     spectrum_min,
     spectrum_values,
 )

@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import click
@@ -22,7 +21,7 @@ from . import serialize as ser
 from .comparator import COMBINED, FULL, TOPOLOGICAL, InvariantReport, compare
 from .cover import lift_cover, normalize_unit_twists, verify_cover_laws
 from .decomposition import power as power_map
-from .spectrum import delta_from_branch_data, pa_obstruction, spectrum_min, spectrum_values
+from .spectrum import delta_from_branch_data, pa_obstruction, spectrum_count_below, spectrum_min, spectrum_values
 from .staircase import refiber
 from .torus import classify_torus, torus_commensurable
 
@@ -145,8 +144,8 @@ OPERATIONS = {
     "pa_obstruction": (lambda d, a: (ser.pa_data_from_doc(d[0]), ser.pa_data_from_doc(d[1])), _pa_obstruction),
     "spectrum_min": (_query, _spectrum_min),
     "spectrum_count_below": (
-        lambda d, a: (*_query(d, a), Fraction(a["bound"])),
-        lambda q, bound: {"count": sum(1 for v in spectrum_values(q) if v < bound)},
+        lambda d, a: (*_query(d, a), ser.unrat(a["bound"])),
+        lambda q, bound: {"count": spectrum_count_below(q, bound)},
     ),
     "spectrum": (_query, _spectrum),
 }

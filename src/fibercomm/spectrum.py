@@ -25,8 +25,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .quadratic import QuadraticNumber, squarefree_part
+from .quadratic import QuadraticNumber, _trusted, squarefree_part
 from .surfaces import Surface
+from .torus import _integer_matrix
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -139,12 +142,12 @@ class SpectrumQuery:
     radius: int
 
     def __post_init__(self):
-        m = tuple(tuple(int(x) for x in row) for row in self.matrix)
+        m = _integer_matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "origin", tuple(Fraction(x) for x in self.origin))
         object.__setattr__(self, "point", tuple(Fraction(x) for x in self.point))
-        if self.radius < 1:
-            raise ValueError("radius must be >= 1")
+        if type(self.radius) is not int or self.radius < 1:
+            raise ValueError("radius must be an integer >= 1, got %r" % (self.radius,))
         a, b = m[0]
         c, d = m[1]
         det = a * d - b * c
@@ -215,7 +218,22 @@ def spectrum_values(q):
     translates of an Anosov matrix, so zero never occurs).
     """
     D, scale, _, keyed = _spectrum_keys(q)
-    return [QuadraticNumber(D, 0, Fraction(k, scale)) for k in sorted({k for k, _ in keyed})]
+    return [_trusted(QuadraticNumber, D, _ZERO, Fraction(k, scale)) for k in sorted({k for k, _ in keyed})]
+
+
+def spectrum_count_below(q, bound):
+    """Number of distinct enumerated values below the rational ``bound``.
+
+    Compares integer keys and builds no value: for bound = n/d > 0, the
+    value k*sqrt(D)/scale lies below it exactly when
+    k**2 * D * d**2 < n**2 * scale**2.  No value lies below a bound <= 0.
+    """
+    n, d = bound.numerator, bound.denominator
+    if n <= 0:
+        return 0
+    D, scale, _, keyed = _spectrum_keys(q)
+    key_bound, limit = D * d * d, n * n * scale * scale
+    return len({k for k, _ in keyed if k * k * key_bound < limit})
 
 
 @dataclass(frozen=True)
@@ -233,4 +251,5 @@ def spectrum_min(q):
     """
     D, scale, L, keyed = _spectrum_keys(q)
     k, w = min(keyed, key=lambda kw: kw[0])
-    return SpectrumMin(QuadraticNumber(D, 0, Fraction(k, scale)), (Fraction(w[0], L), Fraction(w[1], L)))
+    value = _trusted(QuadraticNumber, D, _ZERO, Fraction(k, scale))
+    return SpectrumMin(value, (Fraction(w[0], L), Fraction(w[1], L)))

@@ -42,6 +42,7 @@ from fractions import Fraction
 
 from .decomposition import Piece, ReducibleMap, ReducingCurve
 from .surfaces import Surface
+from .torus import _integer_matrix
 
 TAIL = "tail"
 HEAD = "head"
@@ -73,7 +74,7 @@ class Gluing:
     def __post_init__(self):
         object.__setattr__(self, "side_a", tuple(self.side_a))
         object.__setattr__(self, "side_b", tuple(self.side_b))
-        m = tuple(tuple(int(x) for x in row) for row in self.matrix)
+        m = _integer_matrix(self.matrix, "gluing %s: matrix" % (self.id,))
         object.__setattr__(self, "matrix", m)
         det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
         if det not in (1, -1):

@@ -41,16 +41,22 @@ def _trace(m):
     return m[0][0] + m[1][1]
 
 
+def _integer_matrix(matrix, name="matrix"):
+    """``matrix`` as a tuple of rows, each entry checked to be an int."""
+    m = tuple(tuple(row) for row in matrix)
+    for row in m:
+        for x in row:
+            if type(x) is not int:  # bools, floats and strings too
+                raise ValueError("%s entries must be integers, got %r" % (name, x))
+    return m
+
+
 @dataclass(frozen=True)
 class TorusAutomorphism:
     matrix: tuple
 
     def __post_init__(self):
-        m = tuple(tuple(row) for row in self.matrix)
-        for row in m:
-            for x in row:
-                if type(x) is not int:  # bools, floats and strings too
-                    raise ValueError("matrix entries must be integers, got %r" % (x,))
+        m = _integer_matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
         if _det(m) not in (1, -1):
             raise ValueError("matrix must have determinant +-1, got %d" % _det(m))

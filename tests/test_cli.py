@@ -175,6 +175,24 @@ def test_malformed_input_exits_2(tmp_path):
         path = write(tmp_path / "entry.json", {"type": "torus_automorphism", "matrix": matrix})
         r = run("classify", path)
         assert r.exit_code == 2 and "malformed input" in r.output and "Traceback" not in r.output
+    # so must spectrum query matrices and gluing matrices, and the radius
+    query = {"type": "spectrum_query", "matrix": [[2, 1], [1, 1]], "origin": ["0", "0"], "point": ["1/2", "0"]}
+    for matrix, radius in (([[2.5, 1], [1, True]], 3), ([[2, 1], [1, 1.0]], 3), ([[2, 1], [1, 1]], 2.5),
+                           ([[2, 1], [1, 1]], True), ([[2, 1], [1, 1]], "3")):
+        path = write(tmp_path / "query.json", {**query, "matrix": matrix, "radius": radius})
+        r = run("spectrum", path)
+        assert r.exit_code == 2 and "malformed input" in r.output and "Traceback" not in r.output
+    plan = write(tmp_path / "plan.json", ser.plan_doc(bounded_chain_plan(2)))
+    for entry in (-1.5, True, "-1"):
+        manifold = ser.manifold_doc(bounded_chain_manifold())
+        manifold["gluings"][0]["matrix"][0][0] = entry
+        r = run("staircase", write(tmp_path / "manifold.json", manifold), plan)
+        assert r.exit_code == 2 and "malformed input" in r.output and "Traceback" not in r.output
+    # the spectrum_count_below bound is a document rational (a corpus-only operation)
+    for bound in (5.1, True, None):
+        with pytest.raises(cli.MalformedInput):
+            cli.run_operation("spectrum_count_below", [{**query, "radius": 3}], {"bound": bound})
+    assert cli.run_operation("spectrum_count_below", [{**query, "radius": 3}], {"bound": "5"})["count"] > 0
 
 
 @pytest.mark.parametrize("name", SUBCOMMANDS)

@@ -12,6 +12,7 @@ from fibercomm.spectrum import (
     SpectrumQuery,
     delta_from_branch_data,
     pa_obstruction,
+    spectrum_count_below,
     spectrum_min,
     spectrum_values,
 )
@@ -222,3 +223,26 @@ def test_values_sorted_positive_dedup():
     vals = spectrum_values(q)
     assert all(vals[i] < vals[i + 1] for i in range(len(vals) - 1))
     assert all(v.b > 0 and v.a == 0 for v in vals)
+
+
+def test_count_below_compares_integer_keys_like_values():
+    rng = random.Random(31)
+    queries = [SpectrumQuery(GOLDEN, (0, 0), (F(1, 2), F(1, 2)), 6)]
+    while len(queries) < 8:
+        m = tuple(tuple(rng.randint(-4, 4) for _ in range(2)) for _ in range(2))
+        try:
+            queries.append(
+                SpectrumQuery(m, (F(rng.randint(0, 3), 4), F(0)), (F(rng.randint(0, 4), 5), F(rng.randint(1, 5), 6)), 5)
+            )
+        except ValueError:  # not an Anosov matrix
+            continue
+    for q in queries:
+        values = spectrum_values(q)
+        bounds = [F(0), F(-3), F(1, 10 ** 9), F(10 ** 9), F(1), F(5, 2)]
+        # bounds just below and just above enumerated values
+        for v in rng.sample(values, 3):
+            r = sympy.Rational(v.b.numerator, v.b.denominator) * sympy.sqrt(v.D) * 10 ** 8
+            bounds += [F(int(sympy.floor(r)), 10 ** 8), F(int(sympy.ceiling(r)), 10 ** 8)]
+        for bound in bounds:
+            assert spectrum_count_below(q, bound) == sum(v < bound for v in values), (q, bound)
+    assert spectrum_count_below(queries[0], 3) == spectrum_count_below(queries[0], F(3))

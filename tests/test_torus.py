@@ -97,6 +97,16 @@ def test_large_cat_power_classifies_quickly():
     assert c.dilatation == QuadraticUnit(5, Fraction(lucas[50], 2), Fraction(fib[50], 2))
 
 
+def test_large_cat_powers_are_commensurable_quickly():
+    # the trace discriminant of cat**k is 5 F_2k**2; its squarefree part
+    # is found without trial division up to the largest prime of F_2k
+    cat = TorusAutomorphism(((2, 1), (1, 1)))
+    start = time.perf_counter()
+    v = torus_commensurable(cat ** 40, cat ** 41)
+    assert time.perf_counter() - start < 2.0
+    assert v.kind == COMMENSURABLE and v.scale == Fraction(40, 41)
+
+
 def test_commensurability_examples():
     a = TorusAutomorphism(((2, 1), (1, 1)))
     v = torus_commensurable(a, a ** 2)
