@@ -28,7 +28,7 @@ from fibercomm.families import (
     d_type_family,
     twist_composition,
 )
-from fibercomm.quadratic import fundamental_unit
+from fibercomm.quadratic import QuadraticUnit
 from fibercomm.spectrum import SingularityVector
 from fibercomm.staircase import refiber
 from fibercomm.surfaces import Surface
@@ -97,7 +97,7 @@ each form a single commensurability class.
 
 
 def branch_entry():
-    eps = fundamental_unit(5)
+    eps = QuadraticUnit(5, F(1, 2), F(1, 2))  # (1 + sqrt 5) / 2
     eps2, eps3 = eps ** 2, eps ** 3
     lam2 = DilatationLabel(unit=eps2)
     lam3 = DilatationLabel(unit=eps3)

@@ -13,7 +13,7 @@ from .decomposition import (
     pi_invariant,
     power,
 )
-from .quadratic import QuadraticNumber, QuadraticUnit, fundamental_unit, squarefree_part, unit_log_ratio
+from .quadratic import QuadraticNumber, QuadraticUnit, squarefree_part, unit_log_ratio
 from .spectrum import (
     BranchData,
     SingularityVector,
@@ -35,6 +35,6 @@ from .staircase import (
     validate_plan,
 )
 from .surfaces import Surface, euler_characteristic, surfaces_commensurable
-from .torus import NTClass, TorusAutomorphism, classify_torus, minimal_representatives, torus_commensurable
+from .torus import NTClass, TorusAutomorphism, classify_torus, torus_commensurable
 
 __version__ = "0.1.0"

@@ -90,36 +90,49 @@ def _pair_ratio(x, y):
     return s if s > 0 and _scale(x, s) == y else None
 
 
-def _check_full(s, flip, x, y):
-    a1 = _flip(x.a_normalized) if flip else x.a_normalized
-    pi1 = frozenset(_flip(p) for p in x.pi) if flip else x.pi
-    return _scale(a1, s) == y.a_normalized and frozenset(_scale(p, s) for p in pi1) == y.pi
+def _feasible(x, y, mode):
+    """Scales s > 0 that carry, under one flip of x's pairs, the Pi set
+    of x onto y's and also the normalized A of x onto y's (``full``,
+    ``topological``) or the log-stretch-factors of y onto x's
+    (``combined``).  An empty result is the obstruction.
+
+    The candidate set is finite.  Every mode matches Pi, and scaling
+    preserves the lex order of pairs, so s is the ratio of the
+    lexicographically largest Pi elements; ``topological`` pins s = 1,
+    and ``combined`` takes the stretch-factor log-ratios instead when
+    either side has a stretch factor.  The normalized A pairs give no
+    further candidate: when the largest Pi element is (0, 0), all Pi
+    elements are, and then so is A.
+    """
+    log_ratios = set()
+    if mode == COMBINED:
+        log_ratios = {u.log_ratio(v) for u in x.dilatations for v in y.dilatations}
+        log_ratios = {r for r in log_ratios if r is not None and r > 0}
+    feasible = set()
+    for flip in (False, True):
+        a1 = _flip(x.a_normalized) if flip else x.a_normalized
+        pi1 = frozenset(_flip(p) for p in x.pi) if flip else x.pi
+        if mode == TOPOLOGICAL:
+            candidates = {Fraction(1)}
+        elif mode == COMBINED and (x.dilatations or y.dilatations):
+            candidates = log_ratios
+        else:
+            candidates = {_pair_ratio(max(pi1), max(y.pi))} - {None}
+        for s in candidates:
+            if frozenset(_scale(p, s) for p in pi1) != y.pi:
+                continue
+            if mode == COMBINED:
+                ok = _dilatation_scale_ok(s, x.dilatations, y.dilatations)
+            else:
+                ok = _scale(a1, s) == y.a_normalized
+            if ok:
+                feasible.add(s)
+    return feasible
 
 
 def match_flip_scale(x, y):
-    """Feasible scalars s of the full test: s*flip(A, Pi of x) = (A, Pi of y).
-
-    The candidate set is finite: s is pinned by the ratio of the
-    lexicographically largest Pi elements (scaling preserves the lex
-    order of non-negative pairs) or by the normalized A pairs.  An empty
-    result is the obstruction.
-    """
-    feasible = set()
-    for flip in (False, True):
-        pi1 = frozenset(_flip(p) for p in x.pi) if flip else x.pi
-        a1 = _flip(x.a_normalized) if flip else x.a_normalized
-        candidates = set()
-        if pi1 and y.pi:
-            s = _pair_ratio(max(pi1), max(y.pi))
-            if s is not None:
-                candidates.add(s)
-        s = _pair_ratio(a1, y.a_normalized)
-        if s is not None:
-            candidates.add(s)
-        for s in candidates:
-            if _check_full(s, flip, x, y):
-                feasible.add(s)
-    return feasible
+    """Feasible scalars s of the full test: s*flip(A, Pi of x) = (A, Pi of y)."""
+    return _feasible(x, y, FULL)
 
 
 def _dilatation_scale_ok(s, d1, d2):
@@ -141,59 +154,20 @@ def _dilatation_scale_ok(s, d1, d2):
     return True
 
 
-def _compare_combined(x, y):
-    """One s must scale the log-stretch-factors forward and Pi backward."""
-    candidates = set()
-    for u in x.dilatations:
-        for v in y.dilatations:
-            r = u.log_ratio(v)
-            if r is not None and r > 0:
-                candidates.add(r)
-    if not x.dilatations and not y.dilatations:
-        # no stretch-factor constraint; s comes from Pi alone
-        for flip in (False, True):
-            pi1 = frozenset(_flip(p) for p in x.pi) if flip else x.pi
-            s = _pair_ratio(max(pi1), max(y.pi))
-            if s is not None:
-                candidates.add(s)
-
-    feasible = set()
-    for s in candidates:
-        if not _dilatation_scale_ok(s, x.dilatations, y.dilatations):
-            continue
-        # Pi(phi1) ~ s^{-1} Pi(phi2) up to flip
-        target = frozenset(_scale(p, 1 / s) for p in y.pi)
-        for flip in (False, True):
-            pi1 = frozenset(_flip(p) for p in x.pi) if flip else x.pi
-            if pi1 == target:
-                feasible.add(s)
-                break
-    return feasible
+_WITNESS = {
+    FULL: "no common flip/scale matches A and Pi",
+    TOPOLOGICAL: "chi-normalized A or Pi differ (no flip matches at s = 1)",
+    COMBINED: "no s scales the stretch factors forward and Pi backward",
+}
 
 
 def compare_reports(x, y, mode=FULL):
-    if mode == FULL:
-        feasible = match_flip_scale(x, y)
-        if not feasible:
-            return Verdict(INCOMMENSURABLE, witness="no common flip/scale matches A and Pi")
-        return Verdict(NOT_OBSTRUCTED, feasible=frozenset(feasible))
-    if mode == TOPOLOGICAL:
-        ok = any(_check_full(Fraction(1), flip, x, y) for flip in (False, True))
-        if not ok:
-            return Verdict(
-                INCOMMENSURABLE,
-                witness="chi-normalized A or Pi differ (no flip matches at s = 1)",
-            )
-        return Verdict(NOT_OBSTRUCTED, feasible=frozenset([Fraction(1)]))
-    if mode == COMBINED:
-        feasible = _compare_combined(x, y)
-        if not feasible:
-            return Verdict(
-                INCOMMENSURABLE,
-                witness="no s scales the stretch factors forward and Pi backward",
-            )
-        return Verdict(NOT_OBSTRUCTED, feasible=frozenset(feasible))
-    raise ValueError("unknown mode %r" % (mode,))
+    if mode not in _WITNESS:
+        raise ValueError("unknown mode %r" % (mode,))
+    feasible = _feasible(x, y, mode)
+    if not feasible:
+        return Verdict(INCOMMENSURABLE, witness=_WITNESS[mode])
+    return Verdict(NOT_OBSTRUCTED, feasible=frozenset(feasible))
 
 
 def compare(phi1, phi2, mode=FULL):

@@ -292,18 +292,6 @@ def a_total(phi):
     return (sum((a for a, _ in pairs), Fraction(0)) / 2, sum((b for _, b in pairs), Fraction(0)) / 2)
 
 
-def a_total_by_curves(phi):
-    """Same invariant summed curve by curve (consistency oracle)."""
-    pos = Fraction(0)
-    neg = Fraction(0)
-    for c in phi.curves:
-        if c.twist > 0:
-            pos += 1 / c.twist
-        else:
-            neg += -1 / c.twist
-    return (pos, neg)
-
-
 def normalized_a_piece(phi, pid):
     chi = phi.piece(pid).surface.chi
     ap, an = piece_pairs(phi)[pid]
@@ -328,20 +316,6 @@ def p_polynomial(phi):
         key = normalized_a_piece(phi, p.id)
         coeffs[key] = coeffs.get(key, Fraction(0)) + Fraction(p.surface.chi, chi_f)
     return {k: v for k, v in coeffs.items() if v != 0}
-
-
-def p_polynomial_eval(coeffs, x, y):
-    """Evaluate the polynomial pair at rational (x, y).
-
-    Exponents are rational, so only evaluation points where x**p, y**q
-    stay rational are supported; (1, 1) is the case of interest.
-    """
-    if (x, y) != (1, 1):
-        raise NotImplementedError("rational-exponent evaluation only at (1, 1)")
-    total = (Fraction(0), Fraction(0))
-    for (p, q), lam in coeffs.items():
-        total = (total[0] + p * lam, total[1] + q * lam)
-    return total
 
 
 def power(phi, k):

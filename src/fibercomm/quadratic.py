@@ -14,10 +14,9 @@ produced.  The central objects are
   two units are multiplicatively dependent, ``None`` otherwise, by
   Euclid's algorithm on the integer coordinates u = (A + B*sqrt(D))/2;
   each quotient is found by exact repeated squaring, so the cost grows
-  with the bit length of the units, not with their exponents;
-
-* ``fundamental_unit(D)`` (continued fractions) and ``unit_power_of``
-  (repeated division) -- the oracle ``unit_log_ratio`` is tested against.
+  with the bit length of the units, not with their exponents.  The
+  tests check it against fundamental units from continued fractions
+  (``tests/oracles.py``).
 
 D is checked where a value enters: by the public ``QuadraticNumber`` and
 ``QuadraticUnit`` constructors.  Arithmetic results keep the D of their
@@ -348,83 +347,3 @@ def unit_log_ratio(u, v):
     for q in reversed(quotients):
         num, den = q * num + den, num
     return Fraction(num, den)
-
-
-# ---------------------------------------------------------------------------
-# fundamental units: the oracle for unit_log_ratio
-
-def _continued_fraction_period(Delta, P0, Q0):
-    """Continued fraction of (P0 + sqrt(Delta)) / Q0.
-
-    Returns (preperiod_digits, periodic_digits).  State iteration is the
-    classical P, Q recursion on the discriminant Delta; exact because the
-    floor is computed with isqrt.
-    """
-    r = math.isqrt(Delta)
-    seen = {}
-    digits = []
-    P, Q = P0, Q0
-    while (P, Q) not in seen:
-        seen[(P, Q)] = len(digits)
-        # floor((P + sqrt(Delta)) / Q) with Q possibly negative never
-        # occurs here (Q stays positive for our starting data)
-        a = (P + r) // Q
-        digits.append(a)
-        P = a * Q - P
-        Q = (Delta - P * P) // Q
-    start = seen[(P, Q)]
-    return digits[:start], digits[start:]
-
-
-def fundamental_unit(D):
-    """Smallest unit > 1 of the maximal order of Q(sqrt(D)).
-
-    Uses the purely periodic part of the continued fraction of the field
-    generator: sqrt(D) when D = 2, 3 mod 4, (1 + sqrt(D))/2 when
-    D = 1 mod 4 (working with discriminant Delta = 4D resp. D keeps the
-    complete quotients inside the maximal order).  The unit is read off
-    the convergent matrix of one full period.
-    """
-    _check_squarefree(D)
-    if D % 4 == 1:
-        Delta, P0, Q0 = D, 1, 2
-    else:
-        Delta, P0, Q0 = 4 * D, 0, 2
-
-    pre, period = _continued_fraction_period(Delta, P0, Q0)
-
-    # recover the (P, Q) state at the start of the periodic part
-    P, Q = P0, Q0
-    for a in pre:
-        P = a * Q - P
-        Q = (Delta - P * P) // Q
-
-    # convergent matrix of one period: columns give q_{l-1}, q_{l-2}
-    m00, m01, m10, m11 = 1, 0, 0, 1
-    for a in period:
-        m00, m01, m10, m11 = m00 * a + m01, m00, m10 * a + m11, m10
-    q_last, q_prev = m10, m11
-
-    # unit = q_{l-1} * omega + q_{l-2}, omega = (P + sqrt(Delta)) / Q
-    # with sqrt(Delta) = sqrt(D) or 2*sqrt(D)
-    surd_scale = Fraction(1) if D % 4 == 1 else Fraction(2)
-    a_part = Fraction(q_last * P, Q) + q_prev
-    b_part = Fraction(q_last, Q) * surd_scale
-    unit = QuadraticUnit(D, a_part, b_part)
-    assert unit.number.norm() in (1, -1)
-    return unit
-
-
-def unit_power_of(u, eps):
-    """Exponent k >= 0 with u = eps**k, or None.
-
-    u and eps are QuadraticNumbers > 1 in the same field; eps > 1 so the
-    division loop strictly decreases and terminates as soon as the
-    quotient drops to or below 1.  Linear in k: a test oracle only.
-    """
-    x = u
-    k = 0
-    while x > 1:
-        x = x / eps
-        k += 1
-    return k if x == 1 else None

@@ -43,7 +43,17 @@ def unrat(x):
     """
     if type(x) is not str and type(x) is not int:
         raise ValueError("expected a rational as a string or an integer, got %r" % (x,))
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError("rational %r has denominator zero" % (x,)) from None
+
+
+def _unint(x):
+    """A document integer: a JSON integer, never a float, bool or string."""
+    if type(x) is not int:
+        raise ValueError("expected an integer, got %r" % (x,))
+    return x
 
 
 def pair(p):
@@ -52,6 +62,11 @@ def pair(p):
 
 def unpair(doc):
     return (unrat(doc[0]), unrat(doc[1]))
+
+
+def _partition(doc):
+    """A partition of a degree, as a tuple of document integers."""
+    return tuple(_unint(m) for m in doc)
 
 
 def quadratic_doc(x):
@@ -192,9 +207,9 @@ def reducible_from_doc(doc):
     pieces = tuple(
         Piece(
             p["id"],
-            Surface(p["genus"], p["boundary"]),
+            Surface(_unint(p["genus"]), _unint(p["boundary"])),
             tuple(p["slots"]),
-            p["free_boundary"],
+            _unint(p["free_boundary"]),
             _label_from_doc(p.get("dilatation")),
         )
         for p in doc["pieces"]
@@ -244,7 +259,7 @@ def manifold_from_doc(doc):
     pieces = tuple(
         BundlePiece(
             p["id"],
-            Surface(p["genus"], len(p["boundary_tori"])),
+            Surface(_unint(p["genus"]), len(p["boundary_tori"])),
             tuple(p["boundary_tori"]),
         )
         for p in doc["pieces"]
@@ -269,7 +284,7 @@ def plan_doc(plan):
 def plan_from_doc(doc):
     _expect(doc, "refiber_plan")
     return RefiberPlan(
-        tuple((p["id"], PiecePlan(p["n"], tuple(tuple(a) for a in p["arcs"]))) for p in doc["pieces"])
+        tuple((p["id"], PiecePlan(_unint(p["n"]), tuple(tuple(a) for a in p["arcs"]))) for p in doc["pieces"])
     )
 
 
@@ -306,9 +321,9 @@ def covering_from_doc(doc):
                 p["id"],
                 tuple(
                     ComponentCover(
-                        comp["degree"],
-                        tuple((s, tuple(part)) for s, part in comp["slots"]),
-                        None if comp.get("free") is None else tuple(tuple(f) for f in comp["free"]),
+                        _unint(comp["degree"]),
+                        tuple((s, _partition(part)) for s, part in comp["slots"]),
+                        None if comp.get("free") is None else tuple(_partition(f) for f in comp["free"]),
                     )
                     for comp in p["components"]
                 ),
@@ -337,7 +352,7 @@ def branch_from_doc(doc):
     matrix = doc.get("matrix")
     if matrix is not None:
         matrix = tuple(tuple(r) for r in matrix)
-    return BranchData(doc["degree"], tuple(tuple(p) for p in doc["branch_points"]), matrix)
+    return BranchData(_unint(doc["degree"]), tuple(_partition(p) for p in doc["branch_points"]), matrix)
 
 
 def pa_data_doc(label, delta):
@@ -351,7 +366,7 @@ def pa_data_doc(label, delta):
 def pa_data_from_doc(doc):
     _expect(doc, "pa_data")
     return _label_from_doc(doc.get("dilatation")), SingularityVector(
-        tuple(tuple(e) for e in doc["delta"])
+        tuple((_unint(n), _unint(c)) for n, c in doc["delta"])
     )
 
 

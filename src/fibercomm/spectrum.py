@@ -25,9 +25,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .quadratic import QuadraticNumber, _trusted, squarefree_part
+from .quadratic import QuadraticNumber, _trusted
 from .surfaces import Surface
-from .torus import _integer_matrix
+from .torus import _anosov, _det, _integer_matrix, _trace, _trace_field
 
 _ZERO = Fraction(0)
 
@@ -39,7 +39,7 @@ class SingularityVector:
     counts: tuple  # ((prongs, count), ...)
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(sorted((int(n), int(c)) for n, c in self.counts)))
+        object.__setattr__(self, "counts", tuple(sorted((n, c) for n, c in self.counts)))
         for n, c in self.counts:
             if n < 3 or c < 1:
                 raise ValueError("bad singularity entry (%d prongs, count %d)" % (n, c))
@@ -148,13 +148,7 @@ class SpectrumQuery:
         object.__setattr__(self, "point", tuple(Fraction(x) for x in self.point))
         if type(self.radius) is not int or self.radius < 1:
             raise ValueError("radius must be an integer >= 1, got %r" % (self.radius,))
-        a, b = m[0]
-        c, d = m[1]
-        det = a * d - b * c
-        if det not in (1, -1):
-            raise ValueError("matrix determinant must be +-1")
-        t = a + d
-        if (det == 1 and abs(t) <= 2) or (det == -1 and t == 0):
+        if not _anosov(_trace(m), _det(m)):
             raise ValueError("matrix is not Anosov")
 
 
@@ -165,13 +159,9 @@ def _measure_form(matrix):
     left-eigenvector pairings; the denominator normalizes the product
     measure to unit mass on the torus (its raw mass is |c| sqrt(disc)).
     """
-    a, b = matrix[0]
-    c, d = matrix[1]
-    det = a * d - b * c
-    t = a + d
-    disc = t * t - 4 * det
-    D = squarefree_part(disc)
-    m = math.isqrt(disc // D)  # exact: D is the squarefree part of disc
+    a, c = matrix[0][0], matrix[1][0]
+    t, det = _trace(matrix), _det(matrix)
+    D, m = _trace_field(t, det)
 
     def f(v):
         return c * c * v[0] * v[0] + c * (t - 2 * a) * v[0] * v[1] + (a * a - a * t + det) * v[1] * v[1]

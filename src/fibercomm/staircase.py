@@ -74,11 +74,7 @@ class Gluing:
     def __post_init__(self):
         object.__setattr__(self, "side_a", tuple(self.side_a))
         object.__setattr__(self, "side_b", tuple(self.side_b))
-        m = _integer_matrix(self.matrix, "gluing %s: matrix" % (self.id,))
-        object.__setattr__(self, "matrix", m)
-        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        if det not in (1, -1):
-            raise ValueError("gluing %s: matrix determinant %d" % (self.id, det))
+        object.__setattr__(self, "matrix", _integer_matrix(self.matrix, "gluing %s: matrix" % (self.id,)))
 
 
 @dataclass(frozen=True)

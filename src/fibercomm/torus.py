@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .quadratic import QuadraticUnit, squarefree_part, unit_log_ratio
+from .quadratic import QuadraticUnit, _trusted, squarefree_part, unit_log_ratio
 
 PERIODIC = "periodic"
 REDUCIBLE = "reducible"
@@ -42,13 +42,34 @@ def _trace(m):
 
 
 def _integer_matrix(matrix, name="matrix"):
-    """``matrix`` as a tuple of rows, each entry checked to be an int."""
+    """``matrix`` as a tuple of rows, through the library's one GL(2, Z)
+    gate: 2x2, int entries, determinant +-1."""
     m = tuple(tuple(row) for row in matrix)
+    if len(m) != 2 or any(len(row) != 2 for row in m):
+        raise ValueError("%s must be 2x2, got %r" % (name, matrix))
     for row in m:
         for x in row:
             if type(x) is not int:  # bools, floats and strings too
                 raise ValueError("%s entries must be integers, got %r" % (name, x))
+    if _det(m) not in (1, -1):
+        raise ValueError("%s must have determinant +-1, got %d" % (name, _det(m)))
     return m
+
+
+def _anosov(t, det):
+    """Whether a GL(2, Z) matrix of trace t and determinant det is Anosov."""
+    return abs(t) > 2 if det == 1 else t != 0
+
+
+def _trace_field(t, det):
+    """(D, r) with t**2 - 4*det = r**2 * D, D squarefree: Q(sqrt(D)) is the
+    eigenvalue field of an Anosov matrix of trace t and determinant det."""
+    disc = t * t - 4 * det
+    D = squarefree_part(disc)
+    r = math.isqrt(disc // D)
+    if r * r * D != disc:
+        raise ValueError("discriminant %d is not %d times a square" % (disc, D))
+    return D, r
 
 
 @dataclass(frozen=True)
@@ -56,10 +77,7 @@ class TorusAutomorphism:
     matrix: tuple
 
     def __post_init__(self):
-        m = _integer_matrix(self.matrix)
-        object.__setattr__(self, "matrix", m)
-        if _det(m) not in (1, -1):
-            raise ValueError("matrix must have determinant +-1, got %d" % _det(m))
+        object.__setattr__(self, "matrix", _integer_matrix(self.matrix))
 
     @property
     def det(self):
@@ -104,31 +122,18 @@ def _matrix_order(m, bound=12):
     raise ValueError("matrix is not periodic")
 
 
-def _dilatation_from_trace(t, det):
-    """Largest root of x**2 - |t| x + det, as a canonical QuadraticUnit."""
-    disc = t * t - 4 * det
-    D = squarefree_part(disc)
-    m = math.isqrt(disc // D)
-    if m * m * D != disc:
-        raise ValueError("discriminant %d is not %d times a square" % (disc, D))
-    return QuadraticUnit(D, Fraction(abs(t), 2), Fraction(m, 2))
-
-
 def classify_torus(phi):
     """Periodic / reducible / Anosov trichotomy, with class data."""
     m = phi.matrix
-    t = _trace(m)
-    if phi.det == 1:
-        if abs(t) < 2 or m == _IDENTITY or m == ((-1, 0), (0, -1)):
-            return NTClass(PERIODIC, period=_matrix_order(m))
-        if abs(t) == 2:
-            return NTClass(REDUCIBLE)
-        return NTClass(ANOSOV, dilatation=_dilatation_from_trace(t, 1))
-    # det = -1: eigenvalues are real with product -1; trace 0 gives an
-    # involution, otherwise an eigenvalue off the unit circle
-    if t == 0:
-        return NTClass(PERIODIC, period=_matrix_order(m))
-    return NTClass(ANOSOV, dilatation=_dilatation_from_trace(t, -1))
+    t, det = _trace(m), phi.det
+    if _anosov(t, det):
+        # the larger root of x**2 - |t| x + det; D is squarefree already
+        D, r = _trace_field(t, det)
+        return NTClass(ANOSOV, dilatation=_trusted(QuadraticUnit, D, Fraction(abs(t), 2), Fraction(r, 2)))
+    # not Anosov: of infinite order only with det 1, trace +-2, not +-identity
+    if det == 1 and abs(t) == 2 and m not in (_IDENTITY, ((-1, 0), (0, -1))):
+        return NTClass(REDUCIBLE)
+    return NTClass(PERIODIC, period=_matrix_order(m))
 
 
 @dataclass(frozen=True)
@@ -154,37 +159,3 @@ def torus_commensurable(phi1, phi2):
     if s is None:
         return TorusVerdict(INCOMMENSURABLE)
     return TorusVerdict(COMMENSURABLE, scale=s)
-
-
-def generate_same_cyclic_group(phi, psi):
-    """Covering-equivalence test for periodic maps.
-
-    Two periodic torus maps are covering equivalent iff they generate
-    the same finite cyclic subgroup of GL(2, Z).
-    """
-    for f in (phi, psi):
-        if classify_torus(f).kind != PERIODIC:
-            raise ValueError("both maps must be periodic")
-
-    def group(f):
-        elems = set()
-        p = f
-        while p.matrix not in elems:
-            elems.add(p.matrix)
-            p = p * f
-        return elems
-
-    return group(phi) == group(psi)
-
-
-def minimal_representatives(kind):
-    """Minimal elements of the periodic / reducible torus classes.
-
-    Periodic: the order-4 and order-6 rotations (square and hexagonal
-    torus).  Reducible: the two displayed parabolic conjugacy classes.
-    """
-    if kind == PERIODIC:
-        return [TorusAutomorphism(((0, -1), (1, 0))), TorusAutomorphism(((0, -1), (1, 1)))]
-    if kind == REDUCIBLE:
-        return [TorusAutomorphism(((1, 1), (0, 1))), TorusAutomorphism(((-1, 1), (0, -1)))]
-    raise ValueError("no canonical minimal list for kind %r" % (kind,))

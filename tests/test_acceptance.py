@@ -12,6 +12,7 @@ from fractions import Fraction as F
 import sympy
 
 from conftest import random_reducible_map
+from oracles import p_polynomial_eval
 from test_torus import anosov_dilatations, brute_force_commensurable
 
 from fibercomm.comparator import (
@@ -26,7 +27,6 @@ from fibercomm.decomposition import (
     a_total,
     negate_twists,
     p_polynomial,
-    p_polynomial_eval,
     pi_invariant,
     power,
 )

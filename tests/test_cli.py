@@ -9,6 +9,7 @@ from click.testing import CliRunner
 from fibercomm import cli
 from fibercomm import serialize as ser
 from fibercomm.cli import CORPUS_ROOT, main
+from fibercomm.cover import ComponentCover, CoveringData
 from fibercomm.families import (
     bounded_chain_manifold,
     bounded_chain_plan,
@@ -193,6 +194,46 @@ def test_malformed_input_exits_2(tmp_path):
         with pytest.raises(cli.MalformedInput):
             cli.run_operation("spectrum_count_below", [{**query, "radius": 3}], {"bound": bound})
     assert cli.run_operation("spectrum_count_below", [{**query, "radius": 3}], {"bound": "5"})["count"] > 0
+    # a zero denominator is malformed, not a ZeroDivisionError
+    graph = ser.reducible_doc(d_type_family(3, 2))
+    graph["curves"][0]["twist"] = "1/0"
+    zero_denominator = [("invariants", graph), ("spectrum", {**query, "radius": 3, "origin": ["1/0", "0"]})]
+    # counts are JSON integers, never floats or strings
+    d_type = ser.reducible_doc(d_type_family(3, 2))
+    double = tuple((p.id, (ComponentCover(2, tuple((s, (1, 1)) for s in p.slots)),)) for p in d_type_family(3, 2).pieces)
+    cover = ser.covering_doc(CoveringData(double))
+    counts = []
+    for field, value in (("genus", 1.0), ("free_boundary", "0")):
+        graph = ser.reducible_doc(d_type_family(3, 2))
+        graph["pieces"][0][field] = value
+        counts.append(("invariants", graph))
+    for degree in ("2", 2.0):
+        bad_cover = json.loads(json.dumps(cover))
+        bad_cover["pieces"][0]["components"][0]["degree"] = degree
+        counts.append(("cover", d_type, bad_cover))
+    manifold, plan_doc = ser.manifold_doc(bounded_chain_manifold()), ser.plan_doc(bounded_chain_plan(2))
+    manifold["pieces"][0]["genus"] = 1.0
+    counts.append(("staircase", manifold, ser.plan_doc(bounded_chain_plan(2))))
+    plan_doc["pieces"][0]["n"] = 2.0
+    counts.append(("staircase", ser.manifold_doc(bounded_chain_manifold()), plan_doc))
+    # GL(2, Z) matrices are 2x2
+    wide_gluing = ser.manifold_doc(bounded_chain_manifold())
+    wide_gluing["gluings"][0]["matrix"] = [row + [0] for row in wide_gluing["gluings"][0]["matrix"]]
+    shapes = [("staircase", wide_gluing, ser.plan_doc(bounded_chain_plan(2)))]
+    for matrix in ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[2, 1, 5], [1, 1, 7]], [[2, 1], [1, 1], [9, 9]]):
+        shapes.append(("classify", {"type": "torus_automorphism", "matrix": matrix}))
+    shapes.append(("spectrum", {**query, "radius": 3, "matrix": [[2, 1], [1, 1], [9, 9]]}))
+    for name, *docs in zero_denominator + counts + shapes:
+        paths = [write(tmp_path / ("doc%d.json" % i), doc) for i, doc in enumerate(docs)]
+        r = run(name, *paths)
+        assert r.exit_code == 2 and "malformed input" in r.output and "Traceback" not in r.output, (name, docs)
+    # the same for the corpus-only operations on branch and singularity data
+    pa = {"type": "pa_data", "dilatation": None, "delta": [[6, 2]]}
+    for op, doc in (("branch_delta", {"type": "branch_data", "degree": 2, "branch_points": [[2.0], [2]]}),
+                    ("branch_delta", {"type": "branch_data", "degree": 2.0, "branch_points": [[2], [2]]}),
+                    ("pa_obstruction", {**pa, "delta": [[6.5, 2]]})):
+        with pytest.raises(cli.MalformedInput):
+            cli.run_operation(op, [doc, pa], {})
 
 
 @pytest.mark.parametrize("name", SUBCOMMANDS)

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_reducible_map
+from oracles import brute_force_feasible, fundamental_unit
 from fibercomm.comparator import (
     COMBINED,
     FULL,
@@ -18,7 +19,6 @@ from fibercomm.comparator import (
 from fibercomm.cover import ComponentCover, CoveringData, lift_cover
 from fibercomm.decomposition import DilatationLabel, Piece, ReducibleMap, ReducingCurve, negate_twists, power
 from fibercomm.families import d_type_family, twist_composition
-from fibercomm.quadratic import fundamental_unit
 from fibercomm.surfaces import Surface
 
 
@@ -195,3 +195,66 @@ def test_lifted_power_never_obstructs():
         tested += 1
         pseudo_anosov += bool(phi.dilatation_set)
     assert pseudo_anosov > 30
+
+
+def exact_twist_composition(k, j, D=5):
+    """``twist_composition(k)`` with the exact stretch factor eps**j of Q(sqrt D)."""
+    phi = twist_composition(k)
+    pieces = tuple(
+        replace(p, dilatation=DilatationLabel(unit=fundamental_unit(D) ** j, rotation=p.dilatation.rotation))
+        if p.dilatation
+        else p
+        for p in phi.pieces
+    )
+    return replace(phi, pieces=pieces)
+
+
+def star(genera):
+    """A hub Sigma_{1,n} joined by +1 twists to one-holed leaves of the given genera.
+
+    The Pi set depends only on the set of genera, the normalized A also
+    on how often each occurs.
+    """
+    n = len(genera)
+    pieces = [Piece("hub", Surface(1, n), tuple("h%d" % i for i in range(n)))]
+    curves = []
+    for i, g in enumerate(genera):
+        pieces.append(Piece("leaf%d" % i, Surface(g, 1), ("s",)))
+        curves.append(ReducingCurve("c%d" % i, ("hub", "h%d" % i), ("leaf%d" % i, "s"), F(1)))
+    return ReducibleMap(tuple(pieces), tuple(curves))
+
+
+def test_feasible_set_matches_brute_force():
+    rng = random.Random(61)
+    pairs = []
+    for _ in range(40):
+        phi = random_reducible_map(rng, max_part=6)
+        if rng.random() < 0.6:
+            phi = with_pseudo_anosov_pieces(rng, phi)
+        k = rng.randint(2, 4)
+        pairs += [(phi, power(phi, k)), (phi, negate_twists(power(phi, k))), (phi, random_reducible_map(rng))]
+        # equal Pi, stretch factors on other pieces
+        pairs.append((phi, with_pseudo_anosov_pieces(rng, phi)))
+        try:
+            pairs.append((phi, lift_cover(power(phi, k), uniform_cover(rng, power(phi, k)))))
+        except ValueError:  # no covered surface of the right genus parity
+            pass
+    for k1 in range(1, 4):
+        for k2 in range(1, 4):
+            pairs += [
+                (twist_composition(k1), power(twist_composition(k2), k1)),
+                (twist_composition(k1), twist_composition(k2, name="mu")),
+                (exact_twist_composition(k1, k2), power(exact_twist_composition(k1, k1), k2)),
+                (exact_twist_composition(k1, 1), exact_twist_composition(k2, 1, D=2)),
+                (exact_twist_composition(k1, 1), twist_composition(k2)),
+                (d_type_family(k1, 2), d_type_family(k2, k2)),
+                (star([2] * k1 + [3]), star([2] + [3] * k2)),
+            ]
+    kinds = {}
+    for phi, psi in pairs + [(psi, phi) for phi, psi in pairs]:
+        x, y = InvariantReport.of(phi), InvariantReport.of(psi)
+        for mode in (FULL, TOPOLOGICAL, COMBINED):
+            v = compare(phi, psi, mode)
+            assert v.feasible == brute_force_feasible(x, y, mode), (mode, phi, psi)
+            kinds[mode, v.kind] = kinds.get((mode, v.kind), 0) + 1
+    assert len(kinds) == 6 and min(kinds.values()) > 20, kinds

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_reducible_map
+from oracles import a_total_by_curves, fundamental_unit, p_polynomial_eval
 from fibercomm.decomposition import (
     DilatationLabel,
     Piece,
@@ -12,17 +13,14 @@ from fibercomm.decomposition import (
     ReducingCurve,
     a_piece,
     a_total,
-    a_total_by_curves,
     negate_twists,
     p_polynomial,
-    p_polynomial_eval,
     pi_invariant,
     power,
     validate,
     validate_or_raise,
 )
 from fibercomm.families import d_type_family, twist_composition
-from fibercomm.quadratic import fundamental_unit
 from fibercomm.surfaces import Surface
 
 

@@ -5,14 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import fundamental_unit, unit_power_of
 from fibercomm import quadratic
 from fibercomm.quadratic import (
     QuadraticNumber,
     QuadraticUnit,
-    fundamental_unit,
     squarefree_part,
     unit_log_ratio,
-    unit_power_of,
 )
 from fibercomm.torus import ANOSOV, TorusAutomorphism, classify_torus
 

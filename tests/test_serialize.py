@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, strategies as st
 
+from oracles import fundamental_unit
 from fibercomm import cli
 from fibercomm import serialize as ser
 from fibercomm.cli import CORPUS_ROOT
@@ -20,7 +21,6 @@ from fibercomm.families import (
     d_type_family,
     twist_composition,
 )
-from fibercomm.quadratic import fundamental_unit
 from fibercomm.spectrum import BranchData, SingularityVector, SpectrumQuery
 from fibercomm.torus import TorusAutomorphism
 

@@ -4,8 +4,8 @@ from fractions import Fraction as F
 import pytest
 import sympy
 
+from oracles import fundamental_unit
 from fibercomm.decomposition import DilatationLabel
-from fibercomm.quadratic import fundamental_unit
 from fibercomm.spectrum import (
     BranchData,
     SingularityVector,

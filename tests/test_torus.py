@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import generate_same_cyclic_group, minimal_representatives
+from fibercomm import quadratic, torus
 from fibercomm.quadratic import QuadraticNumber, QuadraticUnit
+from fibercomm.spectrum import SpectrumQuery, spectrum_values
 from fibercomm.torus import (
     ANOSOV,
     COMMENSURABLE,
@@ -14,8 +17,6 @@ from fibercomm.torus import (
     SAME_CLASS_TRIVIAL,
     TorusAutomorphism,
     classify_torus,
-    generate_same_cyclic_group,
-    minimal_representatives,
     torus_commensurable,
 )
 
@@ -105,6 +106,26 @@ def test_large_cat_powers_are_commensurable_quickly():
     v = torus_commensurable(cat ** 40, cat ** 41)
     assert time.perf_counter() - start < 2.0
     assert v.kind == COMMENSURABLE and v.scale == Fraction(40, 41)
+
+
+def test_one_factorization_per_anosov_classification(monkeypatch):
+    calls = []
+    real = quadratic.squarefree_part
+    for module in (quadratic, torus):
+        monkeypatch.setattr(module, "squarefree_part", lambda n: calls.append(n) or real(n))
+    cat = TorusAutomorphism(((2, 1), (1, 1)))
+    for k in (1, 7, 30):
+        del calls[:]
+        assert classify_torus(cat ** k).kind == ANOSOV
+        assert len(calls) == 1
+    del calls[:]
+    assert torus_commensurable(cat ** 3, TorusAutomorphism(((1, 1), (1, 0)))).kind == COMMENSURABLE
+    assert len(calls) == 2
+    del calls[:]
+    q = SpectrumQuery(((2, 1), (1, 1)), (0, 0), (Fraction(1, 2), 0), 3)
+    assert calls == []
+    assert spectrum_values(q)
+    assert len(calls) == 1
 
 
 def test_commensurability_examples():
