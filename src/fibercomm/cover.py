@@ -17,22 +17,30 @@ degree-l component over a piece S satisfies
 
 which ``verify_cover_laws`` rechecks from scratch on every lift.
 
+``lift_cover`` checks the cover and finds every component's surface
+before it builds anything, then builds each lifted piece's slots and
+each preimage curve once.  Free boundary circles left implicit
+(``free_partitions`` of None) are counted, degree times the number of
+circles, never built as all-ones partitions.
+
 ``normalize_unit_twists`` is the reduction of a D-type map (all pieces
 periodic) to one all of whose twists are +1 or -1: first a power making
 every twist an integer, then a cover whose local degrees cancel the
-integer twists.
+integer twists.  Its degree, L or 2L, is chosen by the same surface
+test before the one lift.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass
+from itertools import repeat
 
 from .decomposition import (
     Piece,
     ReducibleMap,
-    ReducingCurve,
+    _distinct_twists,
+    _trusted_curve,
     a_piece,
     power,
     validate_or_raise,
@@ -110,14 +118,18 @@ def _validate_cover(phi, c):
                         "piece %s component %d slot %s: %r is not a partition of %d"
                         % (p.id, j, slot, part, comp.degree)
                     )
-            frees = _free_partitions(p, comp)
-            if len(frees) != p.free_boundary:
+            if comp.free_partitions is None:
+                # all ones, counted rather than built: (1,) * degree is a
+                # partition of the degree unless the degree is negative
+                if comp.degree < 0:
+                    errors += ["piece %s component %d: bad free partition ()" % (p.id, j)] * p.free_boundary
+            elif len(comp.free_partitions) != p.free_boundary:
                 errors.append(
                     "piece %s component %d: %d free partitions for %d free circles"
-                    % (p.id, j, len(frees), p.free_boundary)
+                    % (p.id, j, len(comp.free_partitions), p.free_boundary)
                 )
             else:
-                for part in frees:
+                for part in comp.free_partitions:
                     if sum(part) != comp.degree or min(part, default=1) < 1:
                         errors.append(
                             "piece %s component %d: bad free partition %r" % (p.id, j, part)
@@ -139,50 +151,61 @@ def _validate_cover(phi, c):
     return errors
 
 
-def _free_partitions(piece, comp):
-    if comp.free_partitions is not None:
-        return comp.free_partitions
-    return tuple((1,) * comp.degree for _ in range(piece.free_boundary))
+def _covered_surfaces(phi, c):
+    """(surfaces, error): the surface of every component of ``c``, piece
+    by piece, or the error text of the first component no surface fits.
 
-
-def _covered_surface(piece, comp):
-    """Surface of one component: chi multiplies, genus solves the rest."""
-    chi = comp.degree * piece.surface.chi
-    boundary = sum(len(comp.partition(s)) for s in piece.slots)
-    boundary += sum(len(p) for p in _free_partitions(piece, comp))
-    twice_genus = 2 - chi - boundary
-    if twice_genus < 0 or twice_genus % 2 != 0:
-        raise ValueError(
-            "piece %s: no surface with chi = %d and %d boundary circles"
-            % (piece.id, chi, boundary)
-        )
-    return Surface(twice_genus // 2, boundary)
+    A component's chi is its degree times the piece's, its boundary count
+    the number of preimage circles; the genus solves the rest.  ``c``
+    must have passed ``_validate_cover``.
+    """
+    surfaces = []
+    for p in phi.pieces:
+        for comp in c.of(p.id):
+            chi = comp.degree * p.surface.chi
+            boundary = sum(len(comp.partition(s)) for s in p.slots)
+            if comp.free_partitions is None:
+                boundary += comp.degree * p.free_boundary
+            else:
+                boundary += sum(len(f) for f in comp.free_partitions)
+            twice_genus = 2 - chi - boundary
+            if twice_genus < 0 or twice_genus % 2 != 0:
+                return None, "piece %s: no surface with chi = %d and %d boundary circles" % (
+                    p.id, chi, boundary)
+            surfaces.append(Surface(twice_genus // 2, boundary))
+    return surfaces, None
 
 
 def lift_cover(phi, c):
     """The covered decomposition graph.
 
     Preimage curves are paired across each base curve by matching local
-    degree (sorted order on both sides); each carries twist I/d.
+    degree (sorted order on both sides); each carries twist I/d, one
+    ``Fraction`` per base curve and local degree.
     """
     validate_or_raise(phi)
     errors = _validate_cover(phi, c)
     if errors:
         raise ValueError("inadmissible cover: " + "; ".join(errors))
+    surfaces, error = _covered_surfaces(phi, c)
+    if error:
+        raise ValueError(error)
+    surfaces = iter(surfaces)
 
     pieces = []
-    # (pid, slot) -> sorted list of (lifted piece id, lifted slot, d)
+    # (pid, slot) -> list of (local degree d, (lifted piece id, lifted slot))
     lifted_ends = {}
     for p in phi.pieces:
         for j, comp in enumerate(c.of(p.id)):
             new_id = "%s~%d" % (p.id, j)
-            surface = _covered_surface(p, comp)
             slots = []
             for slot in p.slots:
-                for i, d in enumerate(comp.partition(slot)):
-                    new_slot = "%s~%d" % (slot, i)
-                    slots.append(new_slot)
-                    lifted_ends.setdefault((p.id, slot), []).append((d, new_id, new_slot))
+                part = comp.partition(slot)
+                names = ["%s~%d" % (slot, i) for i in range(len(part))]
+                ends = zip(repeat(new_id), names)
+                lifted_ends.setdefault((p.id, slot), []).extend(zip(part, ends))
+                slots += names
+            surface = next(surfaces)
             free = surface.boundary_components - len(slots)
             pieces.append(Piece(new_id, surface, tuple(slots), free, p.dilatation))
 
@@ -191,11 +214,12 @@ def lift_cover(phi, c):
         side_a = sorted(lifted_ends[curve.end_a])
         side_b = sorted(lifted_ends[curve.end_b])
         twists = {}  # one division per local degree, not one per preimage
-        for i, ((d, pa, sa), (d2, pb, sb)) in enumerate(zip(side_a, side_b)):
+        for i, ((d, end_a), (d2, end_b)) in enumerate(zip(side_a, side_b)):
             assert d == d2
-            if d not in twists:
-                twists[d] = curve.twist / d
-            curves.append(ReducingCurve("%s~%d" % (curve.id, i), (pa, sa), (pb, sb), twists[d]))
+            twist = twists.get(d)
+            if twist is None:
+                twist = twists[d] = curve.twist / d
+            curves.append(_trusted_curve("%s~%d" % (curve.id, i), end_a, end_b, twist))
 
     lifted = ReducibleMap(tuple(pieces), tuple(curves))
     validate_or_raise(lifted)
@@ -261,9 +285,11 @@ def normalize_unit_twists(phi):
     twist denominator; each twist is then an integer of absolute value
     d.  A cover of uniform degree L = lcm of the d's (over every piece,
     with every slot partition cut into equal parts of size d) divides
-    each twist back down to +-1.  L is doubled when the genus parity of
-    some covered piece fails.  Returns the normalized graph and the
-    (power, cover) certificate.
+    each twist back down to +-1.  When some covered piece at degree L
+    has no surface (its genus would be negative or a half-integer), the
+    degree is 2L; the choice is made before lifting, by the genus test
+    ``lift_cover`` applies, so the graph is lifted once.  Returns the
+    normalized graph and the (power, cover) certificate.
     """
     validate_or_raise(phi)
     for p in phi.pieces:
@@ -286,10 +312,10 @@ def normalize_unit_twists(phi):
         return CoveringData(tuple(comps))
 
     cover = build(L)
-    try:
-        normalized = lift_cover(phim, cover)
-    except ValueError:
+    if _covered_surfaces(phim, cover)[1]:
+        # build(L) is admissible by construction, so only a surface can fail;
+        # lift_cover raises when 2L fits no surface either
         cover = build(2 * L)
-        normalized = lift_cover(phim, cover)
-    assert all(abs(c.twist) == 1 for c in normalized.curves)
+    normalized = lift_cover(phim, cover)
+    assert all(abs(t) == 1 for t in _distinct_twists(normalized.curves).values())
     return normalized, NormalizationCertificate(m, cover)

@@ -24,9 +24,10 @@ From this data the twist invariants are computed exactly:
   packages both.
 
 The per-piece pairs are computed once per graph (``piece_pairs``) and
-every invariant above reads that table.  A piece's slots are counted by
-twist value first, so a lifted graph with only the twists +1 and -1
-costs one ``Fraction`` per distinct twist, not one per slot.
+every invariant above reads that table.  The curve ends are counted by
+piece and twist value first, so a lifted graph with only the twists +1
+and -1 costs one ``Fraction`` per piece and distinct twist, not one per
+slot.
 
 Twist zero is rejected: a curve with trivial fractional twist between
 periodic sides is not part of a minimal reducing system.
@@ -130,6 +131,39 @@ class ReducingCurve:
         return (self.end_a, self.end_b)
 
 
+# looked up once, not per curve: a lift builds tens of thousands of curves
+_new, _set = object.__new__, object.__setattr__
+
+
+def _trusted_curve(cid, end_a, end_b, twist):
+    """A ``ReducingCurve`` built without the ``__post_init__`` conversions.
+
+    For curves whose ends are already tuples and whose twist is already
+    a ``Fraction``, usually one shared by many curves: those derived
+    inside the library and those the document parser has checked.  The
+    fields are set one by one in dataclass order, as the dataclass
+    ``__init__`` does, so the instances keep key-shared dicts.
+    """
+    c = _new(ReducingCurve)
+    _set(c, "id", cid)
+    _set(c, "end_a", end_a)
+    _set(c, "end_b", end_b)
+    _set(c, "twist", twist)
+    return c
+
+
+def _distinct_twists(curves):
+    """The twists of ``curves``, one per distinct object, keyed by ``id``.
+
+    The library's graph builders share one twist ``Fraction`` between the
+    curves of equal twist (``power`` per twist, ``cover.lift_cover`` per
+    local degree, the document parser per twist string), so a check that
+    reads twist values costs one call per shared twist, not per curve.
+    """
+    twists = [c.twist for c in curves]
+    return dict(zip(map(id, twists), twists))
+
+
 @dataclass(frozen=True)
 class ReducibleMap:
     """A reducible automorphism as a decorated decomposition graph."""
@@ -145,25 +179,25 @@ class ReducibleMap:
         object.__setattr__(self, "piece_orbits", tuple(tuple(o) for o in self.piece_orbits))
         object.__setattr__(self, "curve_orbits", tuple(tuple(o) for o in self.curve_orbits))
 
-    def _index(self):
-        # lazy lookup tables; large lifted graphs make linear scans
-        # quadratic in practice
-        cached = getattr(self, "_cached_index", None)
-        if cached is None:
-            by_id = {p.id: p for p in self.pieces}
-            by_end = {}
-            for c in self.curves:
-                for end in c.ends:
-                    by_end.setdefault(end, c)
-            cached = (by_id, by_end)
-            object.__setattr__(self, "_cached_index", cached)
-        return cached
-
+    # lazy lookup tables, each built on first use; large lifted graphs
+    # make linear scans quadratic in practice, and most of their
+    # operations never look a curve up by its end
     def piece(self, pid):
-        return self._index()[0][pid]
+        by_id = getattr(self, "_cached_pieces", None)
+        if by_id is None:
+            by_id = {p.id: p for p in self.pieces}
+            object.__setattr__(self, "_cached_pieces", by_id)
+        return by_id[pid]
 
     def curve_at(self, pid, slot):
-        return self._index()[1][(pid, slot)]
+        by_end = getattr(self, "_cached_ends", None)
+        if by_end is None:
+            by_end = {}
+            for c in self.curves:
+                by_end.setdefault(c.end_a, c)
+                by_end.setdefault(c.end_b, c)
+            object.__setattr__(self, "_cached_ends", by_end)
+        return by_end[(pid, slot)]
 
     @property
     def chi(self):
@@ -185,7 +219,6 @@ def validate(phi):
     if not phi.curves:
         errors.append("reducing system is empty")
 
-    slot_use = {}
     for p in phi.pieces:
         if p.surface.chi >= 0:
             errors.append("piece %s has chi = %d >= 0" % (p.id, p.surface.chi))
@@ -194,23 +227,40 @@ def validate(phi):
                 "piece %s: boundary count %d != slots %d + free %d"
                 % (p.id, p.surface.boundary_components, len(p.slots), p.free_boundary)
             )
-        for s in p.slots:
-            slot_use[(p.id, s)] = 0
 
     by_id = {p.id: p for p in phi.pieces}
-    for c in phi.curves:
-        if c.twist == 0:
-            errors.append("curve %s has zero twist" % c.id)
-        for pid, slot in c.ends:
-            if pid not in by_id:
-                errors.append("curve %s references missing piece %s" % (c.id, pid))
-            elif (pid, slot) not in slot_use:
-                errors.append("curve %s references missing slot %s.%s" % (c.id, pid, slot))
-            else:
-                slot_use[(pid, slot)] += 1
-    for (pid, slot), n in slot_use.items():
-        if n != 1:
-            errors.append("slot %s.%s used by %d curve ends (expected 1)" % (pid, slot, n))
+    curves = phi.curves
+    ends = [c.end_a for c in curves]
+    ends += [c.end_b for c in curves]
+    used = dict.fromkeys(ends)
+    # Each slot is used by exactly one end, and each end is a slot, when
+    # the slots are distinct, every slot is among the ends, and there are
+    # as many distinct ends as ends and as slots.  Checked on the ends
+    # the curves already hold, so no set of every slot is built unless
+    # there is an error to report.
+    fits = (
+        len(by_id) == len(phi.pieces)
+        and len(used) == len(ends) == sum(len(p.slots) for p in phi.pieces)
+        and all(len(set(p.slots)) == len(p.slots) for p in phi.pieces)
+        and all((p.id, s) in used for p in phi.pieces for s in p.slots)
+    )
+    zero = any(t == 0 for t in _distinct_twists(curves).values())
+    if not fits or zero:
+        slots = dict.fromkeys((p.id, s) for p in phi.pieces for s in p.slots)
+        if zero or not used.keys() <= slots.keys():
+            for c in curves:
+                if c.twist == 0:
+                    errors.append("curve %s has zero twist" % c.id)
+                for pid, slot in c.ends:
+                    if pid not in by_id:
+                        errors.append("curve %s references missing piece %s" % (c.id, pid))
+                    elif (pid, slot) not in slots:
+                        errors.append("curve %s references missing slot %s.%s" % (c.id, pid, slot))
+        use = Counter(ends)
+        for pid, slot in slots:
+            n = use[(pid, slot)]
+            if n != 1:
+                errors.append("slot %s.%s used by %d curve ends (expected 1)" % (pid, slot, n))
 
     # built only for graphs with orbits; the first curve of a repeated id wins
     curve_by_id = {c.id: c for c in reversed(phi.curves)} if phi.curve_orbits else {}
@@ -264,18 +314,23 @@ def piece_pairs(phi):
     """
     cached = getattr(phi, "_cached_pairs", None)
     if cached is None:
-        by_end = phi._index()[1]
-        cached = {}
-        for p in phi.pieces:
-            twists = (by_end[(p.id, slot)].twist for slot in p.slots)
-            counts = Counter((k.numerator, k.denominator) for k in twists)
-            pos = neg = Fraction(0)
-            for (num, den), n in counts.items():
-                if num > 0:
-                    pos += Fraction(n * den, num)
-                elif num < 0:
-                    neg += Fraction(n * den, -num)
-            cached[p.id] = (pos, neg)
+        curves = phi.curves
+        twists = _distinct_twists(curves)
+        keys = [id(c.twist) for c in curves]
+        # (piece id, twist object) over the curve ends, then by twist value
+        ends = Counter(zip([c.end_a[0] for c in curves], keys))
+        ends.update(zip([c.end_b[0] for c in curves], keys))
+        counts = Counter()
+        for (pid, key), n in ends.items():
+            k = twists[key]
+            counts[pid, k.numerator, k.denominator] += n
+        cached = {p.id: [Fraction(0), Fraction(0)] for p in phi.pieces}
+        for (pid, num, den), n in counts.items():
+            if num > 0:
+                cached[pid][0] += Fraction(n * den, num)
+            elif num < 0:
+                cached[pid][1] += Fraction(n * den, -num)
+        cached = {pid: tuple(pair) for pid, pair in cached.items()}
         object.__setattr__(phi, "_cached_pairs", cached)
     return cached
 
@@ -334,7 +389,7 @@ def power(phi, k):
         key = (c.twist.numerator, c.twist.denominator)
         if key not in twists:
             twists[key] = c.twist * k
-        curves.append(ReducingCurve(c.id, c.end_a, c.end_b, twists[key]))
+        curves.append(_trusted_curve(c.id, c.end_a, c.end_b, twists[key]))
     return ReducibleMap(pieces, tuple(curves), phi.piece_orbits, phi.curve_orbits)
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .cover import ComponentCover, CoveringData
-from .decomposition import DilatationLabel, Piece, ReducibleMap, ReducingCurve
+from .decomposition import DilatationLabel, Piece, ReducibleMap, _trusted_curve
 from .quadratic import QuadraticNumber, QuadraticUnit
 from .spectrum import BranchData, SingularityVector, SpectrumQuery
 from .staircase import BundlePiece, FiberedGraphManifold, Gluing, PiecePlan, RefiberPlan
@@ -60,7 +60,10 @@ def pair(p):
     return [rat(p[0]), rat(p[1])]
 
 
-def unpair(doc):
+def unpair(doc, field):
+    """A pair of document rationals; ``field`` names it in the error."""
+    if type(doc) is not list or len(doc) != 2:
+        raise ValueError("%s: expected a list of two rationals, got %r" % (field, doc))
     return (unrat(doc[0]), unrat(doc[1]))
 
 
@@ -202,21 +205,35 @@ def reducible_doc(phi):
     }
 
 
+def _slots(doc, i):
+    """The slot names of ``pieces[i]``: a document list of strings."""
+    if type(doc) is not list or any(type(s) is not str for s in doc):
+        raise ValueError("pieces[%d].slots: expected list of str, got %r" % (i, doc))
+    return tuple(doc)
+
+
+def _end(doc, i, side):
+    """``curves[i].end_<side>``: a document list [piece id, slot] of two strings."""
+    if type(doc) is not list or len(doc) != 2 or type(doc[0]) is not str or type(doc[1]) is not str:
+        raise ValueError("curves[%d].end_%s: expected [piece id, slot] as two str, got %r" % (i, side, doc))
+    return tuple(doc)
+
+
 def reducible_from_doc(doc):
     _expect(doc, "reducible_map")
     pieces = tuple(
         Piece(
             p["id"],
             Surface(_unint(p["genus"]), _unint(p["boundary"])),
-            tuple(p["slots"]),
+            _slots(p["slots"], i),
             _unint(p["free_boundary"]),
             _label_from_doc(p.get("dilatation")),
         )
-        for p in doc["pieces"]
+        for i, p in enumerate(doc["pieces"])
     )
     twists = {}  # each distinct twist string is parsed once
     curves = []
-    for c in doc["curves"]:
+    for i, c in enumerate(doc["curves"]):
         t = c["twist"]
         if type(t) is not str:
             twist = unrat(t)
@@ -224,7 +241,7 @@ def reducible_from_doc(doc):
             twist = twists[t]
         else:
             twist = twists[t] = unrat(t)
-        curves.append(ReducingCurve(c["id"], c["end_a"], c["end_b"], twist))
+        curves.append(_trusted_curve(c["id"], _end(c["end_a"], i, "a"), _end(c["end_b"], i, "b"), twist))
     return ReducibleMap(pieces, curves)
 
 
@@ -349,10 +366,8 @@ def branch_doc(b):
 
 def branch_from_doc(doc):
     _expect(doc, "branch_data")
-    matrix = doc.get("matrix")
-    if matrix is not None:
-        matrix = tuple(tuple(r) for r in matrix)
-    return BranchData(_unint(doc["degree"]), tuple(_partition(p) for p in doc["branch_points"]), matrix)
+    points = tuple(_partition(p) for p in doc["branch_points"])
+    return BranchData(_unint(doc["degree"]), points, doc.get("matrix"))
 
 
 def pa_data_doc(label, delta):
@@ -382,7 +397,8 @@ def query_doc(q):
 
 def query_from_doc(doc):
     _expect(doc, "spectrum_query")
-    return SpectrumQuery(doc["matrix"], unpair(doc["origin"]), unpair(doc["point"]), doc["radius"])
+    origin, point = unpair(doc["origin"], "origin"), unpair(doc["point"], "point")
+    return SpectrumQuery(doc["matrix"], origin, point, doc["radius"])
 
 
 # ---------------------------------------------------------------------------

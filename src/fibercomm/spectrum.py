@@ -64,6 +64,8 @@ class BranchData:
 
     def __post_init__(self):
         object.__setattr__(self, "branch_points", tuple(tuple(p) for p in self.branch_points))
+        if self.matrix is not None:
+            object.__setattr__(self, "matrix", _integer_matrix(self.matrix, "branch data matrix"))
         for p in self.branch_points:
             if sum(p) != self.degree or any(m < 1 for m in p):
                 raise ValueError("%r is not a partition of %d" % (p, self.degree))

@@ -91,12 +91,18 @@ class TorusAutomorphism:
         return TorusAutomorphism(_mat_mul(self.matrix, other.matrix))
 
     def __pow__(self, k):
+        """The k-th power by repeated squaring: O(log k) products, each
+        of integer matrices, gated once at the end."""
         if k < 0:
             raise ValueError("negative powers not needed here")
-        result = TorusAutomorphism(_IDENTITY)
-        for _ in range(k):
-            result = result * self
-        return result
+        result, square = _IDENTITY, self.matrix
+        while k:
+            if k & 1:
+                result = _mat_mul(result, square)
+            k >>= 1
+            if k:
+                square = _mat_mul(square, square)
+        return TorusAutomorphism(result)
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,18 @@ None of these is on a decision path of the library:
   (repeated division) -- the oracle for ``quadratic.unit_log_ratio``;
 * ``a_total_by_curves`` and ``p_polynomial_eval`` -- the pair invariant
   summed curve by curve, and the P polynomial evaluated at (1, 1);
+* ``matrix_power`` -- integer matrix powers by repeated products, the
+  oracle for ``TorusAutomorphism.__pow__``;
 * ``generate_same_cyclic_group`` and ``minimal_representatives`` --
   covering equivalence of periodic torus maps, and the minimal
   periodic / reducible torus classes;
 * ``brute_force_feasible`` -- the comparator's feasible set by
-  exhaustive search over ratios.
+  exhaustive search over ratios;
+* ``validate_by_scan`` -- the structural errors of a graph without
+  orbits, found curve end by curve end;
+* ``lift_cover_by_scan`` and ``normalize_by_retry`` -- a cover lifted
+  slot by slot with explicit all-ones free circles, and the unit-twist
+  normalization that lifts at degree L and, on failure, again at 2L.
 """
 
 import math
@@ -18,7 +25,10 @@ from fractions import Fraction
 from itertools import permutations
 
 from fibercomm.comparator import COMBINED, TOPOLOGICAL
+from fibercomm.cover import ComponentCover, CoveringData, NormalizationCertificate, _validate_cover
+from fibercomm.decomposition import Piece, ReducibleMap, ReducingCurve, power, validate, validate_or_raise
 from fibercomm.quadratic import QuadraticUnit, _check_squarefree
+from fibercomm.surfaces import Surface
 from fibercomm.torus import PERIODIC, REDUCIBLE, TorusAutomorphism, classify_torus
 
 
@@ -132,6 +142,18 @@ def p_polynomial_eval(coeffs, x, y):
 
 
 # ---------------------------------------------------------------------------
+# torus maps
+
+def matrix_power(m, k):
+    """m**k for a 2x2 integer matrix, as k products by m (k >= 0)."""
+    (a, b), (c, d) = (1, 0), (0, 1)
+    (p, q), (r, s) = m
+    for _ in range(k):
+        a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+    return ((a, b), (c, d))
+
+
+# ---------------------------------------------------------------------------
 # periodic and reducible torus classes
 
 def generate_same_cyclic_group(phi, psi):
@@ -218,3 +240,122 @@ def brute_force_feasible(x, y, mode):
             if ok:
                 feasible.add(s)
     return feasible
+
+
+# ---------------------------------------------------------------------------
+# decomposition graphs, covers and the unit-twist normalization
+
+def validate_by_scan(phi):
+    """``decomposition.validate`` on a graph without orbit metadata: the
+    same errors in the same order, counting slot use end by end."""
+    errors = []
+    ids = [p.id for p in phi.pieces]
+    if len(set(ids)) != len(ids):
+        errors.append("duplicate piece ids")
+    if not phi.curves:
+        errors.append("reducing system is empty")
+    slot_use = {}
+    for p in phi.pieces:
+        if p.surface.chi >= 0:
+            errors.append("piece %s has chi = %d >= 0" % (p.id, p.surface.chi))
+        if p.surface.boundary_components != len(p.slots) + p.free_boundary:
+            errors.append(
+                "piece %s: boundary count %d != slots %d + free %d"
+                % (p.id, p.surface.boundary_components, len(p.slots), p.free_boundary)
+            )
+        for s in p.slots:
+            slot_use[(p.id, s)] = 0
+    by_id = {p.id: p for p in phi.pieces}
+    for c in phi.curves:
+        if c.twist == 0:
+            errors.append("curve %s has zero twist" % c.id)
+        for pid, slot in c.ends:
+            if pid not in by_id:
+                errors.append("curve %s references missing piece %s" % (c.id, pid))
+            elif (pid, slot) not in slot_use:
+                errors.append("curve %s references missing slot %s.%s" % (c.id, pid, slot))
+            else:
+                slot_use[(pid, slot)] += 1
+    for (pid, slot), n in slot_use.items():
+        if n != 1:
+            errors.append("slot %s.%s used by %d curve ends (expected 1)" % (pid, slot, n))
+    return errors
+
+
+def lift_cover_by_scan(phi, c):
+    """The graph ``cover.lift_cover`` builds, lifted component by component.
+
+    Free circles lift by explicit all-ones partitions when the cover
+    leaves them implicit; each component's surface is found as its piece
+    is lifted; every preimage curve goes through the checked
+    ``ReducingCurve`` constructor with a twist divided for it alone.
+    """
+    validate_or_raise(phi)
+    errors = _validate_cover(phi, c)
+    if errors:
+        raise ValueError("inadmissible cover: " + "; ".join(errors))
+    pieces = []
+    lifted_ends = {}  # (pid, slot) -> [(d, lifted piece id, lifted slot), ...]
+    for p in phi.pieces:
+        for j, comp in enumerate(c.of(p.id)):
+            new_id = "%s~%d" % (p.id, j)
+            frees = comp.free_partitions
+            if frees is None:
+                frees = [(1,) * comp.degree for _ in range(p.free_boundary)]
+            chi = comp.degree * p.surface.chi
+            boundary = sum(len(comp.partition(s)) for s in p.slots) + sum(len(f) for f in frees)
+            twice_genus = 2 - chi - boundary
+            if twice_genus < 0 or twice_genus % 2 != 0:
+                raise ValueError(
+                    "piece %s: no surface with chi = %d and %d boundary circles" % (p.id, chi, boundary)
+                )
+            slots = []
+            for slot in p.slots:
+                for i, d in enumerate(comp.partition(slot)):
+                    new_slot = "%s~%d" % (slot, i)
+                    slots.append(new_slot)
+                    lifted_ends.setdefault((p.id, slot), []).append((d, new_id, new_slot))
+            surface = Surface(twice_genus // 2, boundary)
+            pieces.append(Piece(new_id, surface, tuple(slots), boundary - len(slots), p.dilatation))
+    curves = []
+    for curve in phi.curves:
+        side_a = sorted(lifted_ends[curve.end_a])
+        side_b = sorted(lifted_ends[curve.end_b])
+        for i, ((d, pa, sa), (d2, pb, sb)) in enumerate(zip(side_a, side_b)):
+            assert d == d2
+            curves.append(ReducingCurve("%s~%d" % (curve.id, i), (pa, sa), (pb, sb), curve.twist / d))
+    lifted = ReducibleMap(tuple(pieces), tuple(curves))
+    assert validate(lifted) == []
+    return lifted
+
+
+def normalize_by_retry(phi):
+    """The certificate and graph of ``cover.normalize_unit_twists``,
+    found by lifting at degree L and, when that raises, at 2L.
+
+    L is the lcm of the integer twists of the power that clears every
+    twist denominator; each slot facing a twist of absolute value d is
+    cut into parts of size d.
+    """
+    validate_or_raise(phi)
+    for p in phi.pieces:
+        if not p.periodic:
+            raise ValueError("piece %s is not periodic; normalization needs a D-type map" % p.id)
+    m = math.lcm(*[c.twist.denominator for c in phi.curves])
+    phim = power(phi, m) if m > 1 else phi
+    d_at = {end: abs(int(c.twist)) for c in phim.curves for end in c.ends}
+    L = math.lcm(*d_at.values())
+
+    def build(L):
+        def parts(p):
+            return tuple((s, (d_at[(p.id, s)],) * (L // d_at[(p.id, s)])) for s in p.slots)
+
+        return CoveringData(tuple((p.id, (ComponentCover(L, parts(p)),)) for p in phim.pieces))
+
+    cover = build(L)
+    try:
+        normalized = lift_cover_by_scan(phim, cover)
+    except ValueError:
+        cover = build(2 * L)
+        normalized = lift_cover_by_scan(phim, cover)
+    return normalized, NormalizationCertificate(m, cover)

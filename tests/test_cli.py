@@ -227,10 +227,31 @@ def test_malformed_input_exits_2(tmp_path):
         paths = [write(tmp_path / ("doc%d.json" % i), doc) for i, doc in enumerate(docs)]
         r = run(name, *paths)
         assert r.exit_code == 2 and "malformed input" in r.output and "Traceback" not in r.output, (name, docs)
+    # a string is not read as a list of its characters, and the error names the field
+    named = []
+    for where, value, field in ((("pieces", 0, "slots"), "s1", "pieces[0].slots"),
+                                (("pieces", 0, "slots"), 7, "pieces[0].slots: expected list of str"),
+                                (("pieces", 1, "slots"), ["s", 1], "pieces[1].slots"),
+                                (("curves", 0, "end_a"), "as", "curves[0].end_a"),
+                                (("curves", 1, "end_b"), ["leaf0", "s", "x"], "curves[1].end_b")):
+        graph = ser.reducible_doc(d_type_family(3, 2))
+        graph[where[0]][where[1]][where[2]] = value
+        named.append(("invariants", graph, field))
+    # a spectrum point is exactly two rationals
+    for key, value in (("origin", ["0", "0", "5"]), ("point", ["1/2"]), ("origin", "00")):
+        named.append(("spectrum", {**query, "radius": 3, key: value}, key + ": expected a list of two rationals"))
+    for name, doc, field in named:
+        r = run(name, write(tmp_path / "named.json", doc))
+        assert r.exit_code == 2 and "malformed input: " + field in r.output, r.output
+        assert "Traceback" not in r.output
     # the same for the corpus-only operations on branch and singularity data
     pa = {"type": "pa_data", "dilatation": None, "delta": [[6, 2]]}
     for op, doc in (("branch_delta", {"type": "branch_data", "degree": 2, "branch_points": [[2.0], [2]]}),
                     ("branch_delta", {"type": "branch_data", "degree": 2.0, "branch_points": [[2], [2]]}),
+                    ("branch_delta", {"type": "branch_data", "degree": 2, "branch_points": [[2], [2]],
+                                      "matrix": [[2.5, "x", 7]]}),
+                    ("branch_delta", {"type": "branch_data", "degree": 2, "branch_points": [[2], [2]],
+                                      "matrix": [[2, 1], [1, True]]}),
                     ("pa_obstruction", {**pa, "delta": [[6.5, 2]]})):
         with pytest.raises(cli.MalformedInput):
             cli.run_operation(op, [doc, pa], {})

@@ -1,10 +1,12 @@
+import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from conftest import random_d_type_map, random_reducible_map
-from fibercomm import decomposition
+from fibercomm import cover, decomposition
 from fibercomm.comparator import FULL, InvariantReport, compare, match_flip_scale
 from fibercomm.cover import (
     ComponentCover,
@@ -24,6 +26,7 @@ from fibercomm.decomposition import (
 )
 from fibercomm.families import d_type_family
 from fibercomm.surfaces import Surface
+from oracles import lift_cover_by_scan, normalize_by_retry
 
 
 def two_piece_map(twist):
@@ -309,3 +312,155 @@ def test_first_entry_of_a_repeated_key_wins():
     other = ComponentCover(1, (("s", (1,)),))
     c = CoveringData((("a", (comp,)), ("a", (other,))))
     assert c.of("a") == (comp,)
+
+
+def outcome(f, *args):
+    """The result of ``f``, or the text of the ``ValueError`` it raises."""
+    try:
+        return f(*args)
+    except ValueError as e:
+        return "ValueError: %s" % e
+
+
+def unit_cover_degree(phi):
+    """L: the lcm of the integer twists after the power clearing every
+    twist denominator, the first degree normalization tries."""
+    m = math.lcm(*[c.twist.denominator for c in phi.curves])
+    return math.lcm(*[abs(int(c.twist * m)) for c in phi.curves])
+
+
+def doubled_cover_layouts(count):
+    """Criterion-8 layouts (random graphs, twists up to 12) whose
+    normalization needs degree 2L, with L at most 840."""
+    rng = random.Random(103)
+    found = []
+    while len(found) < count:
+        phi = random_reducible_map(rng, max_part=12)
+        L = unit_cover_degree(phi)
+        if L <= 840:
+            _, cert = normalize_by_retry(phi)
+            if cert.cover.components[0][1][0].degree == 2 * L:
+                found.append(phi)
+    return found
+
+
+def with_spheres(rng, phi):
+    """phi with about half its pieces of three or more boundary circles
+    made planar, so that some graphs fit neither degree L nor 2L."""
+    pieces = tuple(
+        replace(p, surface=Surface(0, p.surface.boundary_components))
+        if p.surface.boundary_components >= 3 and rng.random() < 0.5
+        else p
+        for p in phi.pieces
+    )
+    return ReducibleMap(pieces, phi.curves)
+
+
+def test_normalization_matches_retry_oracle():
+    rng = random.Random(47)
+    graphs = [random_d_type_map(rng, max_part=6) for _ in range(300)]
+    graphs += [with_spheres(rng, random_d_type_map(rng, max_part=6)) for _ in range(150)]
+    graphs += doubled_cover_layouts(12)
+    seen = set()
+    for phi in graphs:
+        got = outcome(normalize_unit_twists, phi)
+        assert got == outcome(normalize_by_retry, phi)
+        if isinstance(got, str):
+            assert "no surface with chi" in got
+            seen.add("no degree fits")
+        else:
+            L = unit_cover_degree(phi)
+            seen.add("doubled" if got[1].cover.components[0][1][0].degree == 2 * L else "degree L")
+            # the same curves in the same order, not only equal as a set
+            assert [c.id for c in got[0].curves] == [c.id for c in normalize_by_retry(phi)[0].curves]
+    assert seen == {"degree L", "doubled", "no degree fits"}
+
+
+def test_normalization_lifts_once(monkeypatch):
+    lifts = []
+    lift = cover.lift_cover
+
+    def counted(phi, c):
+        try:
+            lifted = lift(phi, c)
+        except ValueError:
+            lifts.append("failed")
+            raise
+        lifts.append("ok")
+        return lifted
+
+    monkeypatch.setattr(cover, "lift_cover", counted)
+    rng = random.Random(59)
+    for phi in doubled_cover_layouts(6) + [random_d_type_map(rng, max_part=6) for _ in range(30)]:
+        del lifts[:]
+        normalize_unit_twists(phi)
+        assert lifts == ["ok"]
+
+
+def random_partition(rng, n):
+    parts = []
+    while n:
+        parts.append(rng.randint(1, n))
+        n -= parts[-1]
+    return tuple(parts)
+
+
+def test_implicit_free_circles_match_explicit_all_ones():
+    rng = random.Random(53)
+    lifted = unfit = 0
+    for _ in range(80):
+        phi = random_reducible_map(rng, max_part=6)
+        n = rng.randint(1, 4)
+        # one partition per curve, at both of its ends, so local degrees match
+        part_at = {}
+        for c in phi.curves:
+            part = random_partition(rng, n)
+            part_at[c.end_a] = part_at[c.end_b] = part
+
+        def covering(frees):
+            return CoveringData(
+                tuple(
+                    (p.id, (ComponentCover(n, tuple((s, part_at[(p.id, s)]) for s in p.slots), frees(p)),))
+                    for p in phi.pieces
+                )
+            )
+
+        implicit = covering(lambda p: None)
+        explicit = covering(lambda p: ((1,) * n,) * p.free_boundary)
+        got = outcome(lift_cover, phi, implicit)
+        assert got == outcome(lift_cover, phi, explicit) == outcome(lift_cover_by_scan, phi, explicit)
+        if isinstance(got, str):
+            unfit += 1
+        else:
+            lifted += 1
+            assert [c.id for c in got.curves] == [c.id for c in lift_cover_by_scan(phi, explicit).curves]
+        free = [p for p in phi.pieces if p.free_boundary]
+        if free:
+            # explicit free partitions are still checked one by one
+            p = free[0]
+            for frees, message in ((((1,) * n,) * (p.free_boundary + 1), "free partitions for"),
+                                   (((1,) * (n + 1),) * p.free_boundary, "bad free partition")):
+                bad = covering(lambda q: frees if q is p else None)
+                with pytest.raises(ValueError, match=message):
+                    lift_cover(phi, bad)
+    assert lifted and unfit
+
+
+@pytest.mark.parametrize("degree", [0, -1])
+def test_implicit_free_circles_report_as_explicit(degree):
+    phi = ReducibleMap(
+        (Piece("a", Surface(1, 2), ("s",), 1), Piece("b", Surface(1, 1), ("t",))),
+        (ReducingCurve("c", ("a", "s"), ("b", "t"), F(1)),),
+    )
+
+    def covering(frees):
+        return CoveringData(
+            (
+                ("a", (ComponentCover(degree, (("s", (1,)),), frees),)),
+                ("b", (ComponentCover(1, (("t", (1,)),)),)),
+            )
+        )
+
+    got = outcome(lift_cover, phi, covering(None))
+    assert got == outcome(lift_cover, phi, covering(((1,) * degree,)))
+    assert "piece a component 0: degree < 1" in got

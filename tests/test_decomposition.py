@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_reducible_map
-from oracles import a_total_by_curves, fundamental_unit, p_polynomial_eval
+from oracles import a_total_by_curves, fundamental_unit, p_polynomial_eval, validate_by_scan
 from fibercomm.decomposition import (
     DilatationLabel,
     Piece,
@@ -52,6 +52,52 @@ def test_validate_reports_violations():
     assert any("chi = 0" in e for e in validate(torus_piece))
     empty = ReducibleMap((Piece("a", Surface(2, 0), ()),), ())
     assert any("empty" in e for e in validate(empty))
+
+
+def corrupted(rng, phi):
+    """phi with one structural defect, of a kind chosen at random."""
+    pieces, curves = list(phi.pieces), list(phi.curves)
+    i, j = rng.randrange(len(pieces)), rng.randrange(len(curves))
+    p, c = pieces[i], curves[j]
+    kind = rng.choice(["zero twist", "missing piece", "missing slot", "slot used twice", "unused slot",
+                       "repeated slot", "repeated piece id", "repeated end"])
+    if kind == "zero twist":
+        curves[j] = replace(c, twist=F(0))
+    elif kind == "missing piece":
+        curves[j] = replace(c, end_b=("nowhere", c.end_b[1]))
+    elif kind == "missing slot":
+        curves[j] = replace(c, end_a=(c.end_a[0], "nowhere"))
+    elif kind == "slot used twice":
+        curves.append(ReducingCurve("extra", c.end_a, c.end_b, F(1)))
+    elif kind == "unused slot":
+        pieces[i] = replace(p, slots=p.slots + ("spare",))
+    elif kind == "repeated slot" and p.slots:
+        pieces[i] = replace(p, slots=p.slots + p.slots[:1])
+    elif kind == "repeated piece id" and len(pieces) > 1:
+        pieces[i] = replace(p, id=pieces[i - 1].id)
+    elif kind == "repeated end":
+        curves[j] = replace(c, end_b=c.end_a)
+    return ReducibleMap(tuple(pieces), tuple(curves)), kind
+
+
+def test_validate_matches_end_by_end_scan():
+    rng = random.Random(61)
+    kinds = set()
+    for _ in range(400):
+        phi = random_reducible_map(rng, max_part=6)
+        assert validate(phi) == validate_by_scan(phi) == []
+        bad, kind = corrupted(rng, phi)
+        errors = validate(bad)
+        assert errors == validate_by_scan(bad), kind
+        if errors:
+            kinds.add(kind)
+    assert len(kinds) == 8
+    # a repeated slot hides an end on a missing slot from the counts alone
+    hidden = ReducibleMap(
+        (Piece("a", Surface(1, 2), ("s", "s")), Piece("b", Surface(1, 2), ("t", "u"))),
+        (ReducingCurve("c", ("a", "s"), ("b", "t"), F(1)), ReducingCurve("d", ("a", "x"), ("b", "u"), F(1))),
+    )
+    assert validate(hidden) == validate_by_scan(hidden) == ["curve d references missing slot a.x"]
 
 
 def test_validate_curve_orbits():

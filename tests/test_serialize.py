@@ -46,7 +46,7 @@ def test_rationals():
     assert ser.rat(F(3)) == "3"
     assert ser.rat(F(-7, 2)) == "-7/2"
     assert ser.unrat("-7/2") == F(-7, 2)
-    assert ser.unpair(ser.pair((F(1, 3), F(0)))) == (F(1, 3), F(0))
+    assert ser.unpair(ser.pair((F(1, 3), F(0))), "pair") == (F(1, 3), F(0))
 
 
 def test_quadratic_round_trip():

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import generate_same_cyclic_group, minimal_representatives
+import sympy
+
+from oracles import generate_same_cyclic_group, matrix_power, minimal_representatives
 from fibercomm import quadratic, torus
 from fibercomm.quadratic import QuadraticNumber, QuadraticUnit
 from fibercomm.spectrum import SpectrumQuery, spectrum_values
@@ -82,6 +84,23 @@ def test_dilatation_power_law():
     lam = classify_torus(phi).dilatation
     for k in range(1, 6):
         assert classify_torus(phi ** k).dilatation == lam ** k
+
+
+def test_power_matches_repeated_products():
+    # one matrix of each class, of determinant 1 and -1
+    for m in (((2, 1), (1, 1)), ((0, 1), (1, 1)), ((0, -1), (1, 0)), ((0, -1), (1, 1)),
+              ((1, 1), (0, 1)), ((-1, 1), (0, -1)), ((0, 1), (1, 0)), ((5, 7), (2, 3))):
+        for k in list(range(130)) + [1000, 2021]:
+            assert (TorusAutomorphism(m) ** k).matrix == matrix_power(m, k), (m, k)
+    # cat**k is ((F(2k+1), F(2k)), (F(2k), F(2k-1))), F the Fibonacci numbers
+    cat = TorusAutomorphism(((2, 1), (1, 1)))
+    for k in (10 ** 4, 10 ** 5):
+        start = time.perf_counter()
+        power = cat ** k
+        assert time.perf_counter() - start < 1.0
+        f = [int(sympy.fibonacci(n)) for n in (2 * k + 1, 2 * k, 2 * k - 1)]
+        assert power.matrix == ((f[0], f[1]), (f[1], f[2]))
+    assert (cat ** 10 ** 4).matrix == matrix_power(cat.matrix, 10 ** 4)
 
 
 def test_large_cat_power_classifies_quickly():
