@@ -52,7 +52,7 @@ def write_entry(root, eid, description, documents, checks, notes):
     # run every check now and require agreement before freezing
     for c in checks:
         actual = run_operation(c["operation"], [documents[n] for n in c["inputs"]], c.get("args", {}))
-        if actual != c["expected"]:
+        if ser.canonical_dumps(actual) != ser.canonical_dumps(c["expected"]):
             sys.exit("%s/%s: generator expectation mismatch:\n  want %r\n  got  %r"
                      % (eid, c["name"], c["expected"], actual))
     ser.dump(d / "expected.json", {"id": eid, "checks": checks})

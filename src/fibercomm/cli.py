@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -20,6 +21,7 @@ import click
 from . import serialize as ser
 from .comparator import COMBINED, FULL, TOPOLOGICAL, InvariantReport, compare
 from .cover import lift_cover, normalize_unit_twists, verify_cover_laws
+from .decomposition import ReducibleMap, validate_or_raise
 from .decomposition import power as power_map
 from .spectrum import delta_from_branch_data, pa_obstruction, spectrum_count_below, spectrum_min, spectrum_values
 from .staircase import refiber
@@ -31,6 +33,10 @@ CORPUS_ROOT = Path(__file__).resolve().parent / "corpus"
 class MalformedInput(ValueError):
     """The input documents of an operation do not parse, or its
     computation rejects them."""
+
+
+class ResourceLimit(Exception):
+    """The input is well formed, but its result would exceed a limit."""
 
 
 # ---------------------------------------------------------------------------
@@ -57,15 +63,25 @@ def _cover(phi, c):
         {"piece": ch.piece, "law": ch.law, "lhs": ser.pair(ch.lhs), "rhs": ser.pair(ch.rhs), "ok": ch.ok}
         for ch in verify_cover_laws(phi, c, lifted)
     ]
-    return {"lifted": ser.reducible_doc(lifted), "laws": laws}
+    return {"lifted": lifted, "laws": laws}
+
+
+def _power(phi, k):
+    """The k-th power of a checked graph.  A power of an exact stretch
+    factor u that could not be printed is refused before it is computed:
+    a + b*isqrt(D) <= u, and u**k prints a coordinate >= (u**k - 1) / 2."""
+    validate_or_raise(phi)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for u in [label.unit for label in phi.dilatation_set if label.exact and limit]:
+        x = u.a + u.b * math.isqrt(u.D)
+        if k * (math.log10(x.numerator) - math.log10(x.denominator)) > limit + 1:
+            raise ResourceLimit("power %d of the stretch factor %s exceeds %d digits" % (k, u, limit))
+    return power_map(phi, k)
 
 
 def _normalize(phi):
     normalized, cert = normalize_unit_twists(phi)
-    return {
-        "normalized": ser.reducible_doc(normalized),
-        "certificate": {"power": cert.power, "cover": ser.covering_doc(cert.cover)},
-    }
+    return {"normalized": normalized, "certificate": {"power": cert.power, "cover": ser.covering_doc(cert.cover)}}
 
 
 def _refibered(manifold, plan):
@@ -88,7 +104,7 @@ def _staircase(manifold, plan):
 
 def _staircase_map(manifold, plan):
     phi, report, doc = _refibered(manifold, plan)
-    return {**doc, "map": ser.reducible_doc(phi), "invariants": report}
+    return {**doc, "map": phi, "invariants": report}
 
 
 def _branch_delta(b):
@@ -134,7 +150,7 @@ OPERATIONS = {
     ),
     "power": (
         lambda d, a: (ser.reducible_from_doc(d[0]), a["k"]),
-        lambda phi, k: ser.reducible_doc(power_map(phi, k)),
+        _power,
     ),
     "cover": (lambda d, a: (ser.reducible_from_doc(d[0]), ser.covering_from_doc(d[1])), _cover),
     "normalize": (lambda d, a: (ser.reducible_from_doc(d[0]),), _normalize),
@@ -177,30 +193,31 @@ def run_operation(op, docs, args):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _print(doc, fmt):
-    """Write the document with one ``click.echo``, in either format."""
+def _render(doc, fmt):
+    """The document as one string, in either format."""
     if fmt == "machine":
-        click.echo(ser.canonical_dumps(doc), nl=False)
-        return
-    click.echo("\n".join(_text_lines(doc, "")))
+        return ser.canonical_dumps(doc)
+    return "\n".join([*_text_lines(doc, ""), ""])
+
+
+# one curve of a graph in text; P stands for the prefix of its "-" line
+_CURVE_TEXT = "P-\nP  end_a:\nP    - %s\nP    - %s\nP  end_b:\nP    - %s\nP    - %s\nP  id: %s\nP  twist: %s"
+_NESTED = (dict, list, ReducibleMap)
 
 
 def _text_lines(doc, prefix):
-    if isinstance(doc, dict):
-        for k in sorted(doc):
-            v = doc[k]
-            if isinstance(v, (dict, list)):
-                yield "%s%s:" % (prefix, k)
+    if isinstance(doc, ReducibleMap):  # written as its document is
+        yield prefix + "curves:"
+        yield from ser.curve_strings(doc, _CURVE_TEXT.replace("P", prefix + "  "), str)
+        yield from _text_lines({"pieces": ser.pieces_doc(doc), "type": "reducible_map"}, prefix)
+    elif isinstance(doc, (dict, list)):
+        items = [("%s:" % k, doc[k]) for k in sorted(doc)] if isinstance(doc, dict) else [("-", v) for v in doc]
+        for head, v in items:
+            if isinstance(v, _NESTED):
+                yield prefix + head
                 yield from _text_lines(v, prefix + "  ")
             else:
-                yield "%s%s: %s" % (prefix, k, v)
-    elif isinstance(doc, list):
-        for v in doc:
-            if isinstance(v, (dict, list)):
-                yield "%s-" % prefix
-                yield from _text_lines(v, prefix + "  ")
-            else:
-                yield "%s- %s" % (prefix, v)
+                yield "%s%s %s" % (prefix, head, v)
     else:
         yield "%s%s" % (prefix, doc)
 
@@ -216,14 +233,14 @@ def _load(path):
 
 
 def _command(op, paths, fmt, **args):
-    """Load the input files, run ``op`` and print its document."""
-    docs = [_load(p) for p in paths]
+    """Load the input files, run ``op`` and print its document; the input
+    documents are dropped before the output is written."""
     try:
-        doc = run_operation(op, docs, args)
-    except MalformedInput as e:
-        click.echo("malformed input: %s" % e, err=True)
+        text = _render(run_operation(op, [_load(p) for p in paths], args), fmt)
+    except (ResourceLimit, ValueError) as e:  # a ValueError in _render: an integer too long to print
+        click.echo("%s: %s" % ("malformed input" if isinstance(e, MalformedInput) else "resource limit", e), err=True)
         sys.exit(2)
-    _print(doc, fmt)
+    click.echo(text, nl=False)
 
 
 @click.group()
@@ -279,19 +296,14 @@ def verify_entry(entry_dir):
     for check in expected_doc["checks"]:
         inputs = [documents[name] for name in check["inputs"]]
         try:
-            actual = run_operation(check["operation"], inputs, check.get("args", {}))
-        except MalformedInput as e:
+            actual = ser.canonical_dumps(run_operation(check["operation"], inputs, check.get("args", {})))
+        except (ValueError, ResourceLimit) as e:
             failures.append("%s: raised %s" % (check["name"], e))
             continue
-        if actual != check["expected"]:
-            failures.append(
-                "%s: expected %s, got %s"
-                % (
-                    check["name"],
-                    json.dumps(check["expected"], sort_keys=True),
-                    json.dumps(actual, sort_keys=True),
-                )
-            )
+        expected = ser.canonical_dumps(check["expected"])
+        if actual != expected:  # reported on one line each
+            texts = [json.dumps(json.loads(t), sort_keys=True) for t in (expected, actual)]
+            failures.append("%s: expected %s, got %s" % (check["name"], *texts))
     return failures
 
 

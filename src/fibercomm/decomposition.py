@@ -347,15 +347,23 @@ def a_total(phi):
     return (sum((a for a, _ in pairs), Fraction(0)) / 2, sum((b for _, b in pairs), Fraction(0)) / 2)
 
 
-def normalized_a_piece(phi, pid):
-    chi = phi.piece(pid).surface.chi
-    ap, an = piece_pairs(phi)[pid]
-    return (ap / (-chi), an / (-chi))
+def normalized_pairs(phi):
+    """Each chi-normalized piece pair -> the chi of the pieces realizing
+    it; once per graph, one division per distinct (piece pair, chi)."""
+    cached = getattr(phi, "_cached_normalized", None)
+    if cached is None:
+        table = piece_pairs(phi)
+        cached = {}
+        for ((ap, an), chi), n in Counter((table[p.id], p.surface.chi) for p in phi.pieces).items():
+            key = (ap / -chi, an / -chi)
+            cached[key] = cached.get(key, 0) + n * chi
+        object.__setattr__(phi, "_cached_normalized", cached)
+    return cached
 
 
 def pi_invariant(phi):
     """The set of chi-normalized per-piece pairs."""
-    return frozenset(normalized_a_piece(phi, p.id) for p in phi.pieces)
+    return frozenset(normalized_pairs(phi))
 
 
 def p_polynomial(phi):
@@ -366,11 +374,7 @@ def p_polynomial(phi):
     (1, 1) recovers 2 A(phi) / -chi(F), and the support is Pi(phi).
     """
     chi_f = phi.chi
-    coeffs = {}
-    for p in phi.pieces:
-        key = normalized_a_piece(phi, p.id)
-        coeffs[key] = coeffs.get(key, Fraction(0)) + Fraction(p.surface.chi, chi_f)
-    return {k: v for k, v in coeffs.items() if v != 0}
+    return {k: Fraction(chi, chi_f) for k, chi in normalized_pairs(phi).items() if chi != 0}
 
 
 def power(phi, k):

@@ -7,21 +7,23 @@ canonical (sorted keys, fixed indentation, trailing newline), so
 parse-then-serialize is byte-identical on canonical files.
 
 ``canonical_dumps`` writes exactly ``json.dumps(doc, sort_keys=True,
-indent=2) + "\n"`` but does not call it: CPython's C encoder serves
-only ``indent=None``, so an indented ``json.dumps`` runs the pure-Python
-encoder, which costs several times more on large graphs.  Its own
-encoder joins one list of parts and escapes strings with the C
-``encode_basestring_ascii``; the stdlib call stays as its test oracle.
+indent=2) + "\n"`` without calling it (an indented ``json.dumps`` runs
+the pure-Python encoder): one list of parts, strings escaped by the C
+``encode_basestring_ascii``.  A result document holds a graph itself,
+written straight from it: its curves through one template at the
+current indentation, never as a dict per curve, and its pieces as any
+list.  ``json.dumps`` of the dict-per-curve document is the test oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .cover import ComponentCover, CoveringData
-from .decomposition import DilatationLabel, Piece, ReducibleMap, _trusted_curve
+from .decomposition import DilatationLabel, Piece, ReducibleMap, _distinct_twists, _trusted_curve
 from .quadratic import QuadraticNumber, QuadraticUnit
 from .spectrum import BranchData, SingularityVector, SpectrumQuery
 from .staircase import BundlePiece, FiberedGraphManifold, Gluing, PiecePlan, RefiberPlan
@@ -127,6 +129,8 @@ def _encode(v, nl, out):
                 _encode(x, inner, out)
             sep = "," + inner
         out(nl + "}")
+    elif t is ReducibleMap:
+        _encode_graph(v, nl, out)
     elif v is None:
         out("null")
     elif v is True:
@@ -179,30 +183,42 @@ def _label_from_doc(doc):
     return DilatationLabel(name=doc["name"], exponent=unrat(doc["exponent"]), rotation=rotation)
 
 
+def pieces_doc(phi):
+    """The ``pieces`` list of the document of graph ``phi``."""
+    return [
+        {"id": p.id, "genus": p.surface.genus, "boundary": p.surface.boundary_components, "slots": list(p.slots),
+         "free_boundary": p.free_boundary, "dilatation": _label_doc(p.dilatation)}
+        for p in phi.pieces
+    ]
+
+
+def curve_strings(phi, template, quote):
+    """``template % (end_a, end_b, id, twist)`` per curve, each string
+    through ``quote``; one twist string per twist object."""
+    twists = {k: quote(rat(t)) for k, t in _distinct_twists(phi.curves).items()}
+    return [template % (quote(c.end_a[0]), quote(c.end_a[1]), quote(c.end_b[0]), quote(c.end_b[1]), quote(c.id),
+                        twists[id(c.twist)]) for c in phi.curves]
+
+
+# one curve; I, J, K: a newline and the indentation of the curve, its fields, its ends
+_CURVE_JSON = '{J"end_a": [K%s,K%sJ],J"end_b": [K%s,K%sJ],J"id": %s,J"twist": %sI}'
+
+
+def _encode_graph(phi, nl, out):
+    """Graph ``phi`` as ``_encode`` writes its document: the curves
+    through one template at this indentation, the pieces as a list."""
+    i = nl + "    "
+    curves = curve_strings(phi, _CURVE_JSON.replace("K", i + "    ").replace("J", i + "  ").replace("I", i), _json_str)
+    out("{" + nl + '  "curves": ' + ("[" + i if curves else "[]"))
+    out(("," + i).join(curves))  # a part of its own: the curves are copied once here
+    out((nl + "  ]," if curves else ",") + nl + '  "pieces": ')
+    _encode(pieces_doc(phi), nl + "  ", out)
+    out("," + nl + '  "type": "reducible_map"' + nl + "}")
+
+
 def reducible_doc(phi):
-    return {
-        "type": "reducible_map",
-        "pieces": [
-            {
-                "id": p.id,
-                "genus": p.surface.genus,
-                "boundary": p.surface.boundary_components,
-                "slots": list(p.slots),
-                "free_boundary": p.free_boundary,
-                "dilatation": _label_doc(p.dilatation),
-            }
-            for p in phi.pieces
-        ],
-        "curves": [
-            {
-                "id": c.id,
-                "end_a": list(c.end_a),
-                "end_b": list(c.end_b),
-                "twist": rat(c.twist),
-            }
-            for c in phi.curves
-        ],
-    }
+    """The document of graph ``phi`` as plain JSON values."""
+    return json.loads(canonical_dumps(phi))
 
 
 def _slots(doc, i):
@@ -221,28 +237,36 @@ def _end(doc, i, side):
 
 def reducible_from_doc(doc):
     _expect(doc, "reducible_map")
-    pieces = tuple(
-        Piece(
-            p["id"],
-            Surface(_unint(p["genus"]), _unint(p["boundary"])),
-            _slots(p["slots"], i),
-            _unint(p["free_boundary"]),
-            _label_from_doc(p.get("dilatation")),
+    try:
+        pieces = tuple(
+            Piece(p["id"], Surface(_unint(p["genus"]), _unint(p["boundary"])), _slots(p["slots"], i),
+                  _unint(p["free_boundary"]), _label_from_doc(p.get("dilatation")))
+            for i, p in enumerate(doc["pieces"])
         )
-        for i, p in enumerate(doc["pieces"])
-    )
-    twists = {}  # each distinct twist string is parsed once
-    curves = []
-    for i, c in enumerate(doc["curves"]):
-        t = c["twist"]
-        if type(t) is not str:
-            twist = unrat(t)
-        elif t in twists:
-            twist = twists[t]
-        else:
-            twist = twists[t] = unrat(t)
-        curves.append(_trusted_curve(c["id"], _end(c["end_a"], i, "a"), _end(c["end_b"], i, "b"), twist))
+        parsed = functools.cache(unrat)  # each distinct twist string is parsed once
+        curves = []
+        for i, c in enumerate(doc["curves"]):
+            t, cid = c["twist"], c["id"]
+            twist = parsed(t) if type(t) is str else unrat(t)
+            if type(cid) is not str:
+                raise ValueError("curves[%d].id: expected str, got %r" % (i, cid))
+            curves.append(_trusted_curve(cid, _end(c["end_a"], i, "a"), _end(c["end_b"], i, "b"), twist))
+    except KeyError as e:
+        raise ValueError(_missing(doc, e.args[0])) from None
     return ReducibleMap(pieces, curves)
+
+
+_FIELDS = {"pieces": ("id", "genus", "boundary", "slots", "free_boundary"), "curves": ("twist", "id", "end_a", "end_b")}
+
+
+def _missing(doc, key):
+    """Where the ``key`` of a ``KeyError`` is missing: the top level, or
+    the first piece, then curve, that lacks it."""
+    for field, keys in _FIELDS.items():
+        for i, x in enumerate(doc[field] if key in keys else ()):
+            if key not in x:
+                return "%s[%d].%s: missing" % (field, i, key)
+    return "%s: missing" % key if key in _FIELDS else "missing key %r" % (key,)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,10 @@ None of these is on a decision path of the library:
   orbits, found curve end by curve end;
 * ``lift_cover_by_scan`` and ``normalize_by_retry`` -- a cover lifted
   slot by slot with explicit all-ones free circles, and the unit-twist
-  normalization that lifts at degree L and, on failure, again at 2L.
+  normalization that lifts at degree L and, on failure, again at 2L;
+* ``reducible_doc_by_dicts`` and ``plain_document`` -- a graph's
+  document built as one dict and two lists per curve, the oracle for
+  the graph writers of ``serialize._encode`` and ``cli._text_lines``.
 """
 
 import math
@@ -28,6 +31,7 @@ from fibercomm.comparator import COMBINED, TOPOLOGICAL
 from fibercomm.cover import ComponentCover, CoveringData, NormalizationCertificate, _validate_cover
 from fibercomm.decomposition import Piece, ReducibleMap, ReducingCurve, power, validate, validate_or_raise
 from fibercomm.quadratic import QuadraticUnit, _check_squarefree
+from fibercomm.serialize import _label_doc, rat
 from fibercomm.surfaces import Surface
 from fibercomm.torus import PERIODIC, REDUCIBLE, TorusAutomorphism, classify_torus
 
@@ -359,3 +363,44 @@ def normalize_by_retry(phi):
         cover = build(2 * L)
         normalized = lift_cover_by_scan(phim, cover)
     return normalized, NormalizationCertificate(m, cover)
+
+
+# ---------------------------------------------------------------------------
+# graph documents: the oracle for the graph writers
+
+def reducible_doc_by_dicts(phi):
+    """The document of graph ``phi``, one dict and two lists per curve."""
+    return {
+        "type": "reducible_map",
+        "pieces": [
+            {
+                "id": p.id,
+                "genus": p.surface.genus,
+                "boundary": p.surface.boundary_components,
+                "slots": list(p.slots),
+                "free_boundary": p.free_boundary,
+                "dilatation": _label_doc(p.dilatation),
+            }
+            for p in phi.pieces
+        ],
+        "curves": [
+            {
+                "id": c.id,
+                "end_a": list(c.end_a),
+                "end_b": list(c.end_b),
+                "twist": rat(c.twist),
+            }
+            for c in phi.curves
+        ],
+    }
+
+
+def plain_document(doc):
+    """``doc`` with every graph in it replaced by ``reducible_doc_by_dicts``."""
+    if isinstance(doc, ReducibleMap):
+        return reducible_doc_by_dicts(doc)
+    if isinstance(doc, dict):
+        return {k: plain_document(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [plain_document(v) for v in doc]
+    return doc

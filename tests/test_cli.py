@@ -1,21 +1,27 @@
 import json
 import shutil
+import sys
+import time
 from fractions import Fraction as F
 
 import click
 import pytest
 from click.testing import CliRunner
 
+from oracles import plain_document, reducible_doc_by_dicts
 from fibercomm import cli
 from fibercomm import serialize as ser
 from fibercomm.cli import CORPUS_ROOT, main
 from fibercomm.cover import ComponentCover, CoveringData
+from fibercomm.decomposition import DilatationLabel, Piece, ReducibleMap, ReducingCurve, power
 from fibercomm.families import (
     bounded_chain_manifold,
     bounded_chain_plan,
     d_type_family,
 )
+from fibercomm.quadratic import QuadraticUnit
 from fibercomm.staircase import refiber
+from fibercomm.surfaces import Surface
 
 
 def write(path, doc):
@@ -240,8 +246,29 @@ def test_malformed_input_exits_2(tmp_path):
     # a spectrum point is exactly two rationals
     for key, value in (("origin", ["0", "0", "5"]), ("point", ["1/2"]), ("origin", "00")):
         named.append(("spectrum", {**query, "radius": 3, key: value}, key + ": expected a list of two rationals"))
+    # a missing key is named by its path
+    for where, key in ((("curves", 0), "id"), (("curves", 1), "end_a"), (("curves", 0), "end_b"),
+                       (("curves", 2), "twist"), (("pieces", 0), "slots"), (("pieces", 1), "genus"),
+                       (("pieces", 0), "boundary"), (("pieces", 2), "free_boundary"), (("pieces", 1), "id")):
+        graph = ser.reducible_doc(d_type_family(3, 2))
+        del graph[where[0]][where[1]][key]
+        named.append(("invariants", graph, "%s[%d].%s: missing" % (where[0], where[1], key)))
+    for key in ("pieces", "curves"):
+        graph = ser.reducible_doc(d_type_family(3, 2))
+        del graph[key]
+        named.append(("power", graph, key + ": missing"))
+    graph = ser.reducible_doc(d_type_family(3, 2))
+    graph["curves"][1]["id"] = 5
+    named.append(("power", graph, "curves[1].id: expected str, got 5"))
+    # power checks the graph it reads, as invariants and normalize do
+    graph = ser.reducible_doc(d_type_family(1, 2))
+    graph["curves"][0].update(twist="0", end_b=["zz", "s"])
+    cid = graph["curves"][0]["id"]
+    for name in ("power", "invariants", "normalize"):
+        named.append((name, graph, "invalid decomposition graph: curve %s has zero twist; "
+                                   "curve %s references missing piece zz" % (cid, cid)))
     for name, doc, field in named:
-        r = run(name, write(tmp_path / "named.json", doc))
+        r = run(*argv_for(name, write(tmp_path / "named.json", doc)))
         assert r.exit_code == 2 and "malformed input: " + field in r.output, r.output
         assert "Traceback" not in r.output
     # the same for the corpus-only operations on branch and singularity data
@@ -255,6 +282,98 @@ def test_malformed_input_exits_2(tmp_path):
                     ("pa_obstruction", {**pa, "delta": [[6.5, 2]]})):
         with pytest.raises(cli.MalformedInput):
             cli.run_operation(op, [doc, pa], {})
+
+
+def golden_pa_graph():
+    """Two pieces, one with the stretch factor (3 + sqrt 5) / 2."""
+    unit = QuadraticUnit(5, F(3, 2), F(1, 2))
+    return ReducibleMap(
+        (Piece("a", Surface(1, 1), ("s",), 0, DilatationLabel(unit=unit)), Piece("b", Surface(1, 1), ("s",))),
+        (ReducingCurve("c", ("a", "s"), ("b", "s"), F(1, 2)),),
+    )
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Python's default cap on the digits of an int printed as text."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no cap on the digits of an int printed as text")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_power_resource_limit(tmp_path, default_digit_limit):
+    phi = golden_pa_graph()
+    path = write(tmp_path / "pa.json", ser.reducible_doc(phi))
+    # the largest coordinate of the 1000th power has 418 digits: printed as before
+    oracle = reducible_doc_by_dicts(power(phi, 1000))
+    r = run("power", path, "1000", "--format", "machine")
+    assert r.exit_code == 0 and r.output == json.dumps(oracle, sort_keys=True, indent=2) + "\n"
+    assert run("power", path, "1000").output == "\n".join(cli._text_lines(oracle, "")) + "\n"
+    # 10287 is the largest power whose coordinates have at most 4300 digits
+    assert run("power", path, "10287", "--format", "machine").exit_code == 0
+    # refused while printing (10288 to 10808) or, once k * log10(3/2 + 1/2 * isqrt(5))
+    # exceeds 4301, before computing (10809 on)
+    for k in ("10288", "10808", "10809", "20000", "10000000"):
+        t0 = time.perf_counter()
+        r = run("power", path, k, "--format", "machine")
+        assert time.perf_counter() - t0 < 1, k
+        assert r.exit_code == 2 and r.output.startswith("resource limit: "), r.output
+        assert "malformed" not in r.output and "Traceback" not in r.output
+        assert ("power %s of the stretch factor" % k in r.output) == (int(k) >= 10809), r.output
+
+
+def weird_names(phi):
+    """``phi`` with every id and slot renamed to a string JSON escapes."""
+    w = lambda s: s + '"\\\n\u00e9'
+    return ReducibleMap(
+        tuple(Piece(w(p.id), p.surface, tuple(map(w, p.slots)), p.free_boundary, p.dilatation) for p in phi.pieces),
+        tuple(ReducingCurve(w(c.id), (w(c.end_a[0]), w(c.end_a[1])), (w(c.end_b[0]), w(c.end_b[1])), c.twist)
+              for c in phi.curves),
+    )
+
+
+def test_graph_documents_match_dict_oracle(tmp_path):
+    """Top-level (power) and nested (cover, normalize, staircase) graphs,
+    in both formats, against documents built one dict per curve."""
+    phi = weird_names(d_type_family(3, 2))
+    g = ser.reducible_doc(phi)
+    double = tuple((p.id, (ComponentCover(2, tuple((s, (1, 1)) for s in p.slots)),)) for p in phi.pieces)
+    jobs = [("power", [g], {"k": 3}), ("cover", [g, ser.covering_doc(CoveringData(double))], {}),
+            ("normalize", [ser.reducible_doc(weird_names(d_type_family(2, 3)))], {}),
+            ("staircase_map", [ser.manifold_doc(bounded_chain_manifold()), ser.plan_doc(bounded_chain_plan(2))], {})]
+    for op, docs, args in jobs:
+        oracle = plain_document(cli.run_operation(op, docs, args))
+        paths = [write(tmp_path / ("%s%d.json" % (op, i)), doc) for i, doc in enumerate(docs)]
+        name = {"staircase_map": "staircase"}.get(op, op)
+        argv = [name, *paths] + ([str(args["k"])] if args else [])
+        r = run(*argv, "--format", "machine")
+        assert r.exit_code == 0 and r.output == json.dumps(oracle, sort_keys=True, indent=2) + "\n", op
+        r = run(*argv)
+        assert r.exit_code == 0 and r.output == "\n".join(cli._text_lines(oracle, "")) + "\n", op
+    assert '\\"\\\\\\n\\u00e9' in run("power", write(tmp_path / "w.json", g), "2", "--format", "machine").output
+
+
+def test_corpus_verify_reports_altered_graph(tmp_path):
+    root = tmp_path / "corpus"
+    shutil.copytree(CORPUS_ROOT, root)
+    expected_path = root / "ex4.6" / "expected.json"
+    expected = ser.load(expected_path)
+    cube = ser.reducible_doc(power(d_type_family(3, 2), 3))
+    expected["checks"].append({"name": "cube of the star", "source": "direct", "operation": "power",
+                               "inputs": ["d_3_2"], "args": {"k": 3}, "expected": cube})
+    ser.dump(expected_path, expected)
+    r = run("corpus", "verify", "--root", str(root))
+    assert r.exit_code == 0 and "ex4.6: ok" in r.output, r.output
+    cube["curves"][1]["twist"] = "4"
+    ser.dump(expected_path, expected)
+    r = run("corpus", "verify", "--root", str(root))
+    assert r.exit_code == 1 and "ex4.6: FAIL" in r.output and "Traceback" not in r.output
+    mismatch = [line for line in r.output.splitlines() if line.startswith("  ")]
+    assert len(mismatch) == 1 and mismatch[0].startswith("  cube of the star: expected {")
+    assert '"twist": "4"' in mismatch[0] and '"twist": "3"' in mismatch[0]
 
 
 @pytest.mark.parametrize("name", SUBCOMMANDS)

@@ -9,11 +9,11 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, strategies as st
 
-from oracles import fundamental_unit
+from oracles import fundamental_unit, plain_document, reducible_doc_by_dicts
 from fibercomm import cli
 from fibercomm import serialize as ser
 from fibercomm.cli import CORPUS_ROOT
-from fibercomm.decomposition import DilatationLabel, power
+from fibercomm.decomposition import DilatationLabel, Piece, ReducibleMap, ReducingCurve, power
 from fibercomm.families import (
     bounded_chain_manifold,
     bounded_chain_plan,
@@ -22,6 +22,7 @@ from fibercomm.families import (
     twist_composition,
 )
 from fibercomm.spectrum import BranchData, SingularityVector, SpectrumQuery
+from fibercomm.surfaces import Surface
 from fibercomm.torus import TorusAutomorphism
 
 
@@ -147,7 +148,7 @@ def test_large_power_document_in_both_formats(tmp_path):
 
     r = runner.invoke(cli.main, ["power", str(path), "3", "--format", "machine"])
     assert r.exit_code == 0
-    doc = ser.reducible_doc(power(phi, 3))
+    doc = reducible_doc_by_dicts(power(phi, 3))
     assert len(doc["curves"]) == 2000
     assert r.output == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -157,6 +158,43 @@ def test_large_power_document_in_both_formats(tmp_path):
     assert all(line.endswith("\n") for line in lines)
     assert sum(line.lstrip().startswith("twist:") for line in lines) == 2000
     assert lines == [line + "\n" for line in cli._text_lines(doc, "")]
+
+
+# graphs with ids and slots that JSON escapes, and twists shared by object
+names = st.text(st.characters() | st.sampled_from('"\\\n\u00e9\u2028\U0001f600'), max_size=5)
+SHARED_TWISTS = (F(1), F(-1), F(3, 2), F(-5, 7))
+labels = st.none() | st.sampled_from(
+    (DilatationLabel(unit=fundamental_unit(5)), DilatationLabel(name="mu", exponent=F(2, 3), rotation=F(1, 4)))
+)
+pieces = st.builds(
+    lambda pid, genus, slots, free, label: Piece(pid, Surface(genus, len(slots) + free), slots, free, label),
+    names, st.integers(0, 3), st.lists(names, max_size=3), st.integers(0, 2), labels,
+)
+curves = st.builds(
+    ReducingCurve, names, st.tuples(names, names), st.tuples(names, names),
+    st.sampled_from(SHARED_TWISTS) | st.fractions(max_denominator=9),
+)
+graphs = st.builds(ReducibleMap, st.lists(pieces, max_size=3), st.lists(curves, max_size=4))
+# a graph at the top level (power) and nested as in cover, normalize and staircase
+NESTINGS = (
+    lambda g: g,
+    lambda g: {"laws": [{"ok": True, "piece": "p"}], "lifted": g},
+    lambda g: {"certificate": {"cover": {"pieces": []}, "power": 2}, "normalized": g},
+    lambda g: {"connected": True, "invariants": {"chi": -2}, "map": g, "uncalibrated": []},
+    lambda g: [g, {"graphs": [g, "x"]}],
+)
+
+
+@given(graphs, st.sampled_from(NESTINGS))
+@example(ReducibleMap((), ()), NESTINGS[0])
+@example(ReducibleMap((Piece('"\\\n\u00e9', Surface(1, 1), ("s\n",), 0),), ()), NESTINGS[1])
+def test_graph_writers_match_dict_oracle(phi, nest):
+    doc, oracle = nest(phi), nest(reducible_doc_by_dicts(phi))
+    assert ser.canonical_dumps(doc) == json.dumps(oracle, sort_keys=True, indent=2) + "\n"
+    assert cli._render(doc, "text") == "\n".join(cli._text_lines(oracle, "")) + "\n"
+    assert plain_document(doc) == oracle
+    if doc is phi:
+        assert ser.reducible_doc(phi) == oracle
 
 
 def test_gen_corpus_regenerates_the_corpus(tmp_path):
