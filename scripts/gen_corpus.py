@@ -146,7 +146,7 @@ def spectrum_entry():
     # hand check: the half-integer translate (-21/2, -13/2) gives
     # |f| = 1/4 for f = x^2 - xy - y^2, hence sqrt(5)/20 after the
     # unit-mass normalization 1/sqrt(5)
-    assert min20["value"] == {"D": 5, "a": "0", "b": "1/20"}, min20
+    assert min20["value"] == {"D": 5, "a": F(0), "b": F(1, 20)}, min20
     below20 = run_operation("spectrum_count_below", [docs["q20"]], {"bound": "5"})
     below40 = run_operation("spectrum_count_below", [docs["q40"]], {"bound": "5"})
     assert below20 == below40 == {"count": 14}
@@ -198,9 +198,9 @@ def equal_a_entry():
     docs = {"phi1": ser.reducible_doc(phi1), "phi2": ser.reducible_doc(phi2)}
     inv1 = run_operation("invariants", [docs["phi1"]], {})
     inv2 = run_operation("invariants", [docs["phi2"]], {})
-    assert inv1["a"] == inv2["a"] == ["1", "1"]
-    assert inv1["pi"] == [["0", "1/3"], ["1/2", "1/2"], ["1", "0"]]
-    assert inv2["pi"] == [["0", "1"], ["1/4", "1/4"], ["1", "0"]]
+    assert inv1["a"] == inv2["a"] == (F(1), F(1))
+    assert inv1["pi"] == [(F(0), F(1, 3)), (F(1, 2), F(1, 2)), (F(1), F(0))]
+    assert inv2["pi"] == [(F(0), F(1)), (F(1, 4), F(1, 4)), (F(1), F(0))]
     checks = [
         check("first graph invariants", "derived", "invariants", ["phi1"], inv1),
         check("second graph invariants", "derived", "invariants", ["phi2"], inv2),
@@ -235,7 +235,7 @@ def d_family_entry():
         "d_3_2": ser.reducible_doc(d_type_family(3, 2)),
     }
     inv = run_operation("invariants", [docs["d_3_2"]], {})
-    assert inv["pi"] == [["1/3", "0"], ["1", "0"]]
+    assert inv["pi"] == [(F(1, 3), F(0)), (F(1), F(0))]
     checks = [
         check("star graph invariants", "published", "invariants", ["d_3_2"], inv),
         check("same leaf genus: no obstruction", "published", "compare", ["d_2_2", "d_5_2"],
@@ -295,8 +295,8 @@ def bounded_chain_entry():
         "phi2": ser.reducible_doc(r2.map),
     }
     s2 = run_operation("staircase", [docs["manifold"], docs["plan2"]], {})
-    assert s2["twists"] == ["1/6", "1/2", "1/2"]
-    assert s2["pi"] == [["1", "0"], ["5/3", "0"], ["2", "0"]]
+    assert s2["twists"] == [F(1, 6), F(1, 2), F(1, 2)]
+    assert s2["pi"] == [(F(1), F(0)), (F(5, 3), F(0)), (F(2), F(0))]
     assert s2["monodromy_order"] == 6
     checks = [
         check("two-sheet refibration", "published", "staircase", ["manifold", "plan2"], s2),
@@ -333,10 +333,10 @@ def closed_chain_entry():
         "psi": ser.reducible_doc(rpsi.map),
     }
     s2 = run_operation("staircase", [docs["manifold"], docs["plan_n2"]], {})
-    assert s2["pi"] == [["1/6", "1/6"], ["1", "1"], ["5/4", "5/4"]]
+    assert s2["pi"] == [(F(1, 6), F(1, 6)), (F(1), F(1)), (F(5, 4), F(5, 4))]
     assert s2["fiber"] == {"genus": 20, "boundary": 0}
     salt = run_operation("staircase", [docs["manifold"], docs["plan_alt"]], {})
-    assert salt["pi"] == [["1/4", "1/4"], ["11/8", "11/8"], ["3/2", "3/2"]]
+    assert salt["pi"] == [(F(1, 4), F(1, 4)), (F(11, 8), F(11, 8)), (F(3, 2), F(3, 2))]
     assert salt["fiber"] == {"genus": 20, "boundary": 0}
     assert salt["monodromy_order"] == 12
     checks = [

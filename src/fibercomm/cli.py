@@ -2,10 +2,14 @@
 
 Every subcommand and every corpus check runs through one table,
 ``OPERATIONS``, behind ``run_operation``: an operation parses its input
-documents, then computes its result document.  Subcommands print either
-a human-readable text summary or the same machine-readable document
-format.  Exit codes: 0 on success, 1 when ``corpus verify`` finds a
-mismatch, 2 on malformed input.
+documents, then computes its result document.  A result holds exact
+values (``Fraction``s, tuples, ints, ``None``, graphs); only the two
+writers turn it into text -- ``serialize.canonical_dumps`` for the
+machine-readable format and ``_text_lines`` for the human-readable one.
+So an integer too long to print fails in the writer, and every
+subcommand reports it as a resource limit, never as malformed input.
+Exit codes: 0 on success, 1 when ``corpus verify`` finds a mismatch, 2
+on malformed or unreadable input and on a resource limit.
 """
 
 from __future__ import annotations
@@ -40,11 +44,9 @@ class ResourceLimit(Exception):
 
 
 # ---------------------------------------------------------------------------
-# result documents; a field shared by two documents is built in one place
-
-def _rat_or_none(x):
-    return None if x is None else ser.rat(x)
-
+# result documents: exact values, turned into text only by the writers
+# (``ser.canonical_dumps``, ``_text_lines``); a field shared by two
+# documents is built in one place
 
 def _classify(phi):
     nt = classify_torus(phi)
@@ -54,13 +56,32 @@ def _classify(phi):
 
 def _torus_compare(phi1, phi2):
     v = torus_commensurable(phi1, phi2)
-    return {"kind": v.kind, "scale": _rat_or_none(v.scale)}
+    return {"kind": v.kind, "scale": v.scale}
+
+
+def _report(phi):
+    """The invariant report; its stretch-factor labels, read from an
+    input document and so each printable, in the order of their text."""
+    report = InvariantReport.of(phi)
+    return {
+        "a": report.a,
+        "a_normalized": report.a_normalized,
+        "chi": report.chi,
+        "dilatations": sorted(map(ser.label_doc, report.dilatations), key=ser.canonical_dumps),
+        "p": [{"coefficient": w, "exponent": e} for e, w in report.p],
+        "pi": sorted(report.pi),
+    }
+
+
+def _compare(phi1, phi2, mode):
+    v = compare(phi1, phi2, mode)
+    return {"verdict": v.kind, "feasible": sorted(v.feasible), "witness": v.witness}
 
 
 def _cover(phi, c):
     lifted = lift_cover(phi, c)
     laws = [
-        {"piece": ch.piece, "law": ch.law, "lhs": ser.pair(ch.lhs), "rhs": ser.pair(ch.rhs), "ok": ch.ok}
+        {"piece": ch.piece, "law": ch.law, "lhs": ch.lhs, "rhs": ch.rhs, "ok": ch.ok}
         for ch in verify_cover_laws(phi, c, lifted)
     ]
     return {"lifted": lifted, "laws": laws}
@@ -84,22 +105,26 @@ def _normalize(phi):
     return {"normalized": normalized, "certificate": {"power": cert.power, "cover": ser.covering_doc(cert.cover)}}
 
 
+def _surface(s):
+    return {"genus": s.genus, "boundary": s.boundary_components}
+
+
 def _refibered(manifold, plan):
     """The refibered map, its invariant report and the fields that both
     staircase documents share."""
     result = refiber(manifold, plan)
     doc = {
-        "fiber": None if result.fiber is None else ser.surface_doc(result.fiber),
+        "fiber": None if result.fiber is None else _surface(result.fiber),
         "connected": result.connected,
         "monodromy_order": result.monodromy_order,
-        "uncalibrated": list(result.uncalibrated),
+        "uncalibrated": result.uncalibrated,
     }
-    return result.map, ser.report_doc(InvariantReport.of(result.map)), doc
+    return result.map, _report(result.map), doc
 
 
 def _staircase(manifold, plan):
     phi, report, doc = _refibered(manifold, plan)
-    return {**doc, "twists": [ser.rat(t) for t in sorted(c.twist for c in phi.curves)], "pi": report["pi"]}
+    return {**doc, "twists": sorted(c.twist for c in phi.curves), "pi": report["pi"]}
 
 
 def _staircase_map(manifold, plan):
@@ -109,17 +134,17 @@ def _staircase_map(manifold, plan):
 
 def _branch_delta(b):
     surface, delta = delta_from_branch_data(b)
-    return {"surface": ser.surface_doc(surface), "delta": ser.delta_doc(delta)}
+    return {"surface": _surface(surface), "delta": {"counts": delta.counts}}
 
 
 def _pa_obstruction(pa1, pa2):
     v = pa_obstruction(*pa1, *pa2)
-    return {"ok": v.ok, "s": _rat_or_none(v.s), "s_prime": _rat_or_none(v.s_prime)}
+    return {"ok": v.ok, "s": v.s, "s_prime": v.s_prime}
 
 
 def _spectrum_min(q):
     m = spectrum_min(q)
-    return {"value": ser.quadratic_doc(m.value), "translate": ser.pair(m.translate)}
+    return {"value": ser.quadratic_doc(m.value), "translate": m.translate}
 
 
 def _spectrum(q):
@@ -140,18 +165,12 @@ def _query(docs, args):
 OPERATIONS = {
     "classify": (lambda d, a: (ser.torus_from_doc(d[0]),), _classify),
     "torus_compare": (lambda d, a: (ser.torus_from_doc(d[0]), ser.torus_from_doc(d[1])), _torus_compare),
-    "invariants": (
-        lambda d, a: (ser.reducible_from_doc(d[0]),),
-        lambda phi: ser.report_doc(InvariantReport.of(phi)),
-    ),
+    "invariants": (lambda d, a: (ser.reducible_from_doc(d[0]),), _report),
     "compare": (
         lambda d, a: (ser.reducible_from_doc(d[0]), ser.reducible_from_doc(d[1]), a.get("mode", FULL)),
-        lambda phi1, phi2, mode: ser.verdict_doc(compare(phi1, phi2, mode)),
+        _compare,
     ),
-    "power": (
-        lambda d, a: (ser.reducible_from_doc(d[0]), a["k"]),
-        _power,
-    ),
+    "power": (lambda d, a: (ser.reducible_from_doc(d[0]), a["k"]), _power),
     "cover": (lambda d, a: (ser.reducible_from_doc(d[0]), ser.covering_from_doc(d[1])), _cover),
     "normalize": (lambda d, a: (ser.reducible_from_doc(d[0]),), _normalize),
     "staircase": (lambda d, a: (ser.manifold_from_doc(d[0]), ser.plan_from_doc(d[1])), _staircase),
@@ -202,7 +221,7 @@ def _render(doc, fmt):
 
 # one curve of a graph in text; P stands for the prefix of its "-" line
 _CURVE_TEXT = "P-\nP  end_a:\nP    - %s\nP    - %s\nP  end_b:\nP    - %s\nP    - %s\nP  id: %s\nP  twist: %s"
-_NESTED = (dict, list, ReducibleMap)
+_NESTED = (dict, list, tuple, ReducibleMap)
 
 
 def _text_lines(doc, prefix):
@@ -210,7 +229,7 @@ def _text_lines(doc, prefix):
         yield prefix + "curves:"
         yield from ser.curve_strings(doc, _CURVE_TEXT.replace("P", prefix + "  "), str)
         yield from _text_lines({"pieces": ser.pieces_doc(doc), "type": "reducible_map"}, prefix)
-    elif isinstance(doc, (dict, list)):
+    elif isinstance(doc, (dict, list, tuple)):
         items = [("%s:" % k, doc[k]) for k in sorted(doc)] if isinstance(doc, dict) else [("-", v) for v in doc]
         for head, v in items:
             if isinstance(v, _NESTED):
@@ -225,8 +244,8 @@ def _text_lines(doc, prefix):
 def _load(path):
     try:
         return ser.load(path)
-    except OSError as e:
-        raise click.ClickException(str(e))
+    except OSError as e:  # a directory, say: unreadable, as a missing file is
+        raise click.UsageError(str(e))
     except ValueError as e:  # not JSON, or not text
         click.echo("malformed input: %s: %s" % (path, e), err=True)
         sys.exit(2)
@@ -313,7 +332,7 @@ def corpus():
 
 
 @corpus.command()
-@click.option("--root", type=click.Path(exists=True), default=None)
+@click.option("--root", type=click.Path(exists=True, file_okay=False), default=None)
 def verify(root):
     """Recompute every corpus entry and diff against the expectations."""
     root = Path(root) if root else CORPUS_ROOT

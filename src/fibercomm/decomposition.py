@@ -65,6 +65,8 @@ class DilatationLabel:
         if (self.unit is None) == (self.name is None):
             raise ValueError("label must be exactly one of exact / symbolic")
         object.__setattr__(self, "exponent", Fraction(self.exponent))
+        if self.rotation is not None:
+            object.__setattr__(self, "rotation", Fraction(self.rotation))
 
     @property
     def exact(self):
@@ -170,14 +172,10 @@ class ReducibleMap:
 
     pieces: tuple
     curves: tuple
-    piece_orbits: tuple = ()  # optional partition metadata
-    curve_orbits: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "pieces", tuple(self.pieces))
         object.__setattr__(self, "curves", tuple(self.curves))
-        object.__setattr__(self, "piece_orbits", tuple(tuple(o) for o in self.piece_orbits))
-        object.__setattr__(self, "curve_orbits", tuple(tuple(o) for o in self.curve_orbits))
 
     # lazy lookup tables, each built on first use; large lifted graphs
     # make linear scans quadratic in practice, and most of their
@@ -261,29 +259,6 @@ def validate(phi):
             n = use[(pid, slot)]
             if n != 1:
                 errors.append("slot %s.%s used by %d curve ends (expected 1)" % (pid, slot, n))
-
-    # built only for graphs with orbits; the first curve of a repeated id wins
-    curve_by_id = {c.id: c for c in reversed(phi.curves)} if phi.curve_orbits else {}
-    for orbit in phi.curve_orbits:
-        twists = set()
-        for cid in orbit:
-            if cid not in curve_by_id:
-                errors.append("curve orbit references missing curve %s" % cid)
-            else:
-                twists.add(curve_by_id[cid].twist)
-        if len(twists) > 1:
-            errors.append("curve orbit %r mixes twists %r" % (orbit, sorted(twists)))
-    for orbit in phi.piece_orbits:
-        kinds = set()
-        surfaces = set()
-        for pid in orbit:
-            if pid not in by_id:
-                errors.append("piece orbit references missing piece %s" % pid)
-            else:
-                kinds.add(by_id[pid].periodic)
-                surfaces.add(by_id[pid].surface)
-        if len(kinds) > 1 or len(surfaces) > 1:
-            errors.append("piece orbit %r mixes piece types" % (orbit,))
     return errors
 
 
@@ -394,7 +369,7 @@ def power(phi, k):
         if key not in twists:
             twists[key] = c.twist * k
         curves.append(_trusted_curve(c.id, c.end_a, c.end_b, twists[key]))
-    return ReducibleMap(pieces, tuple(curves), phi.piece_orbits, phi.curve_orbits)
+    return ReducibleMap(pieces, tuple(curves))
 
 
 def negate_twists(phi):

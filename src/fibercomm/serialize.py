@@ -1,18 +1,28 @@
 """Canonical JSON documents for every object the CLI consumes or emits.
 
 One structured format for graphs, manifolds, plans, covers, and
-queries.  Rationals are serialized as "p/q" strings (or "p" when the
-denominator is 1) so no float ever enters a document; serialization is
-canonical (sorted keys, fixed indentation, trailing newline), so
-parse-then-serialize is byte-identical on canonical files.
+queries: the readers of the input documents, their writers, and the
+writer of canonical text.  Rationals are written as "p/q" strings (or
+"p" when the denominator is 1) so no float ever enters a document;
+serialization is canonical (sorted keys, fixed indentation, trailing
+newline), so parse-then-serialize is byte-identical on canonical files.
+
+A result document holds exact values -- ``Fraction``s, tuples, ints,
+``None`` and graphs -- and is turned into text only when written, by
+``canonical_dumps`` here or by the text writer of ``cli``, both through
+``str`` of the ``Fraction``.  So an integer too long to print fails in
+the writer, never inside an operation.  The input document writers
+return plain JSON values, which the readers require; one that shares a
+helper with a result goes through canonical text once (``_plain``).
 
 ``canonical_dumps`` writes exactly ``json.dumps(doc, sort_keys=True,
-indent=2) + "\n"`` without calling it (an indented ``json.dumps`` runs
-the pure-Python encoder): one list of parts, strings escaped by the C
-``encode_basestring_ascii``.  A result document holds a graph itself,
-written straight from it: its curves through one template at the
-current indentation, never as a dict per curve, and its pieces as any
-list.  ``json.dumps`` of the dict-per-curve document is the test oracle.
+indent=2) + "\n"`` (with a ``Fraction`` as its "p/q" string) without
+calling it (an indented ``json.dumps`` runs the pure-Python encoder):
+one list of parts, strings escaped by the C ``encode_basestring_ascii``.
+A graph is written straight from it: its curves through one template
+at the current indentation, never as a dict per curve, and its pieces
+as any list.  ``json.dumps`` of the dict-per-curve document is the test
+oracle.
 """
 
 from __future__ import annotations
@@ -29,13 +39,6 @@ from .spectrum import BranchData, SingularityVector, SpectrumQuery
 from .staircase import BundlePiece, FiberedGraphManifold, Gluing, PiecePlan, RefiberPlan
 from .surfaces import Surface
 from .torus import TorusAutomorphism
-
-
-def rat(x):
-    f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return "%d/%d" % (f.numerator, f.denominator)
 
 
 def unrat(x):
@@ -58,10 +61,6 @@ def _unint(x):
     return x
 
 
-def pair(p):
-    return [rat(p[0]), rat(p[1])]
-
-
 def unpair(doc, field):
     """A pair of document rationals; ``field`` names it in the error."""
     if type(doc) is not list or len(doc) != 2:
@@ -75,9 +74,7 @@ def _partition(doc):
 
 
 def quadratic_doc(x):
-    if isinstance(x, QuadraticUnit):
-        x = x.number
-    return {"D": x.D, "a": rat(x.a), "b": rat(x.b)}
+    return {"D": x.D, "a": x.a, "b": x.b}
 
 
 def quadratic_from_doc(doc):
@@ -93,14 +90,16 @@ def canonical_dumps(doc):
 
 def _encode(v, nl, out):
     """Append the indented JSON of ``v`` to ``out``; ``nl`` is a newline
-    plus the indentation of the line ``v`` starts on.  A string member
-    is written with its key or separator in one part."""
+    plus the indentation of the line ``v`` starts on.  A string or
+    rational member is written with its key or separator in one part;
+    a rational is written as the string ``str`` of its ``Fraction``
+    prints, "p/q" or "p"."""
     t = type(v)
     if t is str:
         out(_json_str(v))
     elif t is int:
         out(int.__repr__(v))
-    elif t is list:
+    elif t is list or t is tuple:
         if not v:
             out("[]")
             return
@@ -109,6 +108,8 @@ def _encode(v, nl, out):
         for x in v:
             if type(x) is str:
                 out(sep + _json_str(x))
+            elif type(x) is Fraction:
+                out('%s"%s"' % (sep, x))
             else:
                 out(sep)
                 _encode(x, inner, out)
@@ -124,11 +125,15 @@ def _encode(v, nl, out):
             x = v[k]
             if type(x) is str:
                 out(sep + _json_str(k) + ": " + _json_str(x))
+            elif type(x) is Fraction:
+                out('%s%s: "%s"' % (sep, _json_str(k), x))
             else:
                 out(sep + _json_str(k) + ": ")
                 _encode(x, inner, out)
             sep = "," + inner
         out(nl + "}")
+    elif t is Fraction:
+        out('"%s"' % v)
     elif t is ReducibleMap:
         _encode_graph(v, nl, out)
     elif v is None:
@@ -161,15 +166,15 @@ def torus_from_doc(doc):
 # ---------------------------------------------------------------------------
 # reducible maps
 
-def _label_doc(label):
+def label_doc(label):
     if label is None:
         return None
     if label.exact:
         d = {"kind": "exact", "unit": quadratic_doc(label.unit)}
     else:
-        d = {"kind": "symbol", "name": label.name, "exponent": rat(label.exponent)}
+        d = {"kind": "symbol", "name": label.name, "exponent": label.exponent}
     if label.rotation is not None:
-        d["rotation"] = rat(label.rotation)
+        d["rotation"] = label.rotation
     return d
 
 
@@ -186,8 +191,8 @@ def _label_from_doc(doc):
 def pieces_doc(phi):
     """The ``pieces`` list of the document of graph ``phi``."""
     return [
-        {"id": p.id, "genus": p.surface.genus, "boundary": p.surface.boundary_components, "slots": list(p.slots),
-         "free_boundary": p.free_boundary, "dilatation": _label_doc(p.dilatation)}
+        {"id": p.id, "genus": p.surface.genus, "boundary": p.surface.boundary_components, "slots": p.slots,
+         "free_boundary": p.free_boundary, "dilatation": label_doc(p.dilatation)}
         for p in phi.pieces
     ]
 
@@ -195,7 +200,7 @@ def pieces_doc(phi):
 def curve_strings(phi, template, quote):
     """``template % (end_a, end_b, id, twist)`` per curve, each string
     through ``quote``; one twist string per twist object."""
-    twists = {k: quote(rat(t)) for k, t in _distinct_twists(phi.curves).items()}
+    twists = {k: quote(str(t)) for k, t in _distinct_twists(phi.curves).items()}
     return [template % (quote(c.end_a[0]), quote(c.end_a[1]), quote(c.end_b[0]), quote(c.end_b[1]), quote(c.id),
                         twists[id(c.twist)]) for c in phi.curves]
 
@@ -216,9 +221,14 @@ def _encode_graph(phi, nl, out):
     out("," + nl + '  "type": "reducible_map"' + nl + "}")
 
 
+def _plain(doc):
+    """``doc`` as plain JSON values, through its canonical text once."""
+    return json.loads(canonical_dumps(doc))
+
+
 def reducible_doc(phi):
     """The document of graph ``phi`` as plain JSON values."""
-    return json.loads(canonical_dumps(phi))
+    return _plain(phi)
 
 
 def _slots(doc, i):
@@ -395,11 +405,7 @@ def branch_from_doc(doc):
 
 
 def pa_data_doc(label, delta):
-    return {
-        "type": "pa_data",
-        "dilatation": _label_doc(label),
-        "delta": [[n, c] for n, c in delta.counts],
-    }
+    return _plain({"type": "pa_data", "dilatation": label_doc(label), "delta": delta.counts})
 
 
 def pa_data_from_doc(doc):
@@ -410,51 +416,14 @@ def pa_data_from_doc(doc):
 
 
 def query_doc(q):
-    return {
-        "type": "spectrum_query",
-        "matrix": [list(r) for r in q.matrix],
-        "origin": pair(q.origin),
-        "point": pair(q.point),
-        "radius": q.radius,
-    }
+    return _plain({"type": "spectrum_query", "matrix": q.matrix, "origin": q.origin, "point": q.point,
+                   "radius": q.radius})
 
 
 def query_from_doc(doc):
     _expect(doc, "spectrum_query")
     origin, point = unpair(doc["origin"], "origin"), unpair(doc["point"], "point")
     return SpectrumQuery(doc["matrix"], origin, point, doc["radius"])
-
-
-# ---------------------------------------------------------------------------
-# result documents (output only)
-
-def surface_doc(s):
-    return {"genus": s.genus, "boundary": s.boundary_components}
-
-
-def report_doc(report):
-    return {
-        "a": pair(report.a),
-        "a_normalized": pair(report.a_normalized),
-        "chi": report.chi,
-        "dilatations": sorted(
-            (_label_doc(l) for l in report.dilatations), key=canonical_dumps
-        ),
-        "p": [{"coefficient": rat(w), "exponent": pair(e)} for e, w in report.p],
-        "pi": [pair(p) for p in sorted(report.pi)],
-    }
-
-
-def verdict_doc(v):
-    return {
-        "verdict": v.kind,
-        "feasible": [rat(s) for s in sorted(v.feasible)],
-        "witness": v.witness,
-    }
-
-
-def delta_doc(delta):
-    return {"counts": [[n, c] for n, c in delta.counts]}
 
 
 def load(path):

@@ -13,14 +13,15 @@ None of these is on a decision path of the library:
   periodic / reducible torus classes;
 * ``brute_force_feasible`` -- the comparator's feasible set by
   exhaustive search over ratios;
-* ``validate_by_scan`` -- the structural errors of a graph without
-  orbits, found curve end by curve end;
+* ``validate_by_scan`` -- the structural errors of a graph, found
+  curve end by curve end;
 * ``lift_cover_by_scan`` and ``normalize_by_retry`` -- a cover lifted
   slot by slot with explicit all-ones free circles, and the unit-twist
   normalization that lifts at degree L and, on failure, again at 2L;
 * ``reducible_doc_by_dicts`` and ``plain_document`` -- a graph's
-  document built as one dict and two lists per curve, the oracle for
-  the graph writers of ``serialize._encode`` and ``cli._text_lines``.
+  document built as one dict and two lists per curve, and a result
+  with its rationals written as strings and its tuples as lists, the
+  oracle for the writers ``serialize._encode`` and ``cli._text_lines``.
 """
 
 import math
@@ -31,7 +32,6 @@ from fibercomm.comparator import COMBINED, TOPOLOGICAL
 from fibercomm.cover import ComponentCover, CoveringData, NormalizationCertificate, _validate_cover
 from fibercomm.decomposition import Piece, ReducibleMap, ReducingCurve, power, validate, validate_or_raise
 from fibercomm.quadratic import QuadraticUnit, _check_squarefree
-from fibercomm.serialize import _label_doc, rat
 from fibercomm.surfaces import Surface
 from fibercomm.torus import PERIODIC, REDUCIBLE, TorusAutomorphism, classify_torus
 
@@ -250,8 +250,8 @@ def brute_force_feasible(x, y, mode):
 # decomposition graphs, covers and the unit-twist normalization
 
 def validate_by_scan(phi):
-    """``decomposition.validate`` on a graph without orbit metadata: the
-    same errors in the same order, counting slot use end by end."""
+    """``decomposition.validate`` by a scan: the same errors in the same
+    order, counting slot use end by end."""
     errors = []
     ids = [p.id for p in phi.pieces]
     if len(set(ids)) != len(ids):
@@ -368,6 +368,24 @@ def normalize_by_retry(phi):
 # ---------------------------------------------------------------------------
 # graph documents: the oracle for the graph writers
 
+def _rat(x):
+    """A rational as its document string, "p/q" or "p"."""
+    return "%d/%d" % (x.numerator, x.denominator) if x.denominator != 1 else "%d" % x.numerator
+
+
+def _label(label):
+    """A stretch-factor label as its document dict."""
+    if label is None:
+        return None
+    if label.exact:
+        d = {"kind": "exact", "unit": {"D": label.unit.D, "a": _rat(label.unit.a), "b": _rat(label.unit.b)}}
+    else:
+        d = {"kind": "symbol", "name": label.name, "exponent": _rat(label.exponent)}
+    if label.rotation is not None:
+        d["rotation"] = _rat(label.rotation)
+    return d
+
+
 def reducible_doc_by_dicts(phi):
     """The document of graph ``phi``, one dict and two lists per curve."""
     return {
@@ -379,7 +397,7 @@ def reducible_doc_by_dicts(phi):
                 "boundary": p.surface.boundary_components,
                 "slots": list(p.slots),
                 "free_boundary": p.free_boundary,
-                "dilatation": _label_doc(p.dilatation),
+                "dilatation": _label(p.dilatation),
             }
             for p in phi.pieces
         ],
@@ -388,7 +406,7 @@ def reducible_doc_by_dicts(phi):
                 "id": c.id,
                 "end_a": list(c.end_a),
                 "end_b": list(c.end_b),
-                "twist": rat(c.twist),
+                "twist": _rat(c.twist),
             }
             for c in phi.curves
         ],
@@ -396,11 +414,15 @@ def reducible_doc_by_dicts(phi):
 
 
 def plain_document(doc):
-    """``doc`` with every graph in it replaced by ``reducible_doc_by_dicts``."""
+    """``doc`` as plain JSON values: every graph replaced by
+    ``reducible_doc_by_dicts``, every rational by its string and every
+    tuple by a list."""
     if isinstance(doc, ReducibleMap):
         return reducible_doc_by_dicts(doc)
+    if isinstance(doc, Fraction):
+        return _rat(doc)
     if isinstance(doc, dict):
         return {k: plain_document(v) for k, v in doc.items()}
-    if isinstance(doc, list):
+    if isinstance(doc, (list, tuple)):
         return [plain_document(v) for v in doc]
     return doc

@@ -325,6 +325,67 @@ def test_power_resource_limit(tmp_path, default_digit_limit):
         assert ("power %s of the stretch factor" % k in r.output) == (int(k) >= 10809), r.output
 
 
+def graph_with_twists(twists):
+    """The document of ``d_type_family(3, 2)`` with the given twist strings."""
+    graph = ser.reducible_doc(d_type_family(3, 2))
+    for c, t in zip(graph["curves"], twists, strict=True):
+        c["twist"] = t
+    return graph
+
+
+# distinct 3000-digit twists: each can be read and printed, but the
+# invariants sum their reciprocals into rationals of about 9000 digits
+LONG_TWISTS = [str(10 ** 2999 + 2 * i + 1) for i in range(3)]
+
+
+def test_oversize_output_is_a_resource_limit(tmp_path, default_digit_limit):
+    big = write(tmp_path / "big.json", graph_with_twists(LONG_TWISTS))
+    k = 10 ** 3000 + 1  # scales 1/k against k: s = k**2, about 6000 digits
+    small = write(tmp_path / "small.json", graph_with_twists(["1/%d" % k] * 3))
+    large = write(tmp_path / "large.json", graph_with_twists([str(k)] * 3))
+    phi = d_type_family(3, 2)
+    double = tuple((p.id, (ComponentCover(2, tuple((s, (1, 1)) for s in p.slots)),)) for p in phi.pieces)
+    cover = write(tmp_path / "cover.json", ser.covering_doc(CoveringData(double)))
+    for argv in (["invariants", big], ["compare", small, large], ["cover", big, cover]):
+        for fmt in ("text", "machine"):
+            r = run(*argv, "--format", fmt)
+            assert r.exit_code == 2 and r.output.startswith("resource limit: "), (argv, r.output)
+            assert "malformed" not in r.output and "Traceback" not in r.output
+    # what overflows is the result, not the input: each input alone is printed
+    assert run("power", big, "1", "--format", "machine").exit_code == 0
+    assert run("compare", small, small, "--format", "machine").exit_code == 0
+    laws = cli.run_operation("cover", [ser.load(big), ser.load(cover)], {})["laws"]
+    with pytest.raises(ValueError, match="integer string conversion"):
+        ser.canonical_dumps(laws[0]["lhs"])
+
+
+def test_corpus_verify_reports_oversize_output(tmp_path, default_digit_limit):
+    root = tmp_path / "corpus"
+    shutil.copytree(CORPUS_ROOT, root)
+    entry = ser.load(root / "ex4.6" / "input.json")
+    entry["documents"]["long"] = graph_with_twists(LONG_TWISTS)
+    ser.dump(root / "ex4.6" / "input.json", entry)
+    expected = ser.load(root / "ex4.6" / "expected.json")
+    expected["checks"].append({"name": "long twists", "source": "direct", "operation": "invariants",
+                               "inputs": ["long"], "expected": {}})
+    ser.dump(root / "ex4.6" / "expected.json", expected)
+    r = run("corpus", "verify", "--root", str(root))
+    assert r.exit_code == 1 and "ex4.6: FAIL" in r.output and "Traceback" not in r.output, r.output
+    mismatch = [line for line in r.output.splitlines() if line.startswith("  ")]
+    assert len(mismatch) == 1 and mismatch[0].startswith("  long twists: raised Exceeds the limit"), mismatch
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_directory_input_exits_2(tmp_path, name):
+    r = run(*argv_for(name, str(tmp_path)))
+    assert r.exit_code == 2 and "Is a directory" in r.output and "Traceback" not in r.output, r.output
+
+
+def test_corpus_verify_root_must_be_a_directory(tmp_path):
+    r = run("corpus", "verify", "--root", write(tmp_path / "file.json", {}))
+    assert r.exit_code == 2 and "is a file" in r.output and "Traceback" not in r.output, r.output
+
+
 def weird_names(phi):
     """``phi`` with every id and slot renamed to a string JSON escapes."""
     w = lambda s: s + '"\\\n\u00e9'

@@ -100,20 +100,6 @@ def test_validate_matches_end_by_end_scan():
     assert validate(hidden) == validate_by_scan(hidden) == ["curve d references missing slot a.x"]
 
 
-def test_validate_curve_orbits():
-    phi = ReducibleMap(
-        (Piece("a", Surface(1, 2), ("s1", "s2")), Piece("b", Surface(1, 2), ("t1", "t2"))),
-        (
-            ReducingCurve("c1", ("a", "s1"), ("b", "t1"), F(1, 2)),
-            ReducingCurve("c2", ("a", "s2"), ("b", "t2"), F(1, 3)),
-        ),
-    )
-    assert validate(replace(phi, curve_orbits=(("c1",), ("c2",)))) == []
-    errors = validate(replace(phi, curve_orbits=(("c1", "c2", "c9"),)))
-    assert any("missing curve c9" in e for e in errors)
-    assert any("mixes twists" in e for e in errors)
-
-
 def test_invalid_graph_raises_on_every_call():
     bad = two_piece_map(F(0))
     for _ in range(2):
@@ -232,19 +218,17 @@ def test_power_on_labels():
         power(phi, 0)
 
 
-def test_power_keeps_orbits_and_shares_twists():
+def test_power_shares_twists():
     phi = ReducibleMap(
         (Piece("a", Surface(1, 2), ("s1", "s2")), Piece("b", Surface(1, 2), ("t1", "t2"))),
         (
             ReducingCurve("c1", ("a", "s1"), ("b", "t1"), F(2, 3)),
             ReducingCurve("c2", ("a", "s2"), ("b", "t2"), F(2, 3)),
         ),
-        piece_orbits=(("a", "b"),),
-        curve_orbits=(("c1", "c2"),),
     )
     p3 = power(phi, 3)
-    assert p3.piece_orbits == phi.piece_orbits and p3.curve_orbits == phi.curve_orbits
     assert [c.twist for c in p3.curves] == [F(2), F(2)]
+    assert p3.curves[0].twist is p3.curves[1].twist
     assert validate(p3) == []
 
 

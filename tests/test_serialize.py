@@ -43,22 +43,37 @@ def test_corpus_round_trip_byte_identical(path):
     assert ser.canonical_dumps(doc).encode() == raw
 
 
+def through_text(doc):
+    """A written document as a reader gets it: parsed from its canonical text."""
+    return json.loads(ser.canonical_dumps(doc))
+
+
 def test_rationals():
-    assert ser.rat(F(3)) == "3"
-    assert ser.rat(F(-7, 2)) == "-7/2"
+    assert ser.canonical_dumps(F(3)) == '"3"\n'
+    assert ser.canonical_dumps(F(-7, 2)) == '"-7/2"\n'
     assert ser.unrat("-7/2") == F(-7, 2)
-    assert ser.unpair(ser.pair((F(1, 3), F(0))), "pair") == (F(1, 3), F(0))
+    assert through_text((F(1, 3), F(0))) == ["1/3", "0"]
+    assert through_text({"s": F(5, 1), "t": [F(-1, 2)]}) == {"s": "5", "t": ["-1/2"]}
+    assert ser.unpair(through_text((F(1, 3), F(0))), "pair") == (F(1, 3), F(0))
 
 
 def test_quadratic_round_trip():
     u = fundamental_unit(13)
     doc = ser.quadratic_doc(u)
-    assert ser.quadratic_from_doc(doc) == u.number
+    assert ser.quadratic_from_doc(through_text(doc)) == u.number
+
+
+def round_trip(read, doc):
+    """``read`` of an input document as parsed from its canonical text;
+    the writer must have returned plain JSON values, as a reader needs."""
+    text = through_text(doc)
+    assert doc == text  # no tuple, no Fraction
+    return read(text)
 
 
 def test_torus_round_trip():
     phi = TorusAutomorphism(((2, 1), (1, 1)))
-    assert ser.torus_from_doc(ser.torus_doc(phi)) == phi
+    assert round_trip(ser.torus_from_doc, ser.torus_doc(phi)) == phi
     with pytest.raises(ValueError, match="expected"):
         ser.torus_from_doc({"type": "reducible_map"})
 
@@ -68,21 +83,23 @@ def test_reducible_round_trip():
         d_type_family(3, 2),
         twist_composition(4, name="lam"),
     ):
-        assert ser.reducible_from_doc(ser.reducible_doc(phi)) == phi
+        assert round_trip(ser.reducible_from_doc, ser.reducible_doc(phi)) == phi
 
 
 def test_label_round_trip():
     exact = DilatationLabel(unit=fundamental_unit(5) ** 2, rotation=F(1, 3))
     sym = DilatationLabel(name="mu", exponent=F(5), rotation=None)
     for label in (exact, sym, None):
-        assert ser._label_from_doc(ser._label_doc(label)) == label
+        assert ser._label_from_doc(through_text(ser.label_doc(label))) == label
+    # a rotation given as an int is a rational, written as one
+    assert through_text(ser.label_doc(DilatationLabel(name="mu", rotation=0)))["rotation"] == "0"
 
 
 def test_manifold_and_plan_round_trip():
     for m in (bounded_chain_manifold(), closed_chain_manifold()):
-        assert ser.manifold_from_doc(ser.manifold_doc(m)) == m
+        assert round_trip(ser.manifold_from_doc, ser.manifold_doc(m)) == m
     plan = bounded_chain_plan(3)
-    assert ser.plan_from_doc(ser.plan_doc(plan)) == plan
+    assert round_trip(ser.plan_from_doc, ser.plan_doc(plan)) == plan
 
 
 def test_covering_round_trip():
@@ -94,22 +111,21 @@ def test_covering_round_trip():
             ("leaf0", tuple(ComponentCover(1, (("s", (1,)),)) for _ in range(3))),
         )
     )
-    assert ser.covering_from_doc(ser.covering_doc(c)) == c
+    assert round_trip(ser.covering_from_doc, ser.covering_doc(c)) == c
 
 
 def test_branch_query_pa_round_trip():
     b = BranchData(2, ((2,), (2,)), ((2, 1), (1, 1)))
-    assert ser.branch_from_doc(ser.branch_doc(b)) == b
+    assert round_trip(ser.branch_from_doc, ser.branch_doc(b)) == b
     b = BranchData(3, ((3,), (3,)))
-    assert ser.branch_from_doc(ser.branch_doc(b)) == b
+    assert round_trip(ser.branch_from_doc, ser.branch_doc(b)) == b
 
     q = SpectrumQuery(((2, 1), (1, 1)), (0, 0), (F(1, 2), F(1, 2)), 20)
-    assert ser.query_from_doc(ser.query_doc(q)) == q
+    assert round_trip(ser.query_from_doc, ser.query_doc(q)) == q
 
-    label = DilatationLabel(unit=fundamental_unit(5))
-    delta = SingularityVector(((4, 2), (6, 1)))
-    got_label, got_delta = ser.pa_data_from_doc(ser.pa_data_doc(label, delta))
-    assert (got_label, got_delta) == (label, delta)
+    for label in (DilatationLabel(unit=fundamental_unit(5)), DilatationLabel(name="mu", rotation=F(1, 3))):
+        delta = SingularityVector(((4, 2), (6, 1)))
+        assert round_trip(ser.pa_data_from_doc, ser.pa_data_doc(label, delta)) == (label, delta)
 
 
 def test_canonical_dumps_shape():
@@ -138,6 +154,24 @@ json_values = st.recursive(
 @example([1.5, (2, [3, {"x": -0.25}]), {3: "int key"}, {"t": (), "u": ({},)}])  # not emitted by the library
 def test_canonical_dumps_matches_stdlib(value):
     assert ser.canonical_dumps(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+# result documents: exact values, with rationals and tuples anywhere
+exact_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2 ** 100), 2 ** 100) | json_text | st.fractions(),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(json_text, inner, max_size=4),
+    max_leaves=40,
+)
+
+
+@given(exact_values)
+@example({"a": (F(1, 3), F(0)), "p": [{"coefficient": F(-7, 2), "exponent": ()}], "s": None, "n": 3})
+def test_writers_match_plain_document(value):
+    """Both writers write a rational as its "p/q" string and a tuple as a list."""
+    plain = plain_document(value)
+    assert ser.canonical_dumps(value) == json.dumps(plain, sort_keys=True, indent=2) + "\n"
+    assert cli._render(value, "text") == cli._render(plain, "text")
 
 
 def test_large_power_document_in_both_formats(tmp_path):
