@@ -27,6 +27,7 @@ from .comparator import COMBINED, FULL, TOPOLOGICAL, InvariantReport, compare
 from .cover import lift_cover, normalize_unit_twists, verify_cover_laws
 from .decomposition import ReducibleMap, validate_or_raise
 from .decomposition import power as power_map
+from .quadratic import ResourceLimit
 from .spectrum import delta_from_branch_data, pa_obstruction, spectrum_count_below, spectrum_min, spectrum_values
 from .staircase import refiber
 from .torus import classify_torus, torus_commensurable
@@ -39,8 +40,11 @@ class MalformedInput(ValueError):
     computation rejects them."""
 
 
-class ResourceLimit(Exception):
-    """The input is well formed, but its result would exceed a limit."""
+# limits on inputs whose cost grows with their value, as are
+# ``cover.MAX_LIFTED_CURVES`` and ``quadratic.TRIAL_WORK``: each is
+# checked before the work starts, and at each an operation takes ~5 s
+MAX_RADIUS = 300  # a spectrum enumerates 2 (2r + 1)**2 translates
+MAX_STAIRCASE_SIZE = 250_000  # pieces plus boundary circles, ``_graph_size``
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +113,25 @@ def _surface(s):
     return {"genus": s.genus, "boundary": s.boundary_components}
 
 
+def _graph_size(manifold, plan):
+    """Pieces plus boundary circles of the refibered graph: with n sheets
+    and k arcs a piece lifts to n copies if k = 0, else to one piece, and
+    each of its boundary circles to n circles, but once if on an arc."""
+    plans = dict(plan.per_piece)
+    size = 0
+    for p in manifold.pieces:
+        if p.id in plans:
+            n, k = plans[p.id].n, len(plans[p.id].arcs)
+            size += (1 if k else n) + 2 * k + n * (len(p.boundaries) - 2 * k)
+    return size
+
+
 def _refibered(manifold, plan):
     """The refibered map, its invariant report and the fields that both
-    staircase documents share."""
+    staircase documents share; a graph over the size limit is refused
+    before it is built."""
+    if _graph_size(manifold, plan) > MAX_STAIRCASE_SIZE:
+        raise ResourceLimit("the refibered graph has more than %d pieces and boundary circles" % MAX_STAIRCASE_SIZE)
     result = refiber(manifold, plan)
     doc = {
         "fiber": None if result.fiber is None else _surface(result.fiber),
@@ -142,66 +162,70 @@ def _pa_obstruction(pa1, pa2):
     return {"ok": v.ok, "s": v.s, "s_prime": v.s_prime}
 
 
-def _spectrum_min(q):
-    m = spectrum_min(q)
+def _query(q, radius):
+    """The query, with its radius overridden when ``radius`` is given."""
+    if radius is not None:
+        q = dataclasses.replace(q, radius=radius)
+    if q.radius > MAX_RADIUS:
+        raise ResourceLimit("the spectrum radius exceeds %d" % MAX_RADIUS)
+    return q
+
+
+def _spectrum_min(q, radius=None):
+    m = spectrum_min(_query(q, radius))
     return {"value": ser.quadratic_doc(m.value), "translate": m.translate}
 
 
-def _spectrum(q):
+def _spectrum(q, radius):
+    q = _query(q, radius)
     return {"values": [ser.quadratic_doc(v) for v in spectrum_values(q)], "min": _spectrum_min(q)}
 
 
-def _query(docs, args):
-    q = ser.query_from_doc(docs[0])
-    return (q,) if args.get("radius") is None else (dataclasses.replace(q, radius=args["radius"]),)
+def _spectrum_count_below(q, radius, bound):
+    return {"count": spectrum_count_below(_query(q, radius), bound)}
 
 
 # ---------------------------------------------------------------------------
-# the operation table: name -> (parse(docs, args) -> run arguments, run)
-#
-# Parsers look the serialize readers up at call time, so a reader
-# replaced on the module (by a test or a profiler) is the one called.
+# the operation table: name -> (input document kinds, argument names, run);
+# a document of kind ``x`` is read by ``serialize.x_from_doc``, looked up
+# at call time (a reader replaced by a test or a profiler is the one
+# called), and ``run`` takes the documents, then the arguments
 
 OPERATIONS = {
-    "classify": (lambda d, a: (ser.torus_from_doc(d[0]),), _classify),
-    "torus_compare": (lambda d, a: (ser.torus_from_doc(d[0]), ser.torus_from_doc(d[1])), _torus_compare),
-    "invariants": (lambda d, a: (ser.reducible_from_doc(d[0]),), _report),
-    "compare": (
-        lambda d, a: (ser.reducible_from_doc(d[0]), ser.reducible_from_doc(d[1]), a.get("mode", FULL)),
-        _compare,
-    ),
-    "power": (lambda d, a: (ser.reducible_from_doc(d[0]), a["k"]), _power),
-    "cover": (lambda d, a: (ser.reducible_from_doc(d[0]), ser.covering_from_doc(d[1])), _cover),
-    "normalize": (lambda d, a: (ser.reducible_from_doc(d[0]),), _normalize),
-    "staircase": (lambda d, a: (ser.manifold_from_doc(d[0]), ser.plan_from_doc(d[1])), _staircase),
-    "staircase_map": (lambda d, a: (ser.manifold_from_doc(d[0]), ser.plan_from_doc(d[1])), _staircase_map),
-    "branch_delta": (lambda d, a: (ser.branch_from_doc(d[0]),), _branch_delta),
-    "pa_obstruction": (lambda d, a: (ser.pa_data_from_doc(d[0]), ser.pa_data_from_doc(d[1])), _pa_obstruction),
-    "spectrum_min": (_query, _spectrum_min),
-    "spectrum_count_below": (
-        lambda d, a: (*_query(d, a), ser.unrat(a["bound"])),
-        lambda q, bound: {"count": spectrum_count_below(q, bound)},
-    ),
-    "spectrum": (_query, _spectrum),
+    "classify": (("torus",), (), _classify),
+    "torus_compare": (("torus", "torus"), (), _torus_compare),
+    "invariants": (("reducible",), (), _report),
+    "compare": (("reducible", "reducible"), ("mode",), _compare),
+    "power": (("reducible",), ("k",), _power),
+    "cover": (("reducible", "covering"), (), _cover),
+    "normalize": (("reducible",), (), _normalize),
+    "staircase": (("manifold", "plan"), (), _staircase),
+    "staircase_map": (("manifold", "plan"), (), _staircase_map),
+    "branch_delta": (("branch",), (), _branch_delta),
+    "pa_obstruction": (("pa_data", "pa_data"), (), _pa_obstruction),
+    "spectrum_min": (("query",), ("radius",), _spectrum_min),
+    "spectrum_count_below": (("query",), ("radius", "bound"), _spectrum_count_below),
+    "spectrum": (("query",), ("radius",), _spectrum),
 }
-
-# what a malformed document can raise while it is parsed
-_PARSE_ERRORS = (ValueError, KeyError, TypeError, AttributeError, IndexError)
 
 
 def run_operation(op, docs, args):
     """Run one operation on its input documents; returns the result document.
 
-    The single error boundary of the table: any parse failure, and a
-    ``ValueError`` or ``KeyError`` from the computation, is raised as
-    ``MalformedInput``.
+    The single error boundary of the table: a parse failure, always a
+    ``ValueError`` naming the faulty field by its path, and a
+    ``ValueError`` or ``KeyError`` from the computation are raised as
+    ``MalformedInput``.  A ``ResourceLimit`` passes through.
     """
     if op not in OPERATIONS:
         raise MalformedInput("unknown corpus operation %r" % (op,))
-    parse, run = OPERATIONS[op]
+    kinds, names, run = OPERATIONS[op]
     try:
-        parsed = parse(docs, args)
-    except _PARSE_ERRORS as e:
+        if len(docs) != len(kinds):
+            raise ValueError("%s takes %d input documents, got %d" % (op, len(kinds), len(docs)))
+        parsed = [getattr(ser, kind + "_from_doc")(doc) for kind, doc in zip(kinds, docs)]
+        parsed += ser.args_from_doc(args, names)
+    except ValueError as e:
         raise MalformedInput(e) from e
     try:
         return run(*parsed)
@@ -308,21 +332,18 @@ _subcommand(
 
 def verify_entry(entry_dir):
     """Run every check of one corpus entry; returns mismatch strings."""
-    input_doc = ser.load(entry_dir / "input.json")
-    expected_doc = ser.load(entry_dir / "expected.json")
-    documents = input_doc["documents"]
+    checks = ser.corpus_from_doc(ser.load(entry_dir / "input.json"), ser.load(entry_dir / "expected.json"))
     failures = []
-    for check in expected_doc["checks"]:
-        inputs = [documents[name] for name in check["inputs"]]
+    for name, op, inputs, args, expected in checks:
         try:
-            actual = ser.canonical_dumps(run_operation(check["operation"], inputs, check.get("args", {})))
+            actual = ser.canonical_dumps(run_operation(op, inputs, args))
         except (ValueError, ResourceLimit) as e:
-            failures.append("%s: raised %s" % (check["name"], e))
+            failures.append("%s: raised %s" % (name, e))
             continue
-        expected = ser.canonical_dumps(check["expected"])
+        expected = ser.canonical_dumps(expected)
         if actual != expected:  # reported on one line each
             texts = [json.dumps(json.loads(t), sort_keys=True) for t in (expected, actual)]
-            failures.append("%s: expected %s, got %s" % (check["name"], *texts))
+            failures.append("%s: expected %s, got %s" % (name, *texts))
     return failures
 
 
@@ -344,9 +365,7 @@ def verify(root):
     for entry in entries:
         try:
             failures = verify_entry(entry)
-        # ValueError: a file that is not JSON; KeyError, TypeError: JSON
-        # that is not laid out as a corpus entry
-        except (OSError, ValueError, KeyError, TypeError) as e:
+        except (OSError, ValueError) as e:  # unreadable, not JSON, or not laid out as a corpus entry
             click.echo("%s: malformed entry (%s)" % (entry.name, e), err=True)
             sys.exit(2)
         if failures:

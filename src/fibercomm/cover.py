@@ -45,7 +45,10 @@ from .decomposition import (
     power,
     validate_or_raise,
 )
+from .quadratic import ResourceLimit
 from .surfaces import Surface
+
+MAX_LIFTED_CURVES = 200_000  # normalize then takes about 3 s and 300 MB on a 2-CPU VM
 
 
 @dataclass(frozen=True)
@@ -288,8 +291,10 @@ def normalize_unit_twists(phi):
     each twist back down to +-1.  When some covered piece at degree L
     has no surface (its genus would be negative or a half-integer), the
     degree is 2L; the choice is made before lifting, by the genus test
-    ``lift_cover`` applies, so the graph is lifted once.  Returns the
-    normalized graph and the (power, cover) certificate.
+    ``lift_cover`` applies, so the graph is lifted once.  A cover of
+    more than ``MAX_LIFTED_CURVES`` lifted curves is refused before it
+    is built.  Returns the normalized graph and the (power, cover)
+    certificate.
     """
     validate_or_raise(phi)
     for p in phi.pieces:
@@ -302,6 +307,8 @@ def normalize_unit_twists(phi):
     L = math.lcm(*d_of.values())
 
     def build(L):
+        if sum(L // d for d in d_of.values()) > MAX_LIFTED_CURVES:
+            raise ResourceLimit("the unit-twist cover lifts to more than %d curves" % MAX_LIFTED_CURVES)
         comps = []
         for p in phim.pieces:
             parts = []

@@ -33,6 +33,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
+TRIAL_WORK = 1 << 30  # trial divisors of squarefree_part(n) up to this / bits of n: at most ~2 s
+
+
+class ResourceLimit(Exception):
+    """The input is well formed, but the work it asks for would exceed a
+    fixed limit, checked before that work starts."""
 
 
 def squarefree_part(n):
@@ -43,13 +49,21 @@ def squarefree_part(n):
     it is 1, q, q*r or q**2 for primes q != r, and an ``isqrt`` square
     test tells q**2 from the others.  The cost still grows with the
     cube root of what is left once the small primes are removed, not
-    with the bit length of n.
+    with the bit length of n, so past ``TRIAL_WORK`` divided by the bit
+    length of n only a square cofactor is certified; any other is refused
+    as a resource limit.
     """
     if n < 1:
         raise ValueError("squarefree_part needs a positive integer, got %r" % (n,))
     d = 1
     p = 2
+    bits = n.bit_length()
+    bound = TRIAL_WORK // bits
     while p * p * p <= n:
+        if p > bound:
+            if math.isqrt(n) ** 2 == n:
+                return d
+            raise ResourceLimit("the squarefree part of a %d-bit integer needs trial division past %d" % (bits, bound))
         if n % p == 0:
             e = 0
             while n % p == 0:

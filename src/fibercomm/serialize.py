@@ -7,6 +7,16 @@ writer of canonical text.  Rationals are written as "p/q" strings (or
 serialization is canonical (sorted keys, fixed indentation, trailing
 newline), so parse-then-serialize is byte-identical on canonical files.
 
+Each input document type, the operation arguments and the corpus
+entries are read by one declared shape of the schema walker below,
+which checks keys, exact element types (no bool for an int, no str for
+a list), pairs and optional or null fields, and converts in the same
+walk; unknown keys are ignored.  A fault raises a ``ValueError`` that
+names the value by its path (``pieces[0].slots: expected list of str,
+got 's1'``, ``curves[0].end_a: missing``).  What a value means is
+checked by the library's constructors, whose objections are named by
+the path of the object they build.
+
 A result document holds exact values -- ``Fraction``s, tuples, ints,
 ``None`` and graphs -- and is turned into text only when written, by
 ``canonical_dumps`` here or by the text writer of ``cli``, both through
@@ -29,12 +39,15 @@ from __future__ import annotations
 
 import functools
 import json
+import reprlib
 from fractions import Fraction
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_str
 
+from .comparator import COMBINED, FULL, TOPOLOGICAL
 from .cover import ComponentCover, CoveringData
 from .decomposition import DilatationLabel, Piece, ReducibleMap, _distinct_twists, _trusted_curve
-from .quadratic import QuadraticNumber, QuadraticUnit
+from .quadratic import QuadraticUnit
 from .spectrum import BranchData, SingularityVector, SpectrumQuery
 from .staircase import BundlePiece, FiberedGraphManifold, Gluing, PiecePlan, RefiberPlan
 from .surfaces import Surface
@@ -47,38 +60,216 @@ def unrat(x):
     Floats and booleans are rejected, so no inexact value is read.
     """
     if type(x) is not str and type(x) is not int:
-        raise ValueError("expected a rational as a string or an integer, got %r" % (x,))
+        raise _expected("a rational as a string or an integer", x)
     try:
         return Fraction(x)
     except ZeroDivisionError:
         raise ValueError("rational %r has denominator zero" % (x,)) from None
 
 
-def _unint(x):
-    """A document integer: a JSON integer, never a float, bool or string."""
-    if type(x) is not int:
-        raise ValueError("expected an integer, got %r" % (x,))
-    return x
+# ---------------------------------------------------------------------------
+# the schema walker: a shape checks one document value and returns it
+# converted, or raises ``_Invalid``.  ``shape.fast = (t, f)`` lets a
+# container read an entry of exactly type ``t`` as ``f`` of it (None:
+# as itself) without calling the shape, which it calls only otherwise.
+
+_MISSING = object()  # the value of an absent key
 
 
-def unpair(doc, field):
-    """A pair of document rationals; ``field`` names it in the error."""
-    if type(doc) is not list or len(doc) != 2:
-        raise ValueError("%s: expected a list of two rationals, got %r" % (field, doc))
-    return (unrat(doc[0]), unrat(doc[1]))
+class _Invalid(ValueError):
+    """A value that does not fit its shape or that its constructor
+    rejects; ``path`` gets a step, innermost first, as the error leaves
+    each enclosing list and object."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.path = []
+
+    def __str__(self):
+        path = "".join(reversed(self.path)).lstrip(".")
+        return path + ": " + self.args[0] if path else self.args[0]
 
 
-def _partition(doc):
-    """A partition of a degree, as a tuple of document integers."""
-    return tuple(_unint(m) for m in doc)
+def _expected(what, value):
+    try:
+        shown = reprlib.repr(value)
+    except ValueError:  # an integer too long to print
+        shown = "a value too long to print"
+    return _Invalid("missing" if value is _MISSING else "expected %s, got %s" % (what, shown))
+
+
+def _first_invalid(steps):
+    """The error of the first failing ``(path step, shape, value)``, at its
+    step: a container reads its entries at once, and walks them again one
+    by one only to name a fault."""
+    for step, shape, value in steps:
+        try:
+            shape(value)
+        except _Invalid as e:
+            e.path.append(step)
+            return e
+
+
+def _leaf(t, what):
+    def walk(v):
+        if type(v) is not t:
+            raise _expected(what, v)
+        return v
+
+    walk.fast = (t, None)
+    return walk
+
+
+_str, _int, _dict = _leaf(str, "str"), _leaf(int, "int"), _leaf(dict, "object")
+_parsed = functools.cache(unrat)  # the rational strings of the document being read
+
+
+def _rational(v):
+    """A rational through ``unrat``, a string once per document (``_parsed``)."""
+    try:
+        return _parsed(v) if type(v) is str else unrat(v)
+    except ValueError as e:
+        raise _Invalid("missing" if v is _MISSING else str(e)) from None
+
+
+_rational.fast = (str, _parsed)
+
+
+def _json(v):
+    if v is _MISSING:
+        raise _expected("a value", v)
+    return v
+
+
+def _const(*values):
+    """One of the strings ``values``."""
+
+    def walk(v):
+        if type(v) is not str or v not in values:
+            raise _expected(" or ".join(map(repr, values)), v)
+        return v
+
+    return walk
+
+
+def _maybe(shape, default=None):
+    """``shape``, or ``default`` for an absent key or a null."""
+    return lambda v: default if v is None or v is _MISSING else shape(v)
+
+
+def _entries(shape, values):
+    """``shape`` of each of ``values``, as a tuple."""
+    t, f = getattr(shape, "fast", (None, None))
+    if {*map(type, values)} <= {t}:
+        return tuple(values) if f is None else tuple(map(f, values))
+    if hasattr(shape, "types"):  # pairs of leaves
+        t, u = shape.types
+        if all(type(x) is list and len(x) == 2 and type(x[0]) is t and type(x[1]) is u for x in values):
+            return tuple(map(tuple, values))
+    return tuple(map(shape, values))
+
+
+def _list(item, what="list"):
+    """A list, as a tuple; a list of objects is read field by field, the
+    field of every entry at once, so a graph of 10^4 curves costs about
+    two calls per curve."""
+    fields = getattr(item, "fields", None)
+
+    def walk(v):
+        if type(v) is not list:
+            raise _expected(what, v)
+        try:
+            if fields and {*map(type, v)} <= {dict}:
+                columns = [_entries(shape, list(map(dict.get, v, repeat(key), repeat(_MISSING))))
+                           for key, shape in fields]
+                return tuple(map(item.build, *columns))
+            return _entries(item, v)
+        except ValueError:
+            raise _first_invalid(("[%d]" % i, item, x) for i, x in enumerate(v)) from None
+
+    return walk
+
+
+def _values(item):
+    """An object of any keys, each value read by ``item``."""
+
+    def walk(v):
+        items = _dict(v).items()
+        try:
+            return {key: item(x) for key, x in items}
+        except _Invalid:
+            raise _first_invalid(("." + key, item, x) for key, x in items) from None
+
+    return walk
+
+
+def _pair(what, first, second):
+    """A list of exactly two entries, as a tuple."""
+    (t, f), (u, g) = getattr(first, "fast", (None, None)), getattr(second, "fast", (None, None))
+
+    def walk(v):
+        if type(v) is not list or len(v) != 2:
+            raise _expected(what, v)
+        a, b = v
+        if type(a) is t and type(b) is u and f is g is None:
+            return (a, b)
+        try:
+            return (first(a), second(b))
+        except _Invalid:
+            raise _first_invalid((("[0]", first, a), ("[1]", second, b))) from None
+
+    if f is g is None:
+        walk.types = (t, u)
+    return walk
+
+
+def _object(build, *fields):
+    """An object: ``build`` of the values of its ``(key, shape)`` fields,
+    in order; a ``ValueError`` of ``build`` is named by the object's path."""
+
+    def walk(v):
+        if type(v) is not dict:
+            raise _expected("object", v)
+        try:
+            values = [shape(v.get(key, _MISSING)) for key, shape in fields]
+        except _Invalid:
+            raise _first_invalid(("." + key, shape, v.get(key, _MISSING)) for key, shape in fields) from None
+        try:
+            return build(*values)
+        except ValueError as e:
+            raise _Invalid(str(e)) from None
+
+    walk.fields, walk.build = fields, build
+    return walk
+
+
+def _tagged(key, cases):
+    """An object read by the shape of ``cases`` that its ``key`` names."""
+    tag = _object(cases.get, (key, _const(*cases)))
+    return lambda v: tag(v)(v)
+
+
+def _reader(type_name, build, *fields):
+    """The reader of ``type_name`` documents: ``build`` of their other fields."""
+    shape = _object(lambda _, *values: build(*values), ("type", _const(type_name)), *fields)
+
+    def read(doc):
+        try:
+            return shape(doc)
+        finally:
+            _parsed.cache_clear()
+
+    return read
+
+
+_RATIONALS = _pair("a list of two rationals", _rational, _rational)
+_ROW = _pair("a row of two int", _int, _int)
+_MATRIX = _pair("a 2x2 integer matrix", _ROW, _ROW)
+_PARTITION, _STRS = _list(_int, "list of int"), _list(_str, "list of str")
 
 
 def quadratic_doc(x):
     return {"D": x.D, "a": x.a, "b": x.b}
-
-
-def quadratic_from_doc(doc):
-    return QuadraticNumber(doc["D"], unrat(doc["a"]), unrat(doc["b"]))
 
 
 def canonical_dumps(doc):
@@ -146,11 +337,6 @@ def _encode(v, nl, out):
         out(json.dumps(v, sort_keys=True, indent=2).replace("\n", nl))
 
 
-def _expect(doc, type_name):
-    if doc.get("type") != type_name:
-        raise ValueError("expected a %r document, got %r" % (type_name, doc.get("type")))
-
-
 # ---------------------------------------------------------------------------
 # torus automorphisms
 
@@ -158,9 +344,7 @@ def torus_doc(phi):
     return {"type": "torus_automorphism", "matrix": [list(r) for r in phi.matrix]}
 
 
-def torus_from_doc(doc):
-    _expect(doc, "torus_automorphism")
-    return TorusAutomorphism(doc["matrix"])
+torus_from_doc = _reader("torus_automorphism", TorusAutomorphism, ("matrix", _MATRIX))
 
 
 # ---------------------------------------------------------------------------
@@ -178,14 +362,13 @@ def label_doc(label):
     return d
 
 
-def _label_from_doc(doc):
-    if doc is None:
-        return None
-    rotation = unrat(doc["rotation"]) if "rotation" in doc else None
-    if doc["kind"] == "exact":
-        u = quadratic_from_doc(doc["unit"])
-        return DilatationLabel(unit=QuadraticUnit(u.D, u.a, u.b), rotation=rotation)
-    return DilatationLabel(name=doc["name"], exponent=unrat(doc["exponent"]), rotation=rotation)
+_ROTATION = ("rotation", _maybe(_rational))
+_LABEL = _maybe(_tagged("kind", {
+    "exact": _object(lambda unit, rotation: DilatationLabel(unit=unit, rotation=rotation),
+                     ("unit", _object(QuadraticUnit, ("D", _int), ("a", _rational), ("b", _rational))), _ROTATION),
+    "symbol": _object(lambda name, exponent, rotation: DilatationLabel(name=name, exponent=exponent, rotation=rotation),
+                      ("name", _str), ("exponent", _rational), _ROTATION),
+}))
 
 
 def pieces_doc(phi):
@@ -231,52 +414,15 @@ def reducible_doc(phi):
     return _plain(phi)
 
 
-def _slots(doc, i):
-    """The slot names of ``pieces[i]``: a document list of strings."""
-    if type(doc) is not list or any(type(s) is not str for s in doc):
-        raise ValueError("pieces[%d].slots: expected list of str, got %r" % (i, doc))
-    return tuple(doc)
-
-
-def _end(doc, i, side):
-    """``curves[i].end_<side>``: a document list [piece id, slot] of two strings."""
-    if type(doc) is not list or len(doc) != 2 or type(doc[0]) is not str or type(doc[1]) is not str:
-        raise ValueError("curves[%d].end_%s: expected [piece id, slot] as two str, got %r" % (i, side, doc))
-    return tuple(doc)
-
-
-def reducible_from_doc(doc):
-    _expect(doc, "reducible_map")
-    try:
-        pieces = tuple(
-            Piece(p["id"], Surface(_unint(p["genus"]), _unint(p["boundary"])), _slots(p["slots"], i),
-                  _unint(p["free_boundary"]), _label_from_doc(p.get("dilatation")))
-            for i, p in enumerate(doc["pieces"])
-        )
-        parsed = functools.cache(unrat)  # each distinct twist string is parsed once
-        curves = []
-        for i, c in enumerate(doc["curves"]):
-            t, cid = c["twist"], c["id"]
-            twist = parsed(t) if type(t) is str else unrat(t)
-            if type(cid) is not str:
-                raise ValueError("curves[%d].id: expected str, got %r" % (i, cid))
-            curves.append(_trusted_curve(cid, _end(c["end_a"], i, "a"), _end(c["end_b"], i, "b"), twist))
-    except KeyError as e:
-        raise ValueError(_missing(doc, e.args[0])) from None
-    return ReducibleMap(pieces, curves)
-
-
-_FIELDS = {"pieces": ("id", "genus", "boundary", "slots", "free_boundary"), "curves": ("twist", "id", "end_a", "end_b")}
-
-
-def _missing(doc, key):
-    """Where the ``key`` of a ``KeyError`` is missing: the top level, or
-    the first piece, then curve, that lacks it."""
-    for field, keys in _FIELDS.items():
-        for i, x in enumerate(doc[field] if key in keys else ()):
-            if key not in x:
-                return "%s[%d].%s: missing" % (field, i, key)
-    return "%s: missing" % key if key in _FIELDS else "missing key %r" % (key,)
+_END = _pair("[piece id, slot] as two str", _str, _str)
+reducible_from_doc = _reader(
+    "reducible_map", ReducibleMap,
+    ("pieces", _list(_object(
+        lambda pid, genus, boundary, slots, free, label: Piece(pid, Surface(genus, boundary), slots, free, label),
+        ("id", _str), ("genus", _int), ("boundary", _int), ("slots", _STRS), ("free_boundary", _int),
+        ("dilatation", _LABEL)))),
+    ("curves", _list(_object(_trusted_curve, ("id", _str), ("end_a", _END), ("end_b", _END), ("twist", _rational)))),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -305,21 +451,14 @@ def manifold_doc(m):
     }
 
 
-def manifold_from_doc(doc):
-    _expect(doc, "graph_manifold")
-    pieces = tuple(
-        BundlePiece(
-            p["id"],
-            Surface(_unint(p["genus"]), len(p["boundary_tori"])),
-            tuple(p["boundary_tori"]),
-        )
-        for p in doc["pieces"]
-    )
-    gluings = tuple(
-        Gluing(g["id"], tuple(g["side_a"]), tuple(g["side_b"]), g["matrix"])
-        for g in doc["gluings"]
-    )
-    return FiberedGraphManifold(pieces, gluings)
+_TORUS_END = _pair("[piece id, torus] as two str", _str, _str)
+manifold_from_doc = _reader(
+    "graph_manifold", FiberedGraphManifold,
+    ("pieces", _list(_object(lambda pid, genus, tori: BundlePiece(pid, Surface(genus, len(tori)), tori),
+                             ("id", _str), ("genus", _int), ("boundary_tori", _STRS)))),
+    ("gluings", _list(_object(Gluing, ("id", _str), ("side_a", _TORUS_END), ("side_b", _TORUS_END),
+                              ("matrix", _MATRIX)))),
+)
 
 
 def plan_doc(plan):
@@ -332,11 +471,11 @@ def plan_doc(plan):
     }
 
 
-def plan_from_doc(doc):
-    _expect(doc, "refiber_plan")
-    return RefiberPlan(
-        tuple((p["id"], PiecePlan(_unint(p["n"]), tuple(tuple(a) for a in p["arcs"]))) for p in doc["pieces"])
-    )
+plan_from_doc = _reader(
+    "refiber_plan", RefiberPlan,
+    ("pieces", _list(_object(lambda pid, n, arcs: (pid, PiecePlan(n, arcs)), ("id", _str), ("n", _int),
+                             ("arcs", _list(_pair("[tail, head] as two str", _str, _str)))))),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -364,24 +503,12 @@ def covering_doc(c):
     }
 
 
-def covering_from_doc(doc):
-    _expect(doc, "covering_data")
-    return CoveringData(
-        tuple(
-            (
-                p["id"],
-                tuple(
-                    ComponentCover(
-                        _unint(comp["degree"]),
-                        tuple((s, _partition(part)) for s, part in comp["slots"]),
-                        None if comp.get("free") is None else tuple(_partition(f) for f in comp["free"]),
-                    )
-                    for comp in p["components"]
-                ),
-            )
-            for p in doc["pieces"]
-        )
-    )
+covering_from_doc = _reader(
+    "covering_data", CoveringData,
+    ("pieces", _list(_object(lambda pid, components: (pid, components), ("id", _str), ("components", _list(_object(
+        ComponentCover, ("degree", _int), ("slots", _list(_pair("[slot, partition]", _str, _PARTITION))),
+        ("free", _maybe(_list(_PARTITION))))))))),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -398,21 +525,19 @@ def branch_doc(b):
     return doc
 
 
-def branch_from_doc(doc):
-    _expect(doc, "branch_data")
-    points = tuple(_partition(p) for p in doc["branch_points"])
-    return BranchData(_unint(doc["degree"]), points, doc.get("matrix"))
+branch_from_doc = _reader(
+    "branch_data", BranchData, ("degree", _int), ("branch_points", _list(_PARTITION)), ("matrix", _maybe(_MATRIX))
+)
 
 
 def pa_data_doc(label, delta):
     return _plain({"type": "pa_data", "dilatation": label_doc(label), "delta": delta.counts})
 
 
-def pa_data_from_doc(doc):
-    _expect(doc, "pa_data")
-    return _label_from_doc(doc.get("dilatation")), SingularityVector(
-        tuple((_unint(n), _unint(c)) for n, c in doc["delta"])
-    )
+pa_data_from_doc = _reader(
+    "pa_data", lambda label, delta: (label, SingularityVector(delta)),
+    ("dilatation", _LABEL), ("delta", _list(_pair("[prongs, count] as two int", _int, _int))),
+)
 
 
 def query_doc(q):
@@ -420,15 +545,54 @@ def query_doc(q):
                    "radius": q.radius})
 
 
-def query_from_doc(doc):
-    _expect(doc, "spectrum_query")
-    origin, point = unpair(doc["origin"], "origin"), unpair(doc["point"], "point")
-    return SpectrumQuery(doc["matrix"], origin, point, doc["radius"])
+query_from_doc = _reader(
+    "spectrum_query", SpectrumQuery, ("matrix", _MATRIX), ("origin", _RATIONALS), ("point", _RATIONALS),
+    ("radius", _int),
+)
+
+
+# ---------------------------------------------------------------------------
+# operation arguments and corpus entries
+
+# each argument an operation may take; one without a default is required
+_ARGS = {"k": _int, "mode": _maybe(_const(FULL, TOPOLOGICAL, COMBINED), FULL), "bound": _rational,
+         "radius": _maybe(_int)}
+
+
+@functools.cache
+def _args(names):
+    return _object(lambda *values: values, *[(name, _ARGS[name]) for name in names])
+
+
+def args_from_doc(args, names):
+    """The values of the operation arguments ``names`` in ``args``, in order."""
+    try:
+        return _args(tuple(names))(args)
+    except _Invalid as e:
+        e.path.append("args")
+        raise
+    finally:
+        _parsed.cache_clear()
+
+
+def corpus_from_doc(input_doc, expected_doc):
+    """The checks of a corpus entry, each ``(name, operation, input
+    documents, args, expected)``: ``input_doc`` names the documents,
+    ``expected_doc`` lists the checks."""
+    documents = _object(lambda documents: documents, ("documents", _values(_dict)))(input_doc)
+    named = _const(*documents)
+    check = _object(lambda name, op, inputs, args, expected: (name, op, [documents[n] for n in inputs], args, expected),
+                    ("name", _str), ("operation", _str), ("inputs", _list(named, "list of str")),
+                    ("args", _maybe(_dict, {})), ("expected", _json))
+    return _object(lambda checks: checks, ("checks", _list(check)))(expected_doc)
 
 
 def load(path):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply to read") from None
 
 
 def dump(path, doc):

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 import sys
 import time
@@ -9,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from oracles import plain_document, reducible_doc_by_dicts
-from fibercomm import cli
+from fibercomm import cli, cover, quadratic
 from fibercomm import serialize as ser
 from fibercomm.cli import CORPUS_ROOT, main
 from fibercomm.cover import ComponentCover, CoveringData
@@ -17,9 +18,12 @@ from fibercomm.decomposition import DilatationLabel, Piece, ReducibleMap, Reduci
 from fibercomm.families import (
     bounded_chain_manifold,
     bounded_chain_plan,
+    closed_chain_alternate_plan,
+    closed_chain_manifold,
+    closed_chain_plan,
     d_type_family,
 )
-from fibercomm.quadratic import QuadraticUnit
+from fibercomm.quadratic import QuadraticUnit, squarefree_part
 from fibercomm.staircase import refiber
 from fibercomm.surfaces import Surface
 
@@ -284,6 +288,186 @@ def test_malformed_input_exits_2(tmp_path):
             cli.run_operation(op, [doc, pa], {})
 
 
+def double_cover_doc(phi):
+    """Covering data of the uniform double cover of a D-type graph."""
+    return ser.covering_doc(CoveringData(tuple(
+        (p.id, (ComponentCover(2, tuple((s, (1, 1)) for s in p.slots)),)) for p in phi.pieces)))
+
+
+def test_every_fault_is_named_by_its_path(tmp_path):
+    """Strings are never read as lists, and no fault surfaces as a bare
+    Python error: each names the faulty value by its path."""
+    manifold, plan = ser.manifold_doc(bounded_chain_manifold()), ser.plan_doc(bounded_chain_plan(2))
+    phi = d_type_family(3, 2)
+    cases = []
+    for where, value, message in (
+        (("pieces", 0, "boundary_tori"), "ab", "pieces[0].boundary_tori: expected list of str, got 'ab'"),
+        (("gluings", 0, "side_a"), "ab", "gluings[0].side_a: expected [piece id, torus] as two str, got 'ab'"),
+        (("pieces", 0, "id"), 5, "pieces[0].id: expected str, got 5"),
+    ):
+        doc = json.loads(json.dumps(manifold))
+        doc[where[0]][where[1]][where[2]] = value
+        cases.append(("staircase", [doc, plan], message))
+    for key, value, message in (("arcs", [1], "pieces[1].arcs[0]: expected [tail, head] as two str, got 1"),
+                                ("n", "2", "pieces[1].n: expected int, got '2'")):
+        doc = json.loads(json.dumps(plan))
+        doc["pieces"][1][key] = value
+        cases.append(("staircase", [manifold, doc], message))
+    graph = ser.reducible_doc(phi)
+    for edit, message in (
+        (lambda g: g["pieces"][0].update(id=5), "pieces[0].id: expected str, got 5"),
+        (lambda g: g["pieces"].__setitem__(0, "x"), "pieces[0]: expected object, got 'x'"),
+        (lambda g: g["pieces"][1].update(dilatation=[]), "pieces[1].dilatation: expected object, got []"),
+        (lambda g: g["pieces"][1].update(dilatation={"kind": "exact"}), "pieces[1].dilatation.unit: missing"),
+        (lambda g: g["pieces"][1].update(genus=-1),
+         "pieces[1]: genus and boundary count must be non-negative"),
+        (lambda g: g.update(type="graph"), "type: expected 'reducible_map', got 'graph'"),
+    ):
+        doc = json.loads(json.dumps(graph))
+        edit(doc)
+        cases.append(("invariants", [doc], message))
+    cover = double_cover_doc(phi)
+    for edit, message in (
+        (lambda c: c["pieces"][0]["components"][0].pop("degree"), "pieces[0].components[0].degree: missing"),
+        (lambda c: c["pieces"][0]["components"][0]["slots"][0].pop(),
+         "pieces[0].components[0].slots[0]: expected [slot, partition], got ['"),
+        (lambda c: c["pieces"][1]["components"][0].update(free=[1]),
+         "pieces[1].components[0].free[0]: expected list of int, got 1"),
+    ):
+        doc = json.loads(json.dumps(cover))
+        edit(doc)
+        cases.append(("cover", [graph, doc], message))
+    cases.append(("classify", [{"type": "torus_automorphism"}], "matrix: missing"))
+    cases.append(("classify", [[1, 2]], "expected object, got [1, 2]"))
+    for name, docs, message in cases:
+        paths = [write(tmp_path / ("doc%d.json" % i), doc) for i, doc in enumerate(docs)]
+        r = run(name, *paths)
+        assert r.exit_code == 2 and r.output.startswith("malformed input: " + message), r.output
+        assert "Traceback" not in r.output
+    # the corpus-only documents
+    for op, doc, message in (
+        ("branch_delta", {"type": "branch_data", "degree": 2, "branch_points": [2]},
+         "branch_points[0]: expected list of int, got 2"),
+        ("pa_obstruction", {"type": "pa_data", "delta": [[6, 2, 1]]},
+         "delta[0]: expected [prongs, count] as two int, got [6, 2, 1]"),
+    ):
+        with pytest.raises(cli.MalformedInput, match=r"^%s" % re.escape(message)):
+            cli.run_operation(op, [doc] * len(cli.OPERATIONS[op][0]), {})
+    # a file nested too deeply for the JSON reader is malformed, not a crash
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    r = run("classify", str(deep))
+    assert r.exit_code == 2 and r.output == "malformed input: %s: JSON nested too deeply to read\n" % deep, r.output
+
+
+def test_operation_arguments_are_read_by_the_schema():
+    graph = ser.reducible_doc(d_type_family(3, 2))
+    query = {"type": "spectrum_query", "matrix": [[2, 1], [1, 1]], "origin": ["0", "0"], "point": ["1/2", "0"],
+             "radius": 3}
+    for op, docs, args, message in (
+        ("power", [graph], {"k": 2.5}, "args.k: expected int, got 2.5"),
+        ("power", [graph], {"k": "3"}, "args.k: expected int, got '3'"),
+        ("power", [graph], {"k": None}, "args.k: expected int, got None"),
+        ("power", [graph], {"k": True}, "args.k: expected int, got True"),
+        ("power", [graph], {}, "args.k: missing"),
+        ("power", [graph], [3], "args: expected object, got [3]"),
+        ("compare", [graph, graph], {"mode": "sideways"},
+         "args.mode: expected 'full' or 'topological' or 'combined', got 'sideways'"),
+        ("spectrum_count_below", [query], {"bound": 5.1}, "args.bound: expected a rational"),
+        ("spectrum_count_below", [query], {"bound": "1/0"}, "args.bound: rational '1/0' has denominator zero"),
+        ("spectrum_min", [query], {"radius": True}, "args.radius: expected int, got True"),
+        ("compare", [graph], {}, "compare takes 2 input documents, got 1"),
+    ):
+        with pytest.raises(cli.MalformedInput, match="^" + re.escape(message)):
+            cli.run_operation(op, docs, args)
+    # unknown keys are ignored, and a power is exact
+    doubled = cli.run_operation("power", [graph], {"k": 2, "note": "x"})
+    assert all(type(c.twist) is F for c in doubled.curves)
+    assert cli.run_operation("compare", [graph, graph], {"mode": None})["verdict"] == "not_obstructed"
+
+
+def test_corpus_verify_names_malformed_entries(tmp_path):
+    for edit, message in (
+        (lambda i, e: e["checks"][0].update(inputs="ab"), "checks[0].inputs: expected list of str, got 'ab'"),
+        (lambda i, e: e["checks"][0].update(inputs=["nope"]), "checks[0].inputs[0]: expected 'anosov' or "),
+        (lambda i, e: e["checks"][1].pop("operation"), "checks[1].operation: missing"),
+        (lambda i, e: e["checks"][2].update(args=[1]), "checks[2].args: expected object, got [1]"),
+        (lambda i, e: e.pop("checks"), "checks: missing"),
+        (lambda i, e: i.update(documents=[]), "documents: expected object, got []"),
+    ):
+        root = tmp_path / ("corpus%d" % len(list(tmp_path.iterdir())))
+        shutil.copytree(CORPUS_ROOT, root)
+        input_doc, expected = ser.load(root / "ex2.9" / "input.json"), ser.load(root / "ex2.9" / "expected.json")
+        edit(input_doc, expected)
+        ser.dump(root / "ex2.9" / "input.json", input_doc)
+        ser.dump(root / "ex2.9" / "expected.json", expected)
+        r = run("corpus", "verify", "--root", str(root))
+        assert r.exit_code == 2 and "ex2.9: malformed entry (%s" % message in r.output, r.output
+        assert "Traceback" not in r.output
+
+
+def test_resource_limits_are_pinned(tmp_path, monkeypatch):
+    """Each limit on an input whose cost grows with its value accepts its
+    bound and refuses one more, before the work starts."""
+    query = {"type": "spectrum_query", "matrix": [[2, 1], [1, 1]], "origin": ["0", "0"], "point": ["1/2", "0"],
+             "radius": 3}
+    monkeypatch.setattr(cli, "spectrum_count_below", lambda q, bound: q.radius)
+    assert cli.run_operation("spectrum_count_below", [query], {"bound": "1", "radius": 300})["count"] == 300
+    for op, args in (("spectrum_count_below", {"bound": "1", "radius": 301}), ("spectrum_min", {"radius": 301}),
+                     ("spectrum", {"radius": 10 ** 12})):
+        with pytest.raises(cli.ResourceLimit, match="the spectrum radius exceeds 300"):
+            cli.run_operation(op, [query], args)
+    path = write(tmp_path / "q.json", dict(query, radius=301))
+    for argv in (["spectrum", path], ["spectrum", write(tmp_path / "q3.json", query), "--radius", "301"]):
+        r = run(*argv)
+        assert r.exit_code == 2 and r.output == "resource limit: the spectrum radius exceeds 300\n", r.output
+    # a bounded chain with n sheets refibers to 3n + 6 pieces and boundary circles
+    m = bounded_chain_manifold()
+    for n in (1, 2, 5):
+        phi = refiber(m, bounded_chain_plan(n)).map
+        assert cli._graph_size(m, bounded_chain_plan(n)) == 3 * n + 6
+        assert len(phi.pieces) + sum(p.surface.boundary_components for p in phi.pieces) == 3 * n + 6
+    for plan in (closed_chain_plan(3), closed_chain_alternate_plan()):
+        phi = refiber(closed_chain_manifold(), plan).map
+        size = len(phi.pieces) + sum(p.surface.boundary_components for p in phi.pieces)
+        assert cli._graph_size(closed_chain_manifold(), plan) == size
+    monkeypatch.setattr(cli, "refiber", lambda manifold, plan: plan)
+    with pytest.raises(AttributeError):  # reached refiber: accepted
+        cli.run_operation("staircase", [ser.manifold_doc(m), ser.plan_doc(bounded_chain_plan(83331))], {})
+    for n in (83332, 10 ** 12):
+        with pytest.raises(cli.ResourceLimit, match="more than 250000 pieces and boundary circles"):
+            cli.run_operation("staircase", [ser.manifold_doc(m), ser.plan_doc(bounded_chain_plan(n))], {})
+    # normalization refuses a cover of more lifted curves than the bound
+    graph = ser.reducible_doc(d_type_family(2, 3))
+    lifted = len(cli.run_operation("normalize", [graph], {})["normalized"].curves)
+    monkeypatch.setattr(cover, "MAX_LIFTED_CURVES", lifted)
+    assert len(cli.run_operation("normalize", [graph], {})["normalized"].curves) == lifted
+    monkeypatch.setattr(cover, "MAX_LIFTED_CURVES", lifted - 1)
+    with pytest.raises(cli.ResourceLimit, match="lifts to more than %d curves" % (lifted - 1)):
+        cli.run_operation("normalize", [graph], {})
+    monkeypatch.undo()
+    graph["curves"][0]["twist"] = str(10 ** 40 + 7)
+    r = run("normalize", write(tmp_path / "huge.json", graph))
+    assert r.exit_code == 2 and r.output.startswith("resource limit: the unit-twist cover lifts to more than"), r.output
+
+
+def test_squarefree_part_refuses_past_its_trial_bound(tmp_path, monkeypatch):
+    """Past its trial bound, squarefree_part certifies a square cofactor
+    and refuses any other: a huge trace discriminant is a resource limit."""
+    monkeypatch.setattr(quadratic, "TRIAL_WORK", 100 * 21)  # trial divisors up to 100 on a 21-bit integer
+    assert squarefree_part(97 * 89 * 2) == 97 * 89 * 2
+    assert squarefree_part(3 * 101 ** 2) == 3  # the bound is not reached: 101**3 > 101**2
+    assert squarefree_part(3 * 101 ** 2 * 103 ** 2) == 3  # a square cofactor past the bound
+    with pytest.raises(quadratic.ResourceLimit, match="needs trial division past"):
+        squarefree_part(101 * 103 * 107)
+    monkeypatch.undo()
+    t0 = time.perf_counter()
+    huge = {"type": "torus_automorphism", "matrix": [[10 ** 40 + 7, -1], [1, 0]]}
+    r = run("classify", write(tmp_path / "t.json", huge))
+    assert r.exit_code == 2 and r.output.startswith("resource limit: the squarefree part of a 266-bit"), r.output
+    assert time.perf_counter() - t0 < 5
+
+
 def golden_pa_graph():
     """Two pieces, one with the stretch factor (3 + sqrt 5) / 2."""
     unit = QuadraticUnit(5, F(3, 2), F(1, 2))
@@ -445,15 +629,23 @@ def test_top_level_list_exits_2(tmp_path, name):
 
 
 def test_corpus_verify_reports_malformed_check(tmp_path):
+    """A malformed document fails the checks that read it; a document
+    that is not an object makes the whole entry malformed."""
     root = tmp_path / "corpus"
     shutil.copytree(CORPUS_ROOT, root)
     entry = root / "ex2.9" / "input.json"
     doc = ser.load(entry)
-    doc["documents"]["rot4"] = [1, 2]
+    doc["documents"]["rot4"] = {"type": "torus_automorphism", "matrix": [1, 2]}
     ser.dump(entry, doc)
     r = run("corpus", "verify", "--root", str(root))
     assert r.exit_code == 1
-    assert "ex2.9: FAIL" in r.output and "order-4 rotation: raised" in r.output
+    assert "ex2.9: FAIL" in r.output
+    assert "order-4 rotation: raised matrix[0]: expected a row of two int, got 1" in r.output, r.output
+    doc["documents"]["rot4"] = [1, 2]
+    ser.dump(entry, doc)
+    r = run("corpus", "verify", "--root", str(root))
+    assert r.exit_code == 2
+    assert "ex2.9: malformed entry (documents.rot4: expected object, got [1, 2])" in r.output, r.output
 
 
 def test_corpus_verify_reports_non_object_entry(tmp_path):

@@ -54,13 +54,15 @@ def test_rationals():
     assert ser.unrat("-7/2") == F(-7, 2)
     assert through_text((F(1, 3), F(0))) == ["1/3", "0"]
     assert through_text({"s": F(5, 1), "t": [F(-1, 2)]}) == {"s": "5", "t": ["-1/2"]}
-    assert ser.unpair(through_text((F(1, 3), F(0))), "pair") == (F(1, 3), F(0))
+    q = SpectrumQuery(((2, 1), (1, 1)), (F(1, 3), F(0)), (F(1, 2), F(1, 2)), 5)
+    assert ser.query_from_doc(through_text(ser.query_doc(q))).origin == (F(1, 3), F(0))
 
 
 def test_quadratic_round_trip():
     u = fundamental_unit(13)
-    doc = ser.quadratic_doc(u)
-    assert ser.quadratic_from_doc(through_text(doc)) == u.number
+    assert through_text(ser.quadratic_doc(u)) == {"D": 13, "a": str(u.a), "b": str(u.b)}
+    doc = ser.pa_data_doc(DilatationLabel(unit=u), SingularityVector(((4, 1),)))
+    assert ser.pa_data_from_doc(through_text(doc))[0].unit == u
 
 
 def round_trip(read, doc):
@@ -89,8 +91,9 @@ def test_reducible_round_trip():
 def test_label_round_trip():
     exact = DilatationLabel(unit=fundamental_unit(5) ** 2, rotation=F(1, 3))
     sym = DilatationLabel(name="mu", exponent=F(5), rotation=None)
+    delta = SingularityVector(((4, 2),))
     for label in (exact, sym, None):
-        assert ser._label_from_doc(through_text(ser.label_doc(label))) == label
+        assert ser.pa_data_from_doc(through_text(ser.pa_data_doc(label, delta)))[0] == label
     # a rotation given as an int is a rational, written as one
     assert through_text(ser.label_doc(DilatationLabel(name="mu", rotation=0)))["rotation"] == "0"
 
