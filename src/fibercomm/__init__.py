@@ -1,13 +1,12 @@
 """Exact commensurability invariants of surface automorphisms."""
 
-from .comparator import InvariantReport, Verdict, compare, match_flip_scale
+from .comparator import InvariantReport, Verdict, compare
 from .cover import ComponentCover, CoveringData, lift_cover, normalize_unit_twists, verify_cover_laws
 from .decomposition import (
     DilatationLabel,
     Piece,
     ReducibleMap,
     ReducingCurve,
-    a_piece,
     a_total,
     p_polynomial,
     pi_invariant,
@@ -34,7 +33,7 @@ from .staircase import (
     staircase_piece,
     validate_plan,
 )
-from .surfaces import Surface, euler_characteristic, surfaces_commensurable
+from .surfaces import Surface
 from .torus import NTClass, TorusAutomorphism, classify_torus, torus_commensurable
 
 __version__ = "0.1.0"

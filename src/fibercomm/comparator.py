@@ -130,11 +130,6 @@ def _feasible(x, y, mode):
     return feasible
 
 
-def match_flip_scale(x, y):
-    """Feasible scalars s of the full test: s*flip(A, Pi of x) = (A, Pi of y)."""
-    return _feasible(x, y, FULL)
-
-
 def _dilatation_scale_ok(s, d1, d2):
     """Whether log of every stretch factor of side 1 is s times one of
     side 2's, under some bijection of the two sets of values.

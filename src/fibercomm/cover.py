@@ -13,15 +13,13 @@ degree d over a curve of fractional twist I carries twist I/d, and a
 degree-l component over a piece S satisfies
 
     A(lift, component) = l * A(phi, S),
-    A / -chi unchanged,
+    A / -chi unchanged.
 
-which ``verify_cover_laws`` rechecks from scratch on every lift.
-
-``lift_cover`` checks the cover and finds every component's surface
-before it builds anything, then builds each lifted piece's slots and
-each preimage curve once.  Free boundary circles left implicit
-(``free_partitions`` of None) are counted, degree times the number of
-circles, never built as all-ones partitions.
+``lift_cover`` checks the base graph and the cover and finds every
+component's surface before it builds anything; the lift is then valid
+by construction and carries its pair table in the closed form above,
+which ``verify_cover_laws`` rechecks from the curves.  Implicit free
+circles (``free_partitions`` of None) are counted, never built.
 
 ``normalize_unit_twists`` is the reduction of a D-type map (all pieces
 periodic) to one all of whose twists are +1 or -1: first a power making
@@ -32,23 +30,26 @@ test before the one lift.
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, islice, repeat
+from operator import eq, itemgetter
 
 from .decomposition import (
     Piece,
     ReducibleMap,
     _distinct_twists,
+    _pairs_from_curves,
     _trusted_curve,
-    a_piece,
+    piece_pairs,
     power,
     validate_or_raise,
 )
 from .quadratic import ResourceLimit
 from .surfaces import Surface
 
-MAX_LIFTED_CURVES = 200_000  # normalize then takes about 3 s and 300 MB on a 2-CPU VM
+MAX_LIFTED_CURVES = 200_000  # normalize then takes about 1.4 s and 310 MB on a 2-CPU VM
 
 
 @dataclass(frozen=True)
@@ -179,12 +180,41 @@ def _covered_surfaces(phi, c):
     return surfaces, None
 
 
+def _ends_by_runs(runs):
+    """Local-degree counts and lifted ends over one base slot.  Its runs
+    (local degree, lifted piece id, slot names) sorted by degree and id,
+    names sorted within each, give ``sorted((d, (piece id, slot)))``."""
+    runs.sort(key=itemgetter(0, 1))
+    counts, ends = {}, []
+    for d, pid, names in runs:
+        names.sort()
+        counts[d] = counts.get(d, 0) + len(names)
+        ends += zip(repeat(pid), names)
+    return counts, ends
+
+
 def lift_cover(phi, c):
-    """The covered decomposition graph.
+    """The covered decomposition graph, valid by construction.
 
     Preimage curves are paired across each base curve by matching local
     degree (sorted order on both sides); each carries twist I/d, one
-    ``Fraction`` per base curve and local degree.
+    ``Fraction`` per base curve and local degree.  The graph carries its
+    ``piece_pairs`` table in closed form, l * A(S) for a degree-l
+    component over S.
+
+    The lift is not validated: the checks of ``phi``, ``_validate_cover``
+    and ``_covered_surfaces`` imply every check of ``validate`` on it:
+
+    * distinct piece and slot ids: a ``"%s~%d"`` name splits uniquely at
+      its last ``~`` into a base id and an index;
+    * chi = l * chi(S) < 0, and the boundary count the surface solves;
+    * nonzero twists I/d;
+    * each lifted slot used once, as its base slot is, since the matched
+      degree lists of a base curve's two ends have equal length.
+
+    Only an empty reducing system, when no component lies over a piece
+    with a slot, is left to refuse.  Cyclic garbage collection is paused
+    while the lift allocates its tracked objects, a few per curve.
     """
     validate_or_raise(phi)
     errors = _validate_cover(phi, c)
@@ -193,39 +223,48 @@ def lift_cover(phi, c):
     surfaces, error = _covered_surfaces(phi, c)
     if error:
         raise ValueError(error)
-    surfaces = iter(surfaces)
+    digits = []  # str(0), str(1), ..., shared by every numbered name
 
-    pieces = []
-    # (pid, slot) -> list of (local degree d, (lifted piece id, lifted slot))
-    lifted_ends = {}
-    for p in phi.pieces:
-        for j, comp in enumerate(c.of(p.id)):
-            new_id = "%s~%d" % (p.id, j)
-            slots = []
-            for slot in p.slots:
-                part = comp.partition(slot)
-                names = ["%s~%d" % (slot, i) for i in range(len(part))]
-                ends = zip(repeat(new_id), names)
-                lifted_ends.setdefault((p.id, slot), []).extend(zip(part, ends))
-                slots += names
-            surface = next(surfaces)
-            free = surface.boundary_components - len(slots)
-            pieces.append(Piece(new_id, surface, tuple(slots), free, p.dilatation))
+    def numbered(prefix, n):
+        digits.extend(map(str, range(len(digits), n)))
+        return list(map(("%s~" % (prefix,)).__add__, islice(digits, n)))
 
-    curves = []
-    for curve in phi.curves:
-        side_a = sorted(lifted_ends[curve.end_a])
-        side_b = sorted(lifted_ends[curve.end_b])
-        twists = {}  # one division per local degree, not one per preimage
-        for i, ((d, end_a), (d2, end_b)) in enumerate(zip(side_a, side_b)):
-            assert d == d2
-            twist = twists.get(d)
-            if twist is None:
-                twist = twists[d] = curve.twist / d
-            curves.append(_trusted_curve("%s~%d" % (curve.id, i), end_a, end_b, twist))
-
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        pieces, pairs, curves = [], {}, []
+        runs_at = {}  # (pid, slot) -> runs (local degree, lifted piece id, lifted slot names)
+        for p in phi.pieces:
+            a, b = piece_pairs(phi)[p.id]
+            for j, comp in enumerate(c.of(p.id)):
+                new_id = "%s~%d" % (p.id, j)
+                slots = []
+                for slot in p.slots:
+                    part = comp.partition(slot)
+                    names = numbered(slot, len(part))
+                    slots += names
+                    runs_at.setdefault((p.id, slot), []).extend(
+                        (d, new_id, list(compress(names, map(eq, repeat(d), part)))) for d in set(part))
+                surface = surfaces[len(pieces)]  # listed in the order components are lifted
+                pieces.append(Piece(new_id, surface, tuple(slots), surface.boundary_components - len(slots),
+                                    p.dilatation))
+                pairs[new_id] = (a * comp.degree, b * comp.degree)
+        for curve in phi.curves:
+            counts, side_a = _ends_by_runs(runs_at.get(curve.end_a, []))
+            counts_b, side_b = _ends_by_runs(runs_at.get(curve.end_b, []))
+            assert counts == counts_b
+            twists = []
+            for d, n in counts.items():
+                twists += [curve.twist / d] * n
+            curves += map(_trusted_curve, numbered(curve.id, len(side_a)), side_a, side_b, twists)
+    finally:
+        if collecting:
+            gc.enable()
+    if not curves:
+        raise ValueError("invalid decomposition graph: reducing system is empty")
     lifted = ReducibleMap(tuple(pieces), tuple(curves))
-    validate_or_raise(lifted)
+    object.__setattr__(lifted, "_cached_pairs", pairs)
+    object.__setattr__(lifted, "_cached_valid", True)
     return lifted
 
 
@@ -246,29 +285,22 @@ def verify_cover_laws(phi, c, lifted):
 
     ``lifted`` is the graph to check, normally ``lift_cover(phi, c)``.
     For each degree-l component over S: the pair invariant multiplies by
-    l, and the chi-normalized pair invariant is unchanged.  Returns the
-    full list of checks; all must pass for a valid cover.
+    l, and the chi-normalized pair invariant is unchanged.  The pairs of
+    both graphs are summed from their curves, never read from a lift's
+    closed-form table.  Returns the full list of checks; all must pass
+    for a valid cover.
     """
     checks = []
+    base_pairs, lifted_pairs = _pairs_from_curves(phi), _pairs_from_curves(lifted)
     for p in phi.pieces:
-        base = a_piece(phi, p.id)
-        base_chi = p.surface.chi
+        (a, b), chi = base_pairs[p.id], p.surface.chi
         for j, comp in enumerate(c.of(p.id)):
             new_id = "%s~%d" % (p.id, j)
-            lifted_a = a_piece(lifted, new_id)
-            lifted_chi = lifted.piece(new_id).surface.chi
-            l = comp.degree
-            checks.append(
-                LawCheck(new_id, "A multiplies by degree", lifted_a, (base[0] * l, base[1] * l))
-            )
-            checks.append(
-                LawCheck(
-                    new_id,
-                    "A / -chi unchanged",
-                    (lifted_a[0] / (-lifted_chi), lifted_a[1] / (-lifted_chi)),
-                    (base[0] / (-base_chi), base[1] / (-base_chi)),
-                )
-            )
+            (la, lb), lchi = lifted_pairs[new_id], lifted.piece(new_id).surface.chi
+            checks += [
+                LawCheck(new_id, "A multiplies by degree", (la, lb), (a * comp.degree, b * comp.degree)),
+                LawCheck(new_id, "A / -chi unchanged", (la / -lchi, lb / -lchi), (a / -chi, b / -chi)),
+            ]
     return checks
 
 

@@ -14,8 +14,8 @@ A reducible automorphism in standard form is recorded combinatorially:
 
 From this data the twist invariants are computed exactly:
 
-* ``a_piece(phi, S)`` -- the pair of reciprocal-twist sums over the
-  slots of S, split by twist sign;
+* ``piece_pairs(phi)`` -- for each piece S, the pair of reciprocal-twist
+  sums over the slots of S, split by twist sign;
 * ``a_total(phi)``    -- half the sum over pieces (each curve meets two
   slots), equal to the direct sum over curves;
 * ``pi_invariant``    -- the set of per-piece pairs normalized by
@@ -23,11 +23,11 @@ From this data the twist invariants are computed exactly:
 * ``p_polynomial``    -- the chi-weighted generating polynomial that
   packages both.
 
-The per-piece pairs are computed once per graph (``piece_pairs``) and
-every invariant above reads that table.  The curve ends are counted by
-piece and twist value first, so a lifted graph with only the twists +1
-and -1 costs one ``Fraction`` per piece and distinct twist, not one per
-slot.
+The per-piece pairs are computed once per graph and every invariant
+above reads that table.  The curve ends are counted by piece and twist
+value first, so a graph with only the twists +1 and -1 costs one
+``Fraction`` per piece and distinct twist, not one per slot; a lifted
+graph carries its table in closed form and is never counted.
 
 Twist zero is rejected: a curve with trivial fractional twist between
 periodic sides is not part of a minimal reducing system.
@@ -286,33 +286,34 @@ def piece_pairs(phi):
     Sums 1/k over the slots whose incident twist k is positive into the
     first coordinate and 1/(-k) over negative twists into the second.  A
     curve with both ends on the piece contributes through both slots.
+    A lift (``cover.lift_cover``) carries its table from the start.
     """
     cached = getattr(phi, "_cached_pairs", None)
     if cached is None:
-        curves = phi.curves
-        twists = _distinct_twists(curves)
-        keys = [id(c.twist) for c in curves]
-        # (piece id, twist object) over the curve ends, then by twist value
-        ends = Counter(zip([c.end_a[0] for c in curves], keys))
-        ends.update(zip([c.end_b[0] for c in curves], keys))
-        counts = Counter()
-        for (pid, key), n in ends.items():
-            k = twists[key]
-            counts[pid, k.numerator, k.denominator] += n
-        cached = {p.id: [Fraction(0), Fraction(0)] for p in phi.pieces}
-        for (pid, num, den), n in counts.items():
-            if num > 0:
-                cached[pid][0] += Fraction(n * den, num)
-            elif num < 0:
-                cached[pid][1] += Fraction(n * den, -num)
-        cached = {pid: tuple(pair) for pid, pair in cached.items()}
+        cached = _pairs_from_curves(phi)
         object.__setattr__(phi, "_cached_pairs", cached)
     return cached
 
 
-def a_piece(phi, pid):
-    """Reciprocal-twist pair of one piece (see ``piece_pairs``)."""
-    return piece_pairs(phi)[pid]
+def _pairs_from_curves(phi):
+    """The ``piece_pairs`` table summed from the curves, never cached."""
+    curves = phi.curves
+    twists = _distinct_twists(curves)
+    keys = [id(c.twist) for c in curves]
+    # (piece id, twist object) over the curve ends, then by twist value
+    ends = Counter(zip([c.end_a[0] for c in curves], keys))
+    ends.update(zip([c.end_b[0] for c in curves], keys))
+    counts = Counter()
+    for (pid, key), n in ends.items():
+        k = twists[key]
+        counts[pid, k.numerator, k.denominator] += n
+    pairs = {p.id: [Fraction(0), Fraction(0)] for p in phi.pieces}
+    for (pid, num, den), n in counts.items():
+        if num > 0:
+            pairs[pid][0] += Fraction(n * den, num)
+        elif num < 0:
+            pairs[pid][1] += Fraction(n * den, -num)
+    return {pid: tuple(pair) for pid, pair in pairs.items()}
 
 
 def a_total(phi):
@@ -370,8 +371,3 @@ def power(phi, k):
             twists[key] = c.twist * k
         curves.append(_trusted_curve(c.id, c.end_a, c.end_b, twists[key]))
     return ReducibleMap(pieces, tuple(curves))
-
-
-def negate_twists(phi):
-    """Orientation reversal at the invariant level: all twists flip sign."""
-    return replace(phi, curves=tuple(replace(c, twist=-c.twist) for c in phi.curves))

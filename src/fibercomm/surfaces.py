@@ -1,9 +1,6 @@
 """Compact orientable surface descriptors.
 
-A surface is written Sigma_{g,n}: genus g with n boundary circles.  Two
-compact surfaces of negative Euler characteristic admit a common finite
-cover exactly when both are closed or both have boundary, so surface
-commensurability reduces to a boundary parity check.
+A surface is written Sigma_{g,n}: genus g with n boundary circles.
 """
 
 from __future__ import annotations
@@ -24,25 +21,6 @@ class Surface:
     def chi(self):
         return 2 - 2 * self.genus - self.boundary_components
 
-    @property
-    def closed(self):
-        return self.boundary_components == 0
-
     def __repr__(self):
         return "Sigma_{%d,%d}" % (self.genus, self.boundary_components)
 
-
-def euler_characteristic(surface):
-    return surface.chi
-
-
-def surfaces_commensurable(s1, s2):
-    """Whether two hyperbolic-type surfaces admit a common finite cover.
-
-    Both inputs must have chi < 0; the answer depends only on whether the
-    boundaries are empty.
-    """
-    for s in (s1, s2):
-        if s.chi >= 0:
-            raise ValueError("%r has chi = %d >= 0" % (s, s.chi))
-    return s1.closed == s2.closed

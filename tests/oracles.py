@@ -12,7 +12,13 @@ None of these is on a decision path of the library:
   covering equivalence of periodic torus maps, and the minimal
   periodic / reducible torus classes;
 * ``brute_force_feasible`` -- the comparator's feasible set by
-  exhaustive search over ratios;
+  exhaustive search over ratios; ``match_flip_scale`` is not an oracle
+  but a shorthand for the library's feasible set in the full mode;
+* ``euler_characteristic`` and ``surfaces_commensurable`` -- chi from
+  genus and boundary count, and the boundary parity test for a common
+  cover of two surfaces;
+* ``negate_twists`` -- orientation reversal of a graph, every twist
+  negated;
 * ``validate_by_scan`` -- the structural errors of a graph, found
   curve end by curve end;
 * ``lift_cover_by_scan`` and ``normalize_by_retry`` -- a cover lifted
@@ -25,10 +31,11 @@ None of these is on a decision path of the library:
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
-from fibercomm.comparator import COMBINED, TOPOLOGICAL
+from fibercomm.comparator import COMBINED, FULL, TOPOLOGICAL, _feasible
 from fibercomm.cover import ComponentCover, CoveringData, NormalizationCertificate, _validate_cover
 from fibercomm.decomposition import Piece, ReducibleMap, ReducingCurve, power, validate, validate_or_raise
 from fibercomm.quadratic import QuadraticUnit, _check_squarefree
@@ -246,8 +253,38 @@ def brute_force_feasible(x, y, mode):
     return feasible
 
 
+def match_flip_scale(x, y):
+    """Feasible scalars s of the full test: s*flip(A, Pi of x) = (A, Pi of y)."""
+    return _feasible(x, y, FULL)
+
+
+# ---------------------------------------------------------------------------
+# surfaces
+
+def euler_characteristic(surface):
+    """2 - 2g - n, from the genus and boundary count."""
+    return 2 - 2 * surface.genus - surface.boundary_components
+
+
+def surfaces_commensurable(s1, s2):
+    """Whether two hyperbolic-type surfaces admit a common finite cover.
+
+    Both inputs must have chi < 0; two such surfaces have a common cover
+    exactly when both are closed or both have boundary.
+    """
+    for s in (s1, s2):
+        if s.chi >= 0:
+            raise ValueError("%r has chi = %d >= 0" % (s, s.chi))
+    return (s1.boundary_components == 0) == (s2.boundary_components == 0)
+
+
 # ---------------------------------------------------------------------------
 # decomposition graphs, covers and the unit-twist normalization
+
+def negate_twists(phi):
+    """Orientation reversal at the invariant level: all twists flip sign."""
+    return replace(phi, curves=tuple(replace(c, twist=-c.twist) for c in phi.curves))
+
 
 def validate_by_scan(phi):
     """``decomposition.validate`` by a scan: the same errors in the same

@@ -12,7 +12,7 @@ from fractions import Fraction as F
 import sympy
 
 from conftest import random_reducible_map
-from oracles import p_polynomial_eval
+from oracles import negate_twists, p_polynomial_eval
 from test_torus import anosov_dilatations, brute_force_commensurable
 
 from fibercomm.comparator import (
@@ -25,7 +25,6 @@ from fibercomm.comparator import (
 from fibercomm.cover import lift_cover, normalize_unit_twists, verify_cover_laws
 from fibercomm.decomposition import (
     a_total,
-    negate_twists,
     p_polynomial,
     pi_invariant,
     power,

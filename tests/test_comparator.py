@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_reducible_map
-from oracles import brute_force_feasible, fundamental_unit
+from oracles import brute_force_feasible, fundamental_unit, match_flip_scale, negate_twists
 from fibercomm.comparator import (
     COMBINED,
     FULL,
@@ -14,10 +14,9 @@ from fibercomm.comparator import (
     TOPOLOGICAL,
     InvariantReport,
     compare,
-    match_flip_scale,
 )
 from fibercomm.cover import ComponentCover, CoveringData, lift_cover
-from fibercomm.decomposition import DilatationLabel, Piece, ReducibleMap, ReducingCurve, negate_twists, power
+from fibercomm.decomposition import DilatationLabel, Piece, ReducibleMap, ReducingCurve, power
 from fibercomm.families import d_type_family, twist_composition
 from fibercomm.surfaces import Surface
 

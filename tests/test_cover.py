@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -7,7 +9,7 @@ import pytest
 
 from conftest import random_d_type_map, random_reducible_map
 from fibercomm import cover, decomposition
-from fibercomm.comparator import FULL, InvariantReport, compare, match_flip_scale
+from fibercomm.comparator import FULL, InvariantReport, compare
 from fibercomm.cover import (
     ComponentCover,
     CoveringData,
@@ -19,14 +21,14 @@ from fibercomm.decomposition import (
     Piece,
     ReducibleMap,
     ReducingCurve,
-    a_piece,
     a_total,
     pi_invariant,
+    piece_pairs,
     validate,
 )
 from fibercomm.families import d_type_family
 from fibercomm.surfaces import Surface
-from oracles import lift_cover_by_scan, normalize_by_retry
+from oracles import lift_cover_by_scan, match_flip_scale, normalize_by_retry
 
 
 def two_piece_map(twist):
@@ -111,6 +113,29 @@ def test_verify_cover_laws_pass():
             continue
         checks = verify_cover_laws(phi, c, lift_cover(phi, c))
         assert checks and all(ch.ok for ch in checks)
+        tested += 1
+
+
+def test_cover_laws_read_the_curves():
+    rng = random.Random(61)
+    tested = 0
+    while tested < 10:
+        phi = random_reducible_map(rng, max_part=6)
+        c = connected_double_cover(phi)
+        if c is None:
+            continue
+        lifted = lift_cover(phi, c)
+        table = piece_pairs(lifted)
+        # a wrong carried table is not read
+        object.__setattr__(lifted, "_cached_pairs", {pid: (F(7), F(7)) for pid in table})
+        assert all(ch.ok for ch in verify_cover_laws(phi, c, lifted))
+        # one twist changed under a correct carried table is seen
+        first = lifted.curves[0]
+        bad = ReducibleMap(lifted.pieces, (replace(first, twist=2 * first.twist),) + lifted.curves[1:])
+        object.__setattr__(bad, "_cached_pairs", table)
+        checks = verify_cover_laws(phi, c, bad)
+        wrong = {ch.piece for ch in checks if ch.law == "A multiplies by degree" and not ch.ok}
+        assert wrong == {first.end_a[0], first.end_b[0]}
         tested += 1
 
 
@@ -207,18 +232,24 @@ def test_normalize_rejects_pseudo_anosov_pieces():
 
 
 def test_each_graph_validated_once(monkeypatch):
+    """The input graph and its power are validated once each; the lift,
+    valid by construction, never."""
     seen = []  # the graphs themselves, so no id is reused
     check = decomposition.validate
     monkeypatch.setattr(decomposition, "validate", lambda phi: seen.append(phi) or check(phi))
     rng = random.Random(43)
+    powers = 0
     for _ in range(30):
         phi = random_d_type_map(rng, max_part=6)
-        normalized, _ = normalize_unit_twists(phi)
-        assert sum(g is normalized for g in seen) == 1
+        normalized, cert = normalize_unit_twists(phi)
         assert compare(phi, normalized, FULL).kind == "not_obstructed"
-        assert sum(g is normalized for g in seen) == 1
-        assert len({id(g) for g in seen}) == len(seen)
+        assert not any(g is normalized for g in seen)
+        assert seen[0] is phi
+        assert len(seen) == (2 if cert.power > 1 else 1)
+        powers += cert.power > 1
         del seen[:]
+        assert validate(normalized) == []
+    assert 0 < powers < 30
 
 
 def test_normalize_random_property():
@@ -273,7 +304,7 @@ def test_a_piece_matches_per_slot_sums_after_normalization():
         for g in (phi, out):
             expected = naive_piece_pairs(g)
             for p in g.pieces:
-                assert a_piece(g, p.id) == expected[p.id]
+                assert piece_pairs(g)[p.id] == expected[p.id]
         twists = [c.twist for c in out.curves]
         if len(twists) > len(set(twists)):
             seen.add("repeated twists")
@@ -395,6 +426,142 @@ def test_normalization_lifts_once(monkeypatch):
         del lifts[:]
         normalize_unit_twists(phi)
         assert lifts == ["ok"]
+
+
+def random_cover(rng, phi, n):
+    """A random degree-n cover of ``phi`` with several components over a
+    piece, mixed local degrees and implicit, all-ones or random explicit
+    free partitions; local degrees match across every curve, so only
+    the surface test can fail."""
+    degrees = {p.id: random_partition(rng, n) for p in phi.pieces}
+
+    def bounds(pid):
+        return [sum(degrees[pid][:i]) for i in range(len(degrees[pid]) + 1)]
+
+    parts = {}  # (pid, slot) -> per-component partition lists
+    for curve in phi.curves:
+        cuts = set(bounds(curve.end_a[0]) + bounds(curve.end_b[0]))
+        cuts |= {rng.randint(0, n) for _ in range(rng.randint(0, 2))}
+        cuts = sorted(cuts)
+        for pid, slot in curve.ends:
+            edges = bounds(pid)
+            split = [[] for _ in degrees[pid]]
+            for lo, hi in zip(cuts, cuts[1:]):
+                split[sum(e <= lo for e in edges) - 1].append(hi - lo)
+            for part in split:
+                rng.shuffle(part)
+            parts[(pid, slot)] = split
+
+    def frees(p, degree):
+        kind = rng.choice(("implicit", "ones", "random"))
+        if kind == "implicit":
+            return None
+        if kind == "ones":
+            return ((1,) * degree,) * p.free_boundary
+        return tuple(random_partition(rng, degree) for _ in range(p.free_boundary))
+
+    return CoveringData(
+        tuple(
+            (
+                p.id,
+                tuple(
+                    ComponentCover(l, tuple((s, parts[(p.id, s)][j]) for s in p.slots), frees(p, l))
+                    for j, l in enumerate(degrees[p.id])
+                ),
+            )
+            for p in phi.pieces
+        )
+    )
+
+
+def with_tilde_ids(phi):
+    """``phi`` (at most four pieces) with its ids renamed so that a lifted
+    id could be mistaken for a base one: pieces a, a~1, a~1~0 and a~0,
+    slots s, s~1, s~1~1, ..., curves c, c~0, c~0~0, ..."""
+    piece_name = {p.id: name for p, name in zip(phi.pieces, ("a", "a~1", "a~1~0", "a~0"))}
+    slot_name = {}
+    for p in phi.pieces:
+        for i, slot in enumerate(p.slots):
+            slot_name[(p.id, slot)] = "s" + "~1" * i
+    pieces = tuple(
+        replace(p, id=piece_name[p.id], slots=tuple(slot_name[(p.id, s)] for s in p.slots))
+        for p in phi.pieces
+    )
+    curves = tuple(
+        ReducingCurve(
+            "c" + "~0" * i,
+            (piece_name[c.end_a[0]], slot_name[c.end_a]),
+            (piece_name[c.end_b[0]], slot_name[c.end_b]),
+            c.twist,
+        )
+        for i, c in enumerate(phi.curves)
+    )
+    return ReducibleMap(pieces, curves)
+
+
+def assert_trusted_lift(phi, c):
+    """``lift_cover`` against the scan oracle; returns False when no
+    surface fits, with the same error from both."""
+    got = outcome(lift_cover, phi, c)
+    assert gc.isenabled()  # the pause during the lift is over
+    if isinstance(got, str):
+        assert "no surface with chi" in got
+        assert got == outcome(lift_cover_by_scan, phi, c)
+        return False
+    assert "_cached_pairs" in vars(got) and got._cached_valid
+    expected = lift_cover_by_scan(phi, c)
+    assert got.pieces == expected.pieces
+    assert [(x.id, x.ends, x.twist) for x in got.curves] == [(x.id, x.ends, x.twist) for x in expected.curves]
+    assert validate(got) == []
+    assert piece_pairs(got) == piece_pairs(ReducibleMap(got.pieces, got.curves))
+    return True
+
+
+def test_lift_is_valid_by_construction():
+    rng = random.Random(67)
+    lifted = Counter()
+    for _ in range(60):
+        phi = random_reducible_map(rng, max_part=6)
+        c = connected_double_cover(phi)
+        if c is not None:
+            lifted["double"] += assert_trusted_lift(phi, c)
+        for graph, kind in ((phi, "random"), (with_tilde_ids(phi), "tilde ids")):
+            lifted[kind] += assert_trusted_lift(graph, random_cover(rng, graph, rng.randint(1, 5)))
+    for _ in range(40):
+        phi = random_d_type_map(rng, max_part=6)
+        normalized, cert = normalize_unit_twists(phi)
+        phim = decomposition.power(phi, cert.power) if cert.power > 1 else phi
+        lifted["normalized"] += assert_trusted_lift(phim, cert.cover)
+        assert [(x.id, x.ends, x.twist) for x in normalized.curves] == [
+            (x.id, x.ends, x.twist) for x in lift_cover_by_scan(phim, cert.cover).curves
+        ]
+    assert min(lifted.values()) >= 10 and len(lifted) == 4
+    # twelve components over the leaf, whose ids sort as text: leaf0~10 before leaf0~2
+    star = d_type_family(1, 2)
+    twelve = CoveringData(
+        (
+            ("hub", (ComponentCover(12, (("h0", (1,) * 12),)),)),
+            ("leaf0", tuple(ComponentCover(1, (("s", (1,)),)) for _ in range(12))),
+        )
+    )
+    assert assert_trusted_lift(star, twelve)
+
+
+def test_cover_with_no_curves_is_refused():
+    phi = ReducibleMap(
+        (
+            Piece("a", Surface(1, 2), ("s",), 1),
+            Piece("b", Surface(1, 1), ("t",)),
+            Piece("f", Surface(1, 1), (), 1),
+        ),
+        (ReducingCurve("c", ("a", "s"), ("b", "t"), F(1)),),
+    )
+    for free_piece in ((), (ComponentCover(2, ()),)):
+        c = CoveringData((("a", ()), ("b", ()), ("f", free_piece)))
+        with pytest.raises(ValueError) as e:
+            lift_cover(phi, c)
+        assert str(e.value) == "invalid decomposition graph: reducing system is empty"
+        assert gc.isenabled()
 
 
 def random_partition(rng, n):

