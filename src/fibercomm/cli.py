@@ -117,7 +117,7 @@ def _graph_size(manifold, plan):
     """Pieces plus boundary circles of the refibered graph: with n sheets
     and k arcs a piece lifts to n copies if k = 0, else to one piece, and
     each of its boundary circles to n circles, but once if on an arc."""
-    plans = dict(plan.per_piece)
+    plans = plan._by_piece  # as ``refiber`` reads them: the first entry of a piece
     size = 0
     for p in manifold.pieces:
         if p.id in plans:

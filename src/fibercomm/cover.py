@@ -30,6 +30,7 @@ test before the one lift.
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import math
 from dataclasses import dataclass
@@ -50,6 +51,19 @@ from .quadratic import ResourceLimit
 from .surfaces import Surface
 
 MAX_LIFTED_CURVES = 200_000  # normalize then takes about 1.4 s and 310 MB on a 2-CPU VM
+
+
+@contextlib.contextmanager
+def _gc_paused():
+    """Cyclic garbage collection paused for a block that allocates many
+    tracked objects and frees no cycle: a lift, or a document read."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
 
 
 @dataclass(frozen=True)
@@ -207,6 +221,7 @@ def lift_cover(phi, c):
 
     * distinct piece and slot ids: a ``"%s~%d"`` name splits uniquely at
       its last ``~`` into a base id and an index;
+    * distinct curve ids, ``"%s~%d"`` names over the distinct base ids;
     * chi = l * chi(S) < 0, and the boundary count the surface solves;
     * nonzero twists I/d;
     * each lifted slot used once, as its base slot is, since the matched
@@ -229,9 +244,7 @@ def lift_cover(phi, c):
         digits.extend(map(str, range(len(digits), n)))
         return list(map(("%s~" % (prefix,)).__add__, islice(digits, n)))
 
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
+    with _gc_paused():
         pieces, pairs, curves = [], {}, []
         runs_at = {}  # (pid, slot) -> runs (local degree, lifted piece id, lifted slot names)
         for p in phi.pieces:
@@ -257,9 +270,6 @@ def lift_cover(phi, c):
             for d, n in counts.items():
                 twists += [curve.twist / d] * n
             curves += map(_trusted_curve, numbered(curve.id, len(side_a)), side_a, side_b, twists)
-    finally:
-        if collecting:
-            gc.enable()
     if not curves:
         raise ValueError("invalid decomposition graph: reducing system is empty")
     lifted = ReducibleMap(tuple(pieces), tuple(curves))

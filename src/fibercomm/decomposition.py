@@ -115,7 +115,7 @@ class Piece:
         return self.dilatation is None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReducingCurve:
     id: str
     end_a: tuple  # (piece id, slot)
@@ -143,8 +143,7 @@ def _trusted_curve(cid, end_a, end_b, twist):
     For curves whose ends are already tuples and whose twist is already
     a ``Fraction``, usually one shared by many curves: those derived
     inside the library and those the document parser has checked.  The
-    fields are set one by one in dataclass order, as the dataclass
-    ``__init__`` does, so the instances keep key-shared dicts.
+    fields are set one by one, as the frozen dataclass ``__init__`` does.
     """
     c = _new(ReducingCurve)
     _set(c, "id", cid)
@@ -211,9 +210,9 @@ class ReducibleMap:
 def validate(phi):
     """Structural checks; returns a list of error strings (empty = ok)."""
     errors = []
-    ids = [p.id for p in phi.pieces]
-    if len(set(ids)) != len(ids):
-        errors.append("duplicate piece ids")
+    for kind, ids in (("piece", [p.id for p in phi.pieces]), ("curve", [c.id for c in phi.curves])):
+        if len(set(ids)) != len(ids):
+            errors.append("duplicate %s ids" % kind)
     if not phi.curves:
         errors.append("reducing system is empty")
 

@@ -133,17 +133,12 @@ class QuadraticNumber:
         o = self._coerce(other)
         return _trusted(QuadraticNumber, self.D, self.a + o.a, self.b + o.b)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return _trusted(QuadraticNumber, self.D, -self.a, -self.b)
 
     def __sub__(self, other):
         o = self._coerce(other)
         return _trusted(QuadraticNumber, self.D, self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -211,23 +206,11 @@ class QuadraticNumber:
     def __lt__(self, other):
         return (self - other).sign() < 0
 
-    def __le__(self, other):
-        return (self - other).sign() <= 0
-
     def __gt__(self, other):
         return (self - other).sign() > 0
 
-    def __ge__(self, other):
-        return (self - other).sign() >= 0
-
     def __abs__(self):
         return self if self.sign() >= 0 else -self
-
-    def is_rational(self):
-        return self.b == 0
-
-    def __float__(self):
-        return float(self.a) + float(self.b) * math.sqrt(self.D)
 
     def __repr__(self):
         return "(%s + %s*sqrt(%d))" % (self.a, self.b, self.D)
@@ -261,29 +244,12 @@ class QuadraticUnit:
     def number(self):
         return _trusted(QuadraticNumber, self.D, self.a, self.b)
 
-    @property
-    def norm(self):
-        return int(self.number.norm())
-
-    @staticmethod
-    def from_number(x):
-        """Wrap a QuadraticNumber, checking the unit invariants."""
-        return QuadraticUnit(x.D, x.a, x.b)
-
-    def __mul__(self, other):
-        if isinstance(other, QuadraticUnit):
-            other = other.number
-        return QuadraticUnit.from_number(self.number * other)
-
     def __pow__(self, k):
         x = self.number ** k
         if k < 1:  # not above 1: the checked constructor raises
-            return QuadraticUnit.from_number(x)
+            return QuadraticUnit(x.D, x.a, x.b)
         # a positive power of a unit above 1 is one too, with b > 0
         return _trusted(QuadraticUnit, x.D, x.a, x.b)
-
-    def __float__(self):
-        return float(self.number)
 
     def __repr__(self):
         return "QuadraticUnit(%s + %s*sqrt(%d))" % (self.a, self.b, self.D)

@@ -1,38 +1,35 @@
 """Canonical JSON documents for every object the CLI consumes or emits.
 
-One structured format for graphs, manifolds, plans, covers, and
-queries: the readers of the input documents, their writers, and the
-writer of canonical text.  Rationals are written as "p/q" strings (or
-"p" when the denominator is 1) so no float ever enters a document;
-serialization is canonical (sorted keys, fixed indentation, trailing
-newline), so parse-then-serialize is byte-identical on canonical files.
+Rationals are written as "p/q" strings (or "p" when the denominator is
+1), so no float ever enters a document; serialization is canonical
+(sorted keys, fixed indentation, trailing newline), so
+parse-then-serialize is byte-identical on canonical files.
 
-Each input document type, the operation arguments and the corpus
-entries are read by one declared shape of the schema walker below,
-which checks keys, exact element types (no bool for an int, no str for
-a list), pairs and optional or null fields, and converts in the same
-walk; unknown keys are ignored.  A fault raises a ``ValueError`` that
-names the value by its path (``pieces[0].slots: expected list of str,
-got 's1'``, ``curves[0].end_a: missing``).  What a value means is
-checked by the library's constructors, whose objections are named by
-the path of the object they build.
+Each input document type is declared once, as a shape of the schema
+walker below that gives both its reader and its writer; the operation
+arguments and the corpus entries are read by shapes too.  A shape
+checks keys, exact element types (no bool for an int, no str for a
+list), pairs and optional or null fields, and converts in the same walk;
+unknown keys are ignored.  A fault raises a ``ValueError`` that names
+the value by its path (``pieces[0].slots: expected list of str, got
+'s1'``, ``curves[0].end_a: missing``).  What a value means is checked by
+the library's constructors, whose objections are named by the path of
+the object they build.
 
-A result document holds exact values -- ``Fraction``s, tuples, ints,
+Every document holds exact values -- ``Fraction``s, tuples, ints,
 ``None`` and graphs -- and is turned into text only when written, by
 ``canonical_dumps`` here or by the text writer of ``cli``, both through
-``str`` of the ``Fraction``.  So an integer too long to print fails in
-the writer, never inside an operation.  The input document writers
-return plain JSON values, which the readers require; one that shares a
-helper with a result goes through canonical text once (``_plain``).
+``str`` of the ``Fraction``: an integer too long to print fails in the
+writer, never inside an operation.  An input document that holds
+rationals goes through that text once (``_plain``) for a reader to take.
 
 ``canonical_dumps`` writes exactly ``json.dumps(doc, sort_keys=True,
-indent=2) + "\n"`` (with a ``Fraction`` as its "p/q" string) without
-calling it (an indented ``json.dumps`` runs the pure-Python encoder):
-one list of parts, strings escaped by the C ``encode_basestring_ascii``.
-A graph is written straight from it: its curves through one template
-at the current indentation, never as a dict per curve, and its pieces
-as any list.  ``json.dumps`` of the dict-per-curve document is the test
-oracle.
+indent=2) + "\n"`` without calling it (an indented ``json.dumps`` runs
+the pure-Python encoder): one list of parts, strings escaped by the C
+``encode_basestring_ascii``.  A graph is written straight from it, by
+hand: its curves through one template at the current indentation, never
+as a dict per curve.  ``json.dumps`` of the dict-per-curve document is
+the test oracle.
 """
 
 from __future__ import annotations
@@ -43,9 +40,10 @@ import reprlib
 from fractions import Fraction
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import attrgetter, itemgetter
 
 from .comparator import COMBINED, FULL, TOPOLOGICAL
-from .cover import ComponentCover, CoveringData
+from .cover import ComponentCover, CoveringData, _gc_paused
 from .decomposition import DilatationLabel, Piece, ReducibleMap, _distinct_twists, _trusted_curve
 from .quadratic import QuadraticUnit
 from .spectrum import BranchData, SingularityVector, SpectrumQuery
@@ -69,9 +67,11 @@ def unrat(x):
 
 # ---------------------------------------------------------------------------
 # the schema walker: a shape checks one document value and returns it
-# converted, or raises ``_Invalid``.  ``shape.fast = (t, f)`` lets a
-# container read an entry of exactly type ``t`` as ``f`` of it (None:
-# as itself) without calling the shape, which it calls only otherwise.
+# converted, or raises ``_Invalid``; ``shape.write`` is the other
+# direction, from a converted value back to its document value.
+# ``shape.fast = (t, f)`` lets a container read an entry of exactly type
+# ``t`` as ``f`` of it (None: as itself) without calling the shape,
+# which it calls only otherwise.
 
 _MISSING = object()  # the value of an absent key
 
@@ -110,13 +110,17 @@ def _first_invalid(steps):
             return e
 
 
+def _same(x):  # the writer of a value written as itself
+    return x
+
+
 def _leaf(t, what):
     def walk(v):
         if type(v) is not t:
             raise _expected(what, v)
         return v
 
-    walk.fast = (t, None)
+    walk.fast, walk.write = (t, None), _same
     return walk
 
 
@@ -125,14 +129,15 @@ _parsed = functools.cache(unrat)  # the rational strings of the document being r
 
 
 def _rational(v):
-    """A rational through ``unrat``, a string once per document (``_parsed``)."""
+    """A rational through ``unrat``, a string once per document (``_parsed``);
+    written as its ``Fraction``."""
     try:
         return _parsed(v) if type(v) is str else unrat(v)
     except ValueError as e:
         raise _Invalid("missing" if v is _MISSING else str(e)) from None
 
 
-_rational.fast = (str, _parsed)
+_rational.fast, _rational.write = (str, _parsed), _same
 
 
 def _json(v):
@@ -149,12 +154,16 @@ def _const(*values):
             raise _expected(" or ".join(map(repr, values)), v)
         return v
 
+    walk.write = _same
     return walk
 
 
-def _maybe(shape, default=None):
-    """``shape``, or ``default`` for an absent key or a null."""
-    return lambda v: default if v is None or v is _MISSING else shape(v)
+def _maybe(shape, default=None, omit=False):
+    """``shape``, or ``default`` for an absent key or a null; None is
+    written as null, or as an absent key when ``omit``."""
+    walk = lambda v: default if v is None or v is _MISSING else shape(v)  # noqa: E731
+    walk.write = lambda x: (_MISSING if omit else None) if x is None else shape.write(x)
+    return walk
 
 
 def _entries(shape, values):
@@ -172,7 +181,7 @@ def _entries(shape, values):
 def _list(item, what="list"):
     """A list, as a tuple; a list of objects is read field by field, the
     field of every entry at once, so a graph of 10^4 curves costs about
-    two calls per curve."""
+    two calls per curve.  Written as a list."""
     fields = getattr(item, "fields", None)
 
     def walk(v):
@@ -187,6 +196,7 @@ def _list(item, what="list"):
         except ValueError:
             raise _first_invalid(("[%d]" % i, item, x) for i, x in enumerate(v)) from None
 
+    walk.write = list if getattr(item, "write", None) is _same else lambda xs: list(map(item.write, xs))
     return walk
 
 
@@ -204,7 +214,7 @@ def _values(item):
 
 
 def _pair(what, first, second):
-    """A list of exactly two entries, as a tuple."""
+    """A list of exactly two entries, as a tuple; written as a list."""
     (t, f), (u, g) = getattr(first, "fast", (None, None)), getattr(second, "fast", (None, None))
 
     def walk(v):
@@ -220,56 +230,67 @@ def _pair(what, first, second):
 
     if f is g is None:
         walk.types = (t, u)
+    walk.write = list if first.write is second.write is _same else lambda v: [first.write(v[0]), second.write(v[1])]
     return walk
 
 
 def _object(build, *fields):
-    """An object: ``build`` of the values of its ``(key, shape)`` fields,
-    in order; a ``ValueError`` of ``build`` is named by the object's path."""
+    """An object: ``build`` of the values of its ``(key, shape, get)``
+    fields, in order; a ``ValueError`` of ``build`` is named by the
+    object's path.  Written as each ``shape.write`` of ``get`` of the
+    built value, ``get`` an attribute path or a function, an absent key
+    left out; the fields of a shape that is only read are ``(key, shape)``."""
+    reads = [field[:2] for field in fields]
 
     def walk(v):
         if type(v) is not dict:
             raise _expected("object", v)
         try:
-            values = [shape(v.get(key, _MISSING)) for key, shape in fields]
+            values = [shape(v.get(key, _MISSING)) for key, shape in reads]
         except _Invalid:
-            raise _first_invalid(("." + key, shape, v.get(key, _MISSING)) for key, shape in fields) from None
+            raise _first_invalid(("." + key, shape, v.get(key, _MISSING)) for key, shape in reads) from None
         try:
             return build(*values)
         except ValueError as e:
             raise _Invalid(str(e)) from None
 
-    walk.fields, walk.build = fields, build
+    walk.fields, walk.build = reads, build
+    if all(len(field) == 3 for field in fields):
+        writes = [(key, shape.write, get if callable(get) else attrgetter(get)) for key, shape, get in fields]
+        walk.write = lambda x: {key: v for key, w, get in writes if (v := w(get(x))) is not _MISSING}
     return walk
 
 
-def _tagged(key, cases):
-    """An object read by the shape of ``cases`` that its ``key`` names."""
+def _tagged(key, cases, tag_of):
+    """An object read by the shape of ``cases`` that its ``key`` names,
+    and written by the one that ``tag_of`` of the value names."""
     tag = _object(cases.get, (key, _const(*cases)))
-    return lambda v: tag(v)(v)
+    walk = lambda v: tag(v)(v)  # noqa: E731
+    walk.write = lambda x: {key: tag_of(x), **cases[tag_of(x)].write(x)}
+    return walk
 
 
-def _reader(type_name, build, *fields):
-    """The reader of ``type_name`` documents: ``build`` of their other fields."""
-    shape = _object(lambda _, *values: build(*values), ("type", _const(type_name)), *fields)
+def _document(type_name, build, *fields):
+    """The reader and the writer of ``type_name`` documents: ``build`` of
+    their other fields, read with garbage collection paused, and the
+    document of a built value."""
+    shape = _object(lambda _, *values: build(*values), ("type", _const(type_name), lambda _: type_name), *fields)
 
     def read(doc):
         try:
-            return shape(doc)
+            with _gc_paused():
+                return shape(doc)
         finally:
             _parsed.cache_clear()
 
-    return read
+    return read, getattr(shape, "write", None)
 
 
 _RATIONALS = _pair("a list of two rationals", _rational, _rational)
 _ROW = _pair("a row of two int", _int, _int)
 _MATRIX = _pair("a 2x2 integer matrix", _ROW, _ROW)
 _PARTITION, _STRS = _list(_int, "list of int"), _list(_str, "list of str")
-
-
-def quadratic_doc(x):
-    return {"D": x.D, "a": x.a, "b": x.b}
+_first, _second = itemgetter(0), itemgetter(1)
 
 
 def canonical_dumps(doc):
@@ -340,35 +361,21 @@ def _encode(v, nl, out):
 # ---------------------------------------------------------------------------
 # torus automorphisms
 
-def torus_doc(phi):
-    return {"type": "torus_automorphism", "matrix": [list(r) for r in phi.matrix]}
-
-
-torus_from_doc = _reader("torus_automorphism", TorusAutomorphism, ("matrix", _MATRIX))
+torus_from_doc, torus_doc = _document("torus_automorphism", TorusAutomorphism, ("matrix", _MATRIX, "matrix"))
 
 
 # ---------------------------------------------------------------------------
 # reducible maps
 
-def label_doc(label):
-    if label is None:
-        return None
-    if label.exact:
-        d = {"kind": "exact", "unit": quadratic_doc(label.unit)}
-    else:
-        d = {"kind": "symbol", "name": label.name, "exponent": label.exponent}
-    if label.rotation is not None:
-        d["rotation"] = label.rotation
-    return d
-
-
-_ROTATION = ("rotation", _maybe(_rational))
+_QUADRATIC = _object(QuadraticUnit, ("D", _int, "D"), ("a", _rational, "a"), ("b", _rational, "b"))
+_ROTATION = ("rotation", _maybe(_rational, omit=True), "rotation")
 _LABEL = _maybe(_tagged("kind", {
     "exact": _object(lambda unit, rotation: DilatationLabel(unit=unit, rotation=rotation),
-                     ("unit", _object(QuadraticUnit, ("D", _int), ("a", _rational), ("b", _rational))), _ROTATION),
+                     ("unit", _QUADRATIC, "unit"), _ROTATION),
     "symbol": _object(lambda name, exponent, rotation: DilatationLabel(name=name, exponent=exponent, rotation=rotation),
-                      ("name", _str), ("exponent", _rational), _ROTATION),
-}))
+                      ("name", _str, "name"), ("exponent", _rational, "exponent"), _ROTATION),
+}, lambda label: "exact" if label.exact else "symbol"))
+quadratic_doc, label_doc = _QUADRATIC.write, _LABEL.write
 
 
 def pieces_doc(phi):
@@ -414,141 +421,79 @@ def reducible_doc(phi):
     return _plain(phi)
 
 
+# written by hand above, so its fields are only read
 _END = _pair("[piece id, slot] as two str", _str, _str)
-reducible_from_doc = _reader(
+reducible_from_doc = _document(
     "reducible_map", ReducibleMap,
     ("pieces", _list(_object(
         lambda pid, genus, boundary, slots, free, label: Piece(pid, Surface(genus, boundary), slots, free, label),
         ("id", _str), ("genus", _int), ("boundary", _int), ("slots", _STRS), ("free_boundary", _int),
         ("dilatation", _LABEL)))),
     ("curves", _list(_object(_trusted_curve, ("id", _str), ("end_a", _END), ("end_b", _END), ("twist", _rational)))),
-)
+)[0]
 
 
 # ---------------------------------------------------------------------------
 # graph manifolds and plans
 
-def manifold_doc(m):
-    return {
-        "type": "graph_manifold",
-        "pieces": [
-            {
-                "id": p.id,
-                "genus": p.surface.genus,
-                "boundary_tori": list(p.boundaries),
-            }
-            for p in m.pieces
-        ],
-        "gluings": [
-            {
-                "id": g.id,
-                "side_a": list(g.side_a),
-                "side_b": list(g.side_b),
-                "matrix": [list(r) for r in g.matrix],
-            }
-            for g in m.gluings
-        ],
-    }
-
-
 _TORUS_END = _pair("[piece id, torus] as two str", _str, _str)
-manifold_from_doc = _reader(
+manifold_from_doc, manifold_doc = _document(
     "graph_manifold", FiberedGraphManifold,
     ("pieces", _list(_object(lambda pid, genus, tori: BundlePiece(pid, Surface(genus, len(tori)), tori),
-                             ("id", _str), ("genus", _int), ("boundary_tori", _STRS)))),
-    ("gluings", _list(_object(Gluing, ("id", _str), ("side_a", _TORUS_END), ("side_b", _TORUS_END),
-                              ("matrix", _MATRIX)))),
+                             ("id", _str, "id"), ("genus", _int, "surface.genus"),
+                             ("boundary_tori", _STRS, "boundaries"))), "pieces"),
+    ("gluings", _list(_object(Gluing, ("id", _str, "id"), ("side_a", _TORUS_END, "side_a"),
+                              ("side_b", _TORUS_END, "side_b"), ("matrix", _MATRIX, "matrix"))), "gluings"),
 )
 
-
-def plan_doc(plan):
-    return {
-        "type": "refiber_plan",
-        "pieces": [
-            {"id": pid, "n": pp.n, "arcs": [list(a) for a in pp.arcs]}
-            for pid, pp in plan.per_piece
-        ],
-    }
-
-
-plan_from_doc = _reader(
+_ARCS = _list(_pair("[tail, head] as two str", _str, _str))
+plan_from_doc, plan_doc = _document(
     "refiber_plan", RefiberPlan,
-    ("pieces", _list(_object(lambda pid, n, arcs: (pid, PiecePlan(n, arcs)), ("id", _str), ("n", _int),
-                             ("arcs", _list(_pair("[tail, head] as two str", _str, _str)))))),
+    ("pieces", _list(_object(lambda pid, n, arcs: (pid, PiecePlan(n, arcs)), ("id", _str, _first),
+                             ("n", _int, lambda entry: entry[1].n), ("arcs", _ARCS, lambda entry: entry[1].arcs))),
+     "per_piece"),
 )
 
 
 # ---------------------------------------------------------------------------
 # covering data
 
-def covering_doc(c):
-    return {
-        "type": "covering_data",
-        "pieces": [
-            {
-                "id": pid,
-                "components": [
-                    {
-                        "degree": comp.degree,
-                        "slots": [[s, list(p)] for s, p in comp.slot_partitions],
-                        "free": None
-                        if comp.free_partitions is None
-                        else [list(p) for p in comp.free_partitions],
-                    }
-                    for comp in comps
-                ],
-            }
-            for pid, comps in c.components
-        ],
-    }
-
-
-covering_from_doc = _reader(
+_COMPONENT = _object(ComponentCover, ("degree", _int, "degree"),
+                     ("slots", _list(_pair("[slot, partition]", _str, _PARTITION)), "slot_partitions"),
+                     ("free", _maybe(_list(_PARTITION)), "free_partitions"))
+covering_from_doc, covering_doc = _document(
     "covering_data", CoveringData,
-    ("pieces", _list(_object(lambda pid, components: (pid, components), ("id", _str), ("components", _list(_object(
-        ComponentCover, ("degree", _int), ("slots", _list(_pair("[slot, partition]", _str, _PARTITION))),
-        ("free", _maybe(_list(_PARTITION))))))))),
+    ("pieces", _list(_object(lambda pid, components: (pid, components), ("id", _str, _first),
+                             ("components", _list(_COMPONENT), _second))), "components"),
 )
 
 
 # ---------------------------------------------------------------------------
 # branch data and spectrum queries
 
-def branch_doc(b):
-    doc = {
-        "type": "branch_data",
-        "degree": b.degree,
-        "branch_points": [list(p) for p in b.branch_points],
-    }
-    if b.matrix is not None:
-        doc["matrix"] = [list(r) for r in b.matrix]
-    return doc
+branch_from_doc, branch_doc = _document(
+    "branch_data", BranchData, ("degree", _int, "degree"), ("branch_points", _list(_PARTITION), "branch_points"),
+    ("matrix", _maybe(_MATRIX, omit=True), "matrix"),
+)
 
-
-branch_from_doc = _reader(
-    "branch_data", BranchData, ("degree", _int), ("branch_points", _list(_PARTITION)), ("matrix", _maybe(_MATRIX))
+pa_data_from_doc, _pa_data_doc = _document(
+    "pa_data", lambda label, delta: (label, SingularityVector(delta)), ("dilatation", _LABEL, _first),
+    ("delta", _list(_pair("[prongs, count] as two int", _int, _int)), lambda pa: pa[1].counts),
 )
 
 
 def pa_data_doc(label, delta):
-    return _plain({"type": "pa_data", "dilatation": label_doc(label), "delta": delta.counts})
+    return _plain(_pa_data_doc((label, delta)))
 
 
-pa_data_from_doc = _reader(
-    "pa_data", lambda label, delta: (label, SingularityVector(delta)),
-    ("dilatation", _LABEL), ("delta", _list(_pair("[prongs, count] as two int", _int, _int))),
+query_from_doc, _query_doc = _document(
+    "spectrum_query", SpectrumQuery, ("matrix", _MATRIX, "matrix"), ("origin", _RATIONALS, "origin"),
+    ("point", _RATIONALS, "point"), ("radius", _int, "radius"),
 )
 
 
 def query_doc(q):
-    return _plain({"type": "spectrum_query", "matrix": q.matrix, "origin": q.origin, "point": q.point,
-                   "radius": q.radius})
-
-
-query_from_doc = _reader(
-    "spectrum_query", SpectrumQuery, ("matrix", _MATRIX), ("origin", _RATIONALS), ("point", _RATIONALS),
-    ("radius", _int),
-)
+    return _plain(_query_doc(q))
 
 
 # ---------------------------------------------------------------------------

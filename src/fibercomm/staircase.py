@@ -37,7 +37,7 @@ flagged uncalibrated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .decomposition import Piece, ReducibleMap, ReducingCurve
@@ -148,12 +148,11 @@ class RefiberPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "per_piece", tuple(self.per_piece))
+        # reversed, so the first entry of a repeated piece wins
+        object.__setattr__(self, "_by_piece", dict(reversed(self.per_piece)))
 
     def of(self, pid):
-        for p, plan in self.per_piece:
-            if p == pid:
-                return plan
-        raise KeyError(pid)
+        return self._by_piece[pid]
 
 
 @dataclass(frozen=True)
@@ -279,10 +278,10 @@ def refiber(manifold, plan):
     """Assemble the staircase pieces into a new decomposition graph.
 
     The new fiber is the union of the F(alpha_i, n_i); the monodromy is
-    periodic of order N = lcm(n_i) on each piece and reducible along
-    the junction circles, whose fractional twists follow the calibrated
-    shear rules.  Connectivity of the fiber is certified by the
-    junction graph; a disconnected fiber is reported, not rejected.
+    periodic of order N = lcm(n_i) over the manifold's pieces, each
+    planned by its first entry, and reducible along the junction circles,
+    whose fractional twists follow the calibrated shear rules.  A
+    disconnected fiber (by the junction graph) is reported, not rejected.
     """
     errors = validate_plan(manifold, plan)
     if errors:
@@ -338,7 +337,7 @@ def refiber(manifold, plan):
             curves.append(ReducingCurve(cid, end_a, end_b, twist))
 
     phi = ReducibleMap(tuple(pieces), tuple(curves))
-    N = math.lcm(*[pp.n for _, pp in plan.per_piece])
+    N = math.lcm(*[plan.of(p.id).n for p in manifold.pieces])
 
     # fiber connectivity via union-find on the junction graph
     parent = {p.id: p.id for p in pieces}

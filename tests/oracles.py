@@ -293,6 +293,9 @@ def validate_by_scan(phi):
     ids = [p.id for p in phi.pieces]
     if len(set(ids)) != len(ids):
         errors.append("duplicate piece ids")
+    curve_ids = [c.id for c in phi.curves]
+    if any(curve_ids.count(cid) > 1 for cid in curve_ids):
+        errors.append("duplicate curve ids")
     if not phi.curves:
         errors.append("reducing system is empty")
     slot_use = {}

@@ -673,3 +673,35 @@ def test_every_operation_goes_through_the_table(tmp_path, monkeypatch):
     del seen[:]
     run("corpus", "verify")
     assert set(seen) == corpus_ops
+
+
+def test_first_plan_entry_of_a_piece_wins(tmp_path):
+    m = bounded_chain_manifold()
+    manifold = write(tmp_path / "m.json", ser.manifold_doc(m))
+    large, small = ser.plan_doc(bounded_chain_plan(300_000)), ser.plan_doc(bounded_chain_plan(1))
+    # the size limit reads the plan that refiber would build
+    plan = write(tmp_path / "large_first.json", {**large, "pieces": large["pieces"] + small["pieces"]})
+    t0 = time.perf_counter()
+    r = run("staircase", manifold, plan)
+    assert time.perf_counter() - t0 < 1
+    assert r.exit_code == 2 and "resource limit:" in r.output, r.output
+    plan = write(tmp_path / "small_first.json", {**small, "pieces": small["pieces"] + large["pieces"]})
+    r = run("staircase", manifold, plan, "--format", "machine")
+    assert r.exit_code == 0
+    assert r.output == run("staircase", manifold, write(tmp_path / "small.json", small), "--format", "machine").output
+    # the monodromy order is taken over the manifold's pieces only
+    stray = {**small, "pieces": small["pieces"] + [{"id": "S9", "n": 7, "arcs": []}]}
+    assert cli.run_operation("staircase", [ser.manifold_doc(m), stray], {})["monodromy_order"] == 2
+
+
+def test_duplicate_curve_ids_are_refused(tmp_path):
+    graph = ser.reducible_doc(d_type_family(3, 2))
+    graph["curves"][0]["twist"], graph["curves"][1]["twist"] = "2", "3"
+    graph["curves"][1]["id"] = graph["curves"][0]["id"]
+    path = write(tmp_path / "d.json", graph)
+    cover = write(tmp_path / "cover.json", double_cover_doc(ser.reducible_from_doc(graph)))
+    for argv in (["normalize", path], ["invariants", path], ["power", path, "2"], ["compare", path, path],
+                 ["cover", path, cover]):
+        r = run(*argv)
+        assert r.exit_code == 2, (argv, r.output)
+        assert "malformed input: invalid decomposition graph: duplicate curve ids" in r.output, (argv, r.output)

@@ -59,7 +59,7 @@ def corrupted(rng, phi):
     i, j = rng.randrange(len(pieces)), rng.randrange(len(curves))
     p, c = pieces[i], curves[j]
     kind = rng.choice(["zero twist", "missing piece", "missing slot", "slot used twice", "unused slot",
-                       "repeated slot", "repeated piece id", "repeated end"])
+                       "repeated slot", "repeated piece id", "repeated end", "repeated curve id"])
     if kind == "zero twist":
         curves[j] = replace(c, twist=F(0))
     elif kind == "missing piece":
@@ -76,6 +76,8 @@ def corrupted(rng, phi):
         pieces[i] = replace(p, id=pieces[i - 1].id)
     elif kind == "repeated end":
         curves[j] = replace(c, end_b=c.end_a)
+    elif kind == "repeated curve id" and len(curves) > 1:
+        curves[j] = replace(c, id=curves[j - 1].id)
     return ReducibleMap(tuple(pieces), tuple(curves)), kind
 
 
@@ -90,7 +92,7 @@ def test_validate_matches_end_by_end_scan():
         assert errors == validate_by_scan(bad), kind
         if errors:
             kinds.add(kind)
-    assert len(kinds) == 8
+    assert len(kinds) == 9
     # a repeated slot hides an end on a missing slot from the counts alone
     hidden = ReducibleMap(
         (Piece("a", Surface(1, 2), ("s", "s")), Piece("b", Surface(1, 2), ("t", "u"))),
