@@ -1,0 +1,163 @@
+"""Run every subcommand of one source tree on a fixed set of inputs.
+
+    python3 scripts/run_set.py TREE > TREE.txt
+
+TREE is a checkout of this repository; the ``fibercomm`` package under
+``TREE/src`` is imported and its command line is run in process, in
+both output formats, on:
+
+* every document of the corpus bundled with this script, under each
+  subcommand that reads it (``compare`` on every ordered pair of graphs
+  of an entry in every mode, ``power`` at k = 1, 2 and 7, ``cover`` with
+  the uniform double cover, ``staircase`` on every manifold and plan of
+  an entry, ``spectrum`` at the document's radius and at 5), and
+  ``corpus verify`` on that corpus;
+* malformed and refused inputs: repeated names in a graph manifold or a
+  graph, a plan that misses a piece, junctions whose sides lift to
+  different numbers of circles, and staircases at and past the size
+  limit.
+
+Each run prints one line: the exit code, the sha256 of stdout and of
+stderr, an uncaught exception's type if there was one, and the
+arguments.  The inputs come from this script's tree and are written to
+one temporary directory under fixed names, so two trees give the same
+lines where they behave alike; diff their outputs to see every change.
+"""
+
+import copy
+import hashlib
+import itertools
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+CORPUS = Path(__file__).resolve().parent.parent / "src" / "fibercomm" / "corpus"
+FORMATS = ("text", "machine")
+
+
+def corpus_runs():
+    """(argv of file labels and options, documents) of each corpus run."""
+    runs = []
+    for entry in sorted(p for p in CORPUS.iterdir() if (p / "input.json").exists()):
+        docs = json.loads((entry / "input.json").read_text())["documents"]
+        of = {}
+        for name in sorted(docs):
+            of.setdefault(docs[name]["type"], []).append(name)
+        label = lambda name: "%s.%s" % (entry.name, name)  # noqa: E731
+        for name in of.get("torus_automorphism", []):
+            runs.append((["classify", label(name)], {label(name): docs[name]}))
+        graphs = of.get("reducible_map", [])
+        for name in graphs:
+            g = {label(name): docs[name]}
+            runs.append((["invariants", label(name)], g))
+            runs.append((["normalize", label(name)], g))
+            for k in ("1", "2", "7"):
+                runs.append((["power", label(name), k], g))
+            cover = label(name) + ".double"
+            runs.append((["cover", label(name), cover], {**g, cover: double_cover(docs[name])}))
+        for a, b in itertools.product(graphs, repeat=2):
+            for mode in ("full", "topological", "combined"):
+                runs.append((["compare", label(a), label(b), "--mode", mode],
+                             {label(a): docs[a], label(b): docs[b]}))
+        for m, p in itertools.product(of.get("graph_manifold", []), of.get("refiber_plan", [])):
+            runs.append((["staircase", label(m), label(p)], {label(m): docs[m], label(p): docs[p]}))
+        for name in of.get("spectrum_query", []):
+            for extra in ([], ["--radius", "5"]):
+                runs.append((["spectrum", label(name), *extra], {label(name): docs[name]}))
+    return runs
+
+
+def double_cover(graph):
+    """Covering data of the uniform double cover of a graph document."""
+    return {"type": "covering_data", "pieces": [
+        {"id": p["id"], "components": [{"degree": 2, "slots": [[s, [1, 1]] for s in p["slots"]]}]}
+        for p in graph["pieces"]]}
+
+
+def chain_plan(n):
+    """The plan of the bounded chain (corpus entry ex5.2) at n sheets."""
+    return {"type": "refiber_plan", "pieces": [{"id": "S1", "n": n, "arcs": []},
+                                               {"id": "S2", "n": n, "arcs": [["e2", "g"]]},
+                                               {"id": "S3", "n": n + 1, "arcs": [["g", "e3"]]}]}
+
+
+def edge_runs():
+    """(argv, documents) of the malformed and refused inputs."""
+    docs = json.loads((CORPUS / "ex5.2" / "input.json").read_text())["documents"]
+    manifold, plan2 = docs["manifold"], docs["plan2"]
+    runs = []
+
+    def staircase(name, m, p):
+        runs.append((["staircase", name + ".manifold", name + ".plan"], {name + ".manifold": m, name + ".plan": p}))
+
+    for name, edit in (("repeated_torus", lambda d: d["pieces"][0].update(boundary_tori=["f", "f"])),
+                       ("repeated_piece", lambda d: d["pieces"][1].update(id="S1")),
+                       ("repeated_gluing", lambda d: d["gluings"][1].update(id="f"))):
+        m = copy.deepcopy(manifold)
+        edit(m)
+        staircase(name, m, plan2)
+    staircase("missing_entry", manifold, {**plan2, "pieces": plan2["pieces"][:2]})
+    unequal = {"type": "refiber_plan", "pieces": [{"id": "S1", "n": 2, "arcs": []},
+                                                  {"id": "S2", "n": 3, "arcs": [["e2", "g"]]},
+                                                  {"id": "S3", "n": 4, "arcs": [["g", "e3"]]}]}
+    staircase("horizontal_unequal", manifold, unequal)
+    first_large = chain_plan(300_000)
+    first_large["pieces"] += chain_plan(1)["pieces"]
+    staircase("first_entry_large", manifold, first_large)
+    for n in (1, 83331, 83332, 10 ** 12):
+        staircase("chain_n%d" % n, manifold, chain_plan(n))
+    # a horizontal circle against an arc end, in either order, and one
+    # circle against one, all by uncalibrated matrices
+    pieces = [{"id": "A", "genus": 1, "boundary_tori": ["t"]}, {"id": "B", "genus": 1, "boundary_tori": ["t", "u"]}]
+    for name, sides, matrix, n_a in (("circles_2_1", (["A", "t"], ["B", "t"]), [[2, 1], [1, 1]], 2),
+                                     ("circles_1_2", (["B", "t"], ["A", "t"]), [[1, -1], [-1, 2]], 2),
+                                     ("circles_1_1", (["A", "t"], ["B", "t"]), [[2, 1], [1, 1]], 1)):
+        m = {"type": "graph_manifold", "pieces": pieces,
+             "gluings": [{"id": "j", "side_a": sides[0], "side_b": sides[1], "matrix": matrix}]}
+        staircase(name, m, {"type": "refiber_plan", "pieces": [{"id": "A", "n": n_a, "arcs": []},
+                                                               {"id": "B", "n": 2, "arcs": [["u", "t"]]}]})
+    # a graph piece that repeats a slot, keeping its boundary count
+    hub = json.loads((CORPUS / "ex4.6" / "input.json").read_text())["documents"]["d_2_2"]
+    hub["pieces"][0]["slots"] = ["h0", "h0"]
+    hub["pieces"] = hub["pieces"][:2]
+    hub["curves"] = hub["curves"][:1]
+    g = {"repeated_slot": hub}
+    for argv in (["invariants"], ["normalize"], ["power", "2"], ["compare", "repeated_slot"]):
+        runs.append(([argv[0], "repeated_slot", *argv[1:]], g))
+    runs.append((["cover", "repeated_slot", "repeated_slot.double"], {**g, "repeated_slot.double": double_cover(hub)}))
+    return runs
+
+
+def main(tree):
+    sys.path.insert(0, str(Path(tree).resolve() / "src"))
+    from click.testing import CliRunner
+
+    from fibercomm.cli import main as cli
+
+    try:
+        runner = CliRunner(mix_stderr=False)  # click < 8.2 mixes stderr in by default
+    except TypeError:
+        runner = CliRunner()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        for argv, docs in corpus_runs() + edge_runs():
+            for name, doc in docs.items():
+                Path(name).write_text(json.dumps(doc))
+            for fmt in FORMATS:
+                report(runner.invoke(cli, argv + ["--format", fmt]), argv + ["--format", fmt])
+        report(runner.invoke(cli, ["corpus", "verify", "--root", str(CORPUS)]), ["corpus", "verify"])
+
+
+def report(result, argv):
+    digest = [hashlib.sha256(b).hexdigest() for b in (result.stdout_bytes, result.stderr_bytes)]
+    raised = result.exception
+    raised = "-" if raised is None or isinstance(raised, SystemExit) else type(raised).__name__
+    print(result.exit_code, *digest, raised, " ".join(argv), flush=True)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    main(sys.argv[1])

@@ -40,11 +40,11 @@ class MalformedInput(ValueError):
     computation rejects them."""
 
 
-# limits on inputs whose cost grows with their value, as are
-# ``cover.MAX_LIFTED_CURVES`` and ``quadratic.TRIAL_WORK``: each is
-# checked before the work starts, and at each an operation takes ~5 s
+# a limit on an input whose cost grows with its value, checked before the
+# work starts, as are ``cover.MAX_LIFTED_CURVES``,
+# ``staircase.MAX_STAIRCASE_SIZE`` and ``quadratic.TRIAL_WORK``, each next
+# to the work it bounds; at each an operation takes about 5 s (7 s on a long chain)
 MAX_RADIUS = 300  # a spectrum enumerates 2 (2r + 1)**2 translates
-MAX_STAIRCASE_SIZE = 250_000  # pieces plus boundary circles, ``_graph_size``
 
 
 # ---------------------------------------------------------------------------
@@ -113,25 +113,9 @@ def _surface(s):
     return {"genus": s.genus, "boundary": s.boundary_components}
 
 
-def _graph_size(manifold, plan):
-    """Pieces plus boundary circles of the refibered graph: with n sheets
-    and k arcs a piece lifts to n copies if k = 0, else to one piece, and
-    each of its boundary circles to n circles, but once if on an arc."""
-    plans = plan._by_piece  # as ``refiber`` reads them: the first entry of a piece
-    size = 0
-    for p in manifold.pieces:
-        if p.id in plans:
-            n, k = plans[p.id].n, len(plans[p.id].arcs)
-            size += (1 if k else n) + 2 * k + n * (len(p.boundaries) - 2 * k)
-    return size
-
-
 def _refibered(manifold, plan):
     """The refibered map, its invariant report and the fields that both
-    staircase documents share; a graph over the size limit is refused
-    before it is built."""
-    if _graph_size(manifold, plan) > MAX_STAIRCASE_SIZE:
-        raise ResourceLimit("the refibered graph has more than %d pieces and boundary circles" % MAX_STAIRCASE_SIZE)
+    staircase documents share."""
     result = refiber(manifold, plan)
     doc = {
         "fiber": None if result.fiber is None else _surface(result.fiber),

@@ -224,6 +224,8 @@ def validate(phi):
                 "piece %s: boundary count %d != slots %d + free %d"
                 % (p.id, p.surface.boundary_components, len(p.slots), p.free_boundary)
             )
+        if len(set(p.slots)) != len(p.slots):
+            errors += ["piece %s repeats slot %s" % (p.id, s) for s, n in Counter(p.slots).items() if n > 1]
 
     by_id = {p.id: p for p in phi.pieces}
     curves = phi.curves
@@ -231,14 +233,14 @@ def validate(phi):
     ends += [c.end_b for c in curves]
     used = dict.fromkeys(ends)
     # Each slot is used by exactly one end, and each end is a slot, when
-    # the slots are distinct, every slot is among the ends, and there are
-    # as many distinct ends as ends and as slots.  Checked on the ends
-    # the curves already hold, so no set of every slot is built unless
-    # there is an error to report.
+    # the slots are distinct (no error so far: a repeat is one), every
+    # slot is among the ends, and there are as many distinct ends as ends
+    # and as slots.  Checked on the ends the curves already hold, so no
+    # set of every slot is built unless there is an error to report.
     fits = (
-        len(by_id) == len(phi.pieces)
+        not errors
+        and len(by_id) == len(phi.pieces)
         and len(used) == len(ends) == sum(len(p.slots) for p in phi.pieces)
-        and all(len(set(p.slots)) == len(p.slots) for p in phi.pieces)
         and all((p.id, s) in used for p in phi.pieces for s in p.slots)
     )
     zero = any(t == 0 for t in _distinct_twists(curves).values())

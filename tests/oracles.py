@@ -307,7 +307,9 @@ def validate_by_scan(phi):
                 "piece %s: boundary count %d != slots %d + free %d"
                 % (p.id, p.surface.boundary_components, len(p.slots), p.free_boundary)
             )
-        for s in p.slots:
+        for i, s in enumerate(p.slots):
+            if p.slots.index(s) == i and p.slots.count(s) > 1:
+                errors.append("piece %s repeats slot %s" % (p.id, s))
             slot_use[(p.id, s)] = 0
     by_id = {p.id: p for p in phi.pieces}
     for c in phi.curves:

@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from oracles import plain_document, reducible_doc_by_dicts
-from fibercomm import cli, cover, quadratic
+from fibercomm import cli, cover, quadratic, staircase
 from fibercomm import serialize as ser
 from fibercomm.cli import CORPUS_ROOT, main
 from fibercomm.cover import ComponentCover, CoveringData
@@ -308,6 +308,35 @@ def test_every_fault_is_named_by_its_path(tmp_path):
         doc = json.loads(json.dumps(manifold))
         doc[where[0]][where[1]][where[2]] = value
         cases.append(("staircase", [doc, plan], message))
+    # repeated names, and a plan that misses a piece
+    for edit, message in (
+        (lambda d: d["pieces"][0].update(boundary_tori=["f", "f"]), "pieces[0]: piece S1: repeated torus names f"),
+        (lambda d: d["pieces"][1].update(id="S1"), "repeated piece ids S1"),
+        (lambda d: d["gluings"][1].update(id="f"), "repeated gluing ids f"),
+    ):
+        doc = json.loads(json.dumps(manifold))
+        edit(doc)
+        cases.append(("staircase", [doc, plan], message))
+    cases.append(("staircase", [manifold, {**plan, "pieces": plan["pieces"][:2]}],
+                  "inadmissible plan: piece S3: no plan entry"))
+    # a horizontal circle glued to an arc end by an uncalibrated matrix
+    cases.append(("staircase", [{"type": "graph_manifold",
+                                 "pieces": [{"id": "A", "genus": 1, "boundary_tori": ["t"]},
+                                            {"id": "B", "genus": 1, "boundary_tori": ["t", "u"]}],
+                                 "gluings": [{"id": "j", "side_a": ["A", "t"], "side_b": ["B", "t"],
+                                              "matrix": [[2, 1], [1, 1]]}]},
+                                {"type": "refiber_plan", "pieces": [{"id": "A", "n": 2, "arcs": []},
+                                                                    {"id": "B", "n": 2, "arcs": [["u", "t"]]}]}],
+                  "inadmissible plan: gluing j: unequal sheet counts (2 and 1 circles)"))
+    # a graph piece that repeats a slot
+    cases.append(("invariants", [{"type": "reducible_map",
+                                  "pieces": [{"id": "hub", "genus": 1, "boundary": 2, "slots": ["h0", "h0"],
+                                              "free_boundary": 0},
+                                             {"id": "leaf", "genus": 1, "boundary": 1, "slots": ["l"],
+                                              "free_boundary": 0}],
+                                  "curves": [{"id": "c", "end_a": ["hub", "h0"], "end_b": ["leaf", "l"],
+                                              "twist": "1"}]}],
+                  "invalid decomposition graph: piece hub repeats slot h0"))
     for key, value, message in (("arcs", [1], "pieces[1].arcs[0]: expected [tail, head] as two str, got 1"),
                                 ("n", "2", "pieces[1].n: expected int, got '2'")):
         doc = json.loads(json.dumps(plan))
@@ -421,22 +450,38 @@ def test_resource_limits_are_pinned(tmp_path, monkeypatch):
     for argv in (["spectrum", path], ["spectrum", write(tmp_path / "q3.json", query), "--radius", "301"]):
         r = run(*argv)
         assert r.exit_code == 2 and r.output == "resource limit: the spectrum radius exceeds 300\n", r.output
-    # a bounded chain with n sheets refibers to 3n + 6 pieces and boundary circles
+    # refiber counts the pieces plus boundary circles of the graph it
+    # would build: a limit at that count accepts it, one less refuses it
     m = bounded_chain_manifold()
-    for n in (1, 2, 5):
-        phi = refiber(m, bounded_chain_plan(n)).map
-        assert cli._graph_size(m, bounded_chain_plan(n)) == 3 * n + 6
-        assert len(phi.pieces) + sum(p.surface.boundary_components for p in phi.pieces) == 3 * n + 6
-    for plan in (closed_chain_plan(3), closed_chain_alternate_plan()):
-        phi = refiber(closed_chain_manifold(), plan).map
+    families = [(m, bounded_chain_plan(n)) for n in (1, 2, 5)]
+    families += [(closed_chain_manifold(), plan) for plan in (closed_chain_plan(3), closed_chain_alternate_plan())]
+    for manifold, plan in families:
+        phi = refiber(manifold, plan).map
         size = len(phi.pieces) + sum(p.surface.boundary_components for p in phi.pieces)
-        assert cli._graph_size(closed_chain_manifold(), plan) == size
-    monkeypatch.setattr(cli, "refiber", lambda manifold, plan: plan)
-    with pytest.raises(AttributeError):  # reached refiber: accepted
-        cli.run_operation("staircase", [ser.manifold_doc(m), ser.plan_doc(bounded_chain_plan(83331))], {})
-    for n in (83332, 10 ** 12):
-        with pytest.raises(cli.ResourceLimit, match="more than 250000 pieces and boundary circles"):
-            cli.run_operation("staircase", [ser.manifold_doc(m), ser.plan_doc(bounded_chain_plan(n))], {})
+        if manifold is m:  # a bounded chain with n sheets: 3n + 6
+            assert size == 3 * plan.of("S1").n + 6
+        with monkeypatch.context() as patch:
+            patch.setattr(staircase, "MAX_STAIRCASE_SIZE", size)
+            assert refiber(manifold, plan).map == phi
+            patch.setattr(staircase, "MAX_STAIRCASE_SIZE", size - 1)
+            with pytest.raises(quadratic.ResourceLimit, match="more than %d pieces and boundary" % (size - 1)):
+                refiber(manifold, plan)
+
+    class Built(Exception):
+        """Raised by the first graph piece built: the plan was accepted."""
+
+    def built(*args):
+        raise Built
+
+    monkeypatch.setattr(staircase, "Piece", built)
+    for call in (lambda plan: refiber(m, plan),
+                 lambda plan: cli.run_operation("staircase", [ser.manifold_doc(m), ser.plan_doc(plan)], {})):
+        with pytest.raises(Built):
+            call(bounded_chain_plan(83331))
+        for n in (83332, 10 ** 12):
+            with pytest.raises(quadratic.ResourceLimit, match="more than 250000 pieces and boundary circles"):
+                call(bounded_chain_plan(n))
+    monkeypatch.undo()
     # normalization refuses a cover of more lifted curves than the bound
     graph = ser.reducible_doc(d_type_family(2, 3))
     lifted = len(cli.run_operation("normalize", [graph], {})["normalized"].curves)
@@ -673,6 +718,22 @@ def test_every_operation_goes_through_the_table(tmp_path, monkeypatch):
     del seen[:]
     run("corpus", "verify")
     assert set(seen) == corpus_ops
+
+
+def test_long_chain_refibers_in_linear_time():
+    """A chain of 20,000 two-torus pieces refibers at n = 1 in seconds:
+    each piece's staircase is built once and every lookup is a dict read."""
+    k = 20_000
+    manifold = {"type": "graph_manifold",
+                "pieces": [{"id": "P%d" % i, "genus": 1, "boundary_tori": ["l", "r"]} for i in range(k)],
+                "gluings": [{"id": "g%d" % i, "side_a": ["P%d" % i, "r"], "side_b": ["P%d" % (i + 1), "l"],
+                             "matrix": [[-1, 1], [0, 1]]} for i in range(k - 1)]}
+    plan = {"type": "refiber_plan", "pieces": [{"id": "P%d" % i, "n": 1, "arcs": []} for i in range(k)]}
+    t0 = time.perf_counter()
+    doc = cli.run_operation("staircase", [manifold, plan], {})
+    assert time.perf_counter() - t0 < 10
+    assert doc["fiber"] == {"genus": k, "boundary": 2} and doc["monodromy_order"] == 1
+    assert doc["twists"] == [F(-1)] * (k - 1)
 
 
 def test_first_plan_entry_of_a_piece_wins(tmp_path):

@@ -59,7 +59,8 @@ def corrupted(rng, phi):
     i, j = rng.randrange(len(pieces)), rng.randrange(len(curves))
     p, c = pieces[i], curves[j]
     kind = rng.choice(["zero twist", "missing piece", "missing slot", "slot used twice", "unused slot",
-                       "repeated slot", "repeated piece id", "repeated end", "repeated curve id"])
+                       "repeated slot", "repeated slot, same count", "repeated piece id", "repeated end",
+                       "repeated curve id"])
     if kind == "zero twist":
         curves[j] = replace(c, twist=F(0))
     elif kind == "missing piece":
@@ -72,6 +73,8 @@ def corrupted(rng, phi):
         pieces[i] = replace(p, slots=p.slots + ("spare",))
     elif kind == "repeated slot" and p.slots:
         pieces[i] = replace(p, slots=p.slots + p.slots[:1])
+    elif kind == "repeated slot, same count" and len(p.slots) > 1:
+        pieces[i] = replace(p, slots=p.slots[:-1] + p.slots[:1])
     elif kind == "repeated piece id" and len(pieces) > 1:
         pieces[i] = replace(p, id=pieces[i - 1].id)
     elif kind == "repeated end":
@@ -92,13 +95,18 @@ def test_validate_matches_end_by_end_scan():
         assert errors == validate_by_scan(bad), kind
         if errors:
             kinds.add(kind)
-    assert len(kinds) == 9
+    assert len(kinds) == 10
     # a repeated slot hides an end on a missing slot from the counts alone
     hidden = ReducibleMap(
         (Piece("a", Surface(1, 2), ("s", "s")), Piece("b", Surface(1, 2), ("t", "u"))),
         (ReducingCurve("c", ("a", "s"), ("b", "t"), F(1)), ReducingCurve("d", ("a", "x"), ("b", "u"), F(1))),
     )
-    assert validate(hidden) == validate_by_scan(hidden) == ["curve d references missing slot a.x"]
+    assert validate(hidden) == validate_by_scan(hidden) == ["piece a repeats slot s",
+                                                            "curve d references missing slot a.x"]
+    # and keeps every count right when the slot it replaces meets no curve
+    hub = ReducibleMap((Piece("hub", Surface(1, 2), ("h0", "h0")), Piece("leaf", Surface(1, 1), ("l",))),
+                       (ReducingCurve("c", ("hub", "h0"), ("leaf", "l"), F(1)),))
+    assert validate(hub) == validate_by_scan(hub) == ["piece hub repeats slot h0"]
 
 
 def test_invalid_graph_raises_on_every_call():

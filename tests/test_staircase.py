@@ -98,7 +98,7 @@ def test_staircase_published_shapes():
 
 def test_boundary_lift_slopes_and_rates():
     res = staircase_piece(Surface(1, 3), PiecePlan(4, (("b0", "b2"),)))
-    tail, head, horiz = res.lift("b0"), res.lift("b2"), res.lift("b1")
+    tail, head, horiz = res.lifts["b0"], res.lifts["b2"], res.lifts["b1"]
     assert tail.slope == (4, -1) and tail.rate == F(-1, 4) and tail.count == 1
     assert head.slope == (4, 1) and head.rate == F(1, 4) and head.count == 1
     assert horiz.slope == (1, 0) and horiz.count == 4
@@ -136,6 +136,30 @@ def test_validate_plan_slopes():
     )
     errors = validate_plan(m, unequal)
     assert errors and "unequal sheet counts" in errors[0]
+    # a piece without a plan entry is named
+    missing = RefiberPlan(bounded_chain_plan(2).per_piece[:2])
+    assert validate_plan(m, missing) == ["piece S3: no plan entry"]
+    with pytest.raises(ValueError, match="^inadmissible plan: piece S3: no plan entry$"):
+        refiber(m, missing)
+
+
+def test_junction_circle_counts_must_agree():
+    """An uncalibrated matrix can carry a horizontal circle to an arc end:
+    n circles on one side, one on the other, refused either way round."""
+    a = BundlePiece("A", Surface(1, 1), ("t",))
+    b = BundlePiece("B", Surface(1, 2), ("t", "u"))
+    plan = RefiberPlan((("A", PiecePlan(2)), ("B", PiecePlan(2, (("u", "t"),)))))
+    for gluing, counts in ((Gluing("j", ("A", "t"), ("B", "t"), ((2, 1), (1, 1))), "(2 and 1 circles)"),
+                           (Gluing("j", ("B", "t"), ("A", "t"), ((1, -1), (-1, 2))), "(1 and 2 circles)")):
+        m = FiberedGraphManifold((a, b), (gluing,))
+        assert validate_plan(m, plan) == ["gluing j: unequal sheet counts %s" % counts]
+        with pytest.raises(ValueError, match="unequal sheet counts"):
+            refiber(m, plan)
+    # one circle on each side: the twist is -sigma / n of side a, as before
+    m = FiberedGraphManifold((a, b), (Gluing("j", ("A", "t"), ("B", "t"), ((2, 1), (1, 1))),))
+    r = refiber(m, RefiberPlan((("A", PiecePlan(1)), ("B", PiecePlan(2, (("u", "t"),))))))
+    assert [(c.end_a, c.end_b, c.twist) for c in r.map.curves] == [(("A", "t"), ("B", "t"), F(-1))]
+    assert r.uncalibrated == ("j",) and r.monodromy_order == 2
 
 
 def test_identity_plan_reproduces_fibration():
