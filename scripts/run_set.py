@@ -14,8 +14,8 @@ both output formats, on:
   ``corpus verify`` on that corpus;
 * malformed and refused inputs: repeated names in a graph manifold or a
   graph, a plan that misses a piece, junctions whose sides lift to
-  different numbers of circles, and staircases at and past the size
-  limit.
+  different numbers of circles, staircases at and past the size limit,
+  and a spectrum past the radius limit.
 
 Each run prints one line: the exit code, the sha256 of stdout and of
 stderr, an uncaught exception's type if there was one, and the
@@ -127,6 +127,8 @@ def edge_runs():
     for argv in (["invariants"], ["normalize"], ["power", "2"], ["compare", "repeated_slot"]):
         runs.append(([argv[0], "repeated_slot", *argv[1:]], g))
     runs.append((["cover", "repeated_slot", "repeated_slot.double"], {**g, "repeated_slot.double": double_cover(hub)}))
+    query = json.loads((CORPUS / "ex3.12" / "input.json").read_text())["documents"]["q20"]
+    runs.append((["spectrum", "radius_limit", "--radius", "301"], {"radius_limit": query}))
     return runs
 
 

@@ -40,12 +40,10 @@ class MalformedInput(ValueError):
     computation rejects them."""
 
 
-# a limit on an input whose cost grows with its value, checked before the
-# work starts, as are ``cover.MAX_LIFTED_CURVES``,
-# ``staircase.MAX_STAIRCASE_SIZE`` and ``quadratic.TRIAL_WORK``, each next
-# to the work it bounds; at each an operation takes about 5 s (7 s on a long chain)
-MAX_RADIUS = 300  # a spectrum enumerates 2 (2r + 1)**2 translates
-
+# each limit on an input whose cost grows with its value is checked before
+# the work starts, next to the work it bounds, so it binds library calls
+# too: ``spectrum.MAX_RADIUS``, ``cover.MAX_LIFTED_CURVES``, ``quadratic.TRIAL_WORK``
+# and ``staircase.MAX_STAIRCASE_SIZE`` (at each about 5 s, 7 s on a long chain)
 
 # ---------------------------------------------------------------------------
 # result documents: exact values, turned into text only by the writers
@@ -148,11 +146,7 @@ def _pa_obstruction(pa1, pa2):
 
 def _query(q, radius):
     """The query, with its radius overridden when ``radius`` is given."""
-    if radius is not None:
-        q = dataclasses.replace(q, radius=radius)
-    if q.radius > MAX_RADIUS:
-        raise ResourceLimit("the spectrum radius exceeds %d" % MAX_RADIUS)
-    return q
+    return q if radius is None else dataclasses.replace(q, radius=radius)
 
 
 def _spectrum_min(q, radius=None):
@@ -198,8 +192,8 @@ def run_operation(op, docs, args):
 
     The single error boundary of the table: a parse failure, always a
     ``ValueError`` naming the faulty field by its path, and a
-    ``ValueError`` or ``KeyError`` from the computation are raised as
-    ``MalformedInput``.  A ``ResourceLimit`` passes through.
+    ``ValueError`` from the computation are raised as ``MalformedInput``.
+    Anything else, a ``ResourceLimit`` or a fault of the library, passes.
     """
     if op not in OPERATIONS:
         raise MalformedInput("unknown corpus operation %r" % (op,))
@@ -213,7 +207,7 @@ def run_operation(op, docs, args):
         raise MalformedInput(e) from e
     try:
         return run(*parsed)
-    except (ValueError, KeyError) as e:
+    except ValueError as e:
         raise MalformedInput(e) from e
 
 

@@ -34,15 +34,16 @@ import contextlib
 import gc
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress, islice, repeat
 from operator import eq, itemgetter
 
 from .decomposition import (
     Piece,
     ReducibleMap,
+    ReducingCurve,
     _distinct_twists,
     _pairs_from_curves,
-    _trusted_curve,
     piece_pairs,
     power,
     validate_or_raise,
@@ -80,18 +81,9 @@ class ComponentCover:
     slot_partitions: tuple  # ((slot, (d_1, ..., d_t)), ...)
     free_partitions: tuple = None
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "slot_partitions",
-            tuple((s, tuple(p)) for s, p in self.slot_partitions),
-        )
-        if self.free_partitions is not None:
-            object.__setattr__(
-                self, "free_partitions", tuple(tuple(p) for p in self.free_partitions)
-            )
-        # reversed, so the first entry of a repeated slot wins
-        object.__setattr__(self, "_by_slot", dict(reversed(self.slot_partitions)))
+    @cached_property
+    def _by_slot(self):  # reversed, so the first entry of a repeated slot wins
+        return dict(reversed(self.slot_partitions))
 
     def partition(self, slot):
         return self._by_slot[slot]
@@ -103,12 +95,9 @@ class CoveringData:
 
     components: tuple  # ((piece id, (ComponentCover, ...)), ...)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "components", tuple((pid, tuple(cs)) for pid, cs in self.components)
-        )
-        # reversed, so the first entry of a repeated piece wins
-        object.__setattr__(self, "_by_piece", dict(reversed(self.components)))
+    @cached_property
+    def _by_piece(self):  # reversed, so the first entry of a repeated piece wins
+        return dict(reversed(self.components))
 
     def of(self, pid):
         return self._by_piece[pid]
@@ -214,16 +203,17 @@ def lift_cover(phi, c):
     degree (sorted order on both sides); each carries twist I/d, one
     ``Fraction`` per base curve and local degree.  The graph carries its
     ``piece_pairs`` table in closed form, l * A(S) for a degree-l
-    component over S.
+    component over S, as its ``pairs``.
 
-    The lift is not validated: the checks of ``phi``, ``_validate_cover``
-    and ``_covered_surfaces`` imply every check of ``validate`` on it:
+    The lift is not validated, its ``errors`` are set empty: the checks
+    of ``phi``, ``_validate_cover`` and ``_covered_surfaces`` imply every
+    check of ``validate`` on it:
 
     * distinct piece and slot ids: a ``"%s~%d"`` name splits uniquely at
       its last ``~`` into a base id and an index;
     * distinct curve ids, ``"%s~%d"`` names over the distinct base ids;
     * chi = l * chi(S) < 0, and the boundary count the surface solves;
-    * nonzero twists I/d;
+    * nonzero twists I/d, each a ``Fraction`` as I is;
     * each lifted slot used once, as its base slot is, since the matched
       degree lists of a base curve's two ends have equal length.
 
@@ -269,12 +259,11 @@ def lift_cover(phi, c):
             twists = []
             for d, n in counts.items():
                 twists += [curve.twist / d] * n
-            curves += map(_trusted_curve, numbered(curve.id, len(side_a)), side_a, side_b, twists)
+            curves += map(ReducingCurve, numbered(curve.id, len(side_a)), side_a, side_b, twists)
     if not curves:
         raise ValueError("invalid decomposition graph: reducing system is empty")
     lifted = ReducibleMap(tuple(pieces), tuple(curves))
-    object.__setattr__(lifted, "_cached_pairs", pairs)
-    object.__setattr__(lifted, "_cached_valid", True)
+    vars(lifted).update(pairs=pairs, errors=[])  # the graph's cached tables, known here
     return lifted
 
 

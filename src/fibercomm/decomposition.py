@@ -23,14 +23,16 @@ From this data the twist invariants are computed exactly:
 * ``p_polynomial``    -- the chi-weighted generating polynomial that
   packages both.
 
-The per-piece pairs are computed once per graph and every invariant
-above reads that table.  The curve ends are counted by piece and twist
-value first, so a graph with only the twists +1 and -1 costs one
-``Fraction`` per piece and distinct twist, not one per slot; a lifted
-graph carries its table in closed form and is never counted.
+The per-piece pairs are computed once per graph (a cached property, as
+is every table a graph derives), and every invariant above reads them.
+The curve ends are counted by piece and twist value first, so a graph
+with only the twists +1 and -1 costs one ``Fraction`` per piece and
+distinct twist, not one per slot; a lifted graph carries its table in
+closed form and is never counted.
 
-Twist zero is rejected: a curve with trivial fractional twist between
-periodic sides is not part of a minimal reducing system.
+Constructors store what they are given; ``validate`` requires each
+twist to be a nonzero ``Fraction``: a curve with trivial fractional
+twist between periodic sides is not part of a minimal reducing system.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .quadratic import QuadraticUnit, unit_log_ratio
 from .surfaces import Surface
@@ -107,9 +110,6 @@ class Piece:
     free_boundary: int = 0
     dilatation: DilatationLabel = None  # None = periodic piece
 
-    def __post_init__(self):
-        object.__setattr__(self, "slots", tuple(self.slots))
-
     @property
     def periodic(self):
         return self.dilatation is None
@@ -122,35 +122,9 @@ class ReducingCurve:
     end_b: tuple
     twist: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "end_a", tuple(self.end_a))
-        object.__setattr__(self, "end_b", tuple(self.end_b))
-        if not isinstance(self.twist, Fraction):
-            object.__setattr__(self, "twist", Fraction(self.twist))
-
     @property
     def ends(self):
         return (self.end_a, self.end_b)
-
-
-# looked up once, not per curve: a lift builds tens of thousands of curves
-_new, _set = object.__new__, object.__setattr__
-
-
-def _trusted_curve(cid, end_a, end_b, twist):
-    """A ``ReducingCurve`` built without the ``__post_init__`` conversions.
-
-    For curves whose ends are already tuples and whose twist is already
-    a ``Fraction``, usually one shared by many curves: those derived
-    inside the library and those the document parser has checked.  The
-    fields are set one by one, as the frozen dataclass ``__init__`` does.
-    """
-    c = _new(ReducingCurve)
-    _set(c, "id", cid)
-    _set(c, "end_a", end_a)
-    _set(c, "end_b", end_b)
-    _set(c, "twist", twist)
-    return c
 
 
 def _distinct_twists(curves):
@@ -172,29 +146,41 @@ class ReducibleMap:
     pieces: tuple
     curves: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "pieces", tuple(self.pieces))
-        object.__setattr__(self, "curves", tuple(self.curves))
+    # derived tables, built on first use and kept with the graph: ``validate``,
+    # ``piece_pairs``, ``normalized_pairs`` and lookups, never a linear scan
+    @cached_property
+    def errors(self):
+        return validate(self)
 
-    # lazy lookup tables, each built on first use; large lifted graphs
-    # make linear scans quadratic in practice, and most of their
-    # operations never look a curve up by its end
+    @cached_property
+    def pairs(self):
+        return _pairs_from_curves(self)
+
+    @cached_property
+    def normalized(self):
+        table, normalized = self.pairs, {}
+        for ((ap, an), chi), n in Counter((table[p.id], p.surface.chi) for p in self.pieces).items():
+            key = (ap / -chi, an / -chi)
+            normalized[key] = normalized.get(key, 0) + n * chi
+        return normalized
+
+    @cached_property
+    def _by_id(self):
+        return {p.id: p for p in self.pieces}
+
+    @cached_property
+    def _by_end(self):
+        by_end = {}
+        for c in self.curves:
+            by_end.setdefault(c.end_a, c)
+            by_end.setdefault(c.end_b, c)
+        return by_end
+
     def piece(self, pid):
-        by_id = getattr(self, "_cached_pieces", None)
-        if by_id is None:
-            by_id = {p.id: p for p in self.pieces}
-            object.__setattr__(self, "_cached_pieces", by_id)
-        return by_id[pid]
+        return self._by_id[pid]
 
     def curve_at(self, pid, slot):
-        by_end = getattr(self, "_cached_ends", None)
-        if by_end is None:
-            by_end = {}
-            for c in self.curves:
-                by_end.setdefault(c.end_a, c)
-                by_end.setdefault(c.end_b, c)
-            object.__setattr__(self, "_cached_ends", by_end)
-        return by_end[(pid, slot)]
+        return self._by_end[(pid, slot)]
 
     @property
     def chi(self):
@@ -243,12 +229,14 @@ def validate(phi):
         and len(used) == len(ends) == sum(len(p.slots) for p in phi.pieces)
         and all((p.id, s) in used for p in phi.pieces for s in p.slots)
     )
-    zero = any(t == 0 for t in _distinct_twists(curves).values())
-    if not fits or zero:
+    odd = any(not isinstance(t, Fraction) or t == 0 for t in _distinct_twists(curves).values())
+    if not fits or odd:
         slots = dict.fromkeys((p.id, s) for p in phi.pieces for s in p.slots)
-        if zero or not used.keys() <= slots.keys():
+        if odd or not used.keys() <= slots.keys():
             for c in curves:
-                if c.twist == 0:
+                if not isinstance(c.twist, Fraction):
+                    errors.append("curve %s: twist %r is not a Fraction" % (c.id, c.twist))
+                elif c.twist == 0:
                     errors.append("curve %s has zero twist" % c.id)
                 for pid, slot in c.ends:
                     if pid not in by_id:
@@ -266,16 +254,12 @@ def validate(phi):
 def validate_or_raise(phi):
     """Raise ``ValueError`` listing the errors of ``validate``.
 
-    Success is recorded on the frozen graph, so a graph that passes is
-    checked once however many operations it goes through; a graph that
-    fails is checked, and raises, on every call.
+    The errors are kept on the graph (``phi.errors``), so a graph is
+    checked once however many operations it goes through; one that
+    fails raises on every call.
     """
-    if getattr(phi, "_cached_valid", False):
-        return
-    errors = validate(phi)
-    if errors:
-        raise ValueError("invalid decomposition graph: " + "; ".join(errors))
-    object.__setattr__(phi, "_cached_valid", True)
+    if phi.errors:
+        raise ValueError("invalid decomposition graph: " + "; ".join(phi.errors))
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +271,9 @@ def piece_pairs(phi):
     Sums 1/k over the slots whose incident twist k is positive into the
     first coordinate and 1/(-k) over negative twists into the second.  A
     curve with both ends on the piece contributes through both slots.
-    A lift (``cover.lift_cover``) carries its table from the start.
+    Kept as ``phi.pairs``, which a lift (``cover.lift_cover``) carries.
     """
-    cached = getattr(phi, "_cached_pairs", None)
-    if cached is None:
-        cached = _pairs_from_curves(phi)
-        object.__setattr__(phi, "_cached_pairs", cached)
-    return cached
+    return phi.pairs
 
 
 def _pairs_from_curves(phi):
@@ -318,24 +298,17 @@ def _pairs_from_curves(phi):
 
 
 def a_total(phi):
-    """Global pair invariant: half the sum of the per-piece pairs."""
-    table = piece_pairs(phi)
-    pairs = [table[p.id] for p in phi.pieces]
-    return (sum((a for a, _ in pairs), Fraction(0)) / 2, sum((b for _, b in pairs), Fraction(0)) / 2)
+    """Global pair invariant: half the sum of the per-piece pairs, each
+    its normalized pair times -chi, so one term per normalized pair."""
+    items = normalized_pairs(phi).items()
+    return (sum((p * chi for (p, _), chi in items), Fraction(0)) / -2,
+            sum((q * chi for (_, q), chi in items), Fraction(0)) / -2)
 
 
 def normalized_pairs(phi):
     """Each chi-normalized piece pair -> the chi of the pieces realizing
-    it; once per graph, one division per distinct (piece pair, chi)."""
-    cached = getattr(phi, "_cached_normalized", None)
-    if cached is None:
-        table = piece_pairs(phi)
-        cached = {}
-        for ((ap, an), chi), n in Counter((table[p.id], p.surface.chi) for p in phi.pieces).items():
-            key = (ap / -chi, an / -chi)
-            cached[key] = cached.get(key, 0) + n * chi
-        object.__setattr__(phi, "_cached_normalized", cached)
-    return cached
+    it; kept as ``phi.normalized``, one division per (piece pair, chi)."""
+    return phi.normalized
 
 
 def pi_invariant(phi):
@@ -370,5 +343,5 @@ def power(phi, k):
         key = (c.twist.numerator, c.twist.denominator)
         if key not in twists:
             twists[key] = c.twist * k
-        curves.append(_trusted_curve(c.id, c.end_a, c.end_b, twists[key]))
+        curves.append(ReducingCurve(c.id, c.end_a, c.end_b, twists[key]))
     return ReducibleMap(pieces, tuple(curves))

@@ -44,7 +44,7 @@ from operator import attrgetter, itemgetter
 
 from .comparator import COMBINED, FULL, TOPOLOGICAL
 from .cover import ComponentCover, CoveringData, _gc_paused
-from .decomposition import DilatationLabel, Piece, ReducibleMap, _distinct_twists, _trusted_curve
+from .decomposition import DilatationLabel, Piece, ReducibleMap, ReducingCurve, _distinct_twists
 from .quadratic import QuadraticUnit
 from .spectrum import BranchData, SingularityVector, SpectrumQuery
 from .staircase import BundlePiece, FiberedGraphManifold, Gluing, PiecePlan, RefiberPlan
@@ -429,7 +429,7 @@ reducible_from_doc = _document(
         lambda pid, genus, boundary, slots, free, label: Piece(pid, Surface(genus, boundary), slots, free, label),
         ("id", _str), ("genus", _int), ("boundary", _int), ("slots", _STRS), ("free_boundary", _int),
         ("dilatation", _LABEL)))),
-    ("curves", _list(_object(_trusted_curve, ("id", _str), ("end_a", _END), ("end_b", _END), ("twist", _rational)))),
+    ("curves", _list(_object(ReducingCurve, ("id", _str), ("end_a", _END), ("end_b", _END), ("twist", _rational)))),
 )[0]
 
 

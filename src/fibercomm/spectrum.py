@@ -25,11 +25,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .quadratic import QuadraticNumber, _trusted
+from .quadratic import QuadraticNumber, ResourceLimit, _trusted
 from .surfaces import Surface
 from .torus import _anosov, _det, _integer_matrix, _trace, _trace_field
 
 _ZERO = Fraction(0)
+
+MAX_RADIUS = 300  # a spectrum enumerates 2 (2r + 1)**2 translates, in about 5 s at this radius
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,6 @@ class BranchData:
     matrix: tuple = None  # optional Anosov matrix of the base
 
     def __post_init__(self):
-        object.__setattr__(self, "branch_points", tuple(tuple(p) for p in self.branch_points))
         if self.matrix is not None:
             object.__setattr__(self, "matrix", _integer_matrix(self.matrix, "branch data matrix"))
         for p in self.branch_points:
@@ -144,13 +145,10 @@ class SpectrumQuery:
     radius: int
 
     def __post_init__(self):
-        m = _integer_matrix(self.matrix)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "origin", tuple(Fraction(x) for x in self.origin))
-        object.__setattr__(self, "point", tuple(Fraction(x) for x in self.point))
+        object.__setattr__(self, "matrix", _integer_matrix(self.matrix))
         if type(self.radius) is not int or self.radius < 1:
             raise ValueError("radius must be an integer >= 1, got %r" % (self.radius,))
-        if not _anosov(_trace(m), _det(m)):
+        if not _anosov(_trace(self.matrix), _det(self.matrix)):
             raise ValueError("matrix is not Anosov")
 
 
@@ -193,8 +191,11 @@ def _spectrum_keys(q):
 
     Returns (D, scale, L, keyed): keyed yields (k, w) for each translate
     v = w / L, whose measure product is k * sqrt(D) / scale.  Keys order
-    and deduplicate exactly like the values they stand for.
+    and deduplicate exactly like the values they stand for.  A radius
+    above ``MAX_RADIUS`` is refused with ``ResourceLimit`` first.
     """
+    if q.radius > MAX_RADIUS:
+        raise ResourceLimit("the spectrum radius exceeds %d" % MAX_RADIUS)
     f, D, m, abs_c = _measure_form(q.matrix)
     L = math.lcm(*(x.denominator for x in q.origin + q.point))
     return D, L * L * m * abs_c * D, L, ((abs(f(w)), w) for w in _translates(q, L))
@@ -220,10 +221,10 @@ def spectrum_count_below(q, bound):
     value k*sqrt(D)/scale lies below it exactly when
     k**2 * D * d**2 < n**2 * scale**2.  No value lies below a bound <= 0.
     """
+    D, scale, _, keyed = _spectrum_keys(q)
     n, d = bound.numerator, bound.denominator
     if n <= 0:
         return 0
-    D, scale, _, keyed = _spectrum_keys(q)
     key_bound, limit = D * d * d, n * n * scale * scale
     return len({k for k, _ in keyed if k * k * key_bound < limit})
 

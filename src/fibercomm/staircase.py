@@ -40,8 +40,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .decomposition import Piece, ReducibleMap, _trusted_curve
+from .decomposition import Piece, ReducibleMap, ReducingCurve
 from .quadratic import ResourceLimit
 from .surfaces import Surface
 from .torus import _integer_matrix
@@ -68,7 +69,6 @@ class BundlePiece:
     boundaries: tuple  # names of the boundary tori
 
     def __post_init__(self):
-        object.__setattr__(self, "boundaries", tuple(self.boundaries))
         if len(self.boundaries) != self.surface.boundary_components:
             raise ValueError(
                 "piece %s: %d torus names for %d boundary circles"
@@ -86,8 +86,6 @@ class Gluing:
     matrix: tuple  # maps side-a (section, fiber) coordinates to side-b
 
     def __post_init__(self):
-        object.__setattr__(self, "side_a", tuple(self.side_a))
-        object.__setattr__(self, "side_b", tuple(self.side_b))
         object.__setattr__(self, "matrix", _integer_matrix(self.matrix, "gluing %s: matrix" % (self.id,)))
 
 
@@ -97,8 +95,6 @@ class FiberedGraphManifold:
     gluings: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "pieces", tuple(self.pieces))
-        object.__setattr__(self, "gluings", tuple(self.gluings))
         for kind, ids in (("piece", [p.id for p in self.pieces]), ("gluing", [g.id for g in self.gluings])):
             if repeated := _repeated(ids):
                 raise ValueError("repeated %s ids %s" % (kind, ", ".join(repeated)))
@@ -126,7 +122,6 @@ class PiecePlan:
     arcs: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "arcs", tuple(tuple(a) for a in self.arcs))
         if self.n < 1:
             raise ValueError("sheet count must be >= 1")
         for tail, head in self.arcs:
@@ -140,10 +135,9 @@ class PiecePlan:
 class RefiberPlan:
     per_piece: tuple  # ((piece id, PiecePlan), ...)
 
-    def __post_init__(self):
-        object.__setattr__(self, "per_piece", tuple(self.per_piece))
-        # reversed, so the first entry of a repeated piece wins
-        object.__setattr__(self, "_by_piece", dict(reversed(self.per_piece)))
+    @cached_property
+    def _by_piece(self):  # reversed, so the first entry of a repeated piece wins
+        return dict(reversed(self.per_piece))
 
     def of(self, pid):
         """The first entry for piece ``pid``, or None."""
@@ -302,7 +296,7 @@ def refiber(manifold, plan):
         twist = Fraction(-sigma, sheets)
         for i in range(la.count):  # as many as lb.count, by validation
             cid = g.id if la.count == 1 else "%s~%d" % (g.id, i)
-            curves.append(_trusted_curve(cid, slot_map[(*g.side_a, i)], slot_map[(*g.side_b, i)], twist))
+            curves.append(ReducingCurve(cid, slot_map[(*g.side_a, i)], slot_map[(*g.side_b, i)], twist))
 
     phi = ReducibleMap(tuple(pieces), tuple(curves))
     N = math.lcm(*[plan.of(p.id).n for p in manifold.pieces])

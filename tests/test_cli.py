@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from oracles import plain_document, reducible_doc_by_dicts
-from fibercomm import cli, cover, quadratic, staircase
+from fibercomm import cli, cover, quadratic, spectrum, staircase
 from fibercomm import serialize as ser
 from fibercomm.cli import CORPUS_ROOT, main
 from fibercomm.cover import ComponentCover, CoveringData
@@ -440,12 +440,15 @@ def test_resource_limits_are_pinned(tmp_path, monkeypatch):
     bound and refuses one more, before the work starts."""
     query = {"type": "spectrum_query", "matrix": [[2, 1], [1, 1]], "origin": ["0", "0"], "point": ["1/2", "0"],
              "radius": 3}
-    monkeypatch.setattr(cli, "spectrum_count_below", lambda q, bound: q.radius)
-    assert cli.run_operation("spectrum_count_below", [query], {"bound": "1", "radius": 300})["count"] == 300
-    for op, args in (("spectrum_count_below", {"bound": "1", "radius": 301}), ("spectrum_min", {"radius": 301}),
-                     ("spectrum", {"radius": 10 ** 12})):
-        with pytest.raises(cli.ResourceLimit, match="the spectrum radius exceeds 300"):
-            cli.run_operation(op, [query], args)
+    with monkeypatch.context() as patch:  # the radii that reach the enumeration, which yields nothing
+        reached = []
+        patch.setattr(spectrum, "_translates", lambda q, L: reached.append(q.radius) or iter(()))
+        assert cli.run_operation("spectrum_count_below", [query], {"bound": "1", "radius": 300})["count"] == 0
+        for op, args in (("spectrum_count_below", {"bound": "1", "radius": 301}), ("spectrum_min", {"radius": 301}),
+                         ("spectrum", {"radius": 10 ** 12})):
+            with pytest.raises(cli.ResourceLimit, match="the spectrum radius exceeds 300"):
+                cli.run_operation(op, [query], args)
+        assert reached == [300]
     path = write(tmp_path / "q.json", dict(query, radius=301))
     for argv in (["spectrum", path], ["spectrum", write(tmp_path / "q3.json", query), "--radius", "301"]):
         r = run(*argv)
@@ -718,6 +721,21 @@ def test_every_operation_goes_through_the_table(tmp_path, monkeypatch):
     del seen[:]
     run("corpus", "verify")
     assert set(seen) == corpus_ops
+
+
+def test_a_library_fault_is_not_malformed_input(tmp_path, monkeypatch):
+    """Only a ``ValueError`` of an operation is malformed input: a
+    ``KeyError`` raised by its computation propagates as itself."""
+
+    def fault(phi):
+        raise KeyError("x")
+
+    monkeypatch.setitem(cli.OPERATIONS, "invariants", (("reducible",), (), fault))
+    graph = ser.reducible_doc(d_type_family(2, 2))
+    with pytest.raises(KeyError, match="x"):
+        cli.run_operation("invariants", [graph], {})
+    r = run("invariants", write(tmp_path / "g.json", graph))
+    assert isinstance(r.exception, KeyError) and "malformed input" not in r.output
 
 
 def test_long_chain_refibers_in_linear_time():

@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
@@ -127,23 +128,43 @@ def test_cover_laws_read_the_curves():
         lifted = lift_cover(phi, c)
         table = piece_pairs(lifted)
         # a wrong carried table is not read
-        object.__setattr__(lifted, "_cached_pairs", {pid: (F(7), F(7)) for pid in table})
+        vars(lifted)["pairs"] = {pid: (F(7), F(7)) for pid in table}
+        assert piece_pairs(lifted) != table  # the wrong table is the one carried
         assert all(ch.ok for ch in verify_cover_laws(phi, c, lifted))
         # one twist changed under a correct carried table is seen
         first = lifted.curves[0]
         bad = ReducibleMap(lifted.pieces, (replace(first, twist=2 * first.twist),) + lifted.curves[1:])
-        object.__setattr__(bad, "_cached_pairs", table)
+        vars(bad)["pairs"] = table
         checks = verify_cover_laws(phi, c, bad)
         wrong = {ch.piece for ch in checks if ch.law == "A multiplies by degree" and not ch.ok}
         assert wrong == {first.end_a[0], first.end_b[0]}
         tested += 1
 
 
+def identity_cover(phi):
+    return CoveringData(tuple((p.id, (ComponentCover(1, tuple((s, (1,)) for s in p.slots)),)) for p in phi.pieces))
+
+
+@pytest.mark.parametrize("twist", [2, 0.5])
+def test_twist_that_is_not_a_fraction_is_refused(twist):
+    """A twist stored as an int or a float is named by ``validate``, so no
+    consumer of the graph divides it into a float."""
+    phi = two_piece_map(twist)
+    message = "curve c: twist %r is not a Fraction" % (twist,)
+    assert validate(phi) == [message]
+    d = d_type_family(3, 2)
+    mixed = ReducibleMap(d.pieces, (d.curves[0], replace(d.curves[1], twist=twist), d.curves[2]))
+    assert validate(mixed) == ["curve c1: twist %r is not a Fraction" % (twist,)]
+    for graph, text in ((phi, message), (mixed, "curve c1: twist")):
+        for call in (lambda: lift_cover(graph, identity_cover(graph)), lambda: normalize_unit_twists(graph),
+                     lambda: InvariantReport.of(graph)):
+            with pytest.raises(ValueError, match=re.escape(text)):
+                call()
+
+
 def test_identity_cover_is_trivial():
     phi = d_type_family(2, 2)
-    c = CoveringData(
-        tuple((p.id, (ComponentCover(1, tuple((s, (1,)) for s in p.slots)),)) for p in phi.pieces)
-    )
+    c = identity_cover(phi)
     lifted = lift_cover(phi, c)
     assert a_total(lifted) == a_total(phi)
     assert pi_invariant(lifted) == pi_invariant(phi)
@@ -508,7 +529,7 @@ def assert_trusted_lift(phi, c):
         assert "no surface with chi" in got
         assert got == outcome(lift_cover_by_scan, phi, c)
         return False
-    assert "_cached_pairs" in vars(got) and got._cached_valid
+    assert "pairs" in vars(got) and vars(got)["errors"] == []  # carried, not computed
     expected = lift_cover_by_scan(phi, c)
     assert got.pieces == expected.pieces
     assert [(x.id, x.ends, x.twist) for x in got.curves] == [(x.id, x.ends, x.twist) for x in expected.curves]

@@ -5,7 +5,9 @@ import pytest
 import sympy
 
 from oracles import fundamental_unit
+from fibercomm import spectrum
 from fibercomm.decomposition import DilatationLabel
+from fibercomm.quadratic import ResourceLimit
 from fibercomm.spectrum import (
     BranchData,
     SingularityVector,
@@ -119,6 +121,21 @@ def test_query_validation():
         SpectrumQuery(GOLDEN, (0, 0), (0, 0), 0)
     with pytest.raises(ValueError, match="determinant"):
         SpectrumQuery(((2, 0), (0, 1)), (0, 0), (0, 0), 3)
+
+
+def test_radius_limit_binds_library_calls(monkeypatch):
+    """Past ``MAX_RADIUS`` every enumeration is refused before it starts."""
+
+    def enumerate_translates(q, L):
+        raise AssertionError("radius %d enumerated" % q.radius)
+
+    monkeypatch.setattr(spectrum, "_translates", enumerate_translates)
+    q = SpectrumQuery(GOLDEN, (F(0), F(0)), (F(1, 2), F(1, 2)), spectrum.MAX_RADIUS + 1)
+    assert spectrum.MAX_RADIUS == 300
+    for call in (spectrum_values, spectrum_min, lambda q: spectrum_count_below(q, F(1)),
+                 lambda q: spectrum_count_below(q, F(-1))):
+        with pytest.raises(ResourceLimit, match="the spectrum radius exceeds 300"):
+            call(q)
 
 
 def test_golden_minimum():
