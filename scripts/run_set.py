@@ -15,7 +15,9 @@ both output formats, on:
 * malformed and refused inputs: repeated names in a graph manifold or a
   graph, a plan that misses a piece, junctions whose sides lift to
   different numbers of circles, staircases at and past the size limit,
-  and a spectrum past the radius limit.
+  a spectrum past the radius limit, and graphs whose symbolic stretch
+  factor has exponent 0 or -1 under ``compare --mode combined`` and
+  ``invariants``.
 
 Each run prints one line: the exit code, the sha256 of stdout and of
 stderr, an uncaught exception's type if there was one, and the
@@ -127,6 +129,13 @@ def edge_runs():
     for argv in (["invariants"], ["normalize"], ["power", "2"], ["compare", "repeated_slot"]):
         runs.append(([argv[0], "repeated_slot", *argv[1:]], g))
     runs.append((["cover", "repeated_slot", "repeated_slot.double"], {**g, "repeated_slot.double": double_cover(hub)}))
+    # a symbolic stretch factor lambda**e with e <= 0
+    for e in ("0", "-1"):
+        graph = json.loads((CORPUS / "ex4.9" / "input.json").read_text())["documents"]["k2"]
+        graph["pieces"][0]["dilatation"]["exponent"] = e
+        name = "exponent_%s" % e
+        runs.append((["compare", name, name, "--mode", "combined"], {name: graph}))
+        runs.append((["invariants", name], {name: graph}))
     query = json.loads((CORPUS / "ex3.12" / "input.json").read_text())["documents"]["q20"]
     runs.append((["spectrum", "radius_limit", "--radius", "301"], {"radius_limit": query}))
     return runs

@@ -44,7 +44,6 @@ from .decomposition import (
     ReducingCurve,
     _distinct_twists,
     _pairs_from_curves,
-    piece_pairs,
     power,
     validate_or_raise,
 )
@@ -202,8 +201,8 @@ def lift_cover(phi, c):
     Preimage curves are paired across each base curve by matching local
     degree (sorted order on both sides); each carries twist I/d, one
     ``Fraction`` per base curve and local degree.  The graph carries its
-    ``piece_pairs`` table in closed form, l * A(S) for a degree-l
-    component over S, as its ``pairs``.
+    pair table in closed form, l * A(S) for a degree-l component over
+    S, as its ``pairs``.
 
     The lift is not validated, its ``errors`` are set empty: the checks
     of ``phi``, ``_validate_cover`` and ``_covered_surfaces`` imply every
@@ -238,7 +237,7 @@ def lift_cover(phi, c):
         pieces, pairs, curves = [], {}, []
         runs_at = {}  # (pid, slot) -> runs (local degree, lifted piece id, lifted slot names)
         for p in phi.pieces:
-            a, b = piece_pairs(phi)[p.id]
+            a, b = phi.pairs[p.id]
             for j, comp in enumerate(c.of(p.id)):
                 new_id = "%s~%d" % (p.id, j)
                 slots = []

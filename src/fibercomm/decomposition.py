@@ -14,7 +14,7 @@ A reducible automorphism in standard form is recorded combinatorially:
 
 From this data the twist invariants are computed exactly:
 
-* ``piece_pairs(phi)`` -- for each piece S, the pair of reciprocal-twist
+* ``phi.pairs``       -- for each piece S, the pair of reciprocal-twist
   sums over the slots of S, split by twist sign;
 * ``a_total(phi)``    -- half the sum over pieces (each curve meets two
   slots), equal to the direct sum over curves;
@@ -68,6 +68,8 @@ class DilatationLabel:
         if (self.unit is None) == (self.name is None):
             raise ValueError("label must be exactly one of exact / symbolic")
         object.__setattr__(self, "exponent", Fraction(self.exponent))
+        if self.exponent <= 0:  # lambda**e <= 1 is no stretch factor
+            raise ValueError("stretch-factor exponent must be positive, got %s" % self.exponent)
         if self.rotation is not None:
             object.__setattr__(self, "rotation", Fraction(self.rotation))
 
@@ -132,7 +134,8 @@ def _distinct_twists(curves):
 
     The library's graph builders share one twist ``Fraction`` between the
     curves of equal twist (``power`` per twist, ``cover.lift_cover`` per
-    local degree, the document parser per twist string), so a check that
+    local degree, ``staircase.refiber`` per shear and sheet count, the
+    document parser per twist string), so a check that
     reads twist values costs one call per shared twist, not per curve.
     """
     twists = [c.twist for c in curves]
@@ -147,17 +150,23 @@ class ReducibleMap:
     curves: tuple
 
     # derived tables, built on first use and kept with the graph: ``validate``,
-    # ``piece_pairs``, ``normalized_pairs`` and lookups, never a linear scan
+    # the piece pairs, their normalized table and lookups, never a linear scan
     @cached_property
     def errors(self):
         return validate(self)
 
     @cached_property
     def pairs(self):
+        """Reciprocal-twist pair of every piece, as a dict piece id -> pair:
+        1/k summed over the slots of positive incident twist k, 1/(-k) over
+        those of negative k; a curve with both ends on the piece counts
+        through both slots.  A lift (``cover.lift_cover``) carries it."""
         return _pairs_from_curves(self)
 
     @cached_property
     def normalized(self):
+        """Each chi-normalized piece pair -> the chi of the pieces
+        realizing it; one division per (piece pair, chi)."""
         table, normalized = self.pairs, {}
         for ((ap, an), chi), n in Counter((table[p.id], p.surface.chi) for p in self.pieces).items():
             key = (ap / -chi, an / -chi)
@@ -265,19 +274,8 @@ def validate_or_raise(phi):
 # ---------------------------------------------------------------------------
 # invariants
 
-def piece_pairs(phi):
-    """Reciprocal-twist pair of every piece, as a dict piece id -> pair.
-
-    Sums 1/k over the slots whose incident twist k is positive into the
-    first coordinate and 1/(-k) over negative twists into the second.  A
-    curve with both ends on the piece contributes through both slots.
-    Kept as ``phi.pairs``, which a lift (``cover.lift_cover``) carries.
-    """
-    return phi.pairs
-
-
 def _pairs_from_curves(phi):
-    """The ``piece_pairs`` table summed from the curves, never cached."""
+    """The ``pairs`` table summed from the curves, never cached."""
     curves = phi.curves
     twists = _distinct_twists(curves)
     keys = [id(c.twist) for c in curves]
@@ -300,20 +298,14 @@ def _pairs_from_curves(phi):
 def a_total(phi):
     """Global pair invariant: half the sum of the per-piece pairs, each
     its normalized pair times -chi, so one term per normalized pair."""
-    items = normalized_pairs(phi).items()
+    items = phi.normalized.items()
     return (sum((p * chi for (p, _), chi in items), Fraction(0)) / -2,
             sum((q * chi for (_, q), chi in items), Fraction(0)) / -2)
 
 
-def normalized_pairs(phi):
-    """Each chi-normalized piece pair -> the chi of the pieces realizing
-    it; kept as ``phi.normalized``, one division per (piece pair, chi)."""
-    return phi.normalized
-
-
 def pi_invariant(phi):
     """The set of chi-normalized per-piece pairs."""
-    return frozenset(normalized_pairs(phi))
+    return frozenset(phi.normalized)
 
 
 def p_polynomial(phi):
@@ -324,7 +316,7 @@ def p_polynomial(phi):
     (1, 1) recovers 2 A(phi) / -chi(F), and the support is Pi(phi).
     """
     chi_f = phi.chi
-    return {k: Fraction(chi, chi_f) for k, chi in normalized_pairs(phi).items() if chi != 0}
+    return {k: Fraction(chi, chi_f) for k, chi in phi.normalized.items() if chi != 0}
 
 
 def power(phi, k):

@@ -4,11 +4,15 @@ Everything here is integer / rational arithmetic; no floats are ever
 produced.  The central objects are
 
 * ``QuadraticNumber`` -- an element a + b*sqrt(D) of Q(sqrt(D)) with D a
-  squarefree integer >= 2, supporting field arithmetic and *exact* order
-  comparisons (sign determination by squaring, never by approximation);
+  squarefree integer >= 2, with what the library uses of the field:
+  products and powers k >= 0 within one field, the norm, and the *exact*
+  sign and order against rationals and numbers of the same field (by
+  squaring, never by approximation).  Numbers are equal by (D, a, b);
 
 * ``QuadraticUnit`` -- a quadratic number u > 1 of norm +-1, i.e. an
-  algebraic unit; stretch factors of Anosov torus maps live here;
+  algebraic unit; stretch factors of Anosov torus maps live here, and
+  their powers u**k for k >= 1 (a power k < 1 is no unit above 1 and
+  is refused);
 
 * ``unit_log_ratio(u, v)`` -- the exact rational log(u)/log(v) when the
   two units are multiplicatively dependent, ``None`` otherwise, by
@@ -19,7 +23,7 @@ produced.  The central objects are
   (``tests/oracles.py``).
 
 D is checked where a value enters: by the public ``QuadraticNumber`` and
-``QuadraticUnit`` constructors.  Arithmetic results keep the D of their
+``QuadraticUnit`` constructors.  Products and powers keep the D of their
 operands and are built unchecked by ``_trusted``.
 
 Integers are Python ints throughout, so coefficient growth is never a
@@ -109,7 +113,11 @@ def _sign(D, a, b):
 
 @dataclass(frozen=True)
 class QuadraticNumber:
-    """a + b*sqrt(D), with a, b rational and D squarefree >= 2."""
+    """a + b*sqrt(D), with a, b rational and D squarefree >= 2.
+
+    Equal, and hashed alike, by (D, a, b): within one field that is
+    equality of values.
+    """
 
     D: int
     a: Fraction
@@ -120,60 +128,22 @@ class QuadraticNumber:
         object.__setattr__(self, "a", Fraction(self.a))
         object.__setattr__(self, "b", Fraction(self.b))
 
-    # -- ring / field operations ------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, QuadraticNumber):
-            if other.D != self.D:
-                raise ValueError("mixed fields: sqrt(%d) vs sqrt(%d)" % (self.D, other.D))
-            return other
-        return _trusted(QuadraticNumber, self.D, Fraction(other), _ZERO)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return _trusted(QuadraticNumber, self.D, self.a + o.a, self.b + o.b)
-
-    def __neg__(self):
-        return _trusted(QuadraticNumber, self.D, -self.a, -self.b)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return _trusted(QuadraticNumber, self.D, self.a - o.a, self.b - o.b)
+    def _same_field(self, other):
+        if other.D != self.D:
+            raise ValueError("mixed fields: sqrt(%d) vs sqrt(%d)" % (self.D, other.D))
+        return other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        return _trusted(
-            QuadraticNumber,
-            self.D,
-            self.a * o.a + self.D * self.b * o.b,
-            self.a * o.b + self.b * o.a,
-        )
-
-    __rmul__ = __mul__
-
-    def conjugate(self):
-        return _trusted(QuadraticNumber, self.D, self.a, -self.b)
+        D, o = self.D, self._same_field(other)
+        return _trusted(QuadraticNumber, D, self.a * o.a + D * self.b * o.b, self.a * o.b + self.b * o.a)
 
     def norm(self):
         """Field norm a**2 - D*b**2 (a rational)."""
         return self.a * self.a - self.D * self.b * self.b
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        n = o.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt(%d))" % self.D)
-        p = self * o.conjugate()
-        return _trusted(QuadraticNumber, self.D, p.a / n, p.b / n)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
     def __pow__(self, k):
-        if not isinstance(k, int):
-            raise TypeError("integer exponents only")
-        if k < 0:
-            return (1 / self) ** (-k)
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("exponent must be an integer >= 0, got %r" % (k,))
         result = _trusted(QuadraticNumber, self.D, _ONE, _ZERO)
         base = self
         while k:
@@ -189,28 +159,18 @@ class QuadraticNumber:
         """Sign of the real number a + b*sqrt(D), determined exactly."""
         return _sign(self.D, self.a, self.b)
 
-    def __eq__(self, other):
-        if isinstance(other, QuadraticNumber) and other.D != self.D:
-            # distinct fields share only the rationals
-            return self.b == other.b == 0 and self.a == other.a
-        try:
-            o = self._coerce(other)
-        except (ValueError, TypeError):
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
-
-    def __hash__(self):
-        # a rational value equals its Fraction, so it hashes like one
-        return hash(self.a) if self.b == 0 else hash((self.D, self.a, self.b))
+    def _compare(self, other):
+        """Sign of self - other, for a rational or a number of this field."""
+        if isinstance(other, QuadraticNumber):
+            o = self._same_field(other)
+            return _sign(self.D, self.a - o.a, self.b - o.b)
+        return _sign(self.D, self.a - Fraction(other), self.b)
 
     def __lt__(self, other):
-        return (self - other).sign() < 0
+        return self._compare(other) < 0
 
     def __gt__(self, other):
-        return (self - other).sign() > 0
-
-    def __abs__(self):
-        return self if self.sign() >= 0 else -self
+        return self._compare(other) > 0
 
     def __repr__(self):
         return "(%s + %s*sqrt(%d))" % (self.a, self.b, self.D)
@@ -245,10 +205,10 @@ class QuadraticUnit:
         return _trusted(QuadraticNumber, self.D, self.a, self.b)
 
     def __pow__(self, k):
-        x = self.number ** k
-        if k < 1:  # not above 1: the checked constructor raises
-            return QuadraticUnit(x.D, x.a, x.b)
+        if k < 1:  # u**k <= 1
+            raise ValueError("unit must exceed 1")
         # a positive power of a unit above 1 is one too, with b > 0
+        x = self.number ** k
         return _trusted(QuadraticUnit, x.D, x.a, x.b)
 
     def __repr__(self):

@@ -285,7 +285,7 @@ def refiber(manifold, plan):
                     slot_map[p.id, b, copy + i] = (gid, slots[-1])
             pieces.append(Piece(gid, s.surface, tuple(slots), s.surface.boundary_components - len(slots)))
 
-    curves, uncalibrated = [], []
+    curves, uncalibrated, twists = [], [], {}  # twists: one shared Fraction per (-sigma, sheets)
     for g, la, lb in _junctions(manifold, staircases):
         sigma, calibrated = _shear(g.matrix)
         if not calibrated:
@@ -293,7 +293,9 @@ def refiber(manifold, plan):
         sheets = plan.of(g.side_a[0]).n * (1 if la.role == HORIZONTAL else plan.of(g.side_b[0]).n)
         if sigma == 0:
             raise ValueError("gluing %s produces a trivially twisted junction" % g.id)
-        twist = Fraction(-sigma, sheets)
+        if (-sigma, sheets) not in twists:
+            twists[-sigma, sheets] = Fraction(-sigma, sheets)
+        twist = twists[-sigma, sheets]
         for i in range(la.count):  # as many as lb.count, by validation
             cid = g.id if la.count == 1 else "%s~%d" % (g.id, i)
             curves.append(ReducingCurve(cid, slot_map[(*g.side_a, i)], slot_map[(*g.side_b, i)], twist))

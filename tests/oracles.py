@@ -111,16 +111,16 @@ def fundamental_unit(D):
 def unit_power_of(u, eps):
     """Exponent k >= 0 with u = eps**k, or None.
 
-    u and eps are QuadraticNumbers > 1 in the same field; eps > 1 so the
-    division loop strictly decreases and terminates as soon as the
-    quotient drops to or below 1.  Linear in k: a test oracle only.
+    u and eps are QuadraticNumbers >= 1 in the same field; eps > 1 so the
+    powers of eps strictly increase, and the loop stops at the first
+    one not below u.  Linear in k: a test oracle only.
     """
-    x = u
+    x = eps ** 0
     k = 0
-    while x > 1:
-        x = x / eps
+    while x < u:
+        x = x * eps
         k += 1
-    return k if x == 1 else None
+    return k if x == u else None
 
 
 # ---------------------------------------------------------------------------

@@ -435,6 +435,31 @@ def test_corpus_verify_names_malformed_entries(tmp_path):
         assert "Traceback" not in r.output
 
 
+def test_stretch_factor_exponent_must_be_positive(tmp_path):
+    """lambda**e for e <= 0 is no stretch factor: the label refuses it, in
+    the library, the graph reader, the pa reader and a corpus check."""
+    for e in (0, -1, F(-1, 2)):
+        with pytest.raises(ValueError, match="^stretch-factor exponent must be positive, got %s$" % e):
+            DilatationLabel(name="lam", exponent=e)
+    k2 = ser.load(CORPUS_ROOT / "ex4.9" / "input.json")["documents"]["k2"]
+    for e in ("0", "-1", "-1/2"):
+        k2["pieces"][0]["dilatation"]["exponent"] = e
+        message = "malformed input: pieces[0].dilatation: stretch-factor exponent must be positive, got %s\n" % e
+        path = write(tmp_path / "k2.json", k2)
+        for argv in (["compare", path, path, "--mode", "combined"], ["invariants", path]):
+            r = run(*argv)
+            assert r.exit_code == 2 and r.output == message, r.output
+        pa = {"type": "pa_data", "dilatation": k2["pieces"][0]["dilatation"], "delta": [[6, 2]]}
+        with pytest.raises(cli.MalformedInput, match="^dilatation: stretch-factor exponent"):
+            cli.run_operation("pa_obstruction", [pa, pa], {})
+    root = tmp_path / "corpus"
+    shutil.copytree(CORPUS_ROOT, root)
+    ser.dump(root / "ex4.9" / "input.json", {"documents": {"k2": k2, "k2_again": k2, "k3": k2}})
+    r = run("corpus", "verify", "--root", str(root))
+    assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.output
+    assert "ex4.9: FAIL\n  different twist counts: raised pieces[0].dilatation: stretch-factor exponent" in r.output
+
+
 def test_resource_limits_are_pinned(tmp_path, monkeypatch):
     """Each limit on an input whose cost grows with its value accepts its
     bound and refuses one more, before the work starts."""

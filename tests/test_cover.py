@@ -24,7 +24,6 @@ from fibercomm.decomposition import (
     ReducingCurve,
     a_total,
     pi_invariant,
-    piece_pairs,
     validate,
 )
 from fibercomm.families import d_type_family
@@ -126,10 +125,10 @@ def test_cover_laws_read_the_curves():
         if c is None:
             continue
         lifted = lift_cover(phi, c)
-        table = piece_pairs(lifted)
+        table = lifted.pairs
         # a wrong carried table is not read
         vars(lifted)["pairs"] = {pid: (F(7), F(7)) for pid in table}
-        assert piece_pairs(lifted) != table  # the wrong table is the one carried
+        assert lifted.pairs != table  # the wrong table is the one carried
         assert all(ch.ok for ch in verify_cover_laws(phi, c, lifted))
         # one twist changed under a correct carried table is seen
         first = lifted.curves[0]
@@ -325,7 +324,7 @@ def test_a_piece_matches_per_slot_sums_after_normalization():
         for g in (phi, out):
             expected = naive_piece_pairs(g)
             for p in g.pieces:
-                assert piece_pairs(g)[p.id] == expected[p.id]
+                assert g.pairs[p.id] == expected[p.id]
         twists = [c.twist for c in out.curves]
         if len(twists) > len(set(twists)):
             seen.add("repeated twists")
@@ -534,7 +533,7 @@ def assert_trusted_lift(phi, c):
     assert got.pieces == expected.pieces
     assert [(x.id, x.ends, x.twist) for x in got.curves] == [(x.id, x.ends, x.twist) for x in expected.curves]
     assert validate(got) == []
-    assert piece_pairs(got) == piece_pairs(ReducibleMap(got.pieces, got.curves))
+    assert got.pairs == ReducibleMap(got.pieces, got.curves).pairs
     return True
 
 

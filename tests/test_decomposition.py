@@ -14,7 +14,6 @@ from fibercomm.decomposition import (
     a_total,
     p_polynomial,
     pi_invariant,
-    piece_pairs,
     power,
     validate,
     validate_or_raise,
@@ -121,8 +120,8 @@ def test_invalid_graph_raises_on_every_call():
 
 def test_a_piece_examples():
     d = d_type_family(4, 2)
-    assert piece_pairs(d)["hub"] == (F(4), F(0))
-    assert piece_pairs(d)["leaf0"] == (F(1), F(0))
+    assert d.pairs["hub"] == (F(4), F(0))
+    assert d.pairs["leaf0"] == (F(1), F(0))
     phi = ReducibleMap(
         (
             Piece("a", Surface(1, 3), ("s1", "s2", "s3")),
@@ -134,7 +133,7 @@ def test_a_piece_examples():
             ReducingCurve("c3", ("a", "s3"), ("b", "t3"), F(-1, 3)),
         ),
     )
-    assert piece_pairs(phi)["a"] == (F(4), F(3))
+    assert phi.pairs["a"] == (F(4), F(3))
 
 
 def test_self_curve_counts_twice():
@@ -142,7 +141,7 @@ def test_self_curve_counts_twice():
         (Piece("a", Surface(1, 2), ("s", "t")),),
         (ReducingCurve("c", ("a", "s"), ("a", "t"), F(1, 3)),),
     )
-    assert piece_pairs(phi)["a"] == (F(6), F(0))
+    assert phi.pairs["a"] == (F(6), F(0))
     assert a_total(phi) == (F(3), F(0))
     assert a_total(phi) == a_total_by_curves(phi)
 
@@ -249,8 +248,8 @@ def test_negation_flips_everything():
         a = a_total(phi)
         assert a_total(neg) == (a[1], a[0])
         for p in phi.pieces:
-            ap = piece_pairs(phi)[p.id]
-            assert piece_pairs(neg)[p.id] == (ap[1], ap[0])
+            ap = phi.pairs[p.id]
+            assert neg.pairs[p.id] == (ap[1], ap[0])
         assert pi_invariant(neg) == {(q, p) for p, q in pi_invariant(phi)}
 
 

@@ -8,6 +8,10 @@ or a ``"1/0"`` in place of anything but a string, that the readers
 reject is named by its path, or by the path of the object whose
 constructor rejects it.  (A string may be an id, where ``"1/0"`` reads
 as one, so that a constructor rejects the document as a whole.)
+
+A deterministic sweep does the same for zero and negative values: every
+integer and rational-string leaf of every seed, set to each of
+``SWEEP`` in turn.
 """
 
 import copy
@@ -55,6 +59,7 @@ def seed_jobs():
 SEEDS = seed_jobs()
 HUGE = (2 ** 64 + 1, 10 ** 40 + 7, -(10 ** 30))
 OTHER_TYPES = (None, True, 7, 2.5, "s", [], {})
+SWEEP = (0, -1, "0", "-1/2")
 
 
 def paths(value, path=()):
@@ -118,3 +123,37 @@ def test_mutated_documents(op, data):
             cli._render(result, fmt)
     except (cli.MalformedInput, cli.ResourceLimit):
         pass
+
+
+def is_rational(value):
+    """An integer, or a string that reads as a rational."""
+    try:
+        ser.unrat(value)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("op", sorted(cli.OPERATIONS))
+def test_zero_and_negative_values(op):
+    escaped = []
+    for _, docs, args in SEEDS[op]:
+        root = {"args": args, "docs": docs}
+        for path, value in paths(root):
+            if len(path) < 2 or not is_rational(value):
+                continue
+            for new in SWEEP:
+                mutated = copy.deepcopy(root)
+                parent = mutated
+                for key in path[:-1]:
+                    parent = parent[key]
+                parent[path[-1]] = new
+                try:
+                    result = cli.run_operation(op, mutated["docs"], mutated["args"])
+                    for fmt in ("machine", "text"):
+                        cli._render(result, fmt)
+                except (cli.MalformedInput, cli.ResourceLimit):
+                    pass
+                except Exception as e:  # reported with its input below
+                    escaped.append("%s = %r: %r" % (shown(path), new, e))
+    assert not escaped, escaped

@@ -238,6 +238,19 @@ def test_closed_chain_alternate_fibration():
     assert sorted(set(c.twist for c in p.curves)) == [F(-8), F(-1), F(1), F(8)]
 
 
+def test_refibered_curves_of_equal_twist_share_one_fraction():
+    # a chain of 60 pieces, every gluing of shear -1, at one sheet
+    pieces = tuple(BundlePiece("P%d" % i, Surface(1, 2), ("l", "r")) for i in range(60))
+    gluings = tuple(Gluing("g%d" % i, ("P%d" % i, "r"), ("P%d" % (i + 1), "l"), ((-1, -1), (0, 1))) for i in range(59))
+    plan = RefiberPlan(tuple((p.id, PiecePlan(1)) for p in pieces))
+    runs = [(bounded_chain_manifold(), bounded_chain_plan(3)), (closed_chain_manifold(), closed_chain_plan(2)),
+            (closed_chain_manifold(), closed_chain_alternate_plan()), (FiberedGraphManifold(pieces, gluings), plan)]
+    for m, plan in runs:
+        curves = refiber(m, plan).map.curves
+        assert len({id(c.twist) for c in curves}) == len({c.twist for c in curves})
+    assert len(curves) == 59 and {c.twist for c in curves} == {F(1)}
+
+
 def test_uncalibrated_gluing_flagged():
     pieces = (
         BundlePiece("A", Surface(1, 1), ("t",)),
