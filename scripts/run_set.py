@@ -15,9 +15,9 @@ both output formats, on:
 * malformed and refused inputs: repeated names in a graph manifold or a
   graph, a plan that misses a piece, junctions whose sides lift to
   different numbers of circles, staircases at and past the size limit,
-  a spectrum past the radius limit, and graphs whose symbolic stretch
-  factor has exponent 0 or -1 under ``compare --mode combined`` and
-  ``invariants``.
+  a spectrum at and past the radius limit, and graphs whose symbolic
+  stretch factor has exponent 0 or -1 under ``compare --mode combined``
+  and ``invariants``.
 
 Each run prints one line: the exit code, the sha256 of stdout and of
 stderr, an uncaught exception's type if there was one, and the
@@ -137,7 +137,8 @@ def edge_runs():
         runs.append((["compare", name, name, "--mode", "combined"], {name: graph}))
         runs.append((["invariants", name], {name: graph}))
     query = json.loads((CORPUS / "ex3.12" / "input.json").read_text())["documents"]["q20"]
-    runs.append((["spectrum", "radius_limit", "--radius", "301"], {"radius_limit": query}))
+    for radius in ("300", "301"):
+        runs.append((["spectrum", "radius_limit", "--radius", radius], {"radius_limit": query}))
     return runs
 
 

@@ -43,7 +43,8 @@ class MalformedInput(ValueError):
 # each limit on an input whose cost grows with its value is checked before
 # the work starts, next to the work it bounds, so it binds library calls
 # too: ``spectrum.MAX_RADIUS``, ``cover.MAX_LIFTED_CURVES``, ``quadratic.TRIAL_WORK``
-# and ``staircase.MAX_STAIRCASE_SIZE`` (at each about 5 s, 7 s on a long chain)
+# and ``staircase.MAX_STAIRCASE_SIZE`` (at each at most about 5 s, 7 s on a long
+# chain; a spectrum at radius 300 3.5-4.5 s, most of it writing its values)
 
 # ---------------------------------------------------------------------------
 # result documents: exact values, turned into text only by the writers
@@ -309,12 +310,19 @@ _subcommand(
 # corpus
 
 def verify_entry(entry_dir):
-    """Run every check of one corpus entry; returns mismatch strings."""
+    """Run every check of one corpus entry; returns mismatch strings.
+
+    A malformed input document of a check makes the entry malformed: it
+    is raised as ``MalformedInput`` prefixed by the check's name.  A
+    resource limit or a result too long to print is a failing check.
+    """
     checks = ser.corpus_from_doc(ser.load(entry_dir / "input.json"), ser.load(entry_dir / "expected.json"))
     failures = []
     for name, op, inputs, args, expected in checks:
         try:
             actual = ser.canonical_dumps(run_operation(op, inputs, args))
+        except MalformedInput as e:
+            raise MalformedInput("%s: %s" % (name, e)) from e
         except (ValueError, ResourceLimit) as e:
             failures.append("%s: raised %s" % (name, e))
             continue
@@ -343,7 +351,7 @@ def verify(root):
     for entry in entries:
         try:
             failures = verify_entry(entry)
-        except (OSError, ValueError) as e:  # unreadable, not JSON, or not laid out as a corpus entry
+        except (OSError, ValueError) as e:  # unreadable, not JSON, not laid out as an entry, or a malformed document
             click.echo("%s: malformed entry (%s)" % (entry.name, e), err=True)
             sys.exit(2)
         if failures:

@@ -24,14 +24,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain
+from operator import itemgetter
 
+from .cover import _gc_paused
 from .quadratic import QuadraticNumber, ResourceLimit, _trusted
 from .surfaces import Surface
 from .torus import _anosov, _det, _integer_matrix, _trace, _trace_field
 
 _ZERO = Fraction(0)
 
-MAX_RADIUS = 300  # a spectrum enumerates 2 (2r + 1)**2 translates, in about 5 s at this radius
+MAX_RADIUS = 300  # 2 (2r + 1)**2 translates; ``fibercomm spectrum`` takes 3.5-4.5 s at this radius
 
 
 @dataclass(frozen=True)
@@ -153,80 +156,78 @@ class SpectrumQuery:
 
 
 def _measure_form(matrix):
-    """(f, D, m, |c|) with mu_u(v) mu_s(v) = |f(v)| / (m |c| sqrt(D)).
-
-    f is the rational quadratic form obtained by multiplying the two
-    left-eigenvector pairings; the denominator normalizes the product
-    measure to unit mass on the torus (its raw mass is |c| sqrt(disc)).
-    """
+    """The integer form f with mu_u(v) mu_s(v) = |f(v)| / (r |c| sqrt(D)):
+    f multiplies the two left-eigenvector pairings, and the denominator,
+    for t**2 - 4 det = r**2 D and c the lower-left entry, normalizes the
+    product measure to unit mass (its raw mass is |c| sqrt(t**2 - 4 det))."""
     a, c = matrix[0][0], matrix[1][0]
     t, det = _trace(matrix), _det(matrix)
-    D, m = _trace_field(t, det)
 
     def f(v):
         return c * c * v[0] * v[0] + c * (t - 2 * a) * v[0] * v[1] + (a * a - a * t + det) * v[1] * v[1]
 
-    return f, D, m, abs(c)
+    return f
+
+
+def _box(q):
+    """(D, scale, L): the translates v of ``q`` are enumerated as the
+    integer pairs L*v, and the key k = |f(L*v)| of one stands for the
+    value k * sqrt(D) / scale, so keys order and deduplicate like values.
+    A radius above ``MAX_RADIUS`` is refused with ``ResourceLimit`` first."""
+    if q.radius > MAX_RADIUS:
+        raise ResourceLimit("the spectrum radius exceeds %d" % MAX_RADIUS)
+    D, r = _trace_field(_trace(q.matrix), _det(q.matrix))
+    L = math.lcm(*(x.denominator for x in q.origin + q.point))
+    return D, L * L * r * abs(q.matrix[1][0]) * D, L
 
 
 def _translates(q, L):
-    """All candidate straight-arc classes within the radius box.
+    """Keys of all candidate straight-arc classes within the radius box.
 
-    Each translate v is yielded as the integer pair L*v, for L a common
-    denominator of the marked points: the self-pairings first, then the
-    O-to-P translates.
+    The self-pairings come first, then the O-to-P translates, a row at a
+    time: each row is yielded as (x, y, keys), keys[j] = |f((x, y + L*j))|
+    for j = 0..2R.  Along a row f has the constant second difference
+    2 f((0, L)) = -2 b c L**2, never 0 for an Anosov matrix, so the keys
+    are running sums of an arithmetic progression: exact integer adds in
+    C, not a Python call per translate.  The zero translate has key 0,
+    and no other does: the eigenlines are irrational.
     """
-    offset = (q.point[0] - q.origin[0], q.point[1] - q.origin[1])
-    R = q.radius
-    for bx, by in ((0, 0), (int(offset[0] * L), int(offset[1] * L))):
-        for i in range(-R, R + 1):
-            for j in range(-R, R + 1):
-                v = (bx + L * i, by + L * j)
-                if v != (0, 0):
-                    yield v
-
-
-def _spectrum_keys(q):
-    """Integer keys of the enumerated translates, in ``_translates`` order.
-
-    Returns (D, scale, L, keyed): keyed yields (k, w) for each translate
-    v = w / L, whose measure product is k * sqrt(D) / scale.  Keys order
-    and deduplicate exactly like the values they stand for.  A radius
-    above ``MAX_RADIUS`` is refused with ``ResourceLimit`` first.
-    """
-    if q.radius > MAX_RADIUS:
-        raise ResourceLimit("the spectrum radius exceeds %d" % MAX_RADIUS)
-    f, D, m, abs_c = _measure_form(q.matrix)
-    L = math.lcm(*(x.denominator for x in q.origin + q.point))
-    return D, L * L * m * abs_c * D, L, ((abs(f(w)), w) for w in _translates(q, L))
+    f, R = _measure_form(q.matrix), q.radius
+    step = 2 * f((0, L))
+    for bx, by in ((0, 0), (q.point[0] - q.origin[0], q.point[1] - q.origin[1])):
+        bx, y = int(bx * L), int(by * L) - L * R
+        for x in range(bx - L * R, bx + L * R + 1, L):
+            k = f((x, y))
+            d = f((x, y + L)) - k
+            yield x, y, list(map(abs, accumulate(range(d, d + 2 * R * step, step), initial=k)))
 
 
 def spectrum_values(q):
-    """Sorted exact values of the enumerated spectrum subset.
-
-    Enumerates straight arcs between the marked points (self-pairings
-    and O-to-P translates) with coordinates in the radius box; values
-    are exact quadratic numbers, deduplicated and strictly positive
-    unless a translate lies on an eigenline (impossible for rational
-    translates of an Anosov matrix, so zero never occurs).
-    """
-    D, scale, _, keyed = _spectrum_keys(q)
-    return [_trusted(QuadraticNumber, D, _ZERO, Fraction(k, scale)) for k in sorted({k for k, _ in keyed})]
+    """Sorted exact values of the enumerated spectrum subset: straight
+    arcs between the marked points (self-pairings and O-to-P translates)
+    with coordinates in the radius box, deduplicated and strictly positive
+    (only the zero translate has measure product 0, and it is left out)."""
+    D, scale, L = _box(q)
+    keys = set(chain.from_iterable(row for _, _, row in _translates(q, L)))
+    keys.discard(0)
+    with _gc_paused():
+        return [_trusted(QuadraticNumber, D, _ZERO, Fraction(k, scale)) for k in sorted(keys)]
 
 
 def spectrum_count_below(q, bound):
     """Number of distinct enumerated values below the rational ``bound``.
 
     Compares integer keys and builds no value: for bound = n/d > 0, the
-    value k*sqrt(D)/scale lies below it exactly when
-    k**2 * D * d**2 < n**2 * scale**2.  No value lies below a bound <= 0.
+    value k*sqrt(D)/scale lies below it exactly when k**2 * D * d**2 <
+    n**2 * scale**2, that is when k <= isqrt((n**2 * scale**2 - 1) //
+    (D * d**2)).  No value lies below a bound <= 0.
     """
-    D, scale, _, keyed = _spectrum_keys(q)
+    D, scale, L = _box(q)
     n, d = bound.numerator, bound.denominator
     if n <= 0:
         return 0
-    key_bound, limit = D * d * d, n * n * scale * scale
-    return len({k for k, _ in keyed if k * k * key_bound < limit})
+    below = math.isqrt((n * n * scale * scale - 1) // (D * d * d)).__ge__
+    return len(set(chain.from_iterable(filter(below, row) for _, _, row in _translates(q, L))) - {0})
 
 
 @dataclass(frozen=True)
@@ -236,13 +237,11 @@ class SpectrumMin:
 
 
 def spectrum_min(q):
-    """Minimum enumerated value with an achieving translate.
-
-    An upper bound for the true spectral minimum; monotone
-    non-increasing in the radius.  Among tied translates the first in
-    enumeration order is kept.
-    """
-    D, scale, L, keyed = _spectrum_keys(q)
-    k, w = min(keyed, key=lambda kw: kw[0])
+    """Minimum enumerated value with its first achieving translate in
+    enumeration order: an upper bound for the true spectral minimum,
+    monotone non-increasing in the radius."""
+    D, scale, L = _box(q)
+    rows = ((min(filter(None, row)), x, y, row) for x, y, row in _translates(q, L))
+    k, x, y, row = min(rows, key=itemgetter(0))  # the first of equal minima
     value = _trusted(QuadraticNumber, D, _ZERO, Fraction(k, scale))
-    return SpectrumMin(value, (Fraction(w[0], L), Fraction(w[1], L)))
+    return SpectrumMin(value, (Fraction(x, L), Fraction(y + L * row.index(k), L)))

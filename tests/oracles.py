@@ -24,6 +24,9 @@ None of these is on a decision path of the library:
 * ``lift_cover_by_scan`` and ``normalize_by_retry`` -- a cover lifted
   slot by slot with explicit all-ones free circles, and the unit-twist
   normalization that lifts at degree L and, on failure, again at 2L;
+* ``spectrum_keys_by_translates`` -- a spectrum query's integer keys
+  evaluated translate by translate, the oracle for the row recurrences
+  of ``spectrum._translates``;
 * ``reducible_doc_by_dicts`` and ``plain_document`` -- a graph's
   document built as one dict and two lists per curve, and a result
   with its rationals written as strings and its tuples as lists, the
@@ -39,8 +42,9 @@ from fibercomm.comparator import COMBINED, FULL, TOPOLOGICAL, _feasible
 from fibercomm.cover import ComponentCover, CoveringData, NormalizationCertificate, _validate_cover
 from fibercomm.decomposition import Piece, ReducibleMap, ReducingCurve, power, validate, validate_or_raise
 from fibercomm.quadratic import QuadraticUnit, _check_squarefree
+from fibercomm.spectrum import _measure_form
 from fibercomm.surfaces import Surface
-from fibercomm.torus import PERIODIC, REDUCIBLE, TorusAutomorphism, classify_torus
+from fibercomm.torus import PERIODIC, REDUCIBLE, TorusAutomorphism, _det, _trace, _trace_field, classify_torus
 
 
 # ---------------------------------------------------------------------------
@@ -468,3 +472,29 @@ def plain_document(doc):
     if isinstance(doc, (list, tuple)):
         return [plain_document(v) for v in doc]
     return doc
+
+
+# ---------------------------------------------------------------------------
+# spectrum keys one translate at a time: the oracle for the row recurrences
+
+def spectrum_keys_by_translates(q):
+    """Integer keys of the enumerated translates, in enumeration order.
+
+    Returns (D, scale, L, keyed): keyed lists (k, w) for each translate
+    v = w / L but 0, the self-pairings first, then the O-to-P translates,
+    i outer, j inner; its measure product is k * sqrt(D) / scale, with
+    k = |f(w)| evaluated for each w alone.
+    """
+    f = _measure_form(q.matrix)
+    D, r = _trace_field(_trace(q.matrix), _det(q.matrix))
+    L = math.lcm(*(x.denominator for x in q.origin + q.point))
+    offset = (q.point[0] - q.origin[0], q.point[1] - q.origin[1])
+    R = q.radius
+    keyed = []
+    for bx, by in ((0, 0), (int(offset[0] * L), int(offset[1] * L))):
+        for i in range(-R, R + 1):
+            for j in range(-R, R + 1):
+                w = (bx + L * i, by + L * j)
+                if w != (0, 0):
+                    keyed.append((abs(f(w)), w))
+    return D, L * L * r * abs(q.matrix[1][0]) * D, L, keyed

@@ -456,8 +456,9 @@ def test_stretch_factor_exponent_must_be_positive(tmp_path):
     shutil.copytree(CORPUS_ROOT, root)
     ser.dump(root / "ex4.9" / "input.json", {"documents": {"k2": k2, "k2_again": k2, "k3": k2}})
     r = run("corpus", "verify", "--root", str(root))
-    assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.output
-    assert "ex4.9: FAIL\n  different twist counts: raised pieces[0].dilatation: stretch-factor exponent" in r.output
+    assert r.exit_code == 2 and isinstance(r.exception, SystemExit), r.output
+    assert ("ex4.9: malformed entry (different twist counts: pieces[0].dilatation: stretch-factor exponent must be "
+            "positive, got -1/2)\n") in r.output and "FAIL" not in r.output, r.output
 
 
 def test_resource_limits_are_pinned(tmp_path, monkeypatch):
@@ -702,8 +703,8 @@ def test_top_level_list_exits_2(tmp_path, name):
 
 
 def test_corpus_verify_reports_malformed_check(tmp_path):
-    """A malformed document fails the checks that read it; a document
-    that is not an object makes the whole entry malformed."""
+    """A malformed document makes the whole entry malformed, named by the
+    first check that reads it, or by its path when it is not an object."""
     root = tmp_path / "corpus"
     shutil.copytree(CORPUS_ROOT, root)
     entry = root / "ex2.9" / "input.json"
@@ -711,9 +712,8 @@ def test_corpus_verify_reports_malformed_check(tmp_path):
     doc["documents"]["rot4"] = {"type": "torus_automorphism", "matrix": [1, 2]}
     ser.dump(entry, doc)
     r = run("corpus", "verify", "--root", str(root))
-    assert r.exit_code == 1
-    assert "ex2.9: FAIL" in r.output
-    assert "order-4 rotation: raised matrix[0]: expected a row of two int, got 1" in r.output, r.output
+    assert r.exit_code == 2 and "FAIL" not in r.output and "Traceback" not in r.output, r.output
+    assert "ex2.9: malformed entry (order-4 rotation: matrix[0]: expected a row of two int, got 1)" in r.output
     doc["documents"]["rot4"] = [1, 2]
     ser.dump(entry, doc)
     r = run("corpus", "verify", "--root", str(root))

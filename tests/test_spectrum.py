@@ -1,10 +1,12 @@
+import math
 import random
 from fractions import Fraction as F
+from operator import itemgetter
 
 import pytest
 import sympy
 
-from oracles import fundamental_unit
+from oracles import fundamental_unit, spectrum_keys_by_translates
 from fibercomm import spectrum
 from fibercomm.decomposition import DilatationLabel
 from fibercomm.quadratic import ResourceLimit
@@ -114,6 +116,10 @@ def test_pa_symbolic_exponent_ratio():
 GOLDEN = ((2, 1), (1, 1))
 
 
+def _mul(x, y):
+    return tuple(tuple(sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2)) for i in range(2))
+
+
 def test_query_validation():
     with pytest.raises(ValueError, match="Anosov"):
         SpectrumQuery(((1, 1), (0, 1)), (0, 0), (0, 0), 3)
@@ -199,7 +205,7 @@ def test_translate_symmetry_and_invariance():
     q = SpectrumQuery(GOLDEN, (0, 0), (0, 0), 4)
     from fibercomm.spectrum import _measure_form
 
-    f, D, m, abs_c = _measure_form(GOLDEN)
+    f = _measure_form(GOLDEN)
     a, b = GOLDEN[0]
     c, d = GOLDEN[1]
     for v1 in range(-4, 5):
@@ -213,13 +219,7 @@ def test_translate_symmetry_and_invariance():
 def test_unimodular_conjugation_preserves_minimum():
     u = ((1, 1), (0, 1))
     uinv = ((1, -1), (0, 1))
-
-    def mul(x, y):
-        return tuple(
-            tuple(sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2)) for i in range(2)
-        )
-
-    conj = mul(mul(u, GOLDEN), uinv)
+    conj = _mul(_mul(u, GOLDEN), uinv)
     m1 = spectrum_min(SpectrumQuery(GOLDEN, (0, 0), (0, 0), 8))
     m2 = spectrum_min(SpectrumQuery(conj, (0, 0), (0, 0), 8))
     assert m1.value == m2.value
@@ -262,3 +262,78 @@ def test_count_below_compares_integer_keys_like_values():
         for bound in bounds:
             assert spectrum_count_below(q, bound) == sum(v < bound for v in values), (q, bound)
     assert spectrum_count_below(queries[0], 3) == spectrum_count_below(queries[0], F(3))
+
+
+_GENERATORS = (((1, 1), (0, 1)), ((1, -1), (0, 1)), ((1, 0), (1, 1)), ((1, 0), (-1, 1)), ((0, 1), (1, 0)))
+
+
+def _word(rng, top):
+    """A random word in generators of GL(2, Z), stopped before an entry
+    would exceed ``top``."""
+    m = ((1, 0), (0, 1))
+    for _ in range(400):
+        nxt = _mul(m, rng.choice(_GENERATORS))
+        if max(abs(x) for row in nxt for x in row) > top:
+            break
+        m = nxt
+    return m
+
+
+def _random_queries(rng, count):
+    """Anosov queries of every kind the row recurrences must handle:
+    determinant +-1, negative traces, words with entries up to 10**6,
+    conjugated cat powers, marked points with denominators 1-12, integral
+    O-to-P offsets (so the zero translate lies in the second box),
+    radius 1-15."""
+    cat = TorusAutomorphism(GOLDEN)
+    queries = []
+    while len(queries) < count:
+        kind = len(queries) % 3
+        if kind == 0:
+            m = tuple(tuple(rng.randint(-5, 5) for _ in range(2)) for _ in range(2))
+        elif kind == 1:
+            m = _word(rng, 10 ** rng.randint(1, 6))
+        else:
+            u = _word(rng, rng.randint(1, 30))
+            det = u[0][0] * u[1][1] - u[0][1] * u[1][0]
+            u_inv = ((det * u[1][1], -det * u[0][1]), (-det * u[1][0], det * u[0][0]))
+            m = _mul(_mul(u, (cat ** rng.randint(1, 12)).matrix), u_inv)
+        if rng.random() < 0.5:
+            m = tuple(tuple(-x for x in row) for row in m)
+        radius = rng.randint(1, 15)
+        origin = tuple(F(rng.randrange(den), den) for den in (rng.randint(1, 12), rng.randint(1, 12)))
+        if rng.random() < 0.3:
+            point = (origin[0] + rng.randint(-radius, radius), origin[1] + rng.randint(-radius, radius))
+        else:
+            point = tuple(F(rng.randint(-12, 12), rng.randint(1, 12)) for _ in range(2))
+        try:
+            queries.append(SpectrumQuery(m, origin, point, radius))
+        except ValueError:  # not an Anosov matrix
+            continue
+    return queries
+
+
+def test_rows_match_translate_oracle():
+    """The row recurrences give the keys of the translate-by-translate
+    oracle: the same values, the same minimum at the same first translate
+    in enumeration order, and the same counts at bounds within 10**-40 of
+    enumerated values, on either side."""
+    rng = random.Random(16)
+    queries = _random_queries(rng, 90)
+    assert any(q.point[0] - q.origin[0] == int(q.point[0] - q.origin[0]) for q in queries)
+    assert max(abs(x) for q in queries for row in q.matrix for x in row) > 10 ** 5
+    for q in queries:
+        D, scale, L, keyed = spectrum_keys_by_translates(q)
+        keys = sorted({k for k, _ in keyed})
+        values = spectrum_values(q)
+        assert [(v.D, v.a, v.b) for v in values] == [(D, 0, F(k, scale)) for k in keys], q
+        k, w = min(keyed, key=itemgetter(0))
+        m = spectrum_min(q)
+        assert (m.value.D, m.value.a, m.value.b, m.translate) == (D, 0, F(k, scale), (F(w[0], L), F(w[1], L))), q
+        assert spectrum_count_below(q, F(0)) == spectrum_count_below(q, F(-1)) == 0
+        assert spectrum_count_below(q, values[-1].b * D) == len(keys)  # b*D > b*sqrt(D)
+        N = 10 ** 40
+        for i in sorted({0, len(keys) - 1, *rng.sample(range(len(keys)), min(4, len(keys)))}):
+            below = math.isqrt(keys[i] ** 2 * D * N * N)  # k*sqrt(D)*N lies in (below, below + 1)
+            assert spectrum_count_below(q, F(below, scale * N)) == i, (q, i)
+            assert spectrum_count_below(q, F(below + 1, scale * N)) == i + 1, (q, i)
