@@ -3,11 +3,11 @@
 Every subcommand and every corpus check runs through one table,
 ``OPERATIONS``, behind ``run_operation``: an operation parses its input
 documents, then computes its result document.  A result holds exact
-values (``Fraction``s, tuples, ints, ``None``, graphs); only the two
-writers turn it into text -- ``serialize.canonical_dumps`` for the
-machine-readable format and ``_text_lines`` for the human-readable one.
-So an integer too long to print fails in the writer, and every
-subcommand reports it as a resource limit, never as malformed input.
+values (``Fraction``s, tuples, ints, ``None``, graphs); only the writer
+of ``serialize`` turns it into text, ``canonical_dumps`` for the machine
+format and ``text_dumps`` for the text one.  So an integer too long to
+print fails in the writer, and every subcommand reports it as a
+resource limit, never as malformed input.
 Exit codes: 0 on success, 1 when ``corpus verify`` finds a mismatch, 2
 on malformed or unreadable input and on a resource limit.
 """
@@ -25,7 +25,7 @@ import click
 from . import serialize as ser
 from .comparator import COMBINED, FULL, TOPOLOGICAL, InvariantReport, compare
 from .cover import lift_cover, normalize_unit_twists, verify_cover_laws
-from .decomposition import ReducibleMap, validate_or_raise
+from .decomposition import validate_or_raise
 from .decomposition import power as power_map
 from .quadratic import ResourceLimit
 from .spectrum import delta_from_branch_data, pa_obstruction, spectrum_count_below, spectrum_min, spectrum_values
@@ -44,12 +44,11 @@ class MalformedInput(ValueError):
 # the work starts, next to the work it bounds, so it binds library calls
 # too: ``spectrum.MAX_RADIUS``, ``cover.MAX_LIFTED_CURVES``, ``quadratic.TRIAL_WORK``
 # and ``staircase.MAX_STAIRCASE_SIZE`` (at each at most about 5 s, 7 s on a long
-# chain; a spectrum at radius 300 3.5-4.5 s, most of it writing its values)
+# chain; a spectrum at radius 300 3.3-4.1 s, most of it writing its values)
 
 # ---------------------------------------------------------------------------
-# result documents: exact values, turned into text only by the writers
-# (``ser.canonical_dumps``, ``_text_lines``); a field shared by two
-# documents is built in one place
+# result documents: exact values, turned into text only by the writer of
+# ``serialize``; a field shared by two documents is built in one place
 
 def _classify(phi):
     nt = classify_torus(phi)
@@ -215,35 +214,6 @@ def run_operation(op, docs, args):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _render(doc, fmt):
-    """The document as one string, in either format."""
-    if fmt == "machine":
-        return ser.canonical_dumps(doc)
-    return "\n".join([*_text_lines(doc, ""), ""])
-
-
-# one curve of a graph in text; P stands for the prefix of its "-" line
-_CURVE_TEXT = "P-\nP  end_a:\nP    - %s\nP    - %s\nP  end_b:\nP    - %s\nP    - %s\nP  id: %s\nP  twist: %s"
-_NESTED = (dict, list, tuple, ReducibleMap)
-
-
-def _text_lines(doc, prefix):
-    if isinstance(doc, ReducibleMap):  # written as its document is
-        yield prefix + "curves:"
-        yield from ser.curve_strings(doc, _CURVE_TEXT.replace("P", prefix + "  "), str)
-        yield from _text_lines({"pieces": ser.pieces_doc(doc), "type": "reducible_map"}, prefix)
-    elif isinstance(doc, (dict, list, tuple)):
-        items = [("%s:" % k, doc[k]) for k in sorted(doc)] if isinstance(doc, dict) else [("-", v) for v in doc]
-        for head, v in items:
-            if isinstance(v, _NESTED):
-                yield prefix + head
-                yield from _text_lines(v, prefix + "  ")
-            else:
-                yield "%s%s %s" % (prefix, head, v)
-    else:
-        yield "%s%s" % (prefix, doc)
-
-
 def _load(path):
     try:
         return ser.load(path)
@@ -258,8 +228,9 @@ def _command(op, paths, fmt, **args):
     """Load the input files, run ``op`` and print its document; the input
     documents are dropped before the output is written."""
     try:
-        text = _render(run_operation(op, [_load(p) for p in paths], args), fmt)
-    except (ResourceLimit, ValueError) as e:  # a ValueError in _render: an integer too long to print
+        write = ser.canonical_dumps if fmt == "machine" else ser.text_dumps
+        text = write(run_operation(op, [_load(p) for p in paths], args))
+    except (ResourceLimit, ValueError) as e:  # a ValueError in the writer: an integer too long to print
         click.echo("%s: %s" % ("malformed input" if isinstance(e, MalformedInput) else "resource limit", e), err=True)
         sys.exit(2)
     click.echo(text, nl=False)

@@ -17,19 +17,17 @@ the library's constructors, whose objections are named by the path of
 the object they build.
 
 Every document holds exact values -- ``Fraction``s, tuples, ints,
-``None`` and graphs -- and is turned into text only when written, by
-``canonical_dumps`` here or by the text writer of ``cli``, both through
-``str`` of the ``Fraction``: an integer too long to print fails in the
-writer, never inside an operation.  An input document that holds
-rationals goes through that text once (``_plain``) for a reader to take.
-
-``canonical_dumps`` writes exactly ``json.dumps(doc, sort_keys=True,
-indent=2) + "\n"`` without calling it (an indented ``json.dumps`` runs
-the pure-Python encoder): one list of parts, strings escaped by the C
-``encode_basestring_ascii``.  A graph is written straight from it, by
-hand: its curves through one template at the current indentation, never
-as a dict per curve.  ``json.dumps`` of the dict-per-curve document is
-the test oracle.
+``None`` and graphs -- and is turned into text only when written, by one
+walk with a style per format.  ``canonical_dumps`` writes exactly
+``json.dumps(doc, sort_keys=True, indent=2) + "\n"`` without calling it
+(an indented ``json.dumps`` runs the pure-Python encoder), strings
+escaped by the C ``encode_basestring_ascii``; ``text_dumps`` writes the
+same lines without brackets, commas and quotes, each list entry headed
+by "-", one level less deep.  A rational is written through ``str`` of
+its ``Fraction``, so an integer too long to print fails in the writer,
+never inside an operation.  A graph's curves go through one template,
+written from a curve whose fields are holes.  An input document with
+rationals goes through its JSON text once (``_plain``) for a reader.
 """
 
 from __future__ import annotations
@@ -293,69 +291,130 @@ _PARTITION, _STRS = _list(_int, "list of int"), _list(_str, "list of str")
 _first, _second = itemgetter(0), itemgetter(1)
 
 
+class _Written(tuple):
+    """The entries of a list, each written already."""
+
+
+def _writer(quote, word, brackets, comma, head):
+    """The writer of one format: ``walk(v, depth, out)`` hands ``out`` the
+    text of ``v`` at nesting ``depth`` (0 for a document) in parts.  A
+    string is written by ``quote``, a rational by ``quote`` of ``str`` of
+    its ``Fraction``, an int by its digits, None, a bool or a float by
+    ``word``; a list entry is headed by ``head``, and ``brackets`` (a
+    list's pair, then an object's) and ``comma`` are the punctuation.
+    Without brackets the line that opens a container is left out."""
+    open_list, close_list, open_dict, close_dict = brackets or ("",) * 4
+    space = " " if head else ""  # between a list entry's head and a value on its line
+    colon = ": " if brackets else ":"  # after a key whose value is a container
+    null, rational = word(None), quote("%s")
+    texts = {str: quote, Fraction: rational.__mod__, int: int.__repr__, type(None): lambda _: null}
+    list_rational, dict_rational = "%s" + rational, "%s%s: " + rational
+    nested = frozenset((dict, list, tuple, _Written, ReducibleMap))
+
+    def layout(depth):
+        """The starts of the entry lines of a container at ``depth``: the
+        first and every other line of a list entry that is no container,
+        of one that is, and of an object entry; then its closing lines."""
+        line = "\n" + "  " * (depth + 1 if brackets else depth)
+        first = line if depth or brackets else ""  # the first line of the document
+        end = "\n" + "  " * depth if brackets else ""
+        return (open_list + first + head + space, comma + line + head + space, open_list + first + head,
+                comma + line + head, open_dict + first, comma + line, end and end + close_list, end and end + close_dict)
+
+    layouts = []  # by depth, each made when a container first reaches it
+
+    @functools.cache
+    def curve_template(depth):
+        """One curve of a graph at ``depth``, each field a ``%s``: written
+        from a curve whose every field is a hole."""
+        parts, hole = [], "\0"
+        walk({"end_a": (hole, hole), "end_b": (hole, hole), "id": hole, "twist": hole}, depth, parts.append)
+        return "".join(parts).replace(quote(hole), "%s")
+
+    def walk(v, depth, out):
+        t = type(v)
+        if t is ReducibleMap:  # its curves through one template, never as a dict per curve
+            twists = {k: rational % x for k, x in _distinct_twists(v.curves).items()}
+            template = curve_template(depth + 2)
+            curves = _Written([template % (quote(c.end_a[0]), quote(c.end_a[1]), quote(c.end_b[0]),
+                                           quote(c.end_b[1]), quote(c.id), twists[id(c.twist)]) for c in v.curves])
+            pieces = [{"id": p.id, "genus": p.surface.genus, "boundary": p.surface.boundary_components, "slots": p.slots,
+                       "free_boundary": p.free_boundary, "dilatation": label_doc(p.dilatation)} for p in v.pieces]
+            walk({"curves": curves, "pieces": pieces, "type": "reducible_map"}, depth, out)
+            return
+        if t not in nested:
+            out(texts.get(t, word)(v))
+            return
+        if not v:
+            if brackets:
+                out(open_dict + close_dict if t is dict else open_list + close_list)
+            return
+        try:
+            lay = layouts[depth]
+        except IndexError:  # made once for each depth
+            layouts.extend(map(layout, range(len(layouts), depth + 1)))
+            lay = layouts[depth]
+        if t is dict:
+            _, _, _, _, s, rest, _, end = lay
+            for k in sorted(v):
+                x = v[k]
+                tx = type(x)
+                if tx is str:
+                    out(s + quote(k) + ": " + quote(x))
+                elif tx is Fraction:
+                    out(dict_rational % (s, quote(k), x))
+                elif tx in nested:
+                    out(s + quote(k) + colon)
+                    walk(x, depth + 1, out)
+                else:
+                    out(s + quote(k) + ": " + texts.get(tx, word)(x))
+                s = rest
+        else:
+            s, rest, sc, rest_c, _, _, end, _ = lay
+            if t is _Written:
+                out(sc)
+                out(rest_c.join(v))  # a part of its own: the entries are copied once here
+            else:
+                for x in v:
+                    tx = type(x)
+                    if tx is str:
+                        out(s + quote(x))
+                    elif tx is Fraction:
+                        out(list_rational % (s, x))
+                    elif tx in nested:
+                        out(sc)
+                        walk(x, depth + 1, out)
+                    else:
+                        out(s + texts.get(tx, word)(x))
+                    s, sc = rest, rest_c
+        if end:
+            out(end)
+
+    return walk
+
+
+_write_json = _writer(_json_str, json.dumps, "[]{}", ",", "")
+_write_text = _writer(str, str, "", "", "-")
+
+
 def canonical_dumps(doc):
+    """The document as canonical JSON: ``json.dumps(doc, sort_keys=True,
+    indent=2)`` and a newline, rationals as strings and tuples as lists."""
     parts = []
-    _encode(doc, "\n", parts.append)
+    _write_json(doc, 0, parts.append)
     parts.append("\n")
     return "".join(parts)
 
 
-def _encode(v, nl, out):
-    """Append the indented JSON of ``v`` to ``out``; ``nl`` is a newline
-    plus the indentation of the line ``v`` starts on.  A string or
-    rational member is written with its key or separator in one part;
-    a rational is written as the string ``str`` of its ``Fraction``
-    prints, "p/q" or "p"."""
-    t = type(v)
-    if t is str:
-        out(_json_str(v))
-    elif t is int:
-        out(int.__repr__(v))
-    elif t is list or t is tuple:
-        if not v:
-            out("[]")
-            return
-        inner = nl + "  "
-        sep = "[" + inner
-        for x in v:
-            if type(x) is str:
-                out(sep + _json_str(x))
-            elif type(x) is Fraction:
-                out('%s"%s"' % (sep, x))
-            else:
-                out(sep)
-                _encode(x, inner, out)
-            sep = "," + inner
-        out(nl + "]")
-    elif t is dict and all(type(k) is str for k in v):
-        if not v:
-            out("{}")
-            return
-        inner = nl + "  "
-        sep = "{" + inner
-        for k in sorted(v):
-            x = v[k]
-            if type(x) is str:
-                out(sep + _json_str(k) + ": " + _json_str(x))
-            elif type(x) is Fraction:
-                out('%s%s: "%s"' % (sep, _json_str(k), x))
-            else:
-                out(sep + _json_str(k) + ": ")
-                _encode(x, inner, out)
-            sep = "," + inner
-        out(nl + "}")
-    elif t is Fraction:
-        out('"%s"' % v)
-    elif t is ReducibleMap:
-        _encode_graph(v, nl, out)
-    elif v is None:
-        out("null")
-    elif v is True:
-        out("true")
-    elif v is False:
-        out("false")
-    else:  # a value the library does not emit: the stdlib, re-indented
-        out(json.dumps(v, sort_keys=True, indent=2).replace("\n", nl))
+def text_dumps(doc):
+    """The document as text: its JSON lines without brackets, commas and
+    quotes, each list entry headed by "-", nested one level less, and a
+    newline after each line."""
+    parts = []
+    _write_text(doc, 0, parts.append)
+    if parts:
+        parts.append("\n")
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -378,39 +437,6 @@ _LABEL = _maybe(_tagged("kind", {
 quadratic_doc, label_doc = _QUADRATIC.write, _LABEL.write
 
 
-def pieces_doc(phi):
-    """The ``pieces`` list of the document of graph ``phi``."""
-    return [
-        {"id": p.id, "genus": p.surface.genus, "boundary": p.surface.boundary_components, "slots": p.slots,
-         "free_boundary": p.free_boundary, "dilatation": label_doc(p.dilatation)}
-        for p in phi.pieces
-    ]
-
-
-def curve_strings(phi, template, quote):
-    """``template % (end_a, end_b, id, twist)`` per curve, each string
-    through ``quote``; one twist string per twist object."""
-    twists = {k: quote(str(t)) for k, t in _distinct_twists(phi.curves).items()}
-    return [template % (quote(c.end_a[0]), quote(c.end_a[1]), quote(c.end_b[0]), quote(c.end_b[1]), quote(c.id),
-                        twists[id(c.twist)]) for c in phi.curves]
-
-
-# one curve; I, J, K: a newline and the indentation of the curve, its fields, its ends
-_CURVE_JSON = '{J"end_a": [K%s,K%sJ],J"end_b": [K%s,K%sJ],J"id": %s,J"twist": %sI}'
-
-
-def _encode_graph(phi, nl, out):
-    """Graph ``phi`` as ``_encode`` writes its document: the curves
-    through one template at this indentation, the pieces as a list."""
-    i = nl + "    "
-    curves = curve_strings(phi, _CURVE_JSON.replace("K", i + "    ").replace("J", i + "  ").replace("I", i), _json_str)
-    out("{" + nl + '  "curves": ' + ("[" + i if curves else "[]"))
-    out(("," + i).join(curves))  # a part of its own: the curves are copied once here
-    out((nl + "  ]," if curves else ",") + nl + '  "pieces": ')
-    _encode(pieces_doc(phi), nl + "  ", out)
-    out("," + nl + '  "type": "reducible_map"' + nl + "}")
-
-
 def _plain(doc):
     """``doc`` as plain JSON values, through its canonical text once."""
     return json.loads(canonical_dumps(doc))
@@ -421,7 +447,7 @@ def reducible_doc(phi):
     return _plain(phi)
 
 
-# written by hand above, so its fields are only read
+# written by the graph branch of ``_writer``, so its fields are only read
 _END = _pair("[piece id, slot] as two str", _str, _str)
 reducible_from_doc = _document(
     "reducible_map", ReducibleMap,

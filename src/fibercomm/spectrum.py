@@ -34,7 +34,7 @@ from .torus import _anosov, _det, _integer_matrix, _trace, _trace_field
 
 _ZERO = Fraction(0)
 
-MAX_RADIUS = 300  # 2 (2r + 1)**2 translates; ``fibercomm spectrum`` takes 3.5-4.5 s at this radius
+MAX_RADIUS = 300  # 2 (2r + 1)**2 translates; ``fibercomm spectrum`` takes 3.3-4.1 s at this radius
 
 
 @dataclass(frozen=True)

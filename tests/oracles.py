@@ -29,8 +29,11 @@ None of these is on a decision path of the library:
   of ``spectrum._translates``;
 * ``reducible_doc_by_dicts`` and ``plain_document`` -- a graph's
   document built as one dict and two lists per curve, and a result
-  with its rationals written as strings and its tuples as lists, the
-  oracle for the writers ``serialize._encode`` and ``cli._text_lines``.
+  with its rationals written as strings and its tuples as lists, which
+  ``json.dumps`` and ``text_lines_by_walk`` turn into the expected
+  output of ``serialize.canonical_dumps`` and ``serialize.text_dumps``;
+* ``text_lines_by_walk`` -- the text form of a plain document, line by
+  line, by a generator of its own.
 """
 
 import math
@@ -472,6 +475,21 @@ def plain_document(doc):
     if isinstance(doc, (list, tuple)):
         return [plain_document(v) for v in doc]
     return doc
+
+
+def text_lines_by_walk(doc, prefix):
+    """The lines of the text form of the plain document ``doc``, each
+    line starting with ``prefix``: the oracle for ``serialize.text_dumps``."""
+    if isinstance(doc, (dict, list, tuple)):
+        items = [("%s:" % k, doc[k]) for k in sorted(doc)] if isinstance(doc, dict) else [("-", v) for v in doc]
+        for head, v in items:
+            if isinstance(v, (dict, list, tuple)):
+                yield prefix + head
+                yield from text_lines_by_walk(v, prefix + "  ")
+            else:
+                yield "%s%s %s" % (prefix, head, v)
+    else:
+        yield "%s%s" % (prefix, doc)
 
 
 # ---------------------------------------------------------------------------

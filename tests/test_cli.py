@@ -9,7 +9,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
-from oracles import plain_document, reducible_doc_by_dicts
+from oracles import plain_document, reducible_doc_by_dicts, text_lines_by_walk
 from fibercomm import cli, cover, quadratic, spectrum, staircase
 from fibercomm import serialize as ser
 from fibercomm.cli import CORPUS_ROOT, main
@@ -562,25 +562,29 @@ def default_digit_limit():
     sys.set_int_max_str_digits(old)
 
 
-def test_power_resource_limit(tmp_path, default_digit_limit):
+def test_power_resource_limit(tmp_path, default_digit_limit, capsys):
     phi = golden_pa_graph()
     path = write(tmp_path / "pa.json", ser.reducible_doc(phi))
     # the largest coordinate of the 1000th power has 418 digits: printed as before
     oracle = reducible_doc_by_dicts(power(phi, 1000))
     r = run("power", path, "1000", "--format", "machine")
     assert r.exit_code == 0 and r.output == json.dumps(oracle, sort_keys=True, indent=2) + "\n"
-    assert run("power", path, "1000").output == "\n".join(cli._text_lines(oracle, "")) + "\n"
+    assert run("power", path, "1000").output == "\n".join(text_lines_by_walk(oracle, "")) + "\n"
     # 10287 is the largest power whose coordinates have at most 4300 digits
     assert run("power", path, "10287", "--format", "machine").exit_code == 0
     # refused while printing (10288 to 10808) or, once k * log10(3/2 + 1/2 * isqrt(5))
     # exceeds 4301, before computing (10809 on)
+    # exit 2 with nothing on stdout, in either format (stderr kept apart by capsys)
     for k in ("10288", "10808", "10809", "20000", "10000000"):
-        t0 = time.perf_counter()
-        r = run("power", path, k, "--format", "machine")
-        assert time.perf_counter() - t0 < 1, k
-        assert r.exit_code == 2 and r.output.startswith("resource limit: "), r.output
-        assert "malformed" not in r.output and "Traceback" not in r.output
-        assert ("power %s of the stretch factor" % k in r.output) == (int(k) >= 10809), r.output
+        for fmt in ("machine", "text"):
+            t0 = time.perf_counter()
+            with pytest.raises(SystemExit) as stop:
+                main(["power", path, k, "--format", fmt])
+            assert time.perf_counter() - t0 < 1, (k, fmt)
+            out, err = capsys.readouterr()
+            assert stop.value.code == 2 and out == "" and err.startswith("resource limit: "), (k, fmt, err)
+            assert "malformed" not in err and "Traceback" not in err
+            assert ("power %s of the stretch factor" % k in err) == (int(k) >= 10809), err
 
 
 def graph_with_twists(twists):
@@ -671,7 +675,7 @@ def test_graph_documents_match_dict_oracle(tmp_path):
         r = run(*argv, "--format", "machine")
         assert r.exit_code == 0 and r.output == json.dumps(oracle, sort_keys=True, indent=2) + "\n", op
         r = run(*argv)
-        assert r.exit_code == 0 and r.output == "\n".join(cli._text_lines(oracle, "")) + "\n", op
+        assert r.exit_code == 0 and r.output == "\n".join(text_lines_by_walk(oracle, "")) + "\n", op
     assert '\\"\\\\\\n\\u00e9' in run("power", write(tmp_path / "w.json", g), "2", "--format", "machine").output
 
 

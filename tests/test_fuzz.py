@@ -119,8 +119,8 @@ def test_mutated_documents(op, data):
         pass
     try:
         result = cli.run_operation(op, docs, args)
-        for fmt in ("machine", "text"):
-            cli._render(result, fmt)
+        for write in (ser.canonical_dumps, ser.text_dumps):
+            write(result)
     except (cli.MalformedInput, cli.ResourceLimit):
         pass
 
@@ -150,8 +150,8 @@ def test_zero_and_negative_values(op):
                 parent[path[-1]] = new
                 try:
                     result = cli.run_operation(op, mutated["docs"], mutated["args"])
-                    for fmt in ("machine", "text"):
-                        cli._render(result, fmt)
+                    for write in (ser.canonical_dumps, ser.text_dumps):
+                        write(result)
                 except (cli.MalformedInput, cli.ResourceLimit):
                     pass
                 except Exception as e:  # reported with its input below
