@@ -43,8 +43,7 @@ class MalformedInput(ValueError):
 # each limit on an input whose cost grows with its value is checked before
 # the work starts, next to the work it bounds, so it binds library calls
 # too: ``spectrum.MAX_RADIUS``, ``cover.MAX_LIFTED_CURVES``, ``quadratic.TRIAL_WORK``
-# and ``staircase.MAX_STAIRCASE_SIZE`` (at each at most about 5 s, 7 s on a long
-# chain; a spectrum at radius 300 3.3-4.1 s, most of it writing its values)
+# and ``staircase.MAX_STAIRCASE_SIZE``; the README gives the cost at each limit
 
 # ---------------------------------------------------------------------------
 # result documents: exact values, turned into text only by the writer of

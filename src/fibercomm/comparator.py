@@ -34,7 +34,12 @@ NOT_OBSTRUCTED = "not_obstructed"
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """All invariants the comparator consumes, precomputed from a map."""
+    """The invariants of a map, computed once.
+
+    The comparator reads ``a_normalized``, ``pi`` and ``dilatations``;
+    ``a``, ``p`` and ``chi`` are only for the ``invariants`` document,
+    which writes every field.
+    """
 
     a: tuple                 # raw pair invariant
     a_normalized: tuple      # a / -chi(F)
@@ -78,16 +83,9 @@ def _scale(pair, s):
     return (pair[0] * s, pair[1] * s)
 
 
-def _pair_ratio(x, y):
-    """The s > 0 with s*x = y, if the pairs are proportional."""
-    if x == (0, 0) or y == (0, 0):
-        return None
-    for i in (0, 1):
-        if (x[i] == 0) != (y[i] == 0):
-            return None
-    i = 0 if x[0] != 0 else 1
-    s = y[i] / x[i]
-    return s if s > 0 and _scale(x, s) == y else None
+def _lead(pair):
+    """The first nonzero coordinate of a pair."""
+    return pair[0] or pair[1]
 
 
 def _feasible(x, y, mode):
@@ -96,37 +94,32 @@ def _feasible(x, y, mode):
     ``topological``) or the log-stretch-factors of y onto x's
     (``combined``).  An empty result is the obstruction.
 
-    The candidate set is finite.  Every mode matches Pi, and scaling
-    preserves the lex order of pairs, so s is the ratio of the
-    lexicographically largest Pi elements; ``topological`` pins s = 1,
-    and ``combined`` takes the stretch-factor log-ratios instead when
-    either side has a stretch factor.  The normalized A pairs give no
-    further candidate: when the largest Pi element is (0, 0), all Pi
-    elements are, and then so is A.
+    Each flip tries one scale.  ``topological`` pins s = 1.  Otherwise
+    scaling by s > 0 keeps the lex order of pairs, so a Pi match carries
+    the largest element onto the largest, and s is the ratio of their
+    first nonzero coordinates.  The largest Pi element of a valid graph
+    is nonzero, since every curve has a nonzero twist at a slot of some
+    piece, and no coordinate is negative, so s > 0.  The stretch factors
+    are matched only at that s.
+
+    The result has at most one scale: if s matches Pi under one flip and
+    s' under the other, then flip(Pi) = r Pi for x's Pi and r = s / s',
+    so Pi = r^2 Pi and r = 1.
     """
-    log_ratios = set()
-    if mode == COMBINED:
-        log_ratios = {u.log_ratio(v) for u in x.dilatations for v in y.dilatations}
-        log_ratios = {r for r in log_ratios if r is not None and r > 0}
     feasible = set()
     for flip in (False, True):
         a1 = _flip(x.a_normalized) if flip else x.a_normalized
-        pi1 = frozenset(_flip(p) for p in x.pi) if flip else x.pi
-        if mode == TOPOLOGICAL:
-            candidates = {Fraction(1)}
-        elif mode == COMBINED and (x.dilatations or y.dilatations):
-            candidates = log_ratios
+        pi1 = [_flip(p) for p in x.pi] if flip else x.pi
+        s = Fraction(1) if mode == TOPOLOGICAL else _lead(max(y.pi)) / _lead(max(pi1))
+        # scaling is one-to-one, so Pi matches when every scaled pair is in y's
+        if len(pi1) != len(y.pi) or any(_scale(p, s) not in y.pi for p in pi1):
+            continue
+        if mode == COMBINED:
+            ok = _dilatation_scale_ok(s, x.dilatations, y.dilatations)
         else:
-            candidates = {_pair_ratio(max(pi1), max(y.pi))} - {None}
-        for s in candidates:
-            if frozenset(_scale(p, s) for p in pi1) != y.pi:
-                continue
-            if mode == COMBINED:
-                ok = _dilatation_scale_ok(s, x.dilatations, y.dilatations)
-            else:
-                ok = _scale(a1, s) == y.a_normalized
-            if ok:
-                feasible.add(s)
+            ok = _scale(a1, s) == y.a_normalized
+        if ok:
+            feasible.add(s)
     return feasible
 
 

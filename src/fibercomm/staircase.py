@@ -51,9 +51,10 @@ TAIL = "tail"
 HEAD = "head"
 HORIZONTAL = "horizontal"
 
-# pieces plus boundary circles of a refibered graph; at this size the
-# staircase operation, invariant report included, takes about 4 s on the
-# bounded chain and 7 s on a chain of 83,333 pieces, on a 2-CPU VM
+# pieces plus boundary circles of a refibered graph; at this size, on a 2-CPU
+# VM, the bounded chain (n = 83,331) takes about 5 s through ``fibercomm
+# staircase``, and a chain of 83,333 pieces about 7 s through the operation
+# and 10 s through ``fibercomm staircase``
 MAX_STAIRCASE_SIZE = 250_000
 
 

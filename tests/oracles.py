@@ -12,8 +12,7 @@ None of these is on a decision path of the library:
   covering equivalence of periodic torus maps, and the minimal
   periodic / reducible torus classes;
 * ``brute_force_feasible`` -- the comparator's feasible set by
-  exhaustive search over ratios; ``match_flip_scale`` is not an oracle
-  but a shorthand for the library's feasible set in the full mode;
+  exhaustive search over ratios;
 * ``euler_characteristic`` and ``surfaces_commensurable`` -- chi from
   genus and boundary count, and the boundary parity test for a common
   cover of two surfaces;
@@ -41,7 +40,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
-from fibercomm.comparator import COMBINED, FULL, TOPOLOGICAL, _feasible
+from fibercomm.comparator import COMBINED, TOPOLOGICAL
 from fibercomm.cover import ComponentCover, CoveringData, NormalizationCertificate, _validate_cover
 from fibercomm.decomposition import Piece, ReducibleMap, ReducingCurve, power, validate, validate_or_raise
 from fibercomm.quadratic import QuadraticUnit, _check_squarefree
@@ -258,11 +257,6 @@ def brute_force_feasible(x, y, mode):
             if ok:
                 feasible.add(s)
     return feasible
-
-
-def match_flip_scale(x, y):
-    """Feasible scalars s of the full test: s*flip(A, Pi of x) = (A, Pi of y)."""
-    return _feasible(x, y, FULL)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_reducible_map
-from oracles import brute_force_feasible, fundamental_unit, match_flip_scale, negate_twists
+from oracles import brute_force_feasible, fundamental_unit, negate_twists
 from fibercomm.comparator import (
     COMBINED,
     FULL,
@@ -14,6 +14,7 @@ from fibercomm.comparator import (
     TOPOLOGICAL,
     InvariantReport,
     compare,
+    compare_reports,
 )
 from fibercomm.cover import ComponentCover, CoveringData, lift_cover
 from fibercomm.decomposition import DilatationLabel, Piece, ReducibleMap, ReducingCurve, power
@@ -25,14 +26,14 @@ def test_power_scaling_feasible_set():
     phi = d_type_family(2, 2)
     x = InvariantReport.of(phi)
     y = InvariantReport.of(power(phi, 2))
-    assert match_flip_scale(x, y) == {F(1, 2)}
+    assert compare_reports(x, y).feasible == {F(1, 2)}
 
 
 def test_flip_branch():
     phi = d_type_family(3, 2)
     x = InvariantReport.of(phi)
     y = InvariantReport.of(negate_twists(phi))
-    assert F(1) in match_flip_scale(x, y)
+    assert F(1) in compare_reports(x, y).feasible
 
 
 def test_pi_obstruction_with_equal_a():
@@ -57,7 +58,7 @@ def test_pi_obstruction_with_equal_a():
     phi2 = graph(Surface(1, 4), 2)
     x, y = InvariantReport.of(phi1), InvariantReport.of(phi2)
     assert x.a == y.a == (F(1), F(1))
-    assert match_flip_scale(x, y) == set()
+    assert compare_reports(x, y).feasible == set()
     assert compare(phi1, phi2, FULL).kind == INCOMMENSURABLE
 
 
@@ -255,5 +256,6 @@ def test_feasible_set_matches_brute_force():
         for mode in (FULL, TOPOLOGICAL, COMBINED):
             v = compare(phi, psi, mode)
             assert v.feasible == brute_force_feasible(x, y, mode), (mode, phi, psi)
+            assert len(v.feasible) <= 1
             kinds[mode, v.kind] = kinds.get((mode, v.kind), 0) + 1
     assert len(kinds) == 6 and min(kinds.values()) > 20, kinds

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import random_d_type_map, random_reducible_map
 from fibercomm import cover, decomposition
-from fibercomm.comparator import FULL, InvariantReport, compare
+from fibercomm.comparator import FULL, InvariantReport, compare, compare_reports
 from fibercomm.cover import (
     ComponentCover,
     CoveringData,
@@ -28,7 +28,7 @@ from fibercomm.decomposition import (
 )
 from fibercomm.families import d_type_family
 from fibercomm.surfaces import Surface
-from oracles import lift_cover_by_scan, match_flip_scale, normalize_by_retry
+from oracles import lift_cover_by_scan, normalize_by_retry
 
 
 def two_piece_map(twist):
@@ -294,7 +294,7 @@ def test_cover_feasibility_includes_one():
             continue
         lifted = lift_cover(phi, c)
         x, y = InvariantReport.of(phi), InvariantReport.of(lifted)
-        assert F(1) in match_flip_scale(x, y)
+        assert F(1) in compare_reports(x, y).feasible
         assert pi_invariant(lifted) == pi_invariant(phi)
         tested += 1
 
