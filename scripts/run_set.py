@@ -15,9 +15,15 @@ both output formats, on:
 * malformed and refused inputs: repeated names in a graph manifold or a
   graph, a plan that misses a piece, junctions whose sides lift to
   different numbers of circles, staircases at and past the size limit,
-  a spectrum at and past the radius limit, and graphs whose symbolic
+  a spectrum at and past the radius limit, graphs whose symbolic
   stretch factor has exponent 0 or -1 under ``compare --mode combined``
-  and ``invariants``.
+  and ``invariants``, and documents with two faults in nested fields of
+  lists long enough to be read as columns, where the first failing entry
+  in list order is named (``invariants`` on a 20-leaf star graph with a
+  bad twist before a bad curve id, a bad slot before a bad genus, and
+  twists 1, "1" and true; ``cover`` with a bad partition entry before a
+  bad piece id; ``staircase`` with a one-entry arc before a bad sheet
+  count in a 20-entry plan).
 
 Each run prints one line: the exit code, the sha256 of stdout and of
 stderr, an uncaught exception's type if there was one, and the
@@ -136,6 +142,34 @@ def edge_runs():
         name = "exponent_%s" % e
         runs.append((["compare", name, name, "--mode", "combined"], {name: graph}))
         runs.append((["invariants", name], {name: graph}))
+    # two faults in nested fields: the first entry in list order names the fault
+    def edited(doc, *edits):
+        doc = copy.deepcopy(doc)
+        for path, value in edits:
+            target = doc
+            for step in path[:-1]:
+                target = target[step]
+            target[path[-1]] = value
+        return doc
+
+    # a star of 20 leaves and a plan of 20 entries: lists long enough to be read as columns
+    star = {"type": "reducible_map",
+            "pieces": [{"id": "hub", "genus": 1, "boundary": 20, "slots": ["h%d" % i for i in range(20)],
+                        "free_boundary": 0, "dilatation": None}]
+            + [{"id": "leaf%d" % i, "genus": 2, "boundary": 1, "slots": ["s"], "free_boundary": 0, "dilatation": None}
+               for i in range(20)],
+            "curves": [{"id": "c%d" % i, "end_a": ["hub", "h%d" % i], "end_b": ["leaf%d" % i, "s"], "twist": "1"}
+                       for i in range(20)]}
+    for name, edits in (("twist_then_id", ((("curves", 2, "twist"), "1/0"), (("curves", 5, "id"), 7))),
+                        ("slot_then_genus", ((("pieces", 3, "genus"), -1), (("pieces", 1, "slots", 0), 5))),
+                        ("twist_true", ((("curves", 0, "twist"), 1), (("curves", 1, "twist"), "1"),
+                                        (("curves", 2, "twist"), True)))):
+        runs.append((["invariants", name], {name: edited(star, *edits)}))
+    covering = edited(double_cover(star), (("pieces", 0, "components", 0, "slots", 2, 1, 1), "1"),
+                      (("pieces", 1, "id"), 5))
+    runs.append((["cover", "star", "partition_then_id"], {"star": star, "partition_then_id": covering}))
+    long_plan = {"type": "refiber_plan", "pieces": [{"id": "P%d" % i, "n": 1, "arcs": [["l", "r"]]} for i in range(20)]}
+    staircase("arc_then_n", manifold, edited(long_plan, (("pieces", 1, "arcs", 0), ["a"]), (("pieces", 2, "n"), "1")))
     query = json.loads((CORPUS / "ex3.12" / "input.json").read_text())["documents"]["q20"]
     for radius in ("300", "301"):
         runs.append((["spectrum", "radius_limit", "--radius", radius], {"radius_limit": query}))

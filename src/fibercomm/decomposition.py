@@ -135,8 +135,9 @@ def _distinct_twists(curves):
     The library's graph builders share one twist ``Fraction`` between the
     curves of equal twist (``power`` per twist, ``cover.lift_cover`` per
     local degree, ``staircase.refiber`` per shear and sheet count, the
-    document parser per twist string), so a check that
-    reads twist values costs one call per shared twist, not per curve.
+    document reader per distinct twist string of a graph of more than 16
+    curves), so a check that reads twist values costs one call per shared
+    twist, not per curve.
     """
     twists = [c.twist for c in curves]
     return dict(zip(map(id, twists), twists))

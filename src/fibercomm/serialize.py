@@ -10,11 +10,14 @@ walker below that gives both its reader and its writer; the operation
 arguments and the corpus entries are read by shapes too.  A shape
 checks keys, exact element types (no bool for an int, no str for a
 list), pairs and optional or null fields, and converts in the same walk;
-unknown keys are ignored.  A fault raises a ``ValueError`` that names
-the value by its path (``pieces[0].slots: expected list of str, got
-'s1'``, ``curves[0].end_a: missing``).  What a value means is checked by
-the library's constructors, whose objections are named by the path of
-the object they build.
+unknown keys are ignored.  A list of more than 16 values is read as one
+column by each shape, a list of lists as the one column of their
+entries, and the equal rational strings of a column give one
+``Fraction``.  A fault raises a ``ValueError`` that names the value by
+its path (``pieces[0].slots: expected list of str, got 's1'``,
+``curves[0].end_a: missing``).  What a value means is checked by the
+library's constructors, whose objections are named by the path of the
+object they build.
 
 Every document holds exact values -- ``Fraction``s, tuples, ints,
 ``None`` and graphs -- and is turned into text only when written, by one
@@ -36,7 +39,7 @@ import functools
 import json
 import reprlib
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, chain, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter, itemgetter
 
@@ -66,10 +69,10 @@ def unrat(x):
 # ---------------------------------------------------------------------------
 # the schema walker: a shape checks one document value and returns it
 # converted, or raises ``_Invalid``; ``shape.write`` is the other
-# direction, from a converted value back to its document value.
-# ``shape.fast = (t, f)`` lets a container read an entry of exactly type
-# ``t`` as ``f`` of it (None: as itself) without calling the shape,
-# which it calls only otherwise.
+# direction, from a converted value back to its document value, and
+# ``shape.column(values)`` reads a list of values at once, as a tuple.
+# Any fault of a column raises, and the enclosing list walks its entries
+# one by one to name it, so a column may check its values in any order.
 
 _MISSING = object()  # the value of an absent key
 
@@ -97,9 +100,7 @@ def _expected(what, value):
 
 
 def _first_invalid(steps):
-    """The error of the first failing ``(path step, shape, value)``, at its
-    step: a container reads its entries at once, and walks them again one
-    by one only to name a fault."""
+    """The error of the first failing ``(path step, shape, value)``, at its step."""
     for step, shape, value in steps:
         try:
             shape(value)
@@ -112,32 +113,46 @@ def _same(x):  # the writer of a value written as itself
     return x
 
 
+def _shape(walk, write=None, t=None, column=None):
+    """``walk`` as a shape: its column is ``column`` of more than 16 values all
+    of exact type ``t`` (one type test), else ``walk`` of each, cheaper for fewer."""
+    walk.column = lambda values: (column(values) if column and len(values) > 16 and {*map(type, values)} <= {t}
+                                  else tuple(map(walk, values)))
+    walk.write = write
+    return walk
+
+
 def _leaf(t, what):
     def walk(v):
         if type(v) is not t:
             raise _expected(what, v)
         return v
 
-    walk.fast, walk.write = (t, None), _same
-    return walk
+    return _shape(walk, _same, t, tuple)
 
 
 _str, _int, _dict = _leaf(str, "str"), _leaf(int, "int"), _leaf(dict, "object")
-_parsed = functools.cache(unrat)  # the rational strings of the document being read
 
 
 def _rational(v):
-    """A rational through ``unrat``, a string once per document (``_parsed``);
-    written as its ``Fraction``."""
+    """A rational through ``unrat``; written as its ``Fraction``.  A column
+    of strings reads each distinct string once; any other is read value by
+    value, since keyed by value ``True`` would find the ``Fraction`` of 1."""
     try:
-        return _parsed(v) if type(v) is str else unrat(v)
+        return unrat(v)
     except ValueError as e:
         raise _Invalid("missing" if v is _MISSING else str(e)) from None
 
 
-_rational.fast, _rational.write = (str, _parsed), _same
+def _rationals(strings):
+    parsed = {x: unrat(x) for x in {*strings}}
+    return tuple(map(parsed.__getitem__, strings))
 
 
+_shape(_rational, _same, str, _rationals)
+
+
+@_shape
 def _json(v):
     if v is _MISSING:
         raise _expected("a value", v)
@@ -146,56 +161,46 @@ def _json(v):
 
 def _const(*values):
     """One of the strings ``values``."""
+    what = " or ".join(map(repr, values)) or "a declared value (none is declared)"
 
     def walk(v):
         if type(v) is not str or v not in values:
-            raise _expected(" or ".join(map(repr, values)), v)
+            raise _expected(what, v)
         return v
 
-    walk.write = _same
-    return walk
+    return _shape(walk, _same)
 
 
 def _maybe(shape, default=None, omit=False):
-    """``shape``, or ``default`` for an absent key or a null; None is
-    written as null, or as an absent key when ``omit``."""
+    """``shape``, or ``default`` for an absent key or a null, a column reading
+    the values present as one; None is written as null, or left out when ``omit``."""
     walk = lambda v: default if v is None or v is _MISSING else shape(v)  # noqa: E731
-    walk.write = lambda x: (_MISSING if omit else None) if x is None else shape.write(x)
+
+    def column(values):
+        read = iter(shape.column([v for v in values if v is not None and v is not _MISSING]))
+        return tuple(default if v is None or v is _MISSING else next(read) for v in values)
+
+    walk.column, walk.write = column, lambda x: (_MISSING if omit else None) if x is None else shape.write(x)
     return walk
 
 
-def _entries(shape, values):
-    """``shape`` of each of ``values``, as a tuple."""
-    t, f = getattr(shape, "fast", (None, None))
-    if {*map(type, values)} <= {t}:
-        return tuple(values) if f is None else tuple(map(f, values))
-    if hasattr(shape, "types"):  # pairs of leaves
-        t, u = shape.types
-        if all(type(x) is list and len(x) == 2 and type(x[0]) is t and type(x[1]) is u for x in values):
-            return tuple(map(tuple, values))
-    return tuple(map(shape, values))
-
-
 def _list(item, what="list"):
-    """A list, as a tuple; a list of objects is read field by field, the
-    field of every entry at once, so a graph of 10^4 curves costs about
-    two calls per curve.  Written as a list."""
-    fields = getattr(item, "fields", None)
+    """A list, as a tuple, its entries read as one column, and a column of
+    lists as one column of all their entries, cut back; written as a list."""
 
     def walk(v):
         if type(v) is not list:
             raise _expected(what, v)
         try:
-            if fields and {*map(type, v)} <= {dict}:
-                columns = [_entries(shape, list(map(dict.get, v, repeat(key), repeat(_MISSING))))
-                           for key, shape in fields]
-                return tuple(map(item.build, *columns))
-            return _entries(item, v)
+            return item.column(v)
         except ValueError:
             raise _first_invalid(("[%d]" % i, item, x) for i, x in enumerate(v)) from None
 
-    walk.write = list if getattr(item, "write", None) is _same else lambda xs: list(map(item.write, xs))
-    return walk
+    def column(lists):
+        entries, ends = item.column([*chain.from_iterable(lists)]), [*accumulate(map(len, lists))]
+        return tuple(map(entries.__getitem__, map(slice, [0, *ends], ends)))
+
+    return _shape(walk, list if item.write is _same else lambda xs: list(map(item.write, xs)), list, column)
 
 
 def _values(item):
@@ -208,36 +213,38 @@ def _values(item):
         except _Invalid:
             raise _first_invalid(("." + key, item, x) for key, x in items) from None
 
-    return walk
+    return _shape(walk)
 
 
 def _pair(what, first, second):
-    """A list of exactly two entries, as a tuple; written as a list."""
-    (t, f), (u, g) = getattr(first, "fast", (None, None)), getattr(second, "fast", (None, None))
+    """A list of exactly two entries, as a tuple, two equal strings of one
+    shape read once, and a column of them as two columns; written as a list."""
 
     def walk(v):
         if type(v) is not list or len(v) != 2:
             raise _expected(what, v)
         a, b = v
-        if type(a) is t and type(b) is u and f is g is None:
-            return (a, b)
         try:
-            return (first(a), second(b))
+            x = first(a)
+            return (x, x) if type(a) is str and a == b and first is second else (x, second(b))
         except _Invalid:
             raise _first_invalid((("[0]", first, a), ("[1]", second, b))) from None
 
-    if f is g is None:
-        walk.types = (t, u)
-    walk.write = list if first.write is second.write is _same else lambda v: [first.write(v[0]), second.write(v[1])]
-    return walk
+    def column(lists):
+        if {*map(len, lists)} - {2}:
+            return tuple(map(walk, lists))
+        return tuple(zip(first.column([*map(_first, lists)]), second.column([*map(_second, lists)])))
+
+    write = list if first.write is second.write is _same else lambda v: [first.write(v[0]), second.write(v[1])]
+    return _shape(walk, write, list, column)
 
 
 def _object(build, *fields):
-    """An object: ``build`` of the values of its ``(key, shape, get)``
-    fields, in order; a ``ValueError`` of ``build`` is named by the
-    object's path.  Written as each ``shape.write`` of ``get`` of the
-    built value, ``get`` an attribute path or a function, an absent key
-    left out; the fields of a shape that is only read are ``(key, shape)``."""
+    """An object: ``build`` of the values of its ``(key, shape, get)`` fields,
+    in order, and a column of objects read field by field; a ``ValueError``
+    of ``build`` is named by the object's path.  Written as each ``shape.write``
+    of ``get`` of the built value, ``get`` an attribute path or a function, an
+    absent key left out; the fields of a shape only read are ``(key, shape)``."""
     reads = [field[:2] for field in fields]
 
     def walk(v):
@@ -252,20 +259,21 @@ def _object(build, *fields):
         except ValueError as e:
             raise _Invalid(str(e)) from None
 
-    walk.fields, walk.build = reads, build
-    if all(len(field) == 3 for field in fields):
-        writes = [(key, shape.write, get if callable(get) else attrgetter(get)) for key, shape, get in fields]
-        walk.write = lambda x: {key: v for key, w, get in writes if (v := w(get(x))) is not _MISSING}
-    return walk
+    def column(objects):
+        return tuple(map(build, *[shape.column([*map(dict.get, objects, repeat(key), repeat(_MISSING))])
+                                  for key, shape in reads]))
+
+    writes = all(len(field) == 3 for field in fields) and [
+        (key, shape.write, get if callable(get) else attrgetter(get)) for key, shape, get in fields]
+    write = lambda x: {key: v for key, w, get in writes if (v := w(get(x))) is not _MISSING}  # noqa: E731
+    return _shape(walk, write if writes else None, dict, column)
 
 
 def _tagged(key, cases, tag_of):
     """An object read by the shape of ``cases`` that its ``key`` names,
     and written by the one that ``tag_of`` of the value names."""
     tag = _object(cases.get, (key, _const(*cases)))
-    walk = lambda v: tag(v)(v)  # noqa: E731
-    walk.write = lambda x: {key: tag_of(x), **cases[tag_of(x)].write(x)}
-    return walk
+    return _shape(lambda v: tag(v)(v), lambda x: {key: tag_of(x), **cases[tag_of(x)].write(x)})
 
 
 def _document(type_name, build, *fields):
@@ -273,15 +281,7 @@ def _document(type_name, build, *fields):
     their other fields, read with garbage collection paused, and the
     document of a built value."""
     shape = _object(lambda _, *values: build(*values), ("type", _const(type_name), lambda _: type_name), *fields)
-
-    def read(doc):
-        try:
-            with _gc_paused():
-                return shape(doc)
-        finally:
-            _parsed.cache_clear()
-
-    return read, getattr(shape, "write", None)
+    return _gc_paused()(shape), shape.write
 
 
 _RATIONALS = _pair("a list of two rationals", _rational, _rational)
@@ -542,8 +542,6 @@ def args_from_doc(args, names):
     except _Invalid as e:
         e.path.append("args")
         raise
-    finally:
-        _parsed.cache_clear()
 
 
 def corpus_from_doc(input_doc, expected_doc):

@@ -423,6 +423,8 @@ def test_corpus_verify_names_malformed_entries(tmp_path):
         (lambda i, e: e["checks"][2].update(args=[1]), "checks[2].args: expected object, got [1]"),
         (lambda i, e: e.pop("checks"), "checks: missing"),
         (lambda i, e: i.update(documents=[]), "documents: expected object, got []"),
+        (lambda i, e: i.update(documents={}), "checks[0].inputs[0]: expected a declared value (none is declared), "
+                                              "got 'rot4'"),
     ):
         root = tmp_path / ("corpus%d" % len(list(tmp_path.iterdir())))
         shutil.copytree(CORPUS_ROOT, root)

@@ -165,6 +165,67 @@ def test_rationals_are_exact():
             ser.unrat(bad)
 
 
+def test_equal_twist_texts_share_one_fraction():
+    """A column of rational strings (a list longer than 16) parses each
+    distinct string once, as ``power`` shares one twist per value; keyed
+    by value, a column that holds ``true`` would read it as the
+    ``Fraction`` of 1."""
+    doc = ser.reducible_doc(d_type_family(20, 2))
+    twists = [c.twist for c in ser.reducible_from_doc(doc).curves]
+    assert twists == [F(1)] * 20 and all(t is twists[0] for t in twists)
+    for i, twist in enumerate((1, "1", True, "1")):
+        doc["curves"][i]["twist"] = twist
+    with pytest.raises(ValueError) as raised:
+        ser.reducible_from_doc(doc)
+    assert str(raised.value) == "curves[2].twist: expected a rational as a string or an integer, got True"
+    # equal strings of a pair are read once too; equal rows [0, 0] and [false, 0] are not
+    q = ser.query_from_doc({"type": "spectrum_query", "matrix": [[2, 1], [1, 1]], "origin": ["0", "0"],
+                            "point": ["1/2", "1/2"], "radius": 3})
+    assert q.origin[0] is q.origin[1] and q.point[0] is q.point[1]
+    with pytest.raises(ValueError, match=r"^origin\[1\]: expected a rational as a string or an integer, got True$"):
+        ser.query_from_doc({"type": "spectrum_query", "matrix": [[2, 1], [1, 1]], "origin": [1, True],
+                            "point": ["0", "0"], "radius": 3})
+    with pytest.raises(ValueError, match=r"^matrix\[1\]\[0\]: expected int, got False$"):
+        ser.torus_from_doc({"type": "torus_automorphism", "matrix": [[0, 0], [False, 0]]})
+
+
+def test_first_fault_in_list_order_then_schema_order():
+    """Lists longer than 16 are read a column at a time, shorter ones entry
+    by entry; either way the fault named is the first failing entry in list
+    order and, within it, the first failing field in schema order."""
+
+    def edited(doc, *edits):
+        doc = json.loads(json.dumps(doc))
+        for path, value in edits:
+            *steps, last = path
+            target = doc
+            for step in steps:
+                target = target[step]
+            target[last] = value
+        return doc
+
+    for n in (6, 20):
+        graph = ser.reducible_doc(d_type_family(n, 2))
+        covering = {"type": "covering_data", "pieces": [
+            {"id": p["id"], "components": [{"degree": 2, "slots": [[s, [1, 1]] for s in p["slots"]]}]}
+            for p in graph["pieces"]]}
+        plan = {"type": "refiber_plan", "pieces": [{"id": "P%d" % i, "n": 1, "arcs": [["l", "r"]]} for i in range(n)]}
+        for read, doc, edits, message in (
+            (ser.reducible_from_doc, graph, ((("curves", 2, "twist"), "1/0"), (("curves", 5, "id"), 7)),
+             "curves[2].twist: rational '1/0' has denominator zero"),
+            (ser.reducible_from_doc, graph, ((("pieces", 3, "genus"), -1), (("pieces", 1, "slots", 0), 5)),
+             "pieces[1].slots[0]: expected str, got 5"),
+            (ser.covering_from_doc, covering,
+             ((("pieces", 0, "components", 0, "slots", 2, 1, 1), "1"), (("pieces", 1, "id"), 5)),
+             "pieces[0].components[0].slots[2][1][1]: expected int, got '1'"),
+            (ser.plan_from_doc, plan, ((("pieces", 1, "arcs", 0), ["a"]), (("pieces", 2, "n"), "1")),
+             "pieces[1].arcs[0]: expected [tail, head] as two str, got ['a']"),
+        ):
+            with pytest.raises(ValueError) as raised:
+                read(edited(doc, *edits))
+            assert str(raised.value) == message, n
+
+
 # the encoder's oracle is the stdlib's indented encoder
 json_text = st.text(st.characters() | st.sampled_from('"\\/\x00\x08\x1f\n\t\x7f\u00e9\u2028\U0001f600'))
 json_values = st.recursive(
