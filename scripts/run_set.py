@@ -23,7 +23,23 @@ both output formats, on:
   bad twist before a bad curve id, a bad slot before a bad genus, and
   twists 1, "1" and true; ``cover`` with a bad partition entry before a
   bad piece id; ``staircase`` with a one-entry arc before a bad sheet
-  count in a 20-entry plan).
+  count in a 20-entry plan);
+* an error message of each check a well-formed document can fail:
+  ``classify``, ``spectrum`` and ``staircase`` with a matrix of
+  determinant 2; ``staircase`` with a gluing that does not carry the
+  plan's slope; ``cover`` of a graph with free circles (corpus entry
+  ex4.2) by its double cover with a component of degree 0, a slot
+  without a partition, the partition (3, -1) at every slot, a partition
+  that does not sum to the degree, too few free partitions, a free
+  partition (2, 0), unequal local degrees across a curve, a piece
+  without cover data, and components that fit no surface;
+  ``invariants`` on a two-piece graph with duplicate piece ids,
+  duplicate curve ids, no curves, a piece of chi 0, a boundary count
+  that does not add up, a twist "0", a curve end on a missing piece, one
+  on a missing slot, and a slot used by two ends; and ``power`` of a
+  graph with the exact stretch factor (3 + sqrt 5) / 2 at k = 1, at
+  k = 10288 (refused while writing) and at k = 10809 (refused before
+  the power is computed).
 
 Each run prints one line: the exit code, the sha256 of stdout and of
 stderr, an uncaught exception's type if there was one, and the
@@ -143,15 +159,6 @@ def edge_runs():
         runs.append((["compare", name, name, "--mode", "combined"], {name: graph}))
         runs.append((["invariants", name], {name: graph}))
     # two faults in nested fields: the first entry in list order names the fault
-    def edited(doc, *edits):
-        doc = copy.deepcopy(doc)
-        for path, value in edits:
-            target = doc
-            for step in path[:-1]:
-                target = target[step]
-            target[path[-1]] = value
-        return doc
-
     # a star of 20 leaves and a plan of 20 entries: lists long enough to be read as columns
     star = {"type": "reducible_map",
             "pieces": [{"id": "hub", "genus": 1, "boundary": 20, "slots": ["h%d" % i for i in range(20)],
@@ -173,8 +180,80 @@ def edge_runs():
     query = json.loads((CORPUS / "ex3.12" / "input.json").read_text())["documents"]["q20"]
     for radius in ("300", "301"):
         runs.append((["spectrum", "radius_limit", "--radius", radius], {"radius_limit": query}))
+    # a matrix of determinant 2 at each gate, and a gluing that does not carry the plan's slope
+    det2 = [[3, 1], [1, 1]]
+    runs.append((["classify", "det2"], {"det2": {"type": "torus_automorphism", "matrix": det2}}))
+    runs.append((["spectrum", "det2_query"], {"det2_query": {**query, "matrix": det2}}))
+    staircase("det2_gluing", edited(manifold, (("gluings", 0, "matrix"), det2)), plan2)
+    staircase("slope_mismatch", edited(manifold, (("gluings", 1, "matrix"), [[-1, 0], [0, 1]])), plan2)
+    runs += cover_fault_runs() + graph_fault_runs()
+    # an exact stretch factor (3 + sqrt 5) / 2: printed at k = 1, too long to print at
+    # k = 10288, and refused before the power is computed at k = 10809
+    exact = edited(FAULT_BASE, (("pieces", 0, "dilatation"), {"kind": "exact", "unit": {"D": 5, "a": "3/2", "b": "1/2"}}))
+    for k in ("1", "10288", "10809"):
+        runs.append((["power", "exact", k], {"exact": exact}))
     return runs
 
+
+def edited(doc, *edits):
+    """A copy of ``doc`` with the value at each path replaced."""
+    doc = copy.deepcopy(doc)
+    for path, value in edits:
+        target = doc
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+    return doc
+
+
+# two pieces joined by two curves
+FAULT_BASE = {"type": "reducible_map",
+              "pieces": [{"id": p, "genus": 1, "boundary": 2, "slots": [p + "1", p + "2"], "free_boundary": 0,
+                          "dilatation": None} for p in ("a", "b")],
+              "curves": [{"id": "c%d" % i, "end_a": ["a", "a%d" % i], "end_b": ["b", "b%d" % i], "twist": "1"}
+                         for i in (1, 2)]}
+
+
+def graph_fault_runs():
+    """``invariants`` on graphs with one fault of ``decomposition.validate`` each."""
+    runs = []
+    for name, edits in (("duplicate_piece", ((("pieces", 1, "id"), "a"),)),
+                        ("duplicate_curve", ((("curves", 1, "id"), "c1"),)),
+                        ("no_curves", ((("curves",), []),)),
+                        ("chi_nonnegative", ((("pieces", 0, "genus"), 0),)),
+                        ("boundary_count", ((("pieces", 0, "boundary"), 3),)),
+                        ("zero_twist", ((("curves", 0, "twist"), "0"),)),
+                        ("missing_piece", ((("curves", 0, "end_b"), ["z", "b1"]),)),
+                        ("missing_slot", ((("curves", 0, "end_b"), ["b", "z"]),)),
+                        ("slot_used_twice", ((("curves", 1, "end_b"), ["b", "b1"]),))):
+        runs.append((["invariants", name], {name: edited(FAULT_BASE, *edits)}))
+    return runs
+
+
+def cover_fault_runs():
+    """``cover`` of a graph with free circles (corpus entry ex4.2) by its
+    double cover with one fault of ``cover._validate_cover`` each, and by
+    a cover with a component that fits no surface."""
+    graph = json.loads((CORPUS / "ex4.2" / "input.json").read_text())["documents"]["phi1"]
+    double = double_cover(graph)  # piece p3 has two free circles, left implicit
+    first = ("pieces", 0, "components", 0)
+
+    def every_slot(partition):
+        return tuple((("pieces", i, "components", 0, "slots", j, 1), partition)
+                     for i, j in ((0, 0), (1, 0), (1, 1), (2, 0)))
+
+    runs = []
+    for name, edits in (("degree_0", ((first + ("degree",), 0),)),
+                        ("no_partition", ((first + ("slots",), []),)),
+                        ("negative_entry", every_slot([3, -1])),
+                        ("partition_sum", ((first + ("slots", 0, 1), [1, 1, 1]),)),
+                        ("free_count", ((("pieces", 2, "components", 0, "free"), [[1, 1]]),)),
+                        ("bad_free", ((("pieces", 2, "components", 0, "free"), [[1, 1], [2, 0]]),)),
+                        ("local_degrees", ((first + ("slots", 0, 1), [2]),)),
+                        ("no_cover_data", ((("pieces",), double["pieces"][:2]),)),
+                        ("no_surface", every_slot([2]))):
+        runs.append((["cover", "free_circles", name], {"free_circles": graph, name: edited(double, *edits)}))
+    return runs
 
 def main(tree):
     sys.path.insert(0, str(Path(tree).resolve() / "src"))

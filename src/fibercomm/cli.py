@@ -232,7 +232,7 @@ def _command(op, paths, fmt, **args):
     except (ResourceLimit, ValueError) as e:  # a ValueError in the writer: an integer too long to print
         click.echo("%s: %s" % ("malformed input" if isinstance(e, MalformedInput) else "resource limit", e), err=True)
         sys.exit(2)
-    click.echo(text, nl=False)
+    click.echo(text, nl=False, color=True)  # as written: by default click strips ANSI escapes off a terminal
 
 
 @click.group()

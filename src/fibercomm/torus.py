@@ -4,7 +4,7 @@ The mapping class group of the torus is GL(2, Z).  A class is periodic,
 reducible, or Anosov; for Anosov classes the stretch factor is the
 quadratic unit (|t| + sqrt(t**2 -+ 4)) / 2 (sign by determinant), and
 two Anosov maps are commensurable iff the logs of their stretch factors
-have a rational ratio.
+have a rational ratio.  A periodic class's order is read off (t, det).
 """
 
 from __future__ import annotations
@@ -43,17 +43,17 @@ def _trace(m):
 
 def _integer_matrix(matrix, name="matrix"):
     """``matrix`` as a tuple of rows, through the library's one GL(2, Z)
-    gate: 2x2, int entries, determinant +-1."""
-    m = tuple(tuple(row) for row in matrix)
-    if len(m) != 2 or any(len(row) != 2 for row in m):
+    gate: 2x2 (read in one unpack), int entries, determinant +-1."""
+    try:
+        (a, b), (c, d) = matrix
+    except (TypeError, ValueError):  # not a pair of pairs
         raise ValueError("%s must be 2x2, got %r" % (name, matrix))
-    for row in m:
-        for x in row:
-            if type(x) is not int:  # bools, floats and strings too
-                raise ValueError("%s entries must be integers, got %r" % (name, x))
-    if _det(m) not in (1, -1):
-        raise ValueError("%s must have determinant +-1, got %d" % (name, _det(m)))
-    return m
+    if bad := [x for x in (a, b, c, d) if type(x) is not int]:  # bools, floats and strings too
+        raise ValueError("%s entries must be integers, got %r" % (name, bad[0]))
+    det = a * d - b * c
+    if det not in (1, -1):
+        raise ValueError("%s must have determinant +-1, got %d" % (name, det))
+    return ((a, b), (c, d))
 
 
 def _anosov(t, det):
@@ -119,17 +119,16 @@ class NTClass:
     dilatation: QuadraticUnit = None
 
 
-def _matrix_order(m, bound=12):
-    p = m
-    for k in range(1, bound + 1):
-        if p == _IDENTITY:
-            return k
-        p = _mat_mul(p, m)
-    raise ValueError("matrix is not periodic")
+# A periodic matrix's order by (trace, det): off a double root of
+# x**2 - t x + det it is diagonalizable over C, so of the order of its
+# roots of unity; at a double root (t = +-2, det 1) only +-I is periodic.
+# Every other (t, det) is Anosov: six keys, of orders 1, 2, 3, 4 and 6.
+_PERIOD = {(1, 1): 6, (0, 1): 4, (-1, 1): 3, (0, -1): 2, (2, 1): 1, (-2, 1): 2}
 
 
 def classify_torus(phi):
-    """Periodic / reducible / Anosov trichotomy, with class data."""
+    """Periodic / reducible / Anosov trichotomy, with class data, read
+    off the trace, the determinant and, at trace +-2, whether m is +-I."""
     m = phi.matrix
     t, det = _trace(m), phi.det
     if _anosov(t, det):
@@ -139,7 +138,7 @@ def classify_torus(phi):
     # not Anosov: of infinite order only with det 1, trace +-2, not +-identity
     if det == 1 and abs(t) == 2 and m not in (_IDENTITY, ((-1, 0), (0, -1))):
         return NTClass(REDUCIBLE)
-    return NTClass(PERIODIC, period=_matrix_order(m))
+    return NTClass(PERIODIC, period=_PERIOD[t, det])
 
 
 @dataclass(frozen=True)

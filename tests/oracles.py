@@ -20,9 +20,13 @@ None of these is on a decision path of the library:
   negated;
 * ``validate_by_scan`` -- the structural errors of a graph, found
   curve end by curve end;
+* ``cover_faults_by_scan`` -- the faults that make a cover inadmissible,
+  in the library's words, found component by component without
+  ``cover``, the oracle for ``cover._validate_cover``;
 * ``lift_cover_by_scan`` and ``normalize_by_retry`` -- a cover lifted
-  slot by slot with explicit all-ones free circles, and the unit-twist
-  normalization that lifts at degree L and, on failure, again at 2L;
+  slot by slot with explicit all-ones free circles after the scan
+  above, and the unit-twist normalization that lifts at degree L and,
+  on failure, again at 2L;
 * ``spectrum_keys_by_translates`` -- a spectrum query's integer keys
   evaluated translate by translate, the oracle for the row recurrences
   of ``spectrum._translates``;
@@ -41,7 +45,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from fibercomm.comparator import COMBINED, TOPOLOGICAL
-from fibercomm.cover import ComponentCover, CoveringData, NormalizationCertificate, _validate_cover
+from fibercomm.cover import ComponentCover, CoveringData, NormalizationCertificate
 from fibercomm.decomposition import Piece, ReducibleMap, ReducingCurve, power, validate, validate_or_raise
 from fibercomm.quadratic import QuadraticUnit, _check_squarefree
 from fibercomm.spectrum import _measure_form
@@ -329,18 +333,70 @@ def validate_by_scan(phi):
     return errors
 
 
+def cover_faults_by_scan(phi, c):
+    """The faults that make ``c`` an inadmissible cover of ``phi``, each
+    in the words of ``cover.lift_cover``'s refusal.
+
+    The first entry of a repeated piece or slot counts.  Per component:
+    a degree of at least 1; for every slot, a partition of the degree
+    (entries at least 1, summing to it); one partition of it per free
+    circle, all ones when implicit.  Only when no component has a fault,
+    since a local degree means nothing without its partition: the
+    sorted local degrees of the two ends of every curve are equal.
+    """
+    def is_partition(part, n):
+        return sum(part) == n and all(d >= 1 for d in part)
+
+    comps_of, faults = {}, []
+    for pid, comps in c.components:
+        comps_of.setdefault(pid, comps)
+    parts_of = {}  # (pid, slot) -> the local degrees over it, component by component
+    for p in phi.pieces:
+        if p.id not in comps_of:
+            faults.append("no cover data for piece %s" % p.id)
+            continue
+        for j, comp in enumerate(comps_of[p.id]):
+            where = "piece %s component %d" % (p.id, j)
+            if comp.degree < 1:
+                faults.append("%s: degree < 1" % where)
+            given = {}
+            for slot, part in comp.slot_partitions:
+                given.setdefault(slot, part)
+            for slot in p.slots:
+                if slot not in given:
+                    faults.append("%s: no partition for slot %s" % (where, slot))
+                    continue
+                if not is_partition(given[slot], comp.degree):
+                    faults.append("%s slot %s: %r is not a partition of %d" % (where, slot, given[slot], comp.degree))
+                parts_of.setdefault((p.id, slot), []).extend(given[slot])
+            frees = comp.free_partitions
+            if frees is None:
+                frees = ((1,) * comp.degree,) * p.free_boundary
+            if len(frees) != p.free_boundary:
+                faults.append("%s: %d free partitions for %d free circles" % (where, len(frees), p.free_boundary))
+            else:
+                faults += ["%s: bad free partition %r" % (where, f) for f in frees if not is_partition(f, comp.degree)]
+    if not faults:
+        for curve in phi.curves:
+            a, b = sorted(parts_of[curve.end_a]), sorted(parts_of[curve.end_b])
+            if a != b:
+                faults.append("curve %s: local degrees %r vs %r do not match" % (curve.id, a, b))
+    return faults
+
+
 def lift_cover_by_scan(phi, c):
     """The graph ``cover.lift_cover`` builds, lifted component by component.
 
-    Free circles lift by explicit all-ones partitions when the cover
-    leaves them implicit; each component's surface is found as its piece
-    is lifted; every preimage curve goes through the checked
+    A cover with a fault of ``cover_faults_by_scan`` is refused.  Free
+    circles lift by explicit all-ones partitions when the cover leaves
+    them implicit; each component's surface is found as its piece is
+    lifted; every preimage curve goes through the checked
     ``ReducingCurve`` constructor with a twist divided for it alone.
     """
     validate_or_raise(phi)
-    errors = _validate_cover(phi, c)
-    if errors:
-        raise ValueError("inadmissible cover: " + "; ".join(errors))
+    faults = cover_faults_by_scan(phi, c)
+    if faults:
+        raise ValueError("inadmissible cover: " + "; ".join(faults))
     pieces = []
     lifted_ends = {}  # (pid, slot) -> [(d, lifted piece id, lifted slot), ...]
     for p in phi.pieces:

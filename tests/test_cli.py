@@ -93,6 +93,15 @@ def test_power_command(tmp_path):
     assert all(c["twist"] == "3" for c in doc["curves"])
 
 
+def test_text_output_is_written_as_is(tmp_path):
+    # click strips ANSI escapes when stdout is not a terminal, as under the runner
+    graph = ser.reducible_doc(d_type_family(2, 2))
+    graph["curves"][0]["id"] = "c\u001b[31m0"
+    r = run("power", write(tmp_path / "d.json", graph), "1")
+    assert r.exit_code == 0 and "\u001b[31m" in r.output
+    assert r.output == ser.text_dumps(ser.reducible_from_doc(graph))
+
+
 def test_staircase_command(tmp_path):
     mpath = write(tmp_path / "m.json", ser.manifold_doc(bounded_chain_manifold()))
     ppath = write(tmp_path / "p.json", ser.plan_doc(bounded_chain_plan(2)))

@@ -28,7 +28,7 @@ from fibercomm.decomposition import (
 )
 from fibercomm.families import d_type_family
 from fibercomm.surfaces import Surface
-from oracles import lift_cover_by_scan, normalize_by_retry
+from oracles import cover_faults_by_scan, lift_cover_by_scan, normalize_by_retry
 
 
 def two_piece_map(twist):
@@ -188,6 +188,15 @@ def test_corrupted_partition_rejected():
     )
     with pytest.raises(ValueError, match="local degrees"):
         lift_cover(phi, mismatched)
+    # entries at least 1: (3, -1) sums to 2, and at both ends the local degrees match
+    negative = CoveringData(
+        (
+            ("a", (ComponentCover(2, (("s", (3, -1)),)),)),
+            ("b", (ComponentCover(2, (("t", (3, -1)),)),)),
+        )
+    )
+    with pytest.raises(ValueError, match=re.escape("piece a component 0 slot s: (3, -1) is not a partition of 2")):
+        lift_cover(phi, negative)
 
 
 def test_inadmissible_genus_reported():
@@ -565,6 +574,96 @@ def test_lift_is_valid_by_construction():
         )
     )
     assert assert_trusted_lift(star, twelve)
+
+
+CORRUPTIONS = ("degree", "missing slot", "entry < 1", "sum", "free count", "bad free", "local degrees")
+
+
+def regroupings(part):
+    """Partitions of the sum of ``part`` with other local degrees: its
+    largest part split into a 1 and the rest, its two largest merged, and
+    one moved from its largest part to its smallest, which keeps their
+    number; None where a way does not apply."""
+    p = sorted(part, reverse=True)
+    return ((p[0] - 1, 1, *p[1:]) if p[0] > 1 else None,
+            (p[0] + p[1], *p[2:]) if len(p) > 1 else None,
+            (p[0] - 1, *p[1:-1], p[-1] + 1) if p[0] - p[-1] > 1 else None)
+
+
+def corrupted_cover(rng, phi, c):
+    """``c``, a cover with each piece listed once and matching local
+    degrees, with one corruption of a kind drawn from ``CORRUPTIONS``:
+    (kind, cover).  An entry below 1 goes in at one end of a curve or,
+    keeping the local degrees equal, at both."""
+    state = {pid: [[comp.degree, dict(comp.slot_partitions), comp.free_partitions] for comp in comps]
+             for pid, comps in c.components}
+    components = [(p, comp) for p in phi.pieces for comp in state[p.id]]
+    targets = {"degree": components, "free count": components, "entry < 1": phi.curves}
+    targets["missing slot"] = targets["sum"] = [(p, comp) for p, comp in components if p.slots]
+    targets["bad free"] = [(p, comp) for p, comp in components if p.free_boundary]
+    # one end of a curve regrouped, each way of regrouping as likely as the others
+    regrouped = [[(slot, comp, new[i]) for p, comp in components for slot in p.slots
+                  if (new := regroupings(comp[1][slot]))[i]] for i in range(3)]
+    targets["local degrees"] = rng.choice([r for r in regrouped if r] or [[]])
+    kind = rng.choice([k for k in CORRUPTIONS if targets[k]])
+    target = rng.choice(targets[kind])
+    if kind == "degree":
+        target[1][0] = rng.choice((0, -1))
+    elif kind in ("missing slot", "sum"):
+        p, comp = target
+        slot = rng.choice(p.slots)
+        if kind == "sum":
+            comp[1][slot] += (1,)
+        else:
+            del comp[1][slot]
+    elif kind == "free count":
+        p, comp = target
+        comp[2] = ((1,) * comp[0],) * (p.free_boundary + rng.choice((1, -1) if p.free_boundary else (1,)))
+    elif kind == "bad free":
+        p, comp = target
+        frees = [(1,) * comp[0]] * p.free_boundary
+        frees[rng.randrange(p.free_boundary)] = rng.choice(((1,) * comp[0] + (0,), (1,) * (comp[0] + 1)))
+        comp[2] = tuple(frees)
+    elif kind == "local degrees":
+        slot, comp, part = target
+        comp[1][slot] = part
+    else:
+        ends = [target.end_a, target.end_b]
+        rng.shuffle(ends)
+        pid, slot = ends[0]
+        x = rng.choice([d for comp in state[pid] for d in comp[1][slot]])
+        replacement = rng.choice(([x + 1, -1], [x, 0]))
+        for pid, slot in ends[:rng.randint(1, 2)]:
+            comp = next(comp for comp in state[pid] if x in comp[1][slot])
+            part = list(comp[1][slot])
+            i = part.index(x)
+            part[i:i + 1] = replacement
+            comp[1][slot] = tuple(part)
+    return kind, CoveringData(tuple(
+        (pid, tuple(ComponentCover(degree, tuple(parts.items()), frees) for degree, parts, frees in comps))
+        for pid, comps in state.items()))
+
+
+def test_cover_refusal_matches_admissibility_scan():
+    """``lift_cover`` refuses a cover as inadmissible exactly when the
+    oracle's own scan finds a fault, names every fault it finds, and
+    refuses a cover of one fault with that fault alone."""
+    rng = random.Random(71)
+    single = Counter()
+    for _ in range(400):
+        phi = random_reducible_map(rng, max_part=6)
+        c = random_cover(rng, phi, rng.randint(1, 4))
+        assert cover_faults_by_scan(phi, c) == []
+        assert "inadmissible" not in str(outcome(lift_cover, phi, c))
+        kind, bad = corrupted_cover(rng, phi, c)
+        faults = cover_faults_by_scan(phi, bad)
+        got = outcome(lift_cover, phi, bad)
+        assert faults and got.startswith("ValueError: inadmissible cover: "), (kind, faults, got)
+        assert all(fault in got for fault in faults), (kind, faults, got)
+        if len(faults) == 1:
+            assert got == "ValueError: inadmissible cover: " + faults[0]
+            single[kind] += 1
+    assert set(single) == set(CORRUPTIONS), single  # every kind, and each alone at least once
 
 
 def test_cover_with_no_curves_is_refused():

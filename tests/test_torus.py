@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -9,7 +11,8 @@ import sympy
 from oracles import generate_same_cyclic_group, matrix_power, minimal_representatives
 from fibercomm import quadratic, torus
 from fibercomm.quadratic import QuadraticNumber, QuadraticUnit
-from fibercomm.spectrum import SpectrumQuery, spectrum_values
+from fibercomm.spectrum import BranchData, SpectrumQuery, spectrum_values
+from fibercomm.staircase import Gluing
 from fibercomm.torus import (
     ANOSOV,
     COMMENSURABLE,
@@ -33,6 +36,16 @@ def test_classification_examples():
     c = classify_torus(TorusAutomorphism(((2, 1), (1, 1))))
     assert c.kind == ANOSOV
     assert c.dilatation == QuadraticUnit(5, Fraction(3, 2), Fraction(1, 2))
+    # every small matrix: periodic exactly when a power up to 12 is I, of the least such order
+    periodic = 0
+    for a, b, c, d in itertools.product(range(-4, 5), repeat=4):
+        if a * d - b * c in (1, -1):
+            m = ((a, b), (c, d))
+            order = next((k for k in range(1, 13) if matrix_power(m, k) == ((1, 0), (0, 1))), None)
+            nt = classify_torus(TorusAutomorphism(m))
+            assert ((nt.kind == PERIODIC) == (order is not None)) and nt.period == order, m
+            periodic += order is not None
+    assert periodic == 88
 
 
 def test_orientation_reversing_classification():
@@ -47,6 +60,23 @@ def test_orientation_reversing_classification():
 def test_rejects_bad_determinant():
     with pytest.raises(ValueError):
         TorusAutomorphism(((2, 0), (0, 1)))
+
+
+def test_every_gated_type_names_its_matrix():
+    # the four types whose matrix passes the GL(2, Z) gate, each with its own name for it
+    gated = (("matrix", TorusAutomorphism),
+             ("matrix", lambda m: SpectrumQuery(m, (0, 0), (Fraction(1, 2), 0), 3)),
+             ("branch data matrix", lambda m: BranchData(1, (), m)),
+             ("gluing g: matrix", lambda m: Gluing("g", ("A", "t"), ("B", "t"), m)))
+    for name, make in gated:
+        for matrix, message in (([1, 2], "must be 2x2, got [1, 2]"),
+                                (5, "must be 2x2, got 5"),
+                                ([[1, 2], 3], "must be 2x2, got [[1, 2], 3]"),
+                                ([[1, 2], [3, 4, 5]], "must be 2x2, got [[1, 2], [3, 4, 5]]"),
+                                ([[1.0, 0], [0, 1]], "entries must be integers, got 1.0"),
+                                ([[2, 0], [0, 1]], "must have determinant +-1, got 2")):
+            with pytest.raises(ValueError, match="^%s$" % re.escape("%s %s" % (name, message))):
+                make(matrix)
 
 
 def _random_glz(rng):
