@@ -56,7 +56,7 @@ def write_entry(root, eid, description, documents, checks, notes):
             sys.exit("%s/%s: generator expectation mismatch:\n  want %r\n  got  %r"
                      % (eid, c["name"], c["expected"], actual))
     ser.dump(d / "expected.json", {"id": eid, "checks": checks})
-    (d / "notes.md").write_text(notes)
+    (d / "notes.md").write_text(notes, encoding="utf-8")
     print("wrote", eid, "(%d checks)" % len(checks))
 
 

@@ -13,17 +13,17 @@ both output formats, on:
   an entry, ``spectrum`` at the document's radius and at 5), and
   ``corpus verify`` on that corpus;
 * malformed and refused inputs: repeated names in a graph manifold or a
-  graph, a plan that misses a piece, junctions whose sides lift to
-  different numbers of circles, staircases at and past the size limit,
-  a spectrum at and past the radius limit, graphs whose symbolic
-  stretch factor has exponent 0 or -1 under ``compare --mode combined``
-  and ``invariants``, and documents with two faults in nested fields of
-  lists long enough to be read as columns, where the first failing entry
-  in list order is named (``invariants`` on a 20-leaf star graph with a
-  bad twist before a bad curve id, a bad slot before a bad genus, and
-  twists 1, "1" and true; ``cover`` with a bad partition entry before a
-  bad piece id; ``staircase`` with a one-entry arc before a bad sheet
-  count in a 20-entry plan);
+  graph, a torus shared by two gluings, a plan that misses a piece,
+  junctions whose sides lift to different numbers of circles, staircases
+  at and past the size limit, a spectrum at and past the radius limit,
+  graphs whose symbolic stretch factor has exponent 0 or -1 under
+  ``compare --mode combined`` and ``invariants``, and documents with two
+  faults in nested fields of lists long enough to be read as columns,
+  where the first failing entry in list order is named (``invariants``
+  on a 20-leaf star graph with a bad twist before a bad curve id, a bad
+  slot before a bad genus, and twists 1, "1" and true; ``cover`` with a
+  bad partition entry before a bad piece id; ``staircase`` with a
+  one-entry arc before a bad sheet count in a 20-entry plan);
 * an error message of each check a well-formed document can fail:
   ``classify``, ``spectrum`` and ``staircase`` with a matrix of
   determinant 2; ``staircase`` with a gluing that does not carry the
@@ -35,8 +35,9 @@ both output formats, on:
   without cover data, and components that fit no surface;
   ``invariants`` on a two-piece graph with duplicate piece ids,
   duplicate curve ids, no curves, a piece of chi 0, a boundary count
-  that does not add up, a twist "0", a curve end on a missing piece, one
-  on a missing slot, and a slot used by two ends; and ``power`` of a
+  that does not add up, a twist "0" (also on a curve whose id holds an
+  ANSI escape, which the message keeps), a curve end on a missing piece,
+  one on a missing slot, and a slot used by two ends; and ``power`` of a
   graph with the exact stretch factor (3 + sqrt 5) / 2 at k = 1, at
   k = 10288 (refused while writing) and at k = 10809 (refused before
   the power is computed).
@@ -65,7 +66,7 @@ def corpus_runs():
     """(argv of file labels and options, documents) of each corpus run."""
     runs = []
     for entry in sorted(p for p in CORPUS.iterdir() if (p / "input.json").exists()):
-        docs = json.loads((entry / "input.json").read_text())["documents"]
+        docs = documents(entry.name)
         of = {}
         for name in sorted(docs):
             of.setdefault(docs[name]["type"], []).append(name)
@@ -93,6 +94,11 @@ def corpus_runs():
     return runs
 
 
+def documents(entry):
+    """The input documents of a corpus entry, by name."""
+    return json.loads((CORPUS / entry / "input.json").read_text(encoding="utf-8"))["documents"]
+
+
 def double_cover(graph):
     """Covering data of the uniform double cover of a graph document."""
     return {"type": "covering_data", "pieces": [
@@ -109,7 +115,7 @@ def chain_plan(n):
 
 def edge_runs():
     """(argv, documents) of the malformed and refused inputs."""
-    docs = json.loads((CORPUS / "ex5.2" / "input.json").read_text())["documents"]
+    docs = documents("ex5.2")
     manifold, plan2 = docs["manifold"], docs["plan2"]
     runs = []
 
@@ -118,7 +124,8 @@ def edge_runs():
 
     for name, edit in (("repeated_torus", lambda d: d["pieces"][0].update(boundary_tori=["f", "f"])),
                        ("repeated_piece", lambda d: d["pieces"][1].update(id="S1")),
-                       ("repeated_gluing", lambda d: d["gluings"][1].update(id="f"))):
+                       ("repeated_gluing", lambda d: d["gluings"][1].update(id="f")),
+                       ("shared_torus", lambda d: d["gluings"][1].update(side_a=["S1", "f"]))):
         m = copy.deepcopy(manifold)
         edit(m)
         staircase(name, m, plan2)
@@ -143,7 +150,7 @@ def edge_runs():
         staircase(name, m, {"type": "refiber_plan", "pieces": [{"id": "A", "n": n_a, "arcs": []},
                                                                {"id": "B", "n": 2, "arcs": [["u", "t"]]}]})
     # a graph piece that repeats a slot, keeping its boundary count
-    hub = json.loads((CORPUS / "ex4.6" / "input.json").read_text())["documents"]["d_2_2"]
+    hub = documents("ex4.6")["d_2_2"]
     hub["pieces"][0]["slots"] = ["h0", "h0"]
     hub["pieces"] = hub["pieces"][:2]
     hub["curves"] = hub["curves"][:1]
@@ -153,7 +160,7 @@ def edge_runs():
     runs.append((["cover", "repeated_slot", "repeated_slot.double"], {**g, "repeated_slot.double": double_cover(hub)}))
     # a symbolic stretch factor lambda**e with e <= 0
     for e in ("0", "-1"):
-        graph = json.loads((CORPUS / "ex4.9" / "input.json").read_text())["documents"]["k2"]
+        graph = documents("ex4.9")["k2"]
         graph["pieces"][0]["dilatation"]["exponent"] = e
         name = "exponent_%s" % e
         runs.append((["compare", name, name, "--mode", "combined"], {name: graph}))
@@ -177,7 +184,7 @@ def edge_runs():
     runs.append((["cover", "star", "partition_then_id"], {"star": star, "partition_then_id": covering}))
     long_plan = {"type": "refiber_plan", "pieces": [{"id": "P%d" % i, "n": 1, "arcs": [["l", "r"]]} for i in range(20)]}
     staircase("arc_then_n", manifold, edited(long_plan, (("pieces", 1, "arcs", 0), ["a"]), (("pieces", 2, "n"), "1")))
-    query = json.loads((CORPUS / "ex3.12" / "input.json").read_text())["documents"]["q20"]
+    query = documents("ex3.12")["q20"]
     for radius in ("300", "301"):
         runs.append((["spectrum", "radius_limit", "--radius", radius], {"radius_limit": query}))
     # a matrix of determinant 2 at each gate, and a gluing that does not carry the plan's slope
@@ -223,6 +230,7 @@ def graph_fault_runs():
                         ("chi_nonnegative", ((("pieces", 0, "genus"), 0),)),
                         ("boundary_count", ((("pieces", 0, "boundary"), 3),)),
                         ("zero_twist", ((("curves", 0, "twist"), "0"),)),
+                        ("escaped_zero_twist", ((("curves", 0, "twist"), "0"), (("curves", 0, "id"), "c\u001b[31m0"))),
                         ("missing_piece", ((("curves", 0, "end_b"), ["z", "b1"]),)),
                         ("missing_slot", ((("curves", 0, "end_b"), ["b", "z"]),)),
                         ("slot_used_twice", ((("curves", 1, "end_b"), ["b", "b1"]),))):
@@ -234,7 +242,7 @@ def cover_fault_runs():
     """``cover`` of a graph with free circles (corpus entry ex4.2) by its
     double cover with one fault of ``cover._validate_cover`` each, and by
     a cover with a component that fits no surface."""
-    graph = json.loads((CORPUS / "ex4.2" / "input.json").read_text())["documents"]["phi1"]
+    graph = documents("ex4.2")["phi1"]
     double = double_cover(graph)  # piece p3 has two free circles, left implicit
     first = ("pieces", 0, "components", 0)
 
@@ -261,15 +269,12 @@ def main(tree):
 
     from fibercomm.cli import main as cli
 
-    try:
-        runner = CliRunner(mix_stderr=False)  # click < 8.2 mixes stderr in by default
-    except TypeError:
-        runner = CliRunner()
+    runner = CliRunner()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         for argv, docs in corpus_runs() + edge_runs():
             for name, doc in docs.items():
-                Path(name).write_text(json.dumps(doc))
+                Path(name).write_text(json.dumps(doc), encoding="utf-8")
             for fmt in FORMATS:
                 report(runner.invoke(cli, argv + ["--format", fmt]), argv + ["--format", fmt])
         report(runner.invoke(cli, ["corpus", "verify", "--root", str(CORPUS)]), ["corpus", "verify"])

@@ -213,26 +213,37 @@ def run_operation(op, docs, args):
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _write(stream, text):
+    """Write ``text`` as is, in UTF-8 whatever the locale, and flush."""
+    stream.flush()
+    out = getattr(stream, "buffer", stream)  # an in-memory text stream has no bytes under it
+    out.write(text if out is stream else text.encode("utf-8", stream.errors))  # the stream's error handler
+    out.flush()
+
+
+def _refuse(message):
+    _write(sys.stderr, message + "\n")
+    sys.exit(2)
+
+
 def _load(path):
     try:
         return ser.load(path)
     except OSError as e:  # a directory, say: unreadable, as a missing file is
         raise click.UsageError(str(e))
     except ValueError as e:  # not JSON, or not text
-        click.echo("malformed input: %s: %s" % (path, e), err=True)
-        sys.exit(2)
+        _refuse("malformed input: %s: %s" % (path, e))
 
 
 def _command(op, paths, fmt, **args):
-    """Load the input files, run ``op`` and print its document; the input
+    """Load the input files, run ``op`` and write its document; the input
     documents are dropped before the output is written."""
     try:
         write = ser.canonical_dumps if fmt == "machine" else ser.text_dumps
         text = write(run_operation(op, [_load(p) for p in paths], args))
     except (ResourceLimit, ValueError) as e:  # a ValueError in the writer: an integer too long to print
-        click.echo("%s: %s" % ("malformed input" if isinstance(e, MalformedInput) else "resource limit", e), err=True)
-        sys.exit(2)
-    click.echo(text, nl=False, color=True)  # as written: by default click strips ANSI escapes off a terminal
+        _refuse("%s: %s" % ("malformed input" if isinstance(e, MalformedInput) else "resource limit", e))
+    _write(sys.stdout, text)
 
 
 @click.group()
@@ -253,9 +264,7 @@ def _subcommand(name, op, doc, files, *params):
 
 
 _subcommand("classify", "classify", "Nielsen-Thurston class of a torus automorphism.", ["input_file"])
-_subcommand(
-    "invariants", "invariants", "A, Pi, P, and stretch-factor set of a decomposition graph.", ["input_file"]
-)
+_subcommand("invariants", "invariants", "A, Pi, P, and stretch-factor set of a decomposition graph.", ["input_file"])
 _subcommand(
     "compare", "compare", "Obstruction verdict between two decomposition graphs.", ["input1", "input2"],
     click.Option(["--mode"], type=click.Choice([FULL, TOPOLOGICAL, COMBINED]), default=FULL),
@@ -309,28 +318,21 @@ def corpus():
 
 
 @corpus.command()
-@click.option("--root", type=click.Path(exists=True, file_okay=False), default=None)
+@click.option("--root", type=click.Path(exists=True, file_okay=False, path_type=Path), default=CORPUS_ROOT)
 def verify(root):
     """Recompute every corpus entry and diff against the expectations."""
-    root = Path(root) if root else CORPUS_ROOT
     entries = sorted(p for p in root.iterdir() if (p / "expected.json").exists())
     if not entries:
-        click.echo("no corpus entries under %s" % root, err=True)
-        sys.exit(2)
+        _refuse("no corpus entries under %s" % root)
     any_failed = False
     for entry in entries:
         try:
             failures = verify_entry(entry)
         except (OSError, ValueError) as e:  # unreadable, not JSON, not laid out as an entry, or a malformed document
-            click.echo("%s: malformed entry (%s)" % (entry.name, e), err=True)
-            sys.exit(2)
-        if failures:
-            any_failed = True
-            click.echo("%s: FAIL" % entry.name)
-            for f in failures:
-                click.echo("  %s" % f)
-        else:
-            click.echo("%s: ok" % entry.name)
+            _refuse("%s: malformed entry (%s)" % (entry.name, e))
+        any_failed |= bool(failures)
+        lines = ["%s: %s" % (entry.name, "FAIL" if failures else "ok")] + ["  " + f for f in failures]
+        _write(sys.stdout, "\n".join(lines) + "\n")
     sys.exit(1 if any_failed else 0)
 
 

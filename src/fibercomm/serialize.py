@@ -557,7 +557,7 @@ def corpus_from_doc(input_doc, expected_doc):
 
 
 def load(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except RecursionError:
@@ -565,5 +565,5 @@ def load(path):
 
 
 def dump(path, doc):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(canonical_dumps(doc))

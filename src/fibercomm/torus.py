@@ -66,10 +66,7 @@ def _trace_field(t, det):
     eigenvalue field of an Anosov matrix of trace t and determinant det."""
     disc = t * t - 4 * det
     D = squarefree_part(disc)
-    r = math.isqrt(disc // D)
-    if r * r * D != disc:
-        raise ValueError("discriminant %d is not %d times a square" % (disc, D))
-    return D, r
+    return D, math.isqrt(disc // D)
 
 
 @dataclass(frozen=True)

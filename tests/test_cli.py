@@ -1,9 +1,12 @@
 import json
+import os
 import re
 import shutil
+import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import click
 import pytest
@@ -94,12 +97,34 @@ def test_power_command(tmp_path):
 
 
 def test_text_output_is_written_as_is(tmp_path):
-    # click strips ANSI escapes when stdout is not a terminal, as under the runner
+    # stdout and stderr are not terminals under the runner; an ANSI escape is kept on both
     graph = ser.reducible_doc(d_type_family(2, 2))
     graph["curves"][0]["id"] = "c\u001b[31m0"
     r = run("power", write(tmp_path / "d.json", graph), "1")
     assert r.exit_code == 0 and "\u001b[31m" in r.output
     assert r.output == ser.text_dumps(ser.reducible_from_doc(graph))
+    graph["curves"][0]["twist"] = "0"
+    r = run("invariants", write(tmp_path / "d.json", graph))
+    assert r.exit_code == 2 and r.stdout == ""
+    assert r.stderr == "malformed input: invalid decomposition graph: curve c\u001b[31m0 has zero twist\n"
+
+
+def test_documents_are_utf8_whatever_the_locale(tmp_path):
+    # under the C locale, without coercion or UTF-8 mode, the locale's encoding is ASCII
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env.update(PYTHONCOERCECLOCALE="0", LC_ALL="C", PYTHONUTF8="0", PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    graph = ser.reducible_doc(d_type_family(2, 2))
+    graph["curves"][0]["id"] = "c\u00e9"
+    path = tmp_path / "d.json"
+    path.write_bytes(json.dumps(graph, ensure_ascii=False).encode("utf-8"))
+    r = subprocess.run([sys.executable, "-m", "fibercomm.cli", "power", str(path), "1"], env=env, capture_output=True)
+    assert (r.returncode, r.stderr) == (0, b"")
+    assert r.stdout == ser.text_dumps(ser.reducible_from_doc(graph)).encode("utf-8")
+    graph["curves"][0]["twist"] = "0"
+    path.write_bytes(json.dumps(graph, ensure_ascii=False).encode("utf-8"))
+    r = subprocess.run([sys.executable, "-m", "fibercomm.cli", "invariants", str(path)], env=env, capture_output=True)
+    assert (r.returncode, r.stdout) == (2, b"")
+    assert r.stderr == "malformed input: invalid decomposition graph: curve c\u00e9 has zero twist\n".encode("utf-8")
 
 
 def test_staircase_command(tmp_path):
@@ -573,7 +598,7 @@ def default_digit_limit():
     sys.set_int_max_str_digits(old)
 
 
-def test_power_resource_limit(tmp_path, default_digit_limit, capsys):
+def test_power_resource_limit(tmp_path, default_digit_limit):
     phi = golden_pa_graph()
     path = write(tmp_path / "pa.json", ser.reducible_doc(phi))
     # the largest coordinate of the 1000th power has 418 digits: printed as before
@@ -585,15 +610,14 @@ def test_power_resource_limit(tmp_path, default_digit_limit, capsys):
     assert run("power", path, "10287", "--format", "machine").exit_code == 0
     # refused while printing (10288 to 10808) or, once k * log10(3/2 + 1/2 * isqrt(5))
     # exceeds 4301, before computing (10809 on)
-    # exit 2 with nothing on stdout, in either format (stderr kept apart by capsys)
+    # exit 2 with nothing on stdout, in either format
     for k in ("10288", "10808", "10809", "20000", "10000000"):
         for fmt in ("machine", "text"):
             t0 = time.perf_counter()
-            with pytest.raises(SystemExit) as stop:
-                main(["power", path, k, "--format", fmt])
+            r = run("power", path, k, "--format", fmt)
             assert time.perf_counter() - t0 < 1, (k, fmt)
-            out, err = capsys.readouterr()
-            assert stop.value.code == 2 and out == "" and err.startswith("resource limit: "), (k, fmt, err)
+            err = r.stderr
+            assert r.exit_code == 2 and r.stdout == "" and err.startswith("resource limit: "), (k, fmt, err)
             assert "malformed" not in err and "Traceback" not in err
             assert ("power %s of the stretch factor" % k in err) == (int(k) >= 10809), err
 
@@ -811,6 +835,14 @@ def test_first_plan_entry_of_a_piece_wins(tmp_path):
     # the monodromy order is taken over the manifold's pieces only
     stray = {**small, "pieces": small["pieces"] + [{"id": "S9", "n": 7, "arcs": []}]}
     assert cli.run_operation("staircase", [ser.manifold_doc(m), stray], {})["monodromy_order"] == 2
+
+
+def test_a_torus_glued_twice_is_refused(tmp_path):
+    manifold = ser.manifold_doc(bounded_chain_manifold())
+    manifold["gluings"][1]["side_a"] = ["S1", "f"]
+    plan = write(tmp_path / "p.json", ser.plan_doc(bounded_chain_plan(2)))
+    r = run("staircase", write(tmp_path / "m.json", manifold), plan)
+    assert (r.exit_code, r.stdout, r.stderr) == (2, "", "malformed input: torus S1.f used by two gluings\n")
 
 
 def test_duplicate_curve_ids_are_refused(tmp_path):

@@ -113,6 +113,12 @@ def test_plan_validation_errors():
         staircase_piece(Surface(1, 2), PiecePlan(2, (("b0", "zz"),)))
 
 
+def test_bundle_piece_needs_a_torus_name_per_boundary_circle():
+    # the document reader derives the surface from the names, so only a library caller gets here
+    with pytest.raises(ValueError, match=r"^piece A: 1 torus names for 2 boundary circles$"):
+        BundlePiece("A", Surface(1, 2), ("t",))
+
+
 def test_validate_plan_slopes():
     m = bounded_chain_manifold()
     assert validate_plan(m, bounded_chain_plan(2)) == []
