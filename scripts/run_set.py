@@ -40,7 +40,9 @@ both output formats, on:
   one on a missing slot, and a slot used by two ends; and ``power`` of a
   graph with the exact stretch factor (3 + sqrt 5) / 2 at k = 1, at
   k = 10288 (refused while writing) and at k = 10809 (refused before
-  the power is computed).
+  the power is computed); ``power`` and ``invariants`` of a graph whose
+  curve id holds a lone surrogate (``"c\\ud800"`` in JSON), refused by
+  the reader.
 
 Each run prints one line: the exit code, the sha256 of stdout and of
 stderr, an uncaught exception's type if there was one, and the
@@ -199,6 +201,9 @@ def edge_runs():
     exact = edited(FAULT_BASE, (("pieces", 0, "dilatation"), {"kind": "exact", "unit": {"D": 5, "a": "3/2", "b": "1/2"}}))
     for k in ("1", "10288", "10809"):
         runs.append((["power", "exact", k], {"exact": exact}))
+    # a curve id holding a lone surrogate, which a JSON escape can hold and text output cannot write
+    surrogate = {"surrogate": edited(FAULT_BASE, (("curves", 0, "id"), "c\ud800"))}
+    runs += [(["power", "surrogate", "1"], surrogate), (["invariants", "surrogate"], surrogate)]
     return runs
 
 

@@ -41,7 +41,7 @@ from operator import eq, itemgetter
 from .decomposition import (
     Piece,
     ReducibleMap,
-    ReducingCurve,
+    _curves,
     _distinct_twists,
     _pairs_from_curves,
     power,
@@ -245,8 +245,10 @@ def lift_cover(phi, c):
                     part = comp.partition(slot)
                     names = numbered(slot, len(part))
                     slots += names
+                    degrees = set(part)  # a single degree at every slot of a normalize_unit_twists cover
                     runs_at.setdefault((p.id, slot), []).extend(
-                        (d, new_id, list(compress(names, map(eq, repeat(d), part)))) for d in set(part))
+                        [(part[0], new_id, names)] if len(degrees) == 1 else
+                        ((d, new_id, list(compress(names, map(eq, repeat(d), part)))) for d in degrees))
                 surface = surfaces[len(pieces)]  # listed in the order components are lifted
                 pieces.append(Piece(new_id, surface, tuple(slots), surface.boundary_components - len(slots),
                                     p.dilatation))
@@ -258,7 +260,7 @@ def lift_cover(phi, c):
             twists = []
             for d, n in counts.items():
                 twists += [curve.twist / d] * n
-            curves += map(ReducingCurve, numbered(curve.id, len(side_a)), side_a, side_b, twists)
+            curves += _curves(zip(numbered(curve.id, len(side_a)), side_a, side_b, twists))
     if not curves:
         raise ValueError("invalid decomposition graph: reducing system is empty")
     lifted = ReducibleMap(tuple(pieces), tuple(curves))

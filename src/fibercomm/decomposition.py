@@ -41,6 +41,8 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
+from typing import NamedTuple
 
 from .quadratic import QuadraticUnit, unit_log_ratio
 from .surfaces import Surface
@@ -117,8 +119,7 @@ class Piece:
         return self.dilatation is None
 
 
-@dataclass(frozen=True, slots=True)
-class ReducingCurve:
+class ReducingCurve(NamedTuple):
     id: str
     end_a: tuple  # (piece id, slot)
     end_b: tuple
@@ -127,6 +128,10 @@ class ReducingCurve:
     @property
     def ends(self):
         return (self.end_a, self.end_b)
+
+
+def _curves(rows):  # ReducingCurve(*row) calls tuple.__new__(cls, row) from a Python frame; this is one C call
+    return map(tuple.__new__, repeat(ReducingCurve), rows)
 
 
 def _distinct_twists(curves):

@@ -9,12 +9,13 @@ Each input document type is declared once, as a shape of the schema
 walker below that gives both its reader and its writer; the operation
 arguments and the corpus entries are read by shapes too.  A shape
 checks keys, exact element types (no bool for an int, no str for a
-list), pairs and optional or null fields, and converts in the same walk;
-unknown keys are ignored.  A list of more than 16 values is read as one
-column by each shape, a list of lists as the one column of their
-entries, and the equal rational strings of a column give one
-``Fraction``.  A fault raises a ``ValueError`` that names the value by
-its path (``pieces[0].slots: expected list of str, got 's1'``,
+list, no str that UTF-8 cannot encode), pairs and optional or null
+fields, and converts in the same walk; unknown keys are ignored.  A
+list of more than 16 values is read as one column by each shape, a
+list of lists as the one column of their entries, and the equal
+rational strings of a column give one ``Fraction``.  A fault raises a
+``ValueError`` that names the value by its path
+(``pieces[0].slots: expected list of str, got 's1'``,
 ``curves[0].end_a: missing``).  What a value means is checked by the
 library's constructors, whose objections are named by the path of the
 object they build.
@@ -131,7 +132,28 @@ def _leaf(t, what):
     return _shape(walk, _same, t, tuple)
 
 
-_str, _int, _dict = _leaf(str, "str"), _leaf(int, "int"), _leaf(dict, "object")
+_int, _dict = _leaf(int, "int"), _leaf(dict, "object")
+
+
+def _str(v):
+    """A str that UTF-8 can encode.  Text output cannot write a lone
+    surrogate, which a JSON escape can hold, so it is refused here: a
+    document is then valid or invalid alike in every output format."""
+    if type(v) is not str:
+        raise _expected("str", v)
+    try:
+        v.encode("utf-8")
+    except UnicodeEncodeError:
+        raise _expected("str encodable as UTF-8", v) from None
+    return v
+
+
+def _strs(strings):
+    "".join(strings).encode("utf-8")  # the column checked at once: a lone surrogate raises
+    return tuple(strings)
+
+
+_shape(_str, _same, str, _strs)
 
 
 def _rational(v):

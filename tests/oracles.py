@@ -288,7 +288,7 @@ def surfaces_commensurable(s1, s2):
 
 def negate_twists(phi):
     """Orientation reversal at the invariant level: all twists flip sign."""
-    return replace(phi, curves=tuple(replace(c, twist=-c.twist) for c in phi.curves))
+    return replace(phi, curves=tuple(c._replace(twist=-c.twist) for c in phi.curves))
 
 
 def validate_by_scan(phi):

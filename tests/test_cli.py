@@ -305,6 +305,17 @@ def test_malformed_input_exits_2(tmp_path):
     for name in ("power", "invariants", "normalize"):
         named.append((name, graph, "invalid decomposition graph: curve %s has zero twist; "
                                    "curve %s references missing piece zz" % (cid, cid)))
+    # a lone surrogate, which a JSON escape can hold and text output cannot write,
+    # in a list read field by field and in one read as a column
+    for n, i in ((3, 0), (20, 17)):
+        graph = ser.reducible_doc(d_type_family(n, 2))
+        graph["curves"][i]["id"] = "c\ud800"
+        surrogate = write(tmp_path / "surrogate.json", graph)
+        for fmt in ("text", "machine"):
+            r = run("power", surrogate, "1", "--format", fmt)
+            assert (r.exit_code, r.stdout) == (2, "") and "Traceback" not in r.output
+            assert "malformed input: curves[%d].id: expected str encodable as UTF-8" % i in r.stderr
+        named.append(("invariants", graph, "curves[%d].id: expected str" % i))
     for name, doc, field in named:
         r = run(*argv_for(name, write(tmp_path / "named.json", doc)))
         assert r.exit_code == 2 and "malformed input: " + field in r.output, r.output

@@ -132,7 +132,7 @@ def test_cover_laws_read_the_curves():
         assert all(ch.ok for ch in verify_cover_laws(phi, c, lifted))
         # one twist changed under a correct carried table is seen
         first = lifted.curves[0]
-        bad = ReducibleMap(lifted.pieces, (replace(first, twist=2 * first.twist),) + lifted.curves[1:])
+        bad = ReducibleMap(lifted.pieces, (first._replace(twist=2 * first.twist),) + lifted.curves[1:])
         vars(bad)["pairs"] = table
         checks = verify_cover_laws(phi, c, bad)
         wrong = {ch.piece for ch in checks if ch.law == "A multiplies by degree" and not ch.ok}
@@ -152,7 +152,7 @@ def test_twist_that_is_not_a_fraction_is_refused(twist):
     message = "curve c: twist %r is not a Fraction" % (twist,)
     assert validate(phi) == [message]
     d = d_type_family(3, 2)
-    mixed = ReducibleMap(d.pieces, (d.curves[0], replace(d.curves[1], twist=twist), d.curves[2]))
+    mixed = ReducibleMap(d.pieces, (d.curves[0], d.curves[1]._replace(twist=twist), d.curves[2]))
     assert validate(mixed) == ["curve c1: twist %r is not a Fraction" % (twist,)]
     for graph, text in ((phi, message), (mixed, "curve c1: twist")):
         for call in (lambda: lift_cover(graph, identity_cover(graph)), lambda: normalize_unit_twists(graph),

@@ -6,6 +6,8 @@ import pytest
 
 from conftest import random_reducible_map
 from oracles import a_total_by_curves, fundamental_unit, negate_twists, p_polynomial_eval, validate_by_scan
+from fibercomm import serialize as ser
+from fibercomm.cover import ComponentCover, CoveringData, lift_cover, normalize_unit_twists
 from fibercomm.decomposition import (
     DilatationLabel,
     Piece,
@@ -18,7 +20,8 @@ from fibercomm.decomposition import (
     validate,
     validate_or_raise,
 )
-from fibercomm.families import d_type_family, twist_composition
+from fibercomm.families import bounded_chain_manifold, bounded_chain_plan, d_type_family, twist_composition
+from fibercomm.staircase import refiber
 from fibercomm.surfaces import Surface
 
 
@@ -61,11 +64,11 @@ def corrupted(rng, phi):
                        "repeated slot", "repeated slot, same count", "repeated piece id", "repeated end",
                        "repeated curve id"])
     if kind == "zero twist":
-        curves[j] = replace(c, twist=F(0))
+        curves[j] = c._replace(twist=F(0))
     elif kind == "missing piece":
-        curves[j] = replace(c, end_b=("nowhere", c.end_b[1]))
+        curves[j] = c._replace(end_b=("nowhere", c.end_b[1]))
     elif kind == "missing slot":
-        curves[j] = replace(c, end_a=(c.end_a[0], "nowhere"))
+        curves[j] = c._replace(end_a=(c.end_a[0], "nowhere"))
     elif kind == "slot used twice":
         curves.append(ReducingCurve("extra", c.end_a, c.end_b, F(1)))
     elif kind == "unused slot":
@@ -77,9 +80,9 @@ def corrupted(rng, phi):
     elif kind == "repeated piece id" and len(pieces) > 1:
         pieces[i] = replace(p, id=pieces[i - 1].id)
     elif kind == "repeated end":
-        curves[j] = replace(c, end_b=c.end_a)
+        curves[j] = c._replace(end_b=c.end_a)
     elif kind == "repeated curve id" and len(curves) > 1:
-        curves[j] = replace(c, id=curves[j - 1].id)
+        curves[j] = c._replace(id=curves[j - 1].id)
     return ReducibleMap(tuple(pieces), tuple(curves)), kind
 
 
@@ -238,6 +241,34 @@ def test_power_shares_twists():
     assert [c.twist for c in p3.curves] == [F(2), F(2)]
     assert p3.curves[0].twist is p3.curves[1].twist
     assert validate(p3) == []
+
+
+def test_every_builder_makes_reducing_curves():
+    """Curves are ``ReducingCurve`` named tuples from every builder, their
+    repr the text the frozen dataclass printed, and ``_replace`` a copy
+    with one field changed."""
+    phi, star = d_type_family(3, 2), d_type_family(20, 2)  # read field by field, and as columns
+    double = CoveringData(tuple((p.id, (ComponentCover(2, tuple((s, (1, 1)) for s in p.slots)),)) for p in phi.pieces))
+    graphs = {
+        "families": [phi, twist_composition(2)],
+        "power": [power(phi, 3)],
+        "reader": [ser.reducible_from_doc(ser.reducible_doc(g)) for g in (phi, star)],
+        "lift": [lift_cover(phi, double), normalize_unit_twists(power(phi, 3))[0]],
+        "refiber": [refiber(bounded_chain_manifold(), bounded_chain_plan(2)).map],
+    }
+    for source, built in graphs.items():
+        for g in built:
+            assert g.curves and {type(c) for c in g.curves} == {ReducingCurve}, source
+            for c in g.curves:
+                assert repr(c) == "ReducingCurve(id=%r, end_a=%r, end_b=%r, twist=%r)" % (
+                    c.id, c.end_a, c.end_b, c.twist), source
+    assert repr(phi.curves[1]) == (
+        "ReducingCurve(id='c1', end_a=('hub', 'h1'), end_b=('leaf1', 's'), twist=Fraction(1, 1))")
+    c = phi.curves[0]
+    changed = c._replace(twist=F(-3, 2))
+    assert type(changed) is ReducingCurve and changed != c
+    assert (changed.id, changed.ends, changed.twist) == (c.id, c.ends, F(-3, 2))
+    assert c._replace(twist=F(1)) == c and c.twist == F(1)
 
 
 def test_negation_flips_everything():
