@@ -245,7 +245,7 @@ def graph_fault_runs():
 
 def cover_fault_runs():
     """``cover`` of a graph with free circles (corpus entry ex4.2) by its
-    double cover with one fault of ``cover._validate_cover`` each, and by
+    double cover with one fault that ``cover.lift_cover`` refuses each, and by
     a cover with a component that fits no surface."""
     graph = documents("ex4.2")["phi1"]
     double = double_cover(graph)  # piece p3 has two free circles, left implicit

@@ -15,11 +15,13 @@ degree-l component over a piece S satisfies
     A(lift, component) = l * A(phi, S),
     A / -chi unchanged.
 
-``lift_cover`` checks the base graph and the cover and finds every
-component's surface before it builds anything; the lift is then valid
-by construction and carries its pair table in the closed form above,
-which ``verify_cover_laws`` rechecks from the curves.  Implicit free
-circles (``free_partitions`` of None) are counted, never built.
+``lift_cover`` checks the cover in the one walk that lifts it and
+refuses, in this order, on component faults, on curves whose ends'
+local degrees differ, on a component no surface fits, and on an empty
+reducing system; the lift is then valid by construction and carries
+its pair table in the closed form above, which ``verify_cover_laws``
+rechecks from the curves.  Implicit free circles (``free_partitions``
+of None) are counted, never built.
 
 ``normalize_unit_twists`` is the reduction of a D-type map (all pieces
 periodic) to one all of whose twists are +1 or -1: first a power making
@@ -33,6 +35,7 @@ from __future__ import annotations
 import contextlib
 import gc
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, islice, repeat
@@ -102,68 +105,13 @@ class CoveringData:
         return self._by_piece[pid]
 
 
-def _validate_cover(phi, c):
-    errors = []
-    for p in phi.pieces:
-        try:
-            comps = c.of(p.id)
-        except KeyError:
-            errors.append("no cover data for piece %s" % p.id)
-            continue
-        for j, comp in enumerate(comps):
-            if comp.degree < 1:
-                errors.append("piece %s component %d: degree < 1" % (p.id, j))
-            for slot in p.slots:
-                try:
-                    part = comp.partition(slot)
-                except KeyError:
-                    errors.append("piece %s component %d: no partition for slot %s" % (p.id, j, slot))
-                    continue
-                if sum(part) != comp.degree or min(part, default=1) < 1:
-                    errors.append(
-                        "piece %s component %d slot %s: %r is not a partition of %d"
-                        % (p.id, j, slot, part, comp.degree)
-                    )
-            if comp.free_partitions is None:
-                # all ones, counted rather than built: (1,) * degree is a
-                # partition of the degree unless the degree is negative
-                if comp.degree < 0:
-                    errors += ["piece %s component %d: bad free partition ()" % (p.id, j)] * p.free_boundary
-            elif len(comp.free_partitions) != p.free_boundary:
-                errors.append(
-                    "piece %s component %d: %d free partitions for %d free circles"
-                    % (p.id, j, len(comp.free_partitions), p.free_boundary)
-                )
-            else:
-                for part in comp.free_partitions:
-                    if sum(part) != comp.degree or min(part, default=1) < 1:
-                        errors.append(
-                            "piece %s component %d: bad free partition %r" % (p.id, j, part)
-                        )
-    if errors:
-        return errors
-    # matched local degrees across each curve
-    for curve in phi.curves:
-        sides = []
-        for pid, slot in curve.ends:
-            degs = []
-            for comp in c.of(pid):
-                degs.extend(comp.partition(slot))
-            sides.append(sorted(degs))
-        if sides[0] != sides[1]:
-            errors.append(
-                "curve %s: local degrees %r vs %r do not match" % (curve.id, sides[0], sides[1])
-            )
-    return errors
-
-
 def _covered_surfaces(phi, c):
     """(surfaces, error): the surface of every component of ``c``, piece
     by piece, or the error text of the first component no surface fits.
 
     A component's chi is its degree times the piece's, its boundary count
     the number of preimage circles; the genus solves the rest.  ``c``
-    must have passed ``_validate_cover``.
+    must pass the checks of ``lift_cover``'s walk.
     """
     surfaces = []
     for p in phi.pieces:
@@ -198,15 +146,23 @@ def _ends_by_runs(runs):
 def lift_cover(phi, c):
     """The covered decomposition graph, valid by construction.
 
-    Preimage curves are paired across each base curve by matching local
-    degree (sorted order on both sides); each carries twist I/d, one
-    ``Fraction`` per base curve and local degree.  The graph carries its
-    pair table in closed form, l * A(S) for a degree-l component over
-    S, as its ``pairs``.
+    One walk over the pieces, their components and their slots checks
+    the cover where it reads each partition, and gathers the lifted slot
+    names and the runs of local degree that pair preimage circles, by
+    sorted degree, across each curve.  The refusal, a ``ValueError``, is
+    the first of: (1) every component fault, in one "inadmissible cover"
+    message; (2) otherwise every curve whose ends' local degrees differ,
+    compared once from the counts that pair its preimages, in that
+    message; (3) otherwise the first component no surface fits
+    (``_covered_surfaces``); (4) otherwise an empty reducing system, when
+    no component lies over a piece with a slot.
+
+    Each preimage curve of local degree d carries twist I/d, one
+    ``Fraction`` per base curve and degree, and the graph its pair table
+    in closed form, l * A(S) over S for a degree-l component, as ``pairs``.
 
     The lift is not validated, its ``errors`` are set empty: the checks
-    of ``phi``, ``_validate_cover`` and ``_covered_surfaces`` imply every
-    check of ``validate`` on it:
+    of ``phi`` and of the walk imply every check of ``validate`` on it:
 
     * distinct piece and slot ids: a ``"%s~%d"`` name splits uniquely at
       its last ``~`` into a base id and an index;
@@ -216,17 +172,10 @@ def lift_cover(phi, c):
     * each lifted slot used once, as its base slot is, since the matched
       degree lists of a base curve's two ends have equal length.
 
-    Only an empty reducing system, when no component lies over a piece
-    with a slot, is left to refuse.  Cyclic garbage collection is paused
-    while the lift allocates its tracked objects, a few per curve.
+    Cyclic garbage collection is paused while the lift allocates its
+    tracked objects, a few per curve.
     """
     validate_or_raise(phi)
-    errors = _validate_cover(phi, c)
-    if errors:
-        raise ValueError("inadmissible cover: " + "; ".join(errors))
-    surfaces, error = _covered_surfaces(phi, c)
-    if error:
-        raise ValueError(error)
     digits = []  # str(0), str(1), ..., shared by every numbered name
 
     def numbered(prefix, n):
@@ -234,33 +183,64 @@ def lift_cover(phi, c):
         return list(map(("%s~" % (prefix,)).__add__, islice(digits, n)))
 
     with _gc_paused():
-        pieces, pairs, curves = [], {}, []
+        errors, components, pairs, curves = [], [], {}, []
         runs_at = {}  # (pid, slot) -> runs (local degree, lifted piece id, lifted slot names)
         for p in phi.pieces:
+            try:
+                comps = c.of(p.id)
+            except KeyError:
+                errors.append("no cover data for piece %s" % p.id)
+                continue
             a, b = phi.pairs[p.id]
-            for j, comp in enumerate(c.of(p.id)):
-                new_id = "%s~%d" % (p.id, j)
-                slots = []
+            for j, comp in enumerate(comps):
+                where = "piece %s component %d" % (p.id, j)
+                new_id, slots = "%s~%d" % (p.id, j), []
+                if comp.degree < 1:
+                    errors.append(where + ": degree < 1")
                 for slot in p.slots:
-                    part = comp.partition(slot)
+                    try:
+                        part = comp.partition(slot)
+                    except KeyError:
+                        errors.append("%s: no partition for slot %s" % (where, slot))
+                        continue
+                    if sum(part) != comp.degree or min(part, default=1) < 1:
+                        errors.append("%s slot %s: %r is not a partition of %d" % (where, slot, part, comp.degree))
                     names = numbered(slot, len(part))
                     slots += names
                     degrees = set(part)  # a single degree at every slot of a normalize_unit_twists cover
                     runs_at.setdefault((p.id, slot), []).extend(
                         [(part[0], new_id, names)] if len(degrees) == 1 else
                         ((d, new_id, list(compress(names, map(eq, repeat(d), part)))) for d in degrees))
-                surface = surfaces[len(pieces)]  # listed in the order components are lifted
-                pieces.append(Piece(new_id, surface, tuple(slots), surface.boundary_components - len(slots),
-                                    p.dilatation))
+                if comp.free_partitions is None:  # all ones, counted rather than built
+                    if comp.degree < 0:  # (1,) * degree is then no partition of the degree
+                        errors += [where + ": bad free partition ()"] * p.free_boundary
+                elif len(comp.free_partitions) != p.free_boundary:
+                    errors.append("%s: %d free partitions for %d free circles"
+                                  % (where, len(comp.free_partitions), p.free_boundary))
+                else:
+                    for part in comp.free_partitions:
+                        if sum(part) != comp.degree or min(part, default=1) < 1:
+                            errors.append("%s: bad free partition %r" % (where, part))
+                components.append((new_id, tuple(slots), p.dilatation))
                 pairs[new_id] = (a * comp.degree, b * comp.degree)
-        for curve in phi.curves:
+        for curve in [] if errors else phi.curves:  # compared over admissible components only
             counts, side_a = _ends_by_runs(runs_at.get(curve.end_a, []))
             counts_b, side_b = _ends_by_runs(runs_at.get(curve.end_b, []))
-            assert counts == counts_b
+            if counts != counts_b:
+                errors.append("curve %s: local degrees %r vs %r do not match" % (
+                    curve.id, sorted(Counter(counts).elements()), sorted(Counter(counts_b).elements())))
+                continue
             twists = []
             for d, n in counts.items():
                 twists += [curve.twist / d] * n
             curves += _curves(zip(numbered(curve.id, len(side_a)), side_a, side_b, twists))
+        if errors:
+            raise ValueError("inadmissible cover: " + "; ".join(errors))
+        surfaces, error = _covered_surfaces(phi, c)
+        if error:
+            raise ValueError(error)
+        pieces = [Piece(new_id, surface, slots, surface.boundary_components - len(slots), dilatation)
+                  for (new_id, slots, dilatation), surface in zip(components, surfaces)]
     if not curves:
         raise ValueError("invalid decomposition graph: reducing system is empty")
     lifted = ReducibleMap(tuple(pieces), tuple(curves))

@@ -22,7 +22,7 @@ None of these is on a decision path of the library:
   curve end by curve end;
 * ``cover_faults_by_scan`` -- the faults that make a cover inadmissible,
   in the library's words, found component by component without
-  ``cover``, the oracle for ``cover._validate_cover``;
+  ``cover``, the oracle for the checks of ``cover.lift_cover``;
 * ``lift_cover_by_scan`` and ``normalize_by_retry`` -- a cover lifted
   slot by slot with explicit all-ones free circles after the scan
   above, and the unit-twist normalization that lifts at degree L and,

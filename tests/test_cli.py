@@ -281,6 +281,11 @@ def test_malformed_input_exits_2(tmp_path):
         graph = ser.reducible_doc(d_type_family(3, 2))
         graph[where[0]][where[1]][where[2]] = value
         named.append(("invariants", graph, field))
+    # a curve end of the wrong length, in a column of ends read entry by entry
+    for end in ([], ["hub"], ["hub", "h7", "x"]):
+        graph = ser.reducible_doc(d_type_family(20, 2))
+        graph["curves"][7]["end_a"] = end
+        named.append(("invariants", graph, "curves[7].end_a: expected [piece id, slot] as two str, got %r\n" % end))
     # a spectrum point is exactly two rationals
     for key, value in (("origin", ["0", "0", "5"]), ("point", ["1/2"]), ("origin", "00")):
         named.append(("spectrum", {**query, "radius": 3, key: value}, key + ": expected a list of two rationals"))
@@ -470,6 +475,9 @@ def test_corpus_verify_names_malformed_entries(tmp_path):
         (lambda i, e: i.update(documents=[]), "documents: expected object, got []"),
         (lambda i, e: i.update(documents={}), "checks[0].inputs[0]: expected a declared value (none is declared), "
                                               "got 'rot4'"),
+        (lambda i, e: e["checks"][0].update(operation="frobnicate"),
+         "order-4 rotation: unknown corpus operation 'frobnicate')"),
+        (lambda i, e: e["checks"][0].pop("expected"), "checks[0].expected: missing)"),
     ):
         root = tmp_path / ("corpus%d" % len(list(tmp_path.iterdir())))
         shutil.copytree(CORPUS_ROOT, root)
@@ -479,7 +487,11 @@ def test_corpus_verify_names_malformed_entries(tmp_path):
         ser.dump(root / "ex2.9" / "expected.json", expected)
         r = run("corpus", "verify", "--root", str(root))
         assert r.exit_code == 2 and "ex2.9: malformed entry (%s" % message in r.output, r.output
-        assert "Traceback" not in r.output
+        assert r.stdout == "" and "Traceback" not in r.output
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    r = run("corpus", "verify", "--root", str(empty))
+    assert (r.exit_code, r.stdout, r.stderr) == (2, "", "no corpus entries under %s\n" % empty), r.output
 
 
 def test_stretch_factor_exponent_must_be_positive(tmp_path):

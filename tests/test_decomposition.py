@@ -37,6 +37,13 @@ def test_validate_accepts_families():
     assert validate(two_piece_map()) == []
 
 
+def test_families_refuse_parameters_out_of_range():
+    with pytest.raises(ValueError, match="^need n, k >= 1$"):
+        d_type_family(0, 1)
+    with pytest.raises(ValueError, match="^k - r must be positive$"):
+        twist_composition(0, 1)
+
+
 def test_validate_reports_violations():
     bad = ReducibleMap(
         (Piece("a", Surface(1, 0), ()),),  # chi < 0 but no slots for the curve

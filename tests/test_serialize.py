@@ -226,6 +226,14 @@ def test_first_fault_in_list_order_then_schema_order():
             assert str(raised.value) == message, n
 
 
+def test_a_value_too_long_to_print_is_named():
+    """An integer whose decimal text exceeds the interpreter's limit is
+    named by its path, not shown."""
+    with pytest.raises(ValueError) as raised:
+        ser.reducible_from_doc({"type": "reducible_map", "pieces": 10 ** 5000, "curves": []})
+    assert str(raised.value) == "pieces: expected list, got a value too long to print"
+
+
 # the encoder's oracle is the stdlib's indented encoder
 json_text = st.text(st.characters() | st.sampled_from('"\\/\x00\x08\x1f\n\t\x7f\u00e9\u2028\U0001f600'))
 json_values = st.recursive(

@@ -111,6 +111,9 @@ def test_plan_validation_errors():
         PiecePlan(2, (("b0", "b1"), ("b1", "b2")))
     with pytest.raises(ValueError, match="not a boundary"):
         staircase_piece(Surface(1, 2), PiecePlan(2, (("b0", "zz"),)))
+    for plan in (bounded_chain_plan, closed_chain_plan):
+        with pytest.raises(ValueError, match="^n >= 1$"):
+            plan(0)
 
 
 def test_bundle_piece_needs_a_torus_name_per_boundary_circle():

@@ -131,6 +131,8 @@ def test_power_matches_repeated_products():
         f = [int(sympy.fibonacci(n)) for n in (2 * k + 1, 2 * k, 2 * k - 1)]
         assert power.matrix == ((f[0], f[1]), (f[1], f[2]))
     assert (cat ** 10 ** 4).matrix == matrix_power(cat.matrix, 10 ** 4)
+    with pytest.raises(ValueError, match="^negative powers not needed here$"):
+        cat ** -1
 
 
 def test_large_cat_power_classifies_quickly():
