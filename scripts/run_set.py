@@ -27,8 +27,13 @@ both output formats, on:
 * an error message of each check a well-formed document can fail:
   ``classify``, ``spectrum`` and ``staircase`` with a matrix of
   determinant 2; ``staircase`` with a gluing that does not carry the
-  plan's slope; ``cover`` of a graph with free circles (corpus entry
-  ex4.2) by its double cover with a component of degree 0, a slot
+  plan's slope; ``staircase`` on corpus entry ex5.2 with a sheet count
+  of 0, an arc with both ends on one boundary, a boundary used by two
+  arc ends, an arc end off the boundary (alone, and with a piece's plan
+  entry dropped: two faults in one message), a gluing of shear 0, and
+  both gluings of shear 0 (a slope fault named before the shear);
+  ``cover`` of a graph with free circles (corpus entry ex4.2) by its
+  double cover with a component of degree 0, a slot
   without a partition, the partition (3, -1) at every slot, a partition
   that does not sum to the degree, too few free partitions, a free
   partition (2, 0), unequal local degrees across a curve, a piece
@@ -194,7 +199,21 @@ def edge_runs():
     runs.append((["classify", "det2"], {"det2": {"type": "torus_automorphism", "matrix": det2}}))
     runs.append((["spectrum", "det2_query"], {"det2_query": {**query, "matrix": det2}}))
     staircase("det2_gluing", edited(manifold, (("gluings", 0, "matrix"), det2)), plan2)
-    staircase("slope_mismatch", edited(manifold, (("gluings", 1, "matrix"), [[-1, 0], [0, 1]])), plan2)
+    no_shear = [[-1, 0], [0, 1]]
+    staircase("slope_mismatch", edited(manifold, (("gluings", 1, "matrix"), no_shear)), plan2)
+    # one refusal of the plan each, or two in one message
+    off_boundary = edited(plan2, (("pieces", 1, "arcs"), [["e2", "zz"]]))
+    for name, m, p in (("zero_sheets", manifold, edited(plan2, (("pieces", 0, "n"), 0))),
+                       ("arc_on_one_boundary", manifold, edited(plan2, (("pieces", 1, "arcs"), [["e2", "e2"]]))),
+                       ("arc_ends_share_boundary", manifold,
+                        edited(plan2, (("pieces", 1, "arcs"), [["e2", "g"], ["g", "f"]]))),
+                       ("arc_off_boundary", manifold, off_boundary),
+                       ("arc_off_boundary_and_missing_entry", manifold,
+                        edited(off_boundary, (("pieces",), off_boundary["pieces"][:2]))),
+                       ("shear_0", edited(manifold, (("gluings", 0, "matrix"), no_shear)), plan2),
+                       ("shear_0_and_slope_mismatch", edited(manifold, (("gluings", 0, "matrix"), no_shear),
+                                                             (("gluings", 1, "matrix"), no_shear)), plan2)):
+        staircase(name, m, p)
     runs += cover_fault_runs() + graph_fault_runs()
     # an exact stretch factor (3 + sqrt 5) / 2: printed at k = 1, too long to print at
     # k = 10288, and refused before the power is computed at k = 10809

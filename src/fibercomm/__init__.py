@@ -31,7 +31,6 @@ from .staircase import (
     RefiberPlan,
     refiber,
     staircase_piece,
-    validate_plan,
 )
 from .surfaces import Surface
 from .torus import NTClass, TorusAutomorphism, classify_torus, torus_commensurable

@@ -48,6 +48,9 @@ class SingularityVector:
         for n, c in self.counts:
             if n < 3 or c < 1:
                 raise ValueError("bad singularity entry (%d prongs, count %d)" % (n, c))
+        for (n, _), (m, _) in zip(self.counts, self.counts[1:]):
+            if n == m:
+                raise ValueError("repeated prong number %d" % n)
 
     @property
     def as_dict(self):
@@ -68,6 +71,8 @@ class BranchData:
     matrix: tuple = None  # optional Anosov matrix of the base
 
     def __post_init__(self):
+        if self.degree < 1:
+            raise ValueError("branch degree must be >= 1, got %d" % self.degree)
         if self.matrix is not None:
             object.__setattr__(self, "matrix", _integer_matrix(self.matrix, "branch data matrix"))
         for p in self.branch_points:

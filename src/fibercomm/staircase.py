@@ -13,11 +13,16 @@ from n shifted fiber copies joined along the arcs:
 * the tail circle of an arc lifts to a single connected circle of
   slope (n, -1), the head circle to one of slope (n, +1).
 
-The plan is admissible when, across every gluing, the matrix carries
-one side's boundary class to plus or minus the other side's and both
-sides lift to equally many circles; the glued staircases then assemble
-into a fiber of a new fibration whose monodromy is periodic of order
-lcm(n_i) and reducible along the junction circles.
+The plan is admissible when every piece has an entry whose arcs end on
+its boundary and, across every gluing, the matrix carries one side's
+boundary class to plus or minus the other side's and both sides lift to
+equally many circles; the glued staircases then assemble into a fiber
+of a new fibration whose monodromy is periodic of order lcm(n_i) and
+reducible along the junction circles.  ``refiber`` is the plan check:
+one walk over the pieces builds their staircases, and the walk over the
+gluings that builds the junction curves checks each junction.  A plan is
+refused for, in this order, a graph past the size limit, every faulty
+piece, every faulty junction, or else the first junction of shear 0.
 
 The fractional twist at a junction depends on the gluing's shear sigma,
 read from the normal form g(1,0) = (-1,0), g(0,1) = (sigma, 1):
@@ -30,8 +35,8 @@ relative twist, the (3, 1) integer twists of the sixth power, and the
 half-twist at the horizontal junction of the three-piece bounded
 family) and reproduce the all-n=1 plan as the identity: each twist is
 then -sigma, the fractional twist of the original fibration.  Gluing
-matrices outside the normal form are accepted but the result is
-flagged uncalibrated.
+matrices outside the normal form are accepted, with sigma read as the
+upper-right entry, but the result is flagged uncalibrated.
 """
 
 from __future__ import annotations
@@ -192,55 +197,6 @@ def staircase_piece(surface, plan, boundaries=None):
     return StaircasePieceResult(1, covered, lifts)
 
 
-def _shear(m):
-    """(sigma, calibrated) from the gluing matrix: the calibrated normal
-    form is g(1,0) = (-1,0), g(0,1) = (sigma, 1); other matrices fall
-    back to the upper-right entry with the uncalibrated flag set."""
-    return m[0][1], m[1][0] == 0 and m[0][0] == -1 and m[1][1] == 1
-
-
-def _staircases(manifold, plan):
-    """Each piece's staircase by piece id, built once, and the errors of
-    the pieces that have none."""
-    staircases, errors = {}, []
-    for p in manifold.pieces:
-        try:
-            if plan.of(p.id) is None:
-                raise ValueError("no plan entry")
-            staircases[p.id] = staircase_piece(p.surface, plan.of(p.id), p.boundaries)
-        except ValueError as e:
-            errors.append("piece %s: %s" % (p.id, e))
-    return staircases, errors
-
-
-def _junctions(manifold, staircases):
-    """Each gluing with the lifts of its sides a and b."""
-    for g in manifold.gluings:
-        yield g, staircases[g.side_a[0]].lifts[g.side_a[1]], staircases[g.side_b[0]].lifts[g.side_b[1]]
-
-
-def _plan_errors(manifold, staircases, errors):
-    """The errors of the pieces, or else of the junctions."""
-    if errors:
-        return errors
-    for g, la, lb in _junctions(manifold, staircases):
-        ((a, b), (c, d)), (x, y) = g.matrix, la.slope
-        image = (a * x + b * y, c * x + d * y)
-        if image != lb.slope and image != (-lb.slope[0], -lb.slope[1]):  # carried up to sign
-            errors.append("gluing %s: image %r of slope %r does not match %r" % (g.id, image, la.slope, lb.slope))
-        elif la.count != lb.count:
-            errors.append("gluing %s: unequal sheet counts (%d and %d circles)" % (g.id, la.count, lb.count))
-    return errors
-
-
-def validate_plan(manifold, plan):
-    """The errors of a plan (empty = ok): a piece without an entry or
-    with an arc end off its boundary; else, across every gluing, a slope
-    not carried to the other side's or unequally many circles on the two
-    sides.  Each piece's staircase is built once, as ``refiber`` does."""
-    return _plan_errors(manifold, *_staircases(manifold, plan))
-
-
 @dataclass(frozen=True)
 class RefiberResult:
     fiber: Surface          # None when disconnected
@@ -258,15 +214,32 @@ def refiber(manifold, plan):
     planned by its first entry, and reducible along the junction circles,
     whose fractional twists follow the calibrated shear rules.  A
     disconnected fiber (by the junction graph) is reported, not rejected.
-    A graph of more than ``MAX_STAIRCASE_SIZE`` pieces and boundary
-    circles, counted from the staircases, is refused with
-    ``ResourceLimit`` before the plan is checked and the graph built.
     The cost is linear in the size of the manifold and of the graph.
+
+    This is the plan check too.  One walk over the pieces builds each
+    staircase, and one walk over the gluings checks each junction where
+    it builds the junction's curves.  Refused, in this order:
+
+    1. a graph of more than ``MAX_STAIRCASE_SIZE`` pieces and boundary
+       circles, counted from the staircases that exist, with
+       ``ResourceLimit``;
+    2. every piece without an entry or with an arc end off its
+       boundary, in piece order, in one message;
+    3. every junction whose side-a slope the matrix does not carry to
+       plus or minus the side-b slope, or whose sides lift to unequally
+       many circles, in gluing order, in one message;
+    4. the first gluing of shear 0, whose junction is trivially twisted.
     """
-    staircases, errors = _staircases(manifold, plan)
+    staircases, errors = {}, []
+    for p in manifold.pieces:
+        try:
+            if plan.of(p.id) is None:
+                raise ValueError("no plan entry")
+            staircases[p.id] = staircase_piece(p.surface, plan.of(p.id), p.boundaries)
+        except ValueError as e:
+            errors.append("piece %s: %s" % (p.id, e))
     if sum(s.copies * (1 + s.surface.boundary_components) for s in staircases.values()) > MAX_STAIRCASE_SIZE:
         raise ResourceLimit("the refibered graph has more than %d pieces and boundary circles" % MAX_STAIRCASE_SIZE)
-    errors = _plan_errors(manifold, staircases, errors)
     if errors:
         raise ValueError("inadmissible plan: " + "; ".join(errors))
 
@@ -286,20 +259,31 @@ def refiber(manifold, plan):
                     slot_map[p.id, b, copy + i] = (gid, slots[-1])
             pieces.append(Piece(gid, s.surface, tuple(slots), s.surface.boundary_components - len(slots)))
 
-    curves, uncalibrated, twists = [], [], {}  # twists: one shared Fraction per (-sigma, sheets)
-    for g, la, lb in _junctions(manifold, staircases):
-        sigma, calibrated = _shear(g.matrix)
-        if not calibrated:
-            uncalibrated.append(g.id)
-        sheets = plan.of(g.side_a[0]).n * (1 if la.role == HORIZONTAL else plan.of(g.side_b[0]).n)
-        if sigma == 0:
-            raise ValueError("gluing %s produces a trivially twisted junction" % g.id)
-        if (-sigma, sheets) not in twists:
-            twists[-sigma, sheets] = Fraction(-sigma, sheets)
-        twist = twists[-sigma, sheets]
-        for i in range(la.count):  # as many as lb.count, by validation
-            cid = g.id if la.count == 1 else "%s~%d" % (g.id, i)
-            curves.append(ReducingCurve(cid, slot_map[(*g.side_a, i)], slot_map[(*g.side_b, i)], twist))
+    curves, uncalibrated, trivial, twists = [], [], [], {}  # twists: one shared Fraction per (-sigma, sheets)
+    for g in manifold.gluings:
+        la, lb = staircases[g.side_a[0]].lifts[g.side_a[1]], staircases[g.side_b[0]].lifts[g.side_b[1]]
+        ((a, sigma), (c, d)), (x, y) = g.matrix, la.slope
+        image = (a * x + sigma * y, c * x + d * y)
+        if image != lb.slope and image != (-lb.slope[0], -lb.slope[1]):  # carried up to sign
+            errors.append("gluing %s: image %r of slope %r does not match %r" % (g.id, image, la.slope, lb.slope))
+        elif la.count != lb.count:
+            errors.append("gluing %s: unequal sheet counts (%d and %d circles)" % (g.id, la.count, lb.count))
+        elif sigma == 0:
+            trivial.append(g.id)
+        else:
+            if (a, c, d) != (-1, 0, 1):  # outside the normal form
+                uncalibrated.append(g.id)
+            sheets = plan.of(g.side_a[0]).n * (1 if la.role == HORIZONTAL else plan.of(g.side_b[0]).n)
+            if (-sigma, sheets) not in twists:
+                twists[-sigma, sheets] = Fraction(-sigma, sheets)
+            twist = twists[-sigma, sheets]
+            for i in range(la.count):  # as many as lb.count, checked above
+                cid = g.id if la.count == 1 else "%s~%d" % (g.id, i)
+                curves.append(ReducingCurve(cid, slot_map[(*g.side_a, i)], slot_map[(*g.side_b, i)], twist))
+    if errors:
+        raise ValueError("inadmissible plan: " + "; ".join(errors))
+    if trivial:
+        raise ValueError("gluing %s produces a trivially twisted junction" % trivial[0])
 
     phi = ReducibleMap(tuple(pieces), tuple(curves))
     N = math.lcm(*[plan.of(p.id).n for p in manifold.pieces])

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +13,7 @@ from fibercomm.families import (
     closed_chain_plan,
     solve_staircase_base,
 )
+from fibercomm.quadratic import ResourceLimit
 from fibercomm.staircase import (
     BundlePiece,
     FiberedGraphManifold,
@@ -20,7 +22,6 @@ from fibercomm.staircase import (
     RefiberPlan,
     refiber,
     staircase_piece,
-    validate_plan,
 )
 from fibercomm.surfaces import Surface
 
@@ -109,6 +110,8 @@ def test_plan_validation_errors():
         PiecePlan(2, (("b0", "b0"),))
     with pytest.raises(ValueError, match="more than one arc"):
         PiecePlan(2, (("b0", "b1"), ("b1", "b2")))
+    with pytest.raises(ValueError, match="^sheet count must be >= 1$"):
+        PiecePlan(0)
     with pytest.raises(ValueError, match="not a boundary"):
         staircase_piece(Surface(1, 2), PiecePlan(2, (("b0", "zz"),)))
     for plan in (bounded_chain_plan, closed_chain_plan):
@@ -122,9 +125,16 @@ def test_bundle_piece_needs_a_torus_name_per_boundary_circle():
         BundlePiece("A", Surface(1, 2), ("t",))
 
 
+def refused(m, plan):
+    """The text of ``refiber``'s refusal of a plan."""
+    with pytest.raises(ValueError) as e:
+        refiber(m, plan)
+    return str(e.value)
+
+
 def test_validate_plan_slopes():
     m = bounded_chain_manifold()
-    assert validate_plan(m, bounded_chain_plan(2)) == []
+    refiber(m, bounded_chain_plan(2))
     # wrong sheet count on the third piece: slope mismatch at g
     bad = RefiberPlan(
         (
@@ -133,8 +143,7 @@ def test_validate_plan_slopes():
             ("S3", PiecePlan(2, (("g", "e3"),))),
         )
     )
-    errors = validate_plan(m, bad)
-    assert errors and "does not match" in errors[0]
+    assert refused(m, bad) == "inadmissible plan: gluing g: image (-3, 1) of slope (2, 1) does not match (2, -1)"
     # unequal sheet counts across a horizontal junction
     unequal = RefiberPlan(
         (
@@ -143,13 +152,37 @@ def test_validate_plan_slopes():
             ("S3", PiecePlan(4, (("g", "e3"),))),
         )
     )
-    errors = validate_plan(m, unequal)
-    assert errors and "unequal sheet counts" in errors[0]
+    assert refused(m, unequal) == "inadmissible plan: gluing f: unequal sheet counts (2 and 3 circles)"
     # a piece without a plan entry is named
     missing = RefiberPlan(bounded_chain_plan(2).per_piece[:2])
-    assert validate_plan(m, missing) == ["piece S3: no plan entry"]
-    with pytest.raises(ValueError, match="^inadmissible plan: piece S3: no plan entry$"):
-        refiber(m, missing)
+    assert refused(m, missing) == "inadmissible plan: piece S3: no plan entry"
+
+
+def test_refusal_order():
+    """The size limit, then every piece fault, then every junction fault,
+    then the first junction of shear 0."""
+    m = bounded_chain_manifold()
+    s1, _, s3 = bounded_chain_plan(2).per_piece
+    off_boundary = ("S2", PiecePlan(2, (("e2", "zz"),)))
+    with pytest.raises(ResourceLimit, match="^the refibered graph has more than 250000 pieces and boundary circles$"):
+        refiber(m, RefiberPlan((("S1", PiecePlan(300_000)), off_boundary, s3)))
+    assert refused(m, RefiberPlan((s1, off_boundary))) == (
+        "inadmissible plan: piece S2: arc endpoint 'zz' is not a boundary circle; piece S3: no plan entry"
+    )
+    f, g = m.gluings
+    no_shear = ((-1, 0), (0, 1))
+    both = FiberedGraphManifold(m.pieces, (replace(f, matrix=no_shear), replace(g, matrix=no_shear)))
+    assert refused(both, bounded_chain_plan(2)) == (
+        "inadmissible plan: gluing g: image (-2, 1) of slope (2, 1) does not match (3, -1)"
+    )
+    first = FiberedGraphManifold(m.pieces, (replace(f, matrix=no_shear), g))
+    assert refused(first, bounded_chain_plan(2)) == "gluing f produces a trivially twisted junction"
+    # every junction fault is named, in gluing order, past a shear-0 gluing
+    unequal = RefiberPlan((("S1", PiecePlan(3)), ("S2", PiecePlan(2, (("e2", "g"),))), s3))
+    assert refused(both, unequal) == (
+        "inadmissible plan: gluing f: unequal sheet counts (3 and 2 circles); "
+        "gluing g: image (-2, 1) of slope (2, 1) does not match (3, -1)"
+    )
 
 
 def test_junction_circle_counts_must_agree():
@@ -161,9 +194,7 @@ def test_junction_circle_counts_must_agree():
     for gluing, counts in ((Gluing("j", ("A", "t"), ("B", "t"), ((2, 1), (1, 1))), "(2 and 1 circles)"),
                            (Gluing("j", ("B", "t"), ("A", "t"), ((1, -1), (-1, 2))), "(1 and 2 circles)")):
         m = FiberedGraphManifold((a, b), (gluing,))
-        assert validate_plan(m, plan) == ["gluing j: unequal sheet counts %s" % counts]
-        with pytest.raises(ValueError, match="unequal sheet counts"):
-            refiber(m, plan)
+        assert refused(m, plan) == "inadmissible plan: gluing j: unequal sheet counts %s" % counts
     # one circle on each side: the twist is -sigma / n of side a, as before
     m = FiberedGraphManifold((a, b), (Gluing("j", ("A", "t"), ("B", "t"), ((2, 1), (1, 1))),))
     r = refiber(m, RefiberPlan((("A", PiecePlan(1)), ("B", PiecePlan(2, (("u", "t"),))))))
