@@ -45,7 +45,9 @@ both output formats, on:
   one on a missing slot, and a slot used by two ends; and ``power`` of a
   graph with the exact stretch factor (3 + sqrt 5) / 2 at k = 1, at
   k = 10288 (refused while writing) and at k = 10809 (refused before
-  the power is computed); ``power`` and ``invariants`` of a graph whose
+  the power is computed); ``invariants`` of a graph with distinct
+  3000-digit twists (refused while writing) and ``compare`` of it
+  against its square; ``power`` and ``invariants`` of a graph whose
   curve id holds a lone surrogate (``"c\\ud800"`` in JSON), refused by
   the reader.
 
@@ -220,6 +222,12 @@ def edge_runs():
     exact = edited(FAULT_BASE, (("pieces", 0, "dilatation"), {"kind": "exact", "unit": {"D": 5, "a": "3/2", "b": "1/2"}}))
     for k in ("1", "10288", "10809"):
         runs.append((["power", "exact", k], {"exact": exact}))
+    # distinct 3000-digit twists: the invariants' reciprocal sums have about 9000 digits, too many to
+    # print, while compare against the graph's square decides on them and prints the scale 1/2
+    long_twists = [10 ** 2999 + 1, 10 ** 2999 + 3]
+    long = {name: edited(FAULT_BASE, *((("curves", i, "twist"), str(k * t)) for i, t in enumerate(long_twists)))
+            for name, k in (("long_twists", 1), ("long_twists_squared", 2))}
+    runs += [(["invariants", "long_twists"], long), (["compare", "long_twists", "long_twists_squared"], long)]
     # a curve id holding a lone surrogate, which a JSON escape can hold and text output cannot write
     surrogate = {"surrogate": edited(FAULT_BASE, (("curves", 0, "id"), "c\ud800"))}
     runs += [(["power", "surrogate", "1"], surrogate), (["invariants", "surrogate"], surrogate)]

@@ -241,7 +241,9 @@ def _command(op, paths, fmt, **args):
     try:
         write = ser.canonical_dumps if fmt == "machine" else ser.text_dumps
         text = write(run_operation(op, [_load(p) for p in paths], args))
-    except (ResourceLimit, ValueError) as e:  # a ValueError in the writer: an integer too long to print
+    except (ResourceLimit, ValueError) as e:
+        if type(e) is ValueError:  # raised by the writer only: an integer too long to print
+            e = "the result holds an integer of more than %d digits" % sys.get_int_max_str_digits()
         _refuse("%s: %s" % ("malformed input" if isinstance(e, MalformedInput) else "resource limit", e))
     _write(sys.stdout, text)
 

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .decomposition import a_total, pi_invariant, p_polynomial, validate_or_raise
+from .decomposition import _fraction, _mul, _pair, a_total, validate_or_raise
 
 FULL = "full"
 TOPOLOGICAL = "topological"
@@ -36,29 +37,30 @@ NOT_OBSTRUCTED = "not_obstructed"
 class InvariantReport:
     """The invariants of a map, computed once.
 
-    The comparator reads ``a_normalized``, ``pi`` and ``dilatations``;
-    ``a``, ``p`` and ``chi`` are only for the ``invariants`` document,
-    which writes every field.
+    The comparator reads ``a_normalized``, ``dilatations`` and ``table``,
+    the normalized table with each pair as reduced integers; ``pi`` and
+    ``p`` are built from it when first read, as a result document does.
     """
 
     a: tuple                 # raw pair invariant
     a_normalized: tuple      # a / -chi(F)
-    pi: frozenset
-    p: tuple                 # sorted ((p, q), weight) items
+    table: frozenset         # ((n, d, n', d'), chi) items
     dilatations: frozenset
     chi: int
+
+    # Pi, and P as sorted ((p, q), weight) items, each weight the pieces' chi over chi(F)
+    pi = cached_property(lambda self: frozenset(_pair(k) for k, _ in self.table))
+    p = cached_property(lambda self: tuple(sorted((_pair(k), Fraction(chi, self.chi)) for k, chi in self.table)))
 
     @staticmethod
     def of(phi):
         validate_or_raise(phi)
         a = a_total(phi)
         chi = phi.chi
-        poly = p_polynomial(phi)
         return InvariantReport(
             a=a,
             a_normalized=(a[0] / (-chi), a[1] / (-chi)),
-            pi=pi_invariant(phi),
-            p=tuple(sorted(poly.items())),
+            table=frozenset(phi.normalized.items()),
             dilatations=phi.dilatation_set,
             chi=chi,
         )
@@ -75,17 +77,21 @@ class Verdict:
         return self.kind == INCOMMENSURABLE
 
 
-def _flip(pair):
-    return (pair[1], pair[0])
+def _flip(key):
+    return key[2], key[3], key[0], key[1]
 
 
-def _scale(pair, s):
-    return (pair[0] * s, pair[1] * s)
+def _scale(key, s):  # an integer pair times s = (n, d), reduced
+    return (*_mul(key[0], key[1], *s), *_mul(key[2], key[3], *s))
 
 
-def _lead(pair):
-    """The first nonzero coordinate of a pair."""
-    return pair[0] or pair[1]
+def _lead(keys):
+    """The first nonzero coordinate (n, d) of the lex-largest integer pair, as rationals."""
+    top, *rest = keys
+    for k in rest:
+        c = k[0] * top[1] - top[0] * k[1]
+        top = k if c > 0 or c == 0 and k[2] * top[3] > top[2] * k[3] else top
+    return top[:2] if top[0] else top[2:]
 
 
 def _feasible(x, y, mode):
@@ -100,26 +106,30 @@ def _feasible(x, y, mode):
     first nonzero coordinates.  The largest Pi element of a valid graph
     is nonzero, since every curve has a nonzero twist at a slot of some
     piece, and no coordinate is negative, so s > 0.  The stretch factors
-    are matched only at that s.
+    are matched only at that s.  s * u/m = v/n is decided on reduced
+    integers (u/m scaled by Fraction's cross gcds); s becomes a
+    ``Fraction`` once per flip, if Pi matches.
 
     The result has at most one scale: if s matches Pi under one flip and
     s' under the other, then flip(Pi) = r Pi for x's Pi and r = s / s',
     so Pi = r^2 Pi and r = 1.
     """
     feasible = set()
+    pi2 = {k for k, _ in y.table}
     for flip in (False, True):
-        a1 = _flip(x.a_normalized) if flip else x.a_normalized
-        pi1 = [_flip(p) for p in x.pi] if flip else x.pi
-        s = Fraction(1) if mode == TOPOLOGICAL else _lead(max(y.pi)) / _lead(max(pi1))
+        pi1 = [_flip(k) if flip else k for k, _ in x.table]
+        s = (1, 1) if mode == TOPOLOGICAL else _mul(*_lead(pi2), *reversed(_lead(pi1)))
         # scaling is one-to-one, so Pi matches when every scaled pair is in y's
-        if len(pi1) != len(y.pi) or any(_scale(p, s) not in y.pi for p in pi1):
+        if len(pi1) != len(pi2) or any(_scale(k, s) not in pi2 for k in pi1):
             continue
+        scale = _fraction(*s)
         if mode == COMBINED:
-            ok = _dilatation_scale_ok(s, x.dilatations, y.dilatations)
+            ok = _dilatation_scale_ok(scale, x.dilatations, y.dilatations)
         else:
-            ok = _scale(a1, s) == y.a_normalized
+            a1, a2 = ((*a[0].as_integer_ratio(), *a[1].as_integer_ratio()) for a in (x.a_normalized, y.a_normalized))
+            ok = _scale(_flip(a1) if flip else a1, s) == a2
         if ok:
-            feasible.add(s)
+            feasible.add(scale)
     return feasible
 
 

@@ -315,6 +315,8 @@ def normalize_unit_twists(phi):
 
     m = math.lcm(*[c.twist.denominator for c in phi.curves])
     phim = power(phi, m) if m > 1 else phi
+    if m > 1:  # each twist times m, so each reciprocal sum over m: a derived table, as a lift's
+        vars(phim)["pairs"] = {pid: (a / m, b / m) for pid, (a, b) in phi.pairs.items()}
     d_of = {c.id: abs(int(c.twist)) for c in phim.curves}
     L = math.lcm(*d_of.values())
 

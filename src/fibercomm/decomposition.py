@@ -25,10 +25,10 @@ From this data the twist invariants are computed exactly:
 
 The per-piece pairs are computed once per graph (a cached property, as
 is every table a graph derives), and every invariant above reads them.
-The curve ends are counted by piece and twist value first, so a graph
-with only the twists +1 and -1 costs one ``Fraction`` per piece and
-distinct twist, not one per slot; a lifted graph carries its table in
-closed form and is never counted.
+The curve ends are counted by piece and twist first, and the sums and
+the normalized table are kept as reduced integers, so a ``Fraction`` is
+built only for a value that is read; a lifted graph, and the power that
+normalization lifts, carry their tables in closed form, never counted.
 
 Constructors store what they are given; ``validate`` requires each
 twist to be a nonzero ``Fraction``: a curve with trivial fractional
@@ -40,8 +40,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import repeat
+from math import gcd
 from typing import NamedTuple
 
 from .quadratic import QuadraticUnit, unit_log_ratio
@@ -130,6 +131,36 @@ class ReducingCurve(NamedTuple):
         return (self.end_a, self.end_b)
 
 
+# coprime n and d > 0 as n/d, with no gcd, as Fraction's own operators build results
+_fraction = getattr(Fraction, "_from_coprime_ints", None) or partial(Fraction, _normalize=False)
+
+
+def _mul(n, d, k, e):
+    """Reduced n/d times k/e (d, e > 0), by Fraction's two cross gcds."""
+    g1, g2 = gcd(n, e), gcd(k, d)
+    if g1 > 1:  # as Fraction, no division by 1: it would copy a long operand
+        n, e = n // g1, e // g1
+    if g2 > 1:
+        k, d = k // g2, d // g2
+    return n * k, d * e
+
+
+def _add(n, d, k, e):
+    """Reduced n/d plus k/e (d, e > 0), by Fraction's gcd of d and e, then of the sum and it."""
+    g = gcd(d, e)
+    if g == 1:
+        return n * e + d * k, d * e
+    s = d // g
+    t = n * (e // g) + k * s
+    g = gcd(t, g)
+    return (t, s * e) if g == 1 else (t // g, s * (e // g))
+
+
+def _pair(key):
+    """The ``Fraction`` pair of a reduced integer key (n, d, n', d')."""
+    return _fraction(key[0], key[1]), _fraction(key[2], key[3])
+
+
 def _curves(rows):  # ReducingCurve(*row) calls tuple.__new__(cls, row) from a Python frame; this is one C call
     return map(tuple.__new__, repeat(ReducingCurve), rows)
 
@@ -171,11 +202,12 @@ class ReducibleMap:
 
     @cached_property
     def normalized(self):
-        """Each chi-normalized piece pair -> the chi of the pieces
-        realizing it; one division per (piece pair, chi)."""
-        table, normalized = self.pairs, {}
-        for ((ap, an), chi), n in Counter((table[p.id], p.surface.chi) for p in self.pieces).items():
-            key = (ap / -chi, an / -chi)
+        """Each chi-normalized piece pair, as reduced integers (n, d, n', d'), -> the chi
+        of the pieces realizing it: one division per distinct key, no Fraction hashed."""
+        normalized = {}
+        for (an, ad, bn, bd, chi), n in Counter((*a.as_integer_ratio(), *b.as_integer_ratio(), p.surface.chi)
+                                                for p in self.pieces for a, b in [self.pairs[p.id]]).items():
+            key = (*_mul(an, ad, 1, -chi), *_mul(bn, bd, 1, -chi))
             normalized[key] = normalized.get(key, 0) + n * chi
         return normalized
 
@@ -285,33 +317,29 @@ def _pairs_from_curves(phi):
     curves = phi.curves
     twists = _distinct_twists(curves)
     keys = [id(c.twist) for c in curves]
-    # (piece id, twist object) over the curve ends, then by twist value
+    # (piece id, twist object) over the curve ends
     ends = Counter(zip([c.end_a[0] for c in curves], keys))
     ends.update(zip([c.end_b[0] for c in curves], keys))
-    counts = Counter()
-    for (pid, key), n in ends.items():
-        k = twists[key]
-        counts[pid, k.numerator, k.denominator] += n
-    pairs = {p.id: [Fraction(0), Fraction(0)] for p in phi.pieces}
-    for (pid, num, den), n in counts.items():
-        if num > 0:
-            pairs[pid][0] += Fraction(n * den, num)
-        elif num < 0:
-            pairs[pid][1] += Fraction(n * den, -num)
-    return {pid: tuple(pair) for pid, pair in pairs.items()}
+    sums = dict.fromkeys([(p.id, sign) for p in phi.pieces for sign in (False, True)], (0, 1))
+    for (pid, key), n in ends.items():  # (piece id, twist < 0) -> reduced integers of the sum
+        num, den = twists[key].as_integer_ratio()
+        if num:
+            sums[pid, num < 0] = _add(*sums[pid, num < 0], *_mul(n, 1, den, abs(num)))
+    return {p.id: (_fraction(*sums[p.id, False]), _fraction(*sums[p.id, True])) for p in phi.pieces}
 
 
 def a_total(phi):
     """Global pair invariant: half the sum of the per-piece pairs, each
     its normalized pair times -chi, so one term per normalized pair."""
-    items = phi.normalized.items()
-    return (sum((p * chi for (p, _), chi in items), Fraction(0)) / -2,
-            sum((q * chi for (_, q), chi in items), Fraction(0)) / -2)
+    a = b = (0, 1)
+    for (an, ad, bn, bd), chi in phi.normalized.items():
+        a, b = _add(*a, *_mul(an, ad, -chi, 1)), _add(*b, *_mul(bn, bd, -chi, 1))
+    return _fraction(*_mul(*a, 1, 2)), _fraction(*_mul(*b, 1, 2))
 
 
 def pi_invariant(phi):
     """The set of chi-normalized per-piece pairs."""
-    return frozenset(phi.normalized)
+    return frozenset(map(_pair, phi.normalized))
 
 
 def p_polynomial(phi):
@@ -322,7 +350,7 @@ def p_polynomial(phi):
     (1, 1) recovers 2 A(phi) / -chi(F), and the support is Pi(phi).
     """
     chi_f = phi.chi
-    return {k: Fraction(chi, chi_f) for k, chi in phi.normalized.items() if chi != 0}
+    return {_pair(k): Fraction(chi, chi_f) for k, chi in phi.normalized.items() if chi != 0}
 
 
 def power(phi, k):
@@ -333,13 +361,10 @@ def power(phi, k):
         p if p.periodic else replace(p, dilatation=p.dilatation.power(k))
         for p in phi.pieces
     )
-    # one multiplication per distinct twist, keyed by its integers
-    # (hashing a Fraction costs about half a multiplication)
-    twists = {}
-    curves = []
-    for c in phi.curves:
-        key = (c.twist.numerator, c.twist.denominator)
-        if key not in twists:
-            twists[key] = c.twist * k
-        curves.append(ReducingCurve(c.id, c.end_a, c.end_b, twists[key]))
-    return ReducibleMap(pieces, tuple(curves))
+    # one product per distinct twist value; the curves built in one C-level pass, as a lift's are
+    products, scaled = {}, {}
+    for key, t in _distinct_twists(phi.curves).items():
+        value = t.numerator, t.denominator
+        scaled[key] = products[value] = products[value] if value in products else t * k
+    ids, ends_a, ends_b, twists = zip(*phi.curves) if phi.curves else ((),) * 4
+    return ReducibleMap(pieces, tuple(_curves(zip(ids, ends_a, ends_b, map(scaled.__getitem__, map(id, twists))))))

@@ -129,12 +129,12 @@ class PiecePlan:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("sheet count must be >= 1")
+            raise ValueError("sheet count must be >= 1, got %d" % self.n)
         for tail, head in self.arcs:
             if tail == head:
                 raise ValueError("arc endpoints on the same boundary %r" % (tail,))
-        if _repeated([b for arc in self.arcs for b in arc]):
-            raise ValueError("boundary used by more than one arc end")
+        if repeated := _repeated([b for arc in self.arcs for b in arc]):
+            raise ValueError("boundary %r used by more than one arc end" % (repeated[0],))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,12 @@ None of these is on a decision path of the library:
   (repeated division) -- the oracle for ``quadratic.unit_log_ratio``;
 * ``a_total_by_curves`` and ``p_polynomial_eval`` -- the pair invariant
   summed curve by curve, and the P polynomial evaluated at (1, 1);
+* ``pairs_by_fractions``, ``normalized_by_fractions``,
+  ``report_by_fractions`` and ``feasible_by_fractions`` -- the invariant
+  kernel in ``Fraction`` arithmetic: the piece pairs summed from
+  ``Fraction(0)``, the normalized table keyed by ``Fraction`` pairs, A,
+  Pi and P from it, and the flip/scale test on ``Fraction`` pairs, the
+  oracle for the kernel's reduced integers;
 * ``matrix_power`` -- integer matrix powers by repeated products, the
   oracle for ``TorusAutomorphism.__pow__``;
 * ``generate_same_cyclic_group`` and ``minimal_representatives`` --
@@ -40,13 +46,23 @@ None of these is on a decision path of the library:
 """
 
 import math
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
+from types import SimpleNamespace
 
-from fibercomm.comparator import COMBINED, TOPOLOGICAL
+from fibercomm.comparator import COMBINED, TOPOLOGICAL, _dilatation_scale_ok
 from fibercomm.cover import ComponentCover, CoveringData, NormalizationCertificate
-from fibercomm.decomposition import Piece, ReducibleMap, ReducingCurve, power, validate, validate_or_raise
+from fibercomm.decomposition import (
+    Piece,
+    ReducibleMap,
+    ReducingCurve,
+    _distinct_twists,
+    power,
+    validate,
+    validate_or_raise,
+)
 from fibercomm.quadratic import QuadraticUnit, _check_squarefree
 from fibercomm.spectrum import _measure_form
 from fibercomm.surfaces import Surface
@@ -160,6 +176,85 @@ def p_polynomial_eval(coeffs, x, y):
     for (p, q), lam in coeffs.items():
         total = (total[0] + p * lam, total[1] + q * lam)
     return total
+
+
+# ---------------------------------------------------------------------------
+# the invariant kernel in Fraction arithmetic: the library's formulas
+# before its sums, tables and scale test were kept as reduced integers
+
+def pairs_by_fractions(phi):
+    """The ``pairs`` table, each piece's sums started from ``Fraction(0)``."""
+    curves = phi.curves
+    twists = _distinct_twists(curves)
+    keys = [id(c.twist) for c in curves]
+    # (piece id, twist object) over the curve ends, then by twist value
+    ends = Counter(zip([c.end_a[0] for c in curves], keys))
+    ends.update(zip([c.end_b[0] for c in curves], keys))
+    counts = Counter()
+    for (pid, key), n in ends.items():
+        k = twists[key]
+        counts[pid, k.numerator, k.denominator] += n
+    pairs = {p.id: [Fraction(0), Fraction(0)] for p in phi.pieces}
+    for (pid, num, den), n in counts.items():
+        if num > 0:
+            pairs[pid][0] += Fraction(n * den, num)
+        elif num < 0:
+            pairs[pid][1] += Fraction(n * den, -num)
+    return {pid: tuple(pair) for pid, pair in pairs.items()}
+
+
+def normalized_by_fractions(phi):
+    """Each chi-normalized piece pair, as ``Fraction``s -> the chi of the
+    pieces realizing it; one division per (piece pair, chi)."""
+    table, normalized = pairs_by_fractions(phi), {}
+    for ((ap, an), chi), n in Counter((table[p.id], p.surface.chi) for p in phi.pieces).items():
+        key = (ap / -chi, an / -chi)
+        normalized[key] = normalized.get(key, 0) + n * chi
+    return normalized
+
+
+def report_by_fractions(phi):
+    """The fields of ``InvariantReport.of(phi)``: A as half the sum of each
+    normalized pair times -chi, A / -chi(F), Pi, the sorted items of P,
+    the stretch-factor labels and chi(F)."""
+    items = normalized_by_fractions(phi).items()
+    a = (sum((p * chi for (p, _), chi in items), Fraction(0)) / -2,
+         sum((q * chi for (_, q), chi in items), Fraction(0)) / -2)
+    chi_f = phi.chi
+    poly = {k: Fraction(chi, chi_f) for k, chi in items if chi != 0}
+    return SimpleNamespace(a=a, a_normalized=(a[0] / (-chi_f), a[1] / (-chi_f)), pi=frozenset(k for k, _ in items),
+                           p=tuple(sorted(poly.items())), dilatations=phi.dilatation_set, chi=chi_f)
+
+
+def feasible_by_fractions(x, y, mode):
+    """The comparator's feasible set on ``Fraction`` pairs: one scale per
+    flip, the ratio of the first nonzero coordinates of the largest Pi
+    elements (1 in ``topological``), checked on Pi, then on A or on the
+    stretch factors."""
+
+    def flip(pair):
+        return (pair[1], pair[0])
+
+    def scale(pair, s):
+        return (pair[0] * s, pair[1] * s)
+
+    def lead(pair):
+        return pair[0] or pair[1]
+
+    feasible = set()
+    for f in (False, True):
+        a1 = flip(x.a_normalized) if f else x.a_normalized
+        pi1 = [flip(p) for p in x.pi] if f else x.pi
+        s = Fraction(1) if mode == TOPOLOGICAL else lead(max(y.pi)) / lead(max(pi1))
+        if len(pi1) != len(y.pi) or any(scale(p, s) not in y.pi for p in pi1):
+            continue
+        if mode == COMBINED:
+            ok = _dilatation_scale_ok(s, x.dilatations, y.dilatations)
+        else:
+            ok = scale(a1, s) == y.a_normalized
+        if ok:
+            feasible.add(s)
+    return feasible
 
 
 # ---------------------------------------------------------------------------

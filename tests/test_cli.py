@@ -643,6 +643,14 @@ def test_power_resource_limit(tmp_path, default_digit_limit):
             assert r.exit_code == 2 and r.stdout == "" and err.startswith("resource limit: "), (k, fmt, err)
             assert "malformed" not in err and "Traceback" not in err
             assert ("power %s of the stretch factor" % k in err) == (int(k) >= 10809), err
+            if int(k) < 10809:  # the writer's refusal, in the library's words on every Python version
+                assert err == "resource limit: the result holds an integer of more than 4300 digits\n", err
+    # invariants whose reciprocal sums have about 9000 digits: the same words
+    big = write(tmp_path / "big.json", graph_with_twists(LONG_TWISTS))
+    for fmt in ("machine", "text"):
+        r = run("invariants", big, "--format", fmt)
+        assert r.exit_code == 2 and r.stdout == "", (fmt, r.output)
+        assert r.stderr == "resource limit: the result holds an integer of more than 4300 digits\n", r.stderr
 
 
 def graph_with_twists(twists):
