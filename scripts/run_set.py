@@ -49,11 +49,13 @@ both output formats, on:
   3000-digit twists (refused while writing) and ``compare`` of it
   against its square; ``power`` and ``invariants`` of a graph whose
   curve id holds a lone surrogate (``"c\\ud800"`` in JSON), refused by
-  the reader.
+  the reader; ``invariants`` of a graph with a 5000-digit twist, as a
+  string and as a JSON integer literal, refused by the reader.
 
 Each run prints one line: the exit code, the sha256 of stdout and of
 stderr, an uncaught exception's type if there was one, and the
-arguments.  The inputs come from this script's tree and are written to
+arguments.  The inputs come from this script's tree (a document given
+as a string is its JSON text) and are written to
 one temporary directory under fixed names, so two trees give the same
 lines where they behave alike; diff their outputs to see every change.
 """
@@ -231,6 +233,13 @@ def edge_runs():
     # a curve id holding a lone surrogate, which a JSON escape can hold and text output cannot write
     surrogate = {"surrogate": edited(FAULT_BASE, (("curves", 0, "id"), "c\ud800"))}
     runs += [(["power", "surrogate", "1"], surrogate), (["invariants", "surrogate"], surrogate)]
+    # integers past the interpreter's 4300-digit limit, refused by the reader: a twist string,
+    # and a JSON integer literal (written as text, since json.dumps cannot print it)
+    digits = "1" + "0" * 4999
+    long_string = edited(FAULT_BASE, (("curves", 0, "twist"), digits))
+    runs.append((["invariants", "long_twist_string"], {"long_twist_string": long_string}))
+    literal = json.dumps(edited(FAULT_BASE, (("curves", 0, "twist"), "digits"))).replace('"digits"', digits)
+    runs.append((["invariants", "long_int_literal"], {"long_int_literal": literal}))
     return runs
 
 
@@ -306,7 +315,7 @@ def main(tree):
         os.chdir(tmp)
         for argv, docs in corpus_runs() + edge_runs():
             for name, doc in docs.items():
-                Path(name).write_text(json.dumps(doc), encoding="utf-8")
+                Path(name).write_text(doc if type(doc) is str else json.dumps(doc), encoding="utf-8")
             for fmt in FORMATS:
                 report(runner.invoke(cli, argv + ["--format", fmt]), argv + ["--format", fmt])
         report(runner.invoke(cli, ["corpus", "verify", "--root", str(CORPUS)]), ["corpus", "verify"])

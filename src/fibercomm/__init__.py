@@ -2,16 +2,7 @@
 
 from .comparator import InvariantReport, Verdict, compare
 from .cover import ComponentCover, CoveringData, lift_cover, normalize_unit_twists, verify_cover_laws
-from .decomposition import (
-    DilatationLabel,
-    Piece,
-    ReducibleMap,
-    ReducingCurve,
-    a_total,
-    p_polynomial,
-    pi_invariant,
-    power,
-)
+from .decomposition import DilatationLabel, Piece, ReducibleMap, ReducingCurve, power
 from .quadratic import QuadraticNumber, QuadraticUnit, squarefree_part, unit_log_ratio
 from .spectrum import (
     BranchData,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -25,8 +24,7 @@ import click
 from . import serialize as ser
 from .comparator import COMBINED, FULL, TOPOLOGICAL, InvariantReport, compare
 from .cover import lift_cover, normalize_unit_twists, verify_cover_laws
-from .decomposition import validate_or_raise
-from .decomposition import power as power_map
+from .decomposition import power
 from .quadratic import ResourceLimit
 from .spectrum import delta_from_branch_data, pa_obstruction, spectrum_count_below, spectrum_min, spectrum_values
 from .staircase import refiber
@@ -42,8 +40,9 @@ class MalformedInput(ValueError):
 
 # each limit on an input whose cost grows with its value is checked before
 # the work starts, next to the work it bounds, so it binds library calls
-# too: ``spectrum.MAX_RADIUS``, ``cover.MAX_LIFTED_CURVES``, ``quadratic.TRIAL_WORK``
-# and ``staircase.MAX_STAIRCASE_SIZE``; the README gives the cost at each limit
+# too: ``spectrum.MAX_RADIUS``, ``cover.MAX_LIFTED_CURVES``, ``quadratic.TRIAL_WORK``,
+# the printable power in ``DilatationLabel.power`` and ``staircase.MAX_STAIRCASE_SIZE``;
+# the README gives the cost at each limit
 
 # ---------------------------------------------------------------------------
 # result documents: exact values, turned into text only by the writer of
@@ -86,19 +85,6 @@ def _cover(phi, c):
         for ch in verify_cover_laws(phi, c, lifted)
     ]
     return {"lifted": lifted, "laws": laws}
-
-
-def _power(phi, k):
-    """The k-th power of a checked graph.  A power of an exact stretch
-    factor u that could not be printed is refused before it is computed:
-    a + b*isqrt(D) <= u, and u**k prints a coordinate >= (u**k - 1) / 2."""
-    validate_or_raise(phi)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    for u in [label.unit for label in phi.dilatation_set if label.exact and limit]:
-        x = u.a + u.b * math.isqrt(u.D)
-        if k * (math.log10(x.numerator) - math.log10(x.denominator)) > limit + 1:
-            raise ResourceLimit("power %d of the stretch factor %s exceeds %d digits" % (k, u, limit))
-    return power_map(phi, k)
 
 
 def _normalize(phi):
@@ -173,7 +159,7 @@ OPERATIONS = {
     "torus_compare": (("torus", "torus"), (), _torus_compare),
     "invariants": (("reducible",), (), _report),
     "compare": (("reducible", "reducible"), ("mode",), _compare),
-    "power": (("reducible",), ("k",), _power),
+    "power": (("reducible",), ("k",), power),
     "cover": (("reducible", "covering"), (), _cover),
     "normalize": (("reducible",), (), _normalize),
     "staircase": (("manifold", "plan"), (), _staircase),
@@ -241,9 +227,7 @@ def _command(op, paths, fmt, **args):
     try:
         write = ser.canonical_dumps if fmt == "machine" else ser.text_dumps
         text = write(run_operation(op, [_load(p) for p in paths], args))
-    except (ResourceLimit, ValueError) as e:
-        if type(e) is ValueError:  # raised by the writer only: an integer too long to print
-            e = "the result holds an integer of more than %d digits" % sys.get_int_max_str_digits()
+    except (MalformedInput, ResourceLimit) as e:
         _refuse("%s: %s" % ("malformed input" if isinstance(e, MalformedInput) else "resource limit", e))
     _write(sys.stdout, text)
 
@@ -304,7 +288,7 @@ def verify_entry(entry_dir):
             actual = ser.canonical_dumps(run_operation(op, inputs, args))
         except MalformedInput as e:
             raise MalformedInput("%s: %s" % (name, e)) from e
-        except (ValueError, ResourceLimit) as e:
+        except ResourceLimit as e:
             failures.append("%s: raised %s" % (name, e))
             continue
         expected = ser.canonical_dumps(expected)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .decomposition import _fraction, _mul, _pair, a_total, validate_or_raise
+from .decomposition import _add, _fraction, _mul, _pair, validate_or_raise
 
 FULL = "full"
 TOPOLOGICAL = "topological"
@@ -35,19 +35,29 @@ NOT_OBSTRUCTED = "not_obstructed"
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """The invariants of a map, computed once.
+    """The invariants of a map, as its chi-normalized table.
 
-    The comparator reads ``a_normalized``, ``dilatations`` and ``table``,
-    the normalized table with each pair as reduced integers; ``pi`` and
-    ``p`` are built from it when first read, as a result document does.
+    ``table`` holds the items of ``ReducibleMap.normalized``: each piece
+    pair over -chi as reduced integers (n, d, n', d'), with the chi of the
+    pieces realizing it.  With chi(F) it determines every invariant, each
+    computed when first read: A / -chi(F), as reduced integers for the
+    comparator, and A, Pi and P as ``Fraction``s.  P determines the table,
+    so equal reports have equal invariants.
     """
 
-    a: tuple                 # raw pair invariant
-    a_normalized: tuple      # a / -chi(F)
     table: frozenset         # ((n, d, n', d'), chi) items
     dilatations: frozenset
     chi: int
 
+    @cached_property
+    def _a_normalized(self):  # A / -chi(F): half the sum of each pair times -chi, over -chi(F)
+        a = b = (0, 1)
+        for (an, ad, bn, bd), chi in self.table:
+            a, b = _add(*a, *_mul(an, ad, -chi, 1)), _add(*b, *_mul(bn, bd, -chi, 1))
+        return _scale((*a, *b), (1, -2 * self.chi))
+
+    a = cached_property(lambda self: _pair(_scale(self._a_normalized, (-self.chi, 1))))
+    a_normalized = cached_property(lambda self: _pair(self._a_normalized))
     # Pi, and P as sorted ((p, q), weight) items, each weight the pieces' chi over chi(F)
     pi = cached_property(lambda self: frozenset(_pair(k) for k, _ in self.table))
     p = cached_property(lambda self: tuple(sorted((_pair(k), Fraction(chi, self.chi)) for k, chi in self.table)))
@@ -55,15 +65,7 @@ class InvariantReport:
     @staticmethod
     def of(phi):
         validate_or_raise(phi)
-        a = a_total(phi)
-        chi = phi.chi
-        return InvariantReport(
-            a=a,
-            a_normalized=(a[0] / (-chi), a[1] / (-chi)),
-            table=frozenset(phi.normalized.items()),
-            dilatations=phi.dilatation_set,
-            chi=chi,
-        )
+        return InvariantReport(frozenset(phi.normalized.items()), phi.dilatation_set, phi.chi)
 
 
 @dataclass(frozen=True)
@@ -126,8 +128,8 @@ def _feasible(x, y, mode):
         if mode == COMBINED:
             ok = _dilatation_scale_ok(scale, x.dilatations, y.dilatations)
         else:
-            a1, a2 = ((*a[0].as_integer_ratio(), *a[1].as_integer_ratio()) for a in (x.a_normalized, y.a_normalized))
-            ok = _scale(_flip(a1) if flip else a1, s) == a2
+            a = x._a_normalized
+            ok = _scale(_flip(a) if flip else a, s) == y._a_normalized
         if ok:
             feasible.add(scale)
     return feasible

@@ -12,23 +12,21 @@ A reducible automorphism in standard form is recorded combinatorially:
   the same piece) and carrying its fractional twist I, the Dehn-twist
   power of a boundary-fixing power of the map divided by that power.
 
-From this data the twist invariants are computed exactly:
+From this data the graph derives, once each (cached properties, as is
+every table a graph derives):
 
-* ``phi.pairs``       -- for each piece S, the pair of reciprocal-twist
+* ``phi.pairs``      -- for each piece S, the pair of reciprocal-twist
   sums over the slots of S, split by twist sign;
-* ``a_total(phi)``    -- half the sum over pieces (each curve meets two
-  slots), equal to the direct sum over curves;
-* ``pi_invariant``    -- the set of per-piece pairs normalized by
-  -chi(S);
-* ``p_polynomial``    -- the chi-weighted generating polynomial that
-  packages both.
+* ``phi.normalized`` -- each pair normalized by -chi(S), as reduced
+  integers, with the chi of the pieces realizing it.
 
-The per-piece pairs are computed once per graph (a cached property, as
-is every table a graph derives), and every invariant above reads them.
-The curve ends are counted by piece and twist first, and the sums and
-the normalized table are kept as reduced integers, so a ``Fraction`` is
-built only for a value that is read; a lifted graph, and the power that
-normalization lifts, carry their tables in closed form, never counted.
+``comparator.InvariantReport`` reads the twist invariants from the
+normalized table: A, half the sum of the piece pairs, Pi, the set of
+normalized pairs, and P, the chi-weighted polynomial that packages
+both.  The curve ends are counted by piece and twist first, and the
+sums are kept as reduced integers, so a ``Fraction`` is built only for
+a value that is read; a lifted graph, and the power that normalization
+lifts, carry their tables in closed form, never counted.
 
 Constructors store what they are given; ``validate`` requires each
 twist to be a nonzero ``Fraction``: a curve with trivial fractional
@@ -37,15 +35,16 @@ twist between periodic sides is not part of a minimal reducing system.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import repeat
-from math import gcd
+from math import gcd, isqrt, log10
 from typing import NamedTuple
 
-from .quadratic import QuadraticUnit, unit_log_ratio
+from .quadratic import QuadraticUnit, ResourceLimit, unit_log_ratio
 from .surfaces import Surface
 
 
@@ -98,9 +97,16 @@ class DilatationLabel:
         return self.exponent / other.exponent
 
     def power(self, k):
+        """The label of the k-th power.  An exact stretch factor u whose power
+        could not be printed is refused before it is computed: a + b*isqrt(D)
+        <= u, and u**k prints a coordinate >= (u**k - 1) / 2."""
         rotation = None if self.rotation is None else self.rotation * k % 1
         if self.exact:
-            return replace(self, unit=self.unit ** k, rotation=rotation)
+            u, limit = self.unit, getattr(sys, "get_int_max_str_digits", int)()
+            x = u.a + u.b * isqrt(u.D)
+            if limit and k * (log10(x.numerator) - log10(x.denominator)) > limit + 1:
+                raise ResourceLimit("power %d of the stretch factor %s exceeds %d digits" % (k, u, limit))
+            return replace(self, unit=u ** k, rotation=rotation)
         return replace(self, exponent=self.exponent * k, rotation=rotation)
 
 
@@ -328,33 +334,10 @@ def _pairs_from_curves(phi):
     return {p.id: (_fraction(*sums[p.id, False]), _fraction(*sums[p.id, True])) for p in phi.pieces}
 
 
-def a_total(phi):
-    """Global pair invariant: half the sum of the per-piece pairs, each
-    its normalized pair times -chi, so one term per normalized pair."""
-    a = b = (0, 1)
-    for (an, ad, bn, bd), chi in phi.normalized.items():
-        a, b = _add(*a, *_mul(an, ad, -chi, 1)), _add(*b, *_mul(bn, bd, -chi, 1))
-    return _fraction(*_mul(*a, 1, 2)), _fraction(*_mul(*b, 1, 2))
-
-
-def pi_invariant(phi):
-    """The set of chi-normalized per-piece pairs."""
-    return frozenset(map(_pair, phi.normalized))
-
-
-def p_polynomial(phi):
-    """Chi-weighted polynomial encoding of the piece invariants.
-
-    Maps each normalized pair (p, q) to the fraction of chi(F) carried
-    by the pieces realizing it; the coefficients sum to 1, evaluation at
-    (1, 1) recovers 2 A(phi) / -chi(F), and the support is Pi(phi).
-    """
-    chi_f = phi.chi
-    return {_pair(k): Fraction(chi, chi_f) for k, chi in phi.normalized.items() if chi != 0}
-
-
 def power(phi, k):
-    """The decomposition graph of phi**k: twists and dilatations scale."""
+    """The decomposition graph of phi**k, for a checked graph: twists and
+    dilatations scale, an exact one only while it can be printed."""
+    validate_or_raise(phi)
     if k < 1:
         raise ValueError("k must be a positive integer")
     pieces = tuple(

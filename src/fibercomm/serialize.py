@@ -38,7 +38,9 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 import reprlib
+import sys
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from json.encoder import encode_basestring_ascii as _json_str
@@ -47,11 +49,15 @@ from operator import attrgetter, itemgetter
 from .comparator import COMBINED, FULL, TOPOLOGICAL
 from .cover import ComponentCover, CoveringData, _gc_paused
 from .decomposition import DilatationLabel, Piece, ReducibleMap, ReducingCurve, _distinct_twists
-from .quadratic import QuadraticUnit
+from .quadratic import QuadraticUnit, ResourceLimit
 from .spectrum import BranchData, SingularityVector, SpectrumQuery
 from .staircase import BundlePiece, FiberedGraphManifold, Gluing, PiecePlan, RefiberPlan
 from .surfaces import Surface
 from .torus import TorusAutomorphism
+
+
+def _too_long(what):
+    return "%s holds an integer of more than %d digits" % (what, sys.get_int_max_str_digits())
 
 
 def unrat(x):
@@ -65,6 +71,12 @@ def unrat(x):
         return Fraction(x)
     except ZeroDivisionError:
         raise ValueError("rational %r has denominator zero" % (x,)) from None
+    except ValueError as e:  # no rational, or an integer past the interpreter's digit limit
+        try:  # the same text with each digit run cut to one digit parses in the second case only
+            Fraction(re.sub(r"\d+", "1", x))
+        except ValueError:
+            raise e from None
+        raise ValueError(_too_long("the rational")) from None
 
 
 # ---------------------------------------------------------------------------
@@ -419,24 +431,29 @@ _write_json = _writer(_json_str, json.dumps, "[]{}", ",", "")
 _write_text = _writer(str, str, "", "", "-")
 
 
+def _dumps(write, doc):
+    """``doc`` written by ``write``, with a final newline if it is not empty."""
+    parts = []
+    try:
+        write(doc, 0, parts.append)
+    except ValueError:  # the only one ``str`` of an int or a Fraction raises: too long to print
+        raise ResourceLimit(_too_long("the result")) from None
+    if parts:
+        parts.append("\n")
+    return "".join(parts)
+
+
 def canonical_dumps(doc):
     """The document as canonical JSON: ``json.dumps(doc, sort_keys=True,
     indent=2)`` and a newline, rationals as strings and tuples as lists."""
-    parts = []
-    _write_json(doc, 0, parts.append)
-    parts.append("\n")
-    return "".join(parts)
+    return _dumps(_write_json, doc)
 
 
 def text_dumps(doc):
     """The document as text: its JSON lines without brackets, commas and
     quotes, each list entry headed by "-", nested one level less, and a
     newline after each line."""
-    parts = []
-    _write_text(doc, 0, parts.append)
-    if parts:
-        parts.append("\n")
-    return "".join(parts)
+    return _dumps(_write_text, doc)
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +601,10 @@ def load(path):
             return json.load(fh)
         except RecursionError:
             raise ValueError("JSON nested too deeply to read") from None
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            raise
+        except ValueError:  # the only other one: an integer literal past the interpreter's digit limit
+            raise ValueError(_too_long("the document")) from None
 
 
 def dump(path, doc):

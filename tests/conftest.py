@@ -1,8 +1,22 @@
 import random
+import sys
 from fractions import Fraction
+
+import pytest
 
 from fibercomm.decomposition import Piece, ReducibleMap, ReducingCurve
 from fibercomm.surfaces import Surface
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Python's default cap on the digits of an int printed as text."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no cap on the digits of an int printed as text")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
 
 
 def random_twist(rng, max_part=12):

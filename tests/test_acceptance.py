@@ -20,15 +20,11 @@ from fibercomm.comparator import (
     FULL,
     INCOMMENSURABLE,
     NOT_OBSTRUCTED,
+    InvariantReport,
     compare,
 )
 from fibercomm.cover import lift_cover, normalize_unit_twists, verify_cover_laws
-from fibercomm.decomposition import (
-    a_total,
-    p_polynomial,
-    pi_invariant,
-    power,
-)
+from fibercomm.decomposition import power
 from fibercomm.families import (
     bounded_chain_manifold,
     bounded_chain_plan,
@@ -48,7 +44,7 @@ def test_criterion_1_star_family_invariants():
     start = time.monotonic()
     for n in range(1, 7):
         for k in range(1, 7):
-            assert pi_invariant(d_type_family(n, k)) == {
+            assert InvariantReport.of(d_type_family(n, k)).pi == {
                 (F(1), F(0)),
                 (F(1, 2 * k - 1), F(0)),
             }
@@ -71,7 +67,7 @@ def test_criterion_2_bounded_refibering_pipeline():
     for n in range(1, 6):
         r = refiber(m, bounded_chain_plan(n))
         maps[n] = r.map
-        assert pi_invariant(r.map) == {
+        assert InvariantReport.of(r.map).pi == {
             (F(n), F(0)),
             (F(2 * n + 1, 3), F(0)),
             (F(n, 2), F(0)),
@@ -93,14 +89,14 @@ def test_criterion_3_closed_refibering_targets():
         r = refiber(m, closed_chain_plan(n))
         maps[n] = r.map
         assert r.fiber == Surface(6 * n + 8, 0)
-        assert pi_invariant(r.map) == {
+        assert InvariantReport.of(r.map).pi == {
             (F(n, 12), F(n, 12)),
             (F(3 * n + 4, 8), F(3 * n + 4, 8)),
             (F(n, 2), F(n, 2)),
         }
     alt = refiber(m, closed_chain_alternate_plan())
     assert alt.fiber == Surface(20, 0)
-    assert pi_invariant(alt.map) == {
+    assert InvariantReport.of(alt.map).pi == {
         (F(1, 4), F(1, 4)),
         (F(11, 8), F(11, 8)),
         (F(3, 2), F(3, 2)),
@@ -113,19 +109,19 @@ def test_criterion_4_law_suites():
     checked = 0
     while checked < 500:
         phi = random_reducible_map(rng, max_part=12)
-        a = a_total(phi)
-        pi = pi_invariant(phi)
+        a = InvariantReport.of(phi).a
+        pi = InvariantReport.of(phi).pi
 
         k = rng.randint(2, 6)
         pk = power(phi, k)
-        assert a_total(pk) == (a[0] / k, a[1] / k)
-        assert pi_invariant(pk) == {(p / k, q / k) for p, q in pi}
+        assert InvariantReport.of(pk).a == (a[0] / k, a[1] / k)
+        assert InvariantReport.of(pk).pi == {(p / k, q / k) for p, q in pi}
 
         neg = negate_twists(phi)
-        assert a_total(neg) == (a[1], a[0])
-        assert pi_invariant(neg) == {(q, p) for p, q in pi}
+        assert InvariantReport.of(neg).a == (a[1], a[0])
+        assert InvariantReport.of(neg).pi == {(q, p) for p, q in pi}
 
-        p = p_polynomial(phi)
+        p = dict(InvariantReport.of(phi).p)
         assert p_polynomial_eval(p, 1, 1) == (2 * a[0] / -phi.chi, 2 * a[1] / -phi.chi)
 
         cover = _double_cover(phi)

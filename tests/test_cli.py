@@ -610,17 +610,6 @@ def golden_pa_graph():
     )
 
 
-@pytest.fixture
-def default_digit_limit():
-    """Python's default cap on the digits of an int printed as text."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("this Python has no cap on the digits of an int printed as text")
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield
-    sys.set_int_max_str_digits(old)
-
-
 def test_power_resource_limit(tmp_path, default_digit_limit):
     phi = golden_pa_graph()
     path = write(tmp_path / "pa.json", ser.reducible_doc(phi))
@@ -653,6 +642,22 @@ def test_power_resource_limit(tmp_path, default_digit_limit):
         assert r.stderr == "resource limit: the result holds an integer of more than 4300 digits\n", r.stderr
 
 
+def test_library_power_resource_limit(default_digit_limit):
+    """The limit binds a library call as it binds the subcommand: checked
+    in ``DilatationLabel.power``, before the power is computed."""
+    phi = golden_pa_graph()
+    t0 = time.perf_counter()
+    with pytest.raises(quadratic.ResourceLimit, match=re.escape(
+            "power 10000000 of the stretch factor QuadraticUnit(3/2 + 1/2*sqrt(5)) exceeds 4300 digits")):
+        power(phi, 10 ** 7)
+    assert time.perf_counter() - t0 < 1
+    assert power(phi, 10287).pieces[0].dilatation.unit == phi.pieces[0].dilatation.unit ** 10287
+    # the graph is checked first, as ``lift_cover`` checks its input
+    bad = ReducibleMap(phi.pieces, phi.curves * 2)
+    with pytest.raises(ValueError, match="^invalid decomposition graph: duplicate curve ids"):
+        power(bad, 10 ** 7)
+
+
 def graph_with_twists(twists):
     """The document of ``d_type_family(3, 2)`` with the given twist strings."""
     graph = ser.reducible_doc(d_type_family(3, 2))
@@ -683,8 +688,9 @@ def test_oversize_output_is_a_resource_limit(tmp_path, default_digit_limit):
     assert run("power", big, "1", "--format", "machine").exit_code == 0
     assert run("compare", small, small, "--format", "machine").exit_code == 0
     laws = cli.run_operation("cover", [ser.load(big), ser.load(cover)], {})["laws"]
-    with pytest.raises(ValueError, match="integer string conversion"):
-        ser.canonical_dumps(laws[0]["lhs"])
+    for dumps in (ser.canonical_dumps, ser.text_dumps):
+        with pytest.raises(quadratic.ResourceLimit, match="^the result holds an integer of more than 4300 digits$"):
+            dumps(laws[0]["lhs"])
 
 
 def test_corpus_verify_reports_oversize_output(tmp_path, default_digit_limit):
@@ -700,7 +706,7 @@ def test_corpus_verify_reports_oversize_output(tmp_path, default_digit_limit):
     r = run("corpus", "verify", "--root", str(root))
     assert r.exit_code == 1 and "ex4.6: FAIL" in r.output and "Traceback" not in r.output, r.output
     mismatch = [line for line in r.output.splitlines() if line.startswith("  ")]
-    assert len(mismatch) == 1 and mismatch[0].startswith("  long twists: raised Exceeds the limit"), mismatch
+    assert mismatch == ["  long twists: raised the result holds an integer of more than 4300 digits"], mismatch
 
 
 @pytest.mark.parametrize("name", SUBCOMMANDS)

@@ -22,8 +22,6 @@ from fibercomm.decomposition import (
     Piece,
     ReducibleMap,
     ReducingCurve,
-    a_total,
-    pi_invariant,
     validate,
 )
 from fibercomm.families import d_type_family
@@ -99,8 +97,8 @@ def test_cyclic_cover_of_star_base_gives_star_family():
             assert sorted(p.surface for p in lifted.pieces) == sorted(
                 p.surface for p in target.pieces
             )
-            assert a_total(lifted) == a_total(target)
-            assert pi_invariant(lifted) == pi_invariant(target)
+            assert InvariantReport.of(lifted).a == InvariantReport.of(target).a
+            assert InvariantReport.of(lifted).pi == InvariantReport.of(target).pi
 
 
 def test_verify_cover_laws_pass():
@@ -165,8 +163,8 @@ def test_identity_cover_is_trivial():
     phi = d_type_family(2, 2)
     c = identity_cover(phi)
     lifted = lift_cover(phi, c)
-    assert a_total(lifted) == a_total(phi)
-    assert pi_invariant(lifted) == pi_invariant(phi)
+    assert InvariantReport.of(lifted).a == InvariantReport.of(phi).a
+    assert InvariantReport.of(lifted).pi == InvariantReport.of(phi).pi
     assert all(ch.ok for ch in verify_cover_laws(phi, c, lifted))
 
 
@@ -304,7 +302,7 @@ def test_cover_feasibility_includes_one():
         lifted = lift_cover(phi, c)
         x, y = InvariantReport.of(phi), InvariantReport.of(lifted)
         assert F(1) in compare_reports(x, y).feasible
-        assert pi_invariant(lifted) == pi_invariant(phi)
+        assert InvariantReport.of(lifted).pi == InvariantReport.of(phi).pi
         tested += 1
 
 

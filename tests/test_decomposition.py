@@ -7,15 +7,13 @@ import pytest
 from conftest import random_reducible_map
 from oracles import a_total_by_curves, fundamental_unit, negate_twists, p_polynomial_eval, validate_by_scan
 from fibercomm import serialize as ser
+from fibercomm.comparator import InvariantReport
 from fibercomm.cover import ComponentCover, CoveringData, lift_cover, normalize_unit_twists
 from fibercomm.decomposition import (
     DilatationLabel,
     Piece,
     ReducibleMap,
     ReducingCurve,
-    a_total,
-    p_polynomial,
-    pi_invariant,
     power,
     validate,
     validate_or_raise,
@@ -152,13 +150,13 @@ def test_self_curve_counts_twice():
         (ReducingCurve("c", ("a", "s"), ("a", "t"), F(1, 3)),),
     )
     assert phi.pairs["a"] == (F(6), F(0))
-    assert a_total(phi) == (F(3), F(0))
-    assert a_total(phi) == a_total_by_curves(phi)
+    assert InvariantReport.of(phi).a == (F(3), F(0))
+    assert InvariantReport.of(phi).a == a_total_by_curves(phi)
 
 
 def test_a_total_examples():
-    assert a_total(d_type_family(3, 2)) == (F(3), F(0))
-    assert a_total(two_piece_map()) == (F(1), F(0))
+    assert InvariantReport.of(d_type_family(3, 2)).a == (F(3), F(0))
+    assert InvariantReport.of(two_piece_map()).a == (F(1), F(0))
 
 
 def test_a_total_consistency_random():
@@ -166,26 +164,26 @@ def test_a_total_consistency_random():
     for _ in range(200):
         phi = random_reducible_map(rng)
         assert validate(phi) == []
-        assert a_total(phi) == a_total_by_curves(phi)
+        assert InvariantReport.of(phi).a == a_total_by_curves(phi)
 
 
 def test_pi_examples():
-    assert pi_invariant(d_type_family(3, 2)) == {(F(1), F(0)), (F(1, 3), F(0))}
+    assert InvariantReport.of(d_type_family(3, 2)).pi == {(F(1), F(0)), (F(1, 3), F(0))}
     sym = ReducibleMap(
         (Piece("a", Surface(1, 1), ("s",)), Piece("b", Surface(1, 1), ("t",))),
         (ReducingCurve("c", ("a", "s"), ("b", "t"), F(1)),),
     )
-    assert pi_invariant(sym) == {(F(1), F(0))}
+    assert InvariantReport.of(sym).pi == {(F(1), F(0))}
 
 
 def test_p_polynomial_d_family():
     for k in (2, 3):
         d = d_type_family(3, k)
-        p = p_polynomial(d)
+        p = dict(InvariantReport.of(d).p)
         assert p[(F(1), F(0))] == F(1, 2 * k)
         assert p[(F(1, 2 * k - 1), F(0))] == F(2 * k - 1, 2 * k)
         value = p_polynomial_eval(p, 1, 1)
-        a = a_total(d)
+        a = InvariantReport.of(d).a
         chi = d.chi
         assert value == (2 * a[0] / -chi, 2 * a[1] / -chi)
 
@@ -194,9 +192,9 @@ def test_p_polynomial_properties_random():
     rng = random.Random(13)
     for _ in range(100):
         phi = random_reducible_map(rng)
-        p = p_polynomial(phi)
+        p = dict(InvariantReport.of(phi).p)
         assert sum(p.values()) == 1
-        a = a_total(phi)
+        a = InvariantReport.of(phi).a
         chi = phi.chi
         assert p_polynomial_eval(p, 1, 1) == (2 * a[0] / -chi, 2 * a[1] / -chi)
 
@@ -205,13 +203,13 @@ def test_power_laws():
     rng = random.Random(17)
     for _ in range(50):
         phi = random_reducible_map(rng)
-        a = a_total(phi)
-        pi = pi_invariant(phi)
+        a = InvariantReport.of(phi).a
+        pi = InvariantReport.of(phi).pi
         for k in range(1, 11):
             pk = power(phi, k)
             assert all(c.twist == k * o.twist for c, o in zip(pk.curves, phi.curves))
-            assert a_total(pk) == (a[0] / k, a[1] / k)
-            assert pi_invariant(pk) == {(p / k, q / k) for p, q in pi}
+            assert InvariantReport.of(pk).a == (a[0] / k, a[1] / k)
+            assert InvariantReport.of(pk).pi == {(p / k, q / k) for p, q in pi}
 
 
 def test_power_on_labels():
@@ -283,12 +281,12 @@ def test_negation_flips_everything():
     for _ in range(100):
         phi = random_reducible_map(rng)
         neg = negate_twists(phi)
-        a = a_total(phi)
-        assert a_total(neg) == (a[1], a[0])
+        a = InvariantReport.of(phi).a
+        assert InvariantReport.of(neg).a == (a[1], a[0])
         for p in phi.pieces:
             ap = phi.pairs[p.id]
             assert neg.pairs[p.id] == (ap[1], ap[0])
-        assert pi_invariant(neg) == {(q, p) for p, q in pi_invariant(phi)}
+        assert InvariantReport.of(neg).pi == {(q, p) for p, q in InvariantReport.of(phi).pi}
 
 
 def test_dilatation_label_invariants():

@@ -11,8 +11,10 @@ denominators, so an unreduced value fails it.
 
 import random
 import time
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
+from itertools import chain
 
 from conftest import random_reducible_map
 from oracles import (
@@ -32,9 +34,6 @@ from fibercomm.decomposition import (
     Piece,
     ReducibleMap,
     ReducingCurve,
-    a_total,
-    p_polynomial,
-    pi_invariant,
     power,
 )
 from fibercomm.families import (
@@ -71,8 +70,8 @@ def checked_report(phi):
     assert phi.pairs == pairs_by_fractions(phi)
     for field in FIELDS:
         assert getattr(report, field) == getattr(oracle, field), field
-    assert a_total(phi) == oracle.a and pi_invariant(phi) == oracle.pi
-    assert sorted(p_polynomial(phi).items()) == list(oracle.p)
+    assert InvariantReport.of(phi).a == oracle.a and InvariantReport.of(phi).pi == oracle.pi
+    assert sorted(dict(InvariantReport.of(phi).p).items()) == list(oracle.p)
     for f in fractions_in([report.a, report.a_normalized, report.pi, report.p, phi.pairs]):
         assert type(f) is F and f.denominator > 0
     hash(report)
@@ -154,7 +153,7 @@ def test_kernel_on_mixed_signs_and_zero_coordinates():
         psi = with_signs_and_empty_pieces(rng, random_reducible_map(rng, max_part=6))
         graphs = [phi, psi, power(negate_twists(phi), rng.randint(2, 3)), replace(phi, pieces=phi.pieces[::-1])]
         check_pairs(graphs, brute=i % 3 == 0)
-        zero += any(0 in pair for pair in pi_invariant(phi))
+        zero += any(0 in pair for pair in InvariantReport.of(phi).pi)
     assert zero > 150
 
 
@@ -196,12 +195,18 @@ def test_kernel_on_refibered_chains():
 
 def test_report_equality_is_field_equality():
     """Two reports are equal, and hash alike, exactly when every field of
-    the oracle's is equal, P included."""
+    the oracle's is equal, P included: on small graphs, criterion-4 graphs
+    with their powers, negations and unit-twist normalizations, each with
+    its pieces reversed too, and two graphs that differ in P alone."""
     rng = random.Random(127)
     graphs = []
     for _ in range(40):
         phi = random_reducible_map(rng, max_part=4)
         graphs += [phi, replace(phi, pieces=phi.pieces[::-1]), power(phi, 2)]
+    for _ in range(60):
+        phi = random_reducible_map(rng, max_part=12)
+        for g in (phi, power(phi, rng.randint(2, 6)), negate_twists(phi), normalize_unit_twists(phi)[0]):
+            graphs += [g, replace(g, pieces=g.pieces[::-1])]
     # equal A, Pi and chi; P weights Pi's three pairs by 4/14, 6/14, 4/14 against 3/14, 9/14, 2/14
     c0, c1 = ("p0", "s0"), ("p1", "s1")
     graphs += [
@@ -215,16 +220,47 @@ def test_report_equality_is_field_equality():
     ]
     x, y = (InvariantReport.of(g) for g in graphs[-2:])
     assert (x.a, x.a_normalized, x.pi, x.chi) == (y.a, y.a_normalized, y.pi, y.chi) and x.p != y.p and x != y
-    reports = [(InvariantReport.of(g), report_by_fractions(g)) for g in graphs]
+    reports = [(InvariantReport.of(g), tuple(getattr(report_by_fractions(g), f) for f in FIELDS)) for g in graphs]
     equal = 0
     for x, ox in reports:
         for y, oy in reports:
-            same = all(getattr(ox, f) == getattr(oy, f) for f in FIELDS)
+            same = ox == oy
             assert (x == y) == same
             equal += same and x is not y
             if same:
                 assert hash(x) == hash(y)
     assert equal > 40
+
+
+def test_lift_report_from_the_base_table():
+    """The covering law at report level: a lift's report is the base's
+    normalized piece pairs, each piece's chi weighted by the total degree
+    of its components, with the base's stretch factors; built with no
+    lifted curve, on covers with several components over a piece and
+    mixed local degrees."""
+    rng = random.Random(137)
+    lifted = 0
+    while lifted < 150:
+        phi = random_reducible_map(rng, max_part=6)
+        if lifted % 2:
+            phi = with_pseudo_anosov_pieces(rng, phi)
+        c = random_cover(rng, phi, rng.randint(2, 4))
+        partitions = [part for _, comps in c.components for comp in comps for _, part in comp.slot_partitions]
+        if len({*chain.from_iterable(partitions)}) < 2 or all(len(comps) < 2 for _, comps in c.components):
+            continue
+        try:
+            lift = lift_cover(phi, c)
+        except ValueError:  # no covered surface fits
+            continue
+        table = Counter()
+        for p in phi.pieces:
+            a, b = (x / -p.surface.chi for x in phi.pairs[p.id])
+            table[(*a.as_integer_ratio(), *b.as_integer_ratio())] += p.surface.chi * sum(x.degree for x in c.of(p.id))
+        expected = InvariantReport(frozenset(table.items()), phi.dilatation_set, sum(table.values()))
+        report = InvariantReport.of(lift)
+        assert report == expected and hash(report) == hash(expected)
+        assert all(getattr(report, f) == getattr(expected, f) for f in FIELDS)
+        lifted += 1
 
 
 def test_distinct_long_twists_in_bounded_time():

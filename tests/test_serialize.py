@@ -234,6 +234,31 @@ def test_a_value_too_long_to_print_is_named():
     assert str(raised.value) == "pieces: expected list, got a value too long to print"
 
 
+def test_integers_past_the_digit_limit_are_refused_in_the_librarys_words(tmp_path, default_digit_limit):
+    """An integer whose text exceeds the interpreter's limit is refused by
+    the reader, naming N: in a rational string by its path, read alone or
+    in a column, and as an integer literal by ``load``, whose file the
+    command line names."""
+    digits = "1" + "0" * 4999
+    for n in (6, 20):
+        for twist in (digits, "-1/" + digits, digits + "/3"):
+            doc = ser.reducible_doc(d_type_family(n, 2))
+            doc["curves"][1]["twist"] = twist
+            with pytest.raises(ValueError) as raised:
+                ser.reducible_from_doc(doc)
+            assert str(raised.value) == "curves[1].twist: the rational holds an integer of more than 4300 digits"
+    # a string that is no rational keeps Fraction's words, however long its digit runs
+    with pytest.raises(ValueError, match="^Invalid literal for Fraction"):
+        ser.unrat("x" + "1_1" * 2200)
+    path = tmp_path / "long.json"
+    path.write_text('{"type": "reducible_map", "pieces": [], "curves": %s}' % digits, encoding="utf-8")
+    with pytest.raises(ValueError, match="^the document holds an integer of more than 4300 digits$"):
+        ser.load(path)
+    r = CliRunner().invoke(cli.main, ["invariants", str(path)])
+    assert (r.exit_code, r.stdout) == (2, "")
+    assert r.stderr == "malformed input: %s: the document holds an integer of more than 4300 digits\n" % path
+
+
 # the encoder's oracle is the stdlib's indented encoder
 json_text = st.text(st.characters() | st.sampled_from('"\\/\x00\x08\x1f\n\t\x7f\u00e9\u2028\U0001f600'))
 json_values = st.recursive(

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from fibercomm.decomposition import a_total, pi_invariant, power, validate
+from fibercomm.comparator import InvariantReport
+from fibercomm.decomposition import power, validate
 from fibercomm.families import (
     bounded_chain_manifold,
     bounded_chain_plan,
@@ -223,7 +224,7 @@ def test_bounded_chain_family():
         r = refiber(m, bounded_chain_plan(n))
         assert validate(r.map) == []
         assert r.connected
-        assert pi_invariant(r.map) == {
+        assert InvariantReport.of(r.map).pi == {
             (F(n), F(0)),
             (F(2 * n + 1, 3), F(0)),
             (F(n, 2), F(0)),
@@ -263,7 +264,7 @@ def test_closed_chain_family():
         r = refiber(m, closed_chain_plan(n))
         assert r.connected
         assert r.fiber == Surface(6 * n + 8, 0)
-        assert pi_invariant(r.map) == {
+        assert InvariantReport.of(r.map).pi == {
             (F(n, 12), F(n, 12)),
             (F(3 * n + 4, 8), F(3 * n + 4, 8)),
             (F(n, 2), F(n, 2)),
@@ -274,7 +275,7 @@ def test_closed_chain_alternate_fibration():
     r = refiber(closed_chain_manifold(), closed_chain_alternate_plan())
     assert r.fiber == Surface(20, 0)
     assert r.monodromy_order == 12
-    assert pi_invariant(r.map) == {
+    assert InvariantReport.of(r.map).pi == {
         (F(1, 4), F(1, 4)),
         (F(11, 8), F(11, 8)),
         (F(3, 2), F(3, 2)),
