@@ -15,7 +15,11 @@ both output formats, on:
 * malformed and refused inputs: repeated names in a graph manifold or a
   graph, a torus shared by two gluings, a plan that misses a piece,
   junctions whose sides lift to different numbers of circles, staircases
-  at and past the size limit, a spectrum at and past the radius limit,
+  at and past the size limit (the bounded chain at n = 83,331 and
+  83,332, and chains of 83,333 and 83,334 genus-1 two-torus pieces at
+  n = 1), refibered names that collide (a copy ``A~0`` of a piece ``A``
+  beside a piece named ``A~0``, and a circle slot ``t~0`` beside a torus
+  named ``t~0``), a spectrum at and past the radius limit,
   graphs whose symbolic stretch factor has exponent 0 or -1 under
   ``compare --mode combined`` and ``invariants``, and documents with two
   faults in nested fields of lists long enough to be read as columns,
@@ -50,7 +54,9 @@ both output formats, on:
   against its square; ``power`` and ``invariants`` of a graph whose
   curve id holds a lone surrogate (``"c\\ud800"`` in JSON), refused by
   the reader; ``invariants`` of a graph with a 5000-digit twist, as a
-  string and as a JSON integer literal, refused by the reader.
+  string and as a JSON integer literal, refused by the reader; and
+  ``invariants`` of a graph with the twist "1e100000", whose exponent
+  the reader refuses.
 
 Each run prints one line: the exit code, the sha256 of stdout and of
 stderr, an uncaught exception's type if there was one, and the
@@ -124,6 +130,15 @@ def chain_plan(n):
                                                {"id": "S3", "n": n + 1, "arcs": [["g", "e3"]]}]}
 
 
+def long_chain(k):
+    """A chain of k genus-1 two-torus pieces and its plan at one sheet."""
+    manifold = {"type": "graph_manifold",
+                "pieces": [{"id": "P%d" % i, "genus": 1, "boundary_tori": ["l", "r"]} for i in range(k)],
+                "gluings": [{"id": "g%d" % i, "side_a": ["P%d" % i, "r"], "side_b": ["P%d" % (i + 1), "l"],
+                             "matrix": [[-1, 1], [0, 1]]} for i in range(k - 1)]}
+    return manifold, {"type": "refiber_plan", "pieces": [{"id": "P%d" % i, "n": 1, "arcs": []} for i in range(k)]}
+
+
 def edge_runs():
     """(argv, documents) of the malformed and refused inputs."""
     docs = documents("ex5.2")
@@ -150,6 +165,27 @@ def edge_runs():
     staircase("first_entry_large", manifold, first_large)
     for n in (1, 83331, 83332, 10 ** 12):
         staircase("chain_n%d" % n, manifold, chain_plan(n))
+    for k in (83_333, 83_334):
+        staircase("long_chain_%d" % k, *long_chain(k))
+    # refibered names that collide, which only the graph's validation refuses: copy A~0 of
+    # piece A beside a piece named A~0, and slot t~0 of a torus t that lifts to two circles
+    # beside a torus named t~0
+    shear = [[-1, 1], [0, 1]]
+    a = {"id": "A", "genus": 1, "boundary_tori": ["t"]}
+    staircase("copy_name_taken",
+              {"type": "graph_manifold", "pieces": [a, {"id": "A~0", "genus": 1, "boundary_tori": ["t", "x", "y"]}],
+               "gluings": [{"id": "j", "side_a": ["A", "t"], "side_b": ["A~0", "t"], "matrix": shear}]},
+              {"type": "refiber_plan", "pieces": [{"id": "A", "n": 2, "arcs": []},
+                                                  {"id": "A~0", "n": 2, "arcs": [["x", "y"]]}]})
+    staircase("circle_name_taken",
+              {"type": "graph_manifold",
+               "pieces": [a, {"id": "B", "genus": 1, "boundary_tori": ["t", "t~0", "x"]},
+                          {"id": "C", "genus": 1, "boundary_tori": ["s", "z"]}],
+               "gluings": [{"id": "j", "side_a": ["B", "t"], "side_b": ["A", "t"], "matrix": shear},
+                           {"id": "k", "side_a": ["B", "t~0"], "side_b": ["C", "s"], "matrix": [[3, 4], [2, 3]]}]},
+              {"type": "refiber_plan", "pieces": [{"id": "A", "n": 2, "arcs": []},
+                                                  {"id": "B", "n": 2, "arcs": [["t~0", "x"]]},
+                                                  {"id": "C", "n": 2, "arcs": [["z", "s"]]}]})
     # a horizontal circle against an arc end, in either order, and one
     # circle against one, all by uncalibrated matrices
     pieces = [{"id": "A", "genus": 1, "boundary_tori": ["t"]}, {"id": "B", "genus": 1, "boundary_tori": ["t", "u"]}]
@@ -240,6 +276,9 @@ def edge_runs():
     runs.append((["invariants", "long_twist_string"], {"long_twist_string": long_string}))
     literal = json.dumps(edited(FAULT_BASE, (("curves", 0, "twist"), "digits"))).replace('"digits"', digits)
     runs.append((["invariants", "long_int_literal"], {"long_int_literal": literal}))
+    # a twist with an exponent, which Fraction would read as 10**100000
+    exponent = {"exponent_twist": edited(FAULT_BASE, (("curves", 0, "twist"), "1e100000"))}
+    runs.append((["invariants", "exponent_twist"], exponent))
     return runs
 
 

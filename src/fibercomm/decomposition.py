@@ -203,16 +203,21 @@ class ReducibleMap:
         """Reciprocal-twist pair of every piece, as a dict piece id -> pair:
         1/k summed over the slots of positive incident twist k, 1/(-k) over
         those of negative k; a curve with both ends on the piece counts
-        through both slots.  A lift (``cover.lift_cover``) carries it."""
+        through both slots.  Pieces of equal sums share one pair, so a graph
+        of many pieces of one shape holds few.  A lift (``cover.lift_cover``)
+        carries it."""
         return _pairs_from_curves(self)
 
     @cached_property
     def normalized(self):
         """Each chi-normalized piece pair, as reduced integers (n, d, n', d'), -> the chi
-        of the pieces realizing it: one division per distinct key, no Fraction hashed."""
-        normalized = {}
-        for (an, ad, bn, bd, chi), n in Counter((*a.as_integer_ratio(), *b.as_integer_ratio(), p.surface.chi)
-                                                for p in self.pieces for a, b in [self.pairs[p.id]]).items():
+        of the pieces realizing it: the pieces counted by pair object and chi, then one
+        division per distinct count, no Fraction hashed."""
+        pairs, counts, normalized = self.pairs, {}, {}  # counts: (pair's id, chi) -> [pair, pieces]
+        for p in self.pieces:
+            counts.setdefault((id(pairs[p.id]), p.surface.chi), [pairs[p.id], 0])[1] += 1
+        for (_, chi), ((a, b), n) in counts.items():
+            (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
             key = (*_mul(an, ad, 1, -chi), *_mul(bn, bd, 1, -chi))
             normalized[key] = normalized.get(key, 0) + n * chi
         return normalized
@@ -331,7 +336,9 @@ def _pairs_from_curves(phi):
         num, den = twists[key].as_integer_ratio()
         if num:
             sums[pid, num < 0] = _add(*sums[pid, num < 0], *_mul(n, 1, den, abs(num)))
-    return {p.id: (_fraction(*sums[p.id, False]), _fraction(*sums[p.id, True])) for p in phi.pieces}
+    shared = {}  # the one Fraction pair of each distinct pair of sums
+    return {p.id: shared.get(key) or shared.setdefault(key, (_fraction(*key[0]), _fraction(*key[1])))
+            for p in phi.pieces for key in [(sums[p.id, False], sums[p.id, True])]}
 
 
 def power(phi, k):

@@ -29,8 +29,9 @@ escaped by the C ``encode_basestring_ascii``; ``text_dumps`` writes the
 same lines without brackets, commas and quotes, each list entry headed
 by "-", one level less deep.  A rational is written through ``str`` of
 its ``Fraction``, so an integer too long to print fails in the writer,
-never inside an operation.  A graph's curves go through one template,
-written from a curve whose fields are holes.  An input document with
+never inside an operation.  A graph's curves and periodic pieces go
+through one template each, written from one whose fields are holes, and
+a slots tuple that pieces share is written once.  An input document with
 rationals goes through its JSON text once (``_plain``) for a reader.
 """
 
@@ -60,13 +61,20 @@ def _too_long(what):
     return "%s holds an integer of more than %d digits" % (what, sys.get_int_max_str_digits())
 
 
+# the exponent that ends a decimal string, as ``Fraction`` reads one: it would build 10**exponent
+_EXPONENT = re.compile(r"[\d.][eE][-+]?\d+(?:_\d+)*\s*\Z")
+
+
 def unrat(x):
     """A document rational: a "p/q" or "p" string, or a JSON integer.
 
-    Floats and booleans are rejected, so no inexact value is read.
+    Floats and booleans are rejected, so no inexact value is read, and so
+    is a string with an exponent, before ``Fraction`` computes its power.
     """
     if type(x) is not str and type(x) is not int:
         raise _expected("a rational as a string or an integer", x)
+    if type(x) is str and _EXPONENT.search(x):
+        raise ValueError('rational %s has an exponent: it is written "p/q" or "p"' % reprlib.repr(x))
     try:
         return Fraction(x)
     except ZeroDivisionError:
@@ -336,7 +344,8 @@ def _writer(quote, word, brackets, comma, head):
     its ``Fraction``, an int by its digits, None, a bool or a float by
     ``word``; a list entry is headed by ``head``, and ``brackets`` (a
     list's pair, then an object's) and ``comma`` are the punctuation.
-    Without brackets the line that opens a container is left out."""
+    Without brackets the line that opens a container is left out.  A
+    graph's curves and periodic pieces are written through templates."""
     open_list, close_list, open_dict, close_dict = brackets or ("",) * 4
     space = " " if head else ""  # between a list entry's head and a value on its line
     colon = ": " if brackets else ":"  # after a key whose value is a container
@@ -357,23 +366,37 @@ def _writer(quote, word, brackets, comma, head):
 
     layouts = []  # by depth, each made when a container first reaches it
 
+    def written(v, depth):
+        parts = []
+        walk(v, depth, parts.append)
+        return "".join(parts)
+
     @functools.cache
-    def curve_template(depth):
-        """One curve of a graph at ``depth``, each field a ``%s``: written
-        from a curve whose every field is a hole."""
-        parts, hole = [], "\0"
-        walk({"end_a": (hole, hole), "end_b": (hole, hole), "id": hole, "twist": hole}, depth, parts.append)
-        return "".join(parts).replace(quote(hole), "%s")
+    def templates(depth):
+        """A curve and a periodic piece of a graph at ``depth``, each field a
+        ``%s``: written from a curve and a piece whose every field is a hole,
+        the piece's slots, a list, filled in as their own text."""
+        hole, slots = "\0", ("\1",)
+        curve = written({"end_a": (hole, hole), "end_b": (hole, hole), "id": hole, "twist": hole}, depth)
+        piece = written({"boundary": hole, "dilatation": None, "free_boundary": hole, "genus": hole, "id": hole,
+                         "slots": slots}, depth).replace(written(slots, depth + 1), "%s")
+        return curve.replace(quote(hole), "%s"), piece.replace(quote(hole), "%s")
 
     def walk(v, depth, out):
         t = type(v)
-        if t is ReducibleMap:  # its curves through one template, never as a dict per curve
+        if t is ReducibleMap:  # its curves and periodic pieces through templates, never as a dict each
             twists = {k: rational % x for k, x in _distinct_twists(v.curves).items()}
-            template = curve_template(depth + 2)
-            curves = _Written([template % (quote(c.end_a[0]), quote(c.end_a[1]), quote(c.end_b[0]),
-                                           quote(c.end_b[1]), quote(c.id), twists[id(c.twist)]) for c in v.curves])
-            pieces = [{"id": p.id, "genus": p.surface.genus, "boundary": p.surface.boundary_components, "slots": p.slots,
-                       "free_boundary": p.free_boundary, "dilatation": label_doc(p.dilatation)} for p in v.pieces]
+            curve, piece = templates(depth + 2)
+            curves = _Written([curve % (quote(c.end_a[0]), quote(c.end_a[1]), quote(c.end_b[0]),
+                                        quote(c.end_b[1]), quote(c.id), twists[id(c.twist)]) for c in v.curves])
+            slots = {}  # id of a slots tuple -> its text, once per tuple that pieces share
+            pieces = _Written([
+                written({"id": p.id, "genus": p.surface.genus, "boundary": p.surface.boundary_components,
+                         "slots": p.slots, "free_boundary": p.free_boundary, "dilatation": label_doc(p.dilatation)},
+                        depth + 2) if p.dilatation is not None else
+                piece % (p.surface.boundary_components, p.free_boundary, p.surface.genus, quote(p.id),
+                         slots.get(id(p.slots)) or slots.setdefault(id(p.slots), written(p.slots, depth + 3)))
+                for p in v.pieces])
             walk({"curves": curves, "pieces": pieces, "type": "reducible_map"}, depth, out)
             return
         if t not in nested:

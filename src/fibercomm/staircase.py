@@ -19,10 +19,11 @@ boundary class to plus or minus the other side's and both sides lift to
 equally many circles; the glued staircases then assemble into a fiber
 of a new fibration whose monodromy is periodic of order lcm(n_i) and
 reducible along the junction circles.  ``refiber`` is the plan check:
-one walk over the pieces builds their staircases, and the walk over the
-gluings that builds the junction curves checks each junction.  A plan is
-refused for, in this order, a graph past the size limit, every faulty
-piece, every faulty junction, or else the first junction of shear 0.
+one walk over the pieces builds one staircase per piece shape, and the
+walk over the gluings that builds the junction curves checks each
+junction.  A plan is refused for, in this order, a graph past the size
+limit, every faulty piece, every faulty junction, or else the first
+junction of shear 0.
 
 The fractional twist at a junction depends on the gluing's shear sigma,
 read from the normal form g(1,0) = (-1,0), g(0,1) = (sigma, 1):
@@ -46,8 +47,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 
-from .decomposition import Piece, ReducibleMap, ReducingCurve
+from .cover import _gc_paused
+from .decomposition import Piece, ReducibleMap, _curves
 from .quadratic import ResourceLimit
 from .surfaces import Surface
 from .torus import _integer_matrix
@@ -57,9 +60,8 @@ HEAD = "head"
 HORIZONTAL = "horizontal"
 
 # pieces plus boundary circles of a refibered graph; at this size, on a 2-CPU
-# VM, the bounded chain (n = 83,331) takes about 5 s through ``fibercomm
-# staircase``, and a chain of 83,333 pieces about 7 s through the operation
-# and 10 s through ``fibercomm staircase``
+# VM, ``fibercomm staircase --format machine`` takes about 1 s on the bounded
+# chain (n = 83,331) and 4 s on a chain of 83,333 pieces, output written
 MAX_STAIRCASE_SIZE = 250_000
 
 
@@ -92,7 +94,7 @@ class Gluing:
     matrix: tuple  # maps side-a (section, fiber) coordinates to side-b
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _integer_matrix(self.matrix, "gluing %s: matrix" % (self.id,)))
+        object.__setattr__(self, "matrix", _integer_matrix(self.matrix, "gluing %s: matrix", self.id))
 
 
 @dataclass(frozen=True)
@@ -216,9 +218,14 @@ def refiber(manifold, plan):
     disconnected fiber (by the junction graph) is reported, not rejected.
     The cost is linear in the size of the manifold and of the graph.
 
-    This is the plan check too.  One walk over the pieces builds each
-    staircase, and one walk over the gluings checks each junction where
-    it builds the junction's curves.  Refused, in this order:
+    This is the plan check too.  One walk over the pieces reads each
+    plan entry once and builds one staircase per piece shape (surface,
+    sheet count, arcs and boundary names); a second lays out the graph
+    pieces, equal slots tuples shared, as by the copies of a piece that
+    falls apart; one walk over the gluings checks each junction where it
+    builds the junction's curves.  Unlike a lift's, the graph's names may
+    collide (copy ``A~0`` of ``A`` and a piece named ``A~0``), so it is
+    validated where it is read.  Refused, in this order:
 
     1. a graph of more than ``MAX_STAIRCASE_SIZE`` pieces and boundary
        circles, counted from the staircases that exist, with
@@ -230,63 +237,74 @@ def refiber(manifold, plan):
        many circles, in gluing order, in one message;
     4. the first gluing of shear 0, whose junction is trivially twisted.
     """
-    staircases, errors = {}, []
-    for p in manifold.pieces:
-        try:
-            if plan.of(p.id) is None:
-                raise ValueError("no plan entry")
-            staircases[p.id] = staircase_piece(p.surface, plan.of(p.id), p.boundaries)
-        except ValueError as e:
-            errors.append("piece %s: %s" % (p.id, e))
-    if sum(s.copies * (1 + s.surface.boundary_components) for s in staircases.values()) > MAX_STAIRCASE_SIZE:
-        raise ResourceLimit("the refibered graph has more than %d pieces and boundary circles" % MAX_STAIRCASE_SIZE)
-    if errors:
-        raise ValueError("inadmissible plan: " + "; ".join(errors))
+    with _gc_paused():
+        sheets, shapes, staircases, errors = {}, {}, {}, []
+        for p in manifold.pieces:
+            entry = plan.of(p.id)
+            if entry is None:
+                errors.append("piece %s: no plan entry" % p.id)
+                continue
+            sheets[p.id] = entry.n
+            # one staircase, or one fault, per shape; keyed on tuples, as the constructors take lists too
+            shape = p.surface, entry.n, tuple(map(tuple, entry.arcs)), tuple(p.boundaries)
+            if shape not in shapes:
+                try:
+                    shapes[shape] = staircase_piece(p.surface, entry, p.boundaries)
+                except ValueError as e:
+                    shapes[shape] = e
+            if isinstance(shapes[shape], ValueError):
+                errors.append("piece %s: %s" % (p.id, shapes[shape]))
+            else:
+                staircases[p.id] = shapes[shape]
+        if sum(s.copies * (1 + s.surface.boundary_components) for s in staircases.values()) > MAX_STAIRCASE_SIZE:
+            raise ResourceLimit("the refibered graph has more than %d pieces and boundary circles" % MAX_STAIRCASE_SIZE)
+        if errors:
+            raise ValueError("inadmissible plan: " + "; ".join(errors))
 
-    # graph pieces: one per staircase copy; circle i of a torus of a
-    # piece that falls apart into copies lies on copy i
-    pieces = []
-    slot_map = {}  # (piece id, torus, circle) -> (graph piece id, slot)
-    for p in manifold.pieces:
-        s = staircases[p.id]
-        for copy in range(s.copies):
-            gid = p.id if s.copies == 1 else "%s~%d" % (p.id, copy)
+        # graph pieces: one per staircase copy, equal slots tuples shared; circle i
+        # of a torus of a piece that falls apart lies on copy i, and a torus that
+        # lifts to several circles of one piece gives slots "torus~i"
+        pieces, ends, shared = [], {}, {}  # ends: glued torus -> (graph piece id, slot) of each circle
+        for p in manifold.pieces:
+            s = staircases[p.id]
+            gids = [p.id] if s.copies == 1 else ["%s~%d" % (p.id, copy) for copy in range(s.copies)]
             slots = []
             for b, lift in s.lifts.items():
-                circles = lift.count if s.copies == 1 else 1
-                for i in range(circles if (p.id, b) in manifold._glued else 0):
-                    slots.append(b if circles == 1 else "%s~%d" % (b, i))
-                    slot_map[p.id, b, copy + i] = (gid, slots[-1])
-            pieces.append(Piece(gid, s.surface, tuple(slots), s.surface.boundary_components - len(slots)))
+                if (p.id, b) in manifold._glued:
+                    names = [b] if s.copies > 1 or lift.count == 1 else ["%s~%d" % (b, i) for i in range(lift.count)]
+                    ends[p.id, b] = list(zip(gids, repeat(b)) if s.copies > 1 else zip(repeat(p.id), names))
+                    slots += names
+            slots = shared.setdefault(tuple(slots), tuple(slots))
+            pieces += [Piece(gid, s.surface, slots, s.surface.boundary_components - len(slots)) for gid in gids]
 
-    curves, uncalibrated, trivial, twists = [], [], [], {}  # twists: one shared Fraction per (-sigma, sheets)
-    for g in manifold.gluings:
-        la, lb = staircases[g.side_a[0]].lifts[g.side_a[1]], staircases[g.side_b[0]].lifts[g.side_b[1]]
-        ((a, sigma), (c, d)), (x, y) = g.matrix, la.slope
-        image = (a * x + sigma * y, c * x + d * y)
-        if image != lb.slope and image != (-lb.slope[0], -lb.slope[1]):  # carried up to sign
-            errors.append("gluing %s: image %r of slope %r does not match %r" % (g.id, image, la.slope, lb.slope))
-        elif la.count != lb.count:
-            errors.append("gluing %s: unequal sheet counts (%d and %d circles)" % (g.id, la.count, lb.count))
-        elif sigma == 0:
-            trivial.append(g.id)
-        else:
-            if (a, c, d) != (-1, 0, 1):  # outside the normal form
-                uncalibrated.append(g.id)
-            sheets = plan.of(g.side_a[0]).n * (1 if la.role == HORIZONTAL else plan.of(g.side_b[0]).n)
-            if (-sigma, sheets) not in twists:
-                twists[-sigma, sheets] = Fraction(-sigma, sheets)
-            twist = twists[-sigma, sheets]
-            for i in range(la.count):  # as many as lb.count, checked above
-                cid = g.id if la.count == 1 else "%s~%d" % (g.id, i)
-                curves.append(ReducingCurve(cid, slot_map[(*g.side_a, i)], slot_map[(*g.side_b, i)], twist))
-    if errors:
-        raise ValueError("inadmissible plan: " + "; ".join(errors))
-    if trivial:
-        raise ValueError("gluing %s produces a trivially twisted junction" % trivial[0])
-
-    phi = ReducibleMap(tuple(pieces), tuple(curves))
-    N = math.lcm(*[plan.of(p.id).n for p in manifold.pieces])
+        # the curves' fields, built in one C-level pass; one shared twist Fraction per (-sigma, sheets)
+        ids, ends_a, ends_b, twists, uncalibrated, trivial, by_shear = [], [], [], [], [], [], {}
+        for g in manifold.gluings:
+            la, lb = staircases[g.side_a[0]].lifts[g.side_a[1]], staircases[g.side_b[0]].lifts[g.side_b[1]]
+            ((a, sigma), (c, d)), (x, y) = g.matrix, la.slope
+            image = (a * x + sigma * y, c * x + d * y)
+            if image != lb.slope and image != (-lb.slope[0], -lb.slope[1]):  # carried up to sign
+                errors.append("gluing %s: image %r of slope %r does not match %r" % (g.id, image, la.slope, lb.slope))
+            elif la.count != lb.count:
+                errors.append("gluing %s: unequal sheet counts (%d and %d circles)" % (g.id, la.count, lb.count))
+            elif sigma == 0:
+                trivial.append(g.id)
+            else:
+                if (a, c, d) != (-1, 0, 1):  # outside the normal form
+                    uncalibrated.append(g.id)
+                key = -sigma, sheets[g.side_a[0]] * (1 if la.role == HORIZONTAL else sheets[g.side_b[0]])
+                if key not in by_shear:
+                    by_shear[key] = Fraction(*key)
+                ids += [g.id] if la.count == 1 else ["%s~%d" % (g.id, i) for i in range(la.count)]
+                ends_a += ends[g.side_a]  # as many circles as ends[g.side_b], checked above
+                ends_b += ends[g.side_b]
+                twists += [by_shear[key]] * la.count
+        if errors:
+            raise ValueError("inadmissible plan: " + "; ".join(errors))
+        if trivial:
+            raise ValueError("gluing %s produces a trivially twisted junction" % trivial[0])
+        phi = ReducibleMap(tuple(pieces), tuple(_curves(zip(ids, ends_a, ends_b, twists))))
+    N = math.lcm(*sheets.values())
 
     # fiber connectivity via union-find on the junction graph
     parent = {p.id: p.id for p in pieces}
@@ -297,8 +315,8 @@ def refiber(manifold, plan):
             x = parent[x]
         return x
 
-    for c in curves:
-        parent[find(c.end_a[0])] = find(c.end_b[0])
+    for (a, _), (b, _) in zip(ends_a, ends_b):
+        parent[find(a)] = find(b)
     connected = len({find(p.id) for p in pieces}) == 1
 
     boundary = sum(p.free_boundary for p in pieces)

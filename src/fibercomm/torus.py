@@ -41,18 +41,19 @@ def _trace(m):
     return m[0][0] + m[1][1]
 
 
-def _integer_matrix(matrix, name="matrix"):
+def _integer_matrix(matrix, name="matrix", *args):
     """``matrix`` as a tuple of rows, through the library's one GL(2, Z)
-    gate: 2x2 (read in one unpack), int entries, determinant +-1."""
+    gate: 2x2 (read in one unpack), int entries, determinant +-1.  A
+    refusal names it ``name % args``, formatted only then."""
     try:
         (a, b), (c, d) = matrix
     except (TypeError, ValueError):  # not a pair of pairs
-        raise ValueError("%s must be 2x2, got %r" % (name, matrix))
+        raise ValueError("%s must be 2x2, got %r" % (name % args, matrix))
     if bad := [x for x in (a, b, c, d) if type(x) is not int]:  # bools, floats and strings too
-        raise ValueError("%s entries must be integers, got %r" % (name, bad[0]))
+        raise ValueError("%s entries must be integers, got %r" % (name % args, bad[0]))
     det = a * d - b * c
     if det not in (1, -1):
-        raise ValueError("%s must have determinant +-1, got %d" % (name, det))
+        raise ValueError("%s must have determinant +-1, got %d" % (name % args, det))
     return ((a, b), (c, d))
 
 

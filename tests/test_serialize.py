@@ -2,6 +2,7 @@ import glob
 import importlib.util
 import json
 import os
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -259,6 +260,33 @@ def test_integers_past_the_digit_limit_are_refused_in_the_librarys_words(tmp_pat
     assert r.stderr == "malformed input: %s: the document holds an integer of more than 4300 digits\n" % path
 
 
+def test_a_rational_with_an_exponent_is_refused_before_it_is_read(tmp_path):
+    """``Fraction`` reads "1e100000000" as 10**100000000, which takes minutes
+    to build; the reader refuses every string that ends in an exponent, as
+    ``Fraction`` reads one, by its path, at once, read alone or in a column.
+    Any other string that ``Fraction`` refuses keeps Fraction's words."""
+    start = time.perf_counter()
+    for n in (6, 20):
+        for twist in ("1e100000000", "1E5", "-2.5e-3", "1.e5", ".5e1", "1_0e1_0", " +3e+2 ", "7e0", "1/2e5"):
+            doc = ser.reducible_doc(d_type_family(n, 2))
+            doc["curves"][1]["twist"] = twist
+            with pytest.raises(ValueError) as raised:
+                ser.reducible_from_doc(doc)
+            assert str(raised.value) == 'curves[1].twist: rational %r has an exponent: it is written "p/q" or "p"' % twist
+    assert time.perf_counter() - start < 1
+    for twist in ("1e5x", "e5", "1e5_", "1e"):
+        with pytest.raises(ValueError, match="^Invalid literal for Fraction: %r$" % twist):
+            ser.unrat(twist)
+    assert ser.unrat("3/4") == F(3, 4) and ser.unrat(" -12 ") == F(-12) and ser.unrat("1.5") == F(3, 2)
+    doc = ser.reducible_doc(d_type_family(2, 2))
+    doc["curves"][0]["twist"] = "1e100000000"
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    r = CliRunner().invoke(cli.main, ["invariants", str(path)])
+    assert (r.exit_code, r.stdout) == (2, "")
+    assert r.stderr == 'malformed input: curves[0].twist: rational \'1e100000000\' has an exponent: it is written "p/q" or "p"\n'
+
+
 # the encoder's oracle is the stdlib's indented encoder
 json_text = st.text(st.characters() | st.sampled_from('"\\/\x00\x08\x1f\n\t\x7f\u00e9\u2028\U0001f600'))
 json_values = st.recursive(
@@ -335,6 +363,7 @@ curves = st.builds(
     st.sampled_from(SHARED_TWISTS) | st.fractions(max_denominator=9),
 )
 graphs = st.builds(ReducibleMap, st.lists(pieces, max_size=3), st.lists(curves, max_size=4))
+SHARED_SLOTS = ("s", "t")  # one slots tuple of two pieces, written once, as a refibered graph's copies share one
 # a graph at the top level (power) and nested as in cover, normalize and staircase
 NESTINGS = (
     lambda g: g,
@@ -348,6 +377,8 @@ NESTINGS = (
 @given(graphs, st.sampled_from(NESTINGS))
 @example(ReducibleMap((), ()), NESTINGS[0])
 @example(ReducibleMap((Piece('"\\\n\u00e9', Surface(1, 1), ("s\n",), 0),), ()), NESTINGS[1])
+@example(ReducibleMap((Piece("a", Surface(1, 2), SHARED_SLOTS), Piece("b", Surface(2, 2), SHARED_SLOTS),
+                       Piece("c", Surface(1, 1), (), 1)), ()), NESTINGS[3])
 def test_graph_writers_match_dict_oracle(phi, nest):
     doc, oracle = nest(phi), nest(reducible_doc_by_dicts(phi))
     assert ser.canonical_dumps(doc) == json.dumps(oracle, sort_keys=True, indent=2) + "\n"

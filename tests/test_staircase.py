@@ -297,6 +297,70 @@ def test_refibered_curves_of_equal_twist_share_one_fraction():
     assert len(curves) == 59 and {c.twist for c in curves} == {F(1)}
 
 
+def test_pieces_of_one_shape_share_one_pair_and_one_slots_tuple():
+    """One staircase per piece shape: pieces glued alike share one slots
+    tuple, pieces of equal reciprocal-twist sums one pair, and the copies
+    of a piece that falls apart one slots tuple and one surface."""
+    pieces = tuple(BundlePiece("P%d" % i, Surface(1, 2), ("l", "r")) for i in range(60))
+    gluings = tuple(Gluing("g%d" % i, ("P%d" % i, "r"), ("P%d" % (i + 1), "l"), ((-1, -1), (0, 1))) for i in range(59))
+    phi = refiber(FiberedGraphManifold(pieces, gluings), RefiberPlan(tuple((p.id, PiecePlan(1)) for p in pieces))).map
+    inner = phi.pieces[1:-1]
+    assert len({id(p.slots) for p in inner}) == 1 and inner[0].slots == ("l", "r")
+    assert len({id(phi.pairs[p.id]) for p in inner}) == 1 and phi.pairs[inner[0].id] == (F(2), F(0))
+    assert phi.pairs["P0"] == phi.pairs["P59"] == (F(1), F(0)) and phi.pairs["P0"] is phi.pairs["P59"]
+    copies = [p for p in refiber(bounded_chain_manifold(), bounded_chain_plan(5)).map.pieces if p.id.startswith("S1~")]
+    assert len(copies) == 5 and len({id(p.slots) for p in copies}) == len({id(p.surface) for p in copies}) == 1
+
+
+def test_lists_refiber_as_tuples():
+    """Boundary names, plan entries and arcs given as lists, as the
+    constructors accept them, give the graph and report of tuples."""
+    m, plan = closed_chain_manifold(), closed_chain_alternate_plan()
+    listed = FiberedGraphManifold([BundlePiece(p.id, p.surface, list(p.boundaries)) for p in m.pieces], list(m.gluings))
+    listed_plan = RefiberPlan([(pid, PiecePlan(e.n, [list(arc) for arc in e.arcs])) for pid, e in plan.per_piece])
+    r, s = refiber(m, plan), refiber(listed, listed_plan)
+    assert s.map == r.map and (s.fiber, s.connected, s.monodromy_order) == (r.fiber, r.connected, r.monodromy_order)
+    assert InvariantReport.of(s.map) == InvariantReport.of(r.map)
+
+
+def test_a_faulty_shape_is_named_for_each_piece():
+    """One staircase per shape, but a shape's fault is reported for every
+    piece that has it, in piece order, beside a piece with no entry."""
+    pieces = tuple(BundlePiece(pid, Surface(1, 2), ("l", "r")) for pid in ("A", "B", "C", "D"))
+    gluings = (Gluing("g", ("A", "r"), ("B", "l"), ((-1, 1), (0, 1))),)
+    off = PiecePlan(2, (("l", "zz"),))
+    plan = RefiberPlan((("A", off), ("B", PiecePlan(1)), ("D", PiecePlan(2, [["l", "zz"]]))))
+    assert refused(FiberedGraphManifold(pieces, gluings), plan) == (
+        "inadmissible plan: piece A: arc endpoint 'zz' is not a boundary circle; piece C: no plan entry; "
+        "piece D: arc endpoint 'zz' is not a boundary circle"
+    )
+
+
+def test_refibered_names_that_collide_are_refused_by_validate():
+    """Unlike a lift's, refibered names can collide: a copy "A~0" beside
+    a piece named "A~0", and a slot "t~0" of a torus that lifts to two
+    circles beside a torus named "t~0".  ``validate`` refuses both."""
+    shear = ((-1, 1), (0, 1))
+    a = BundlePiece("A", Surface(1, 1), ("t",))
+    m = FiberedGraphManifold((a, BundlePiece("A~0", Surface(1, 3), ("t", "x", "y"))),
+                             (Gluing("j", ("A", "t"), ("A~0", "t"), shear),))
+    phi = refiber(m, RefiberPlan((("A", PiecePlan(2)), ("A~0", PiecePlan(2, (("x", "y"),)))))).map
+    assert [p.id for p in phi.pieces] == ["A~0", "A~1", "A~0"]
+    with pytest.raises(ValueError, match=r"^invalid decomposition graph: duplicate piece ids$"):
+        InvariantReport.of(phi)
+    b, c = BundlePiece("B", Surface(1, 3), ("t", "t~0", "x")), BundlePiece("C", Surface(1, 2), ("s", "z"))
+    m = FiberedGraphManifold((a, b, c), (Gluing("j", ("B", "t"), ("A", "t"), shear),
+                                         Gluing("k", ("B", "t~0"), ("C", "s"), ((3, 4), (2, 3)))))
+    plan = RefiberPlan((("A", PiecePlan(2)), ("B", PiecePlan(2, (("t~0", "x"),))), ("C", PiecePlan(2, (("z", "s"),)))))
+    phi = refiber(m, plan).map
+    assert phi.piece("B").slots == ("t~0", "t~1", "t~0")
+    with pytest.raises(ValueError) as e:
+        InvariantReport.of(phi)
+    assert str(e.value) == (
+        "invalid decomposition graph: piece B repeats slot t~0; slot B.t~0 used by 2 curve ends (expected 1)"
+    )
+
+
 def test_uncalibrated_gluing_flagged():
     pieces = (
         BundlePiece("A", Surface(1, 1), ("t",)),
