@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from .cover import _gc_paused
 from .decomposition import _add, _fraction, _mul, _pair, validate_or_raise
 
 FULL = "full"
@@ -64,8 +65,9 @@ class InvariantReport:
 
     @staticmethod
     def of(phi):
-        validate_or_raise(phi)
-        return InvariantReport(frozenset(phi.normalized.items()), phi.dilatation_set, phi.chi)
+        with _gc_paused():  # the check and the tables allocate tuples per piece and curve, and free no cycle
+            validate_or_raise(phi)
+            return InvariantReport(frozenset(phi.normalized.items()), phi.dilatation_set, phi.chi)
 
 
 @dataclass(frozen=True)

@@ -373,9 +373,8 @@ def _writer(quote, word, brackets, comma, head):
 
     @functools.cache
     def templates(depth):
-        """A curve and a periodic piece of a graph at ``depth``, each field a
-        ``%s``: written from a curve and a piece whose every field is a hole,
-        the piece's slots, a list, filled in as their own text."""
+        """A curve and a periodic piece of a graph at ``depth``, each field a ``%s``: written
+        from ones whose every field is a hole, the piece's slots list filled in as its own text."""
         hole, slots = "\0", ("\1",)
         curve = written({"end_a": (hole, hole), "end_b": (hole, hole), "id": hole, "twist": hole}, depth)
         piece = written({"boundary": hole, "dilatation": None, "free_boundary": hole, "genus": hole, "id": hole,
