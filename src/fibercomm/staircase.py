@@ -94,7 +94,7 @@ class Gluing:
     matrix: tuple  # maps side-a (section, fiber) coordinates to side-b
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _integer_matrix(self.matrix, "gluing %s: matrix", self.id))
+        object.__setattr__(self, "matrix", _integer_matrix(self.matrix, "gluing %s: matrix", (self.id,)))
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ def _trace(m):
     return m[0][0] + m[1][1]
 
 
-def _integer_matrix(matrix, name="matrix", *args):
+def _integer_matrix(matrix, name="matrix", args=()):
     """``matrix`` as a tuple of rows, through the library's one GL(2, Z)
     gate: 2x2 (read in one unpack), int entries, determinant +-1.  A
     refusal names it ``name % args``, formatted only then."""
