@@ -13,8 +13,9 @@ both output formats, on:
   an entry, ``spectrum`` at the document's radius and at 5), and
   ``corpus verify`` on that corpus;
 * malformed and refused inputs: repeated names in a graph manifold or a
-  graph, a torus shared by two gluings, a plan that misses a piece,
-  junctions whose sides lift to different numbers of circles, staircases
+  graph, a torus shared by two gluings, a gluing of a torus to itself,
+  a plan that misses a piece, junctions whose sides lift to different
+  numbers of circles, staircases
   at and past the size limit (the bounded chain at n = 83,331 and
   83,332, and chains of 83,333 and 83,334 genus-1 two-torus pieces at
   n = 1), refibered names that collide (a copy ``A~0`` of a piece ``A``
@@ -41,7 +42,10 @@ both output formats, on:
   without a partition, the partition (3, -1) at every slot, a partition
   that does not sum to the degree, too few free partitions, a free
   partition (2, 0), unequal local degrees across a curve, a piece
-  without cover data, and components that fit no surface;
+  without cover data, and components that fit no surface; ``cover`` of
+  a two-piece graph by its double cover with no component listed for
+  one piece and for both, and of a graph of two such parts with no
+  component listed for both pieces of one part;
   ``invariants`` on a two-piece graph with duplicate piece ids,
   duplicate curve ids, no curves, a piece of chi 0, a boundary count
   that does not add up, a twist "0" (also on a curve whose id holds an
@@ -151,7 +155,8 @@ def edge_runs():
     for name, edit in (("repeated_torus", lambda d: d["pieces"][0].update(boundary_tori=["f", "f"])),
                        ("repeated_piece", lambda d: d["pieces"][1].update(id="S1")),
                        ("repeated_gluing", lambda d: d["gluings"][1].update(id="f")),
-                       ("shared_torus", lambda d: d["gluings"][1].update(side_a=["S1", "f"]))):
+                       ("shared_torus", lambda d: d["gluings"][1].update(side_a=["S1", "f"])),
+                       ("self_glued_torus", lambda d: d["gluings"][1].update(side_b=["S2", "g"]))):
         m = copy.deepcopy(manifold)
         edit(m)
         staircase(name, m, plan2)
@@ -254,7 +259,7 @@ def edge_runs():
                        ("shear_0_and_slope_mismatch", edited(manifold, (("gluings", 0, "matrix"), no_shear),
                                                              (("gluings", 1, "matrix"), no_shear)), plan2)):
         staircase(name, m, p)
-    runs += cover_fault_runs() + graph_fault_runs()
+    runs += cover_fault_runs() + empty_list_runs() + graph_fault_runs()
     # an exact stretch factor (3 + sqrt 5) / 2: printed at k = 1, too long to print at
     # k = 10288, and refused before the power is computed at k = 10809
     exact = edited(FAULT_BASE, (("pieces", 0, "dilatation"), {"kind": "exact", "unit": {"D": 5, "a": "3/2", "b": "1/2"}}))
@@ -293,12 +298,16 @@ def edited(doc, *edits):
     return doc
 
 
-# two pieces joined by two curves
-FAULT_BASE = {"type": "reducible_map",
-              "pieces": [{"id": p, "genus": 1, "boundary": 2, "slots": [p + "1", p + "2"], "free_boundary": 0,
-                          "dilatation": None} for p in ("a", "b")],
-              "curves": [{"id": "c%d" % i, "end_a": ["a", "a%d" % i], "end_b": ["b", "b%d" % i], "twist": "1"}
-                         for i in (1, 2)]}
+def two_pieces(x, y, c):
+    """Pieces x and y, of genus 1 with two slots each, joined by curves c1 and c2."""
+    return {"type": "reducible_map",
+            "pieces": [{"id": p, "genus": 1, "boundary": 2, "slots": [p + "1", p + "2"], "free_boundary": 0,
+                        "dilatation": None} for p in (x, y)],
+            "curves": [{"id": "%s%d" % (c, i), "end_a": [x, "%s%d" % (x, i)], "end_b": [y, "%s%d" % (y, i)],
+                        "twist": "1"} for i in (1, 2)]}
+
+
+FAULT_BASE = two_pieces("a", "b", "c")
 
 
 def graph_fault_runs():
@@ -315,6 +324,21 @@ def graph_fault_runs():
                         ("missing_slot", ((("curves", 0, "end_b"), ["b", "z"]),)),
                         ("slot_used_twice", ((("curves", 1, "end_b"), ["b", "b1"]),))):
         runs.append((["invariants", name], {name: edited(FAULT_BASE, *edits)}))
+    return runs
+
+
+def empty_list_runs():
+    """``cover`` by the double cover with no component listed for piece a
+    of ``FAULT_BASE``, for pieces a and b, and for a and b in a graph of
+    two parts, ``FAULT_BASE`` beside pieces d and e."""
+    other = two_pieces("d", "e", "f")
+    parts = {**FAULT_BASE, "pieces": FAULT_BASE["pieces"] + other["pieces"],
+             "curves": FAULT_BASE["curves"] + other["curves"]}
+    runs = []
+    for graph, name, emptied in ((FAULT_BASE, "empty_a", (0,)), (FAULT_BASE, "empty_a_b", (0, 1)),
+                                 (parts, "two_parts_empty_a_b", (0, 1))):
+        covering = edited(double_cover(graph), *((("pieces", i, "components"), []) for i in emptied))
+        runs.append((["cover", name + ".graph", name], {name + ".graph": graph, name: covering}))
     return runs
 
 

@@ -188,9 +188,6 @@ def run_operation(op, docs, args):
             raise ValueError("%s takes %d input documents, got %d" % (op, len(kinds), len(docs)))
         parsed = [getattr(ser, kind + "_from_doc")(doc) for kind, doc in zip(kinds, docs)]
         parsed += ser.args_from_doc(args, names)
-    except ValueError as e:
-        raise MalformedInput(e) from e
-    try:
         return run(*parsed)
     except ValueError as e:
         raise MalformedInput(e) from e

@@ -15,19 +15,21 @@ degree-l component over a piece S satisfies
     A(lift, component) = l * A(phi, S),
     A / -chi unchanged.
 
-``lift_cover`` checks the cover in the one walk that lifts it and
-refuses, in this order, on component faults, on curves whose ends'
-local degrees differ, on a component no surface fits, and on an empty
-reducing system; the lift is then valid by construction and carries
-its pair table in the closed form above, which ``verify_cover_laws``
-rechecks from the curves.  Implicit free circles (``free_partitions``
-of None) are counted, never built.
+``lift_cover`` checks the cover in the one walk that lifts it, solving
+each component's surface where it counts its boundary circles, and
+refuses, in this order, on component faults (a piece with no component,
+its entry missing or empty, is one), on curves whose ends' local
+degrees differ, and on a component no surface fits; the lift is then
+valid by construction and carries its pair table in the closed form
+above, which ``verify_cover_laws`` rechecks from the curves.  Implicit
+free circles (``free_partitions`` of None) are counted, never built.
 
 ``normalize_unit_twists`` is the reduction of a D-type map (all pieces
 periodic) to one all of whose twists are +1 or -1: first a power making
 every twist an integer, then a cover whose local degrees cancel the
-integer twists.  Its degree, L or 2L, is chosen by the same surface
-test before the one lift.
+integer twists.  Its degree, L or 2L, is chosen from the pieces alone
+by the same genus law, ``_surface``, so its cover is built and lifted
+once.
 """
 
 from __future__ import annotations
@@ -56,17 +58,22 @@ from .surfaces import Surface
 MAX_LIFTED_CURVES = 200_000  # normalize then takes about 1.4 s and 310 MB on a 2-CPU VM
 
 
-@contextlib.contextmanager
-def _gc_paused():
+class _gc_paused(contextlib.ContextDecorator):
     """Cyclic garbage collection paused for a block that allocates many
-    tracked objects and frees no cycle: a lift, or a document read."""
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if collecting:
+    tracked objects and frees no cycle: a lift, or a document read.  A
+    function it decorates pauses it per call, each with its own instance,
+    so that nested uses each restore what they found."""
+
+    def __enter__(self):
+        self.collecting = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc):
+        if self.collecting:
             gc.enable()
+
+    def _recreate_cm(self):
+        return _gc_paused()
 
 
 @dataclass(frozen=True)
@@ -105,29 +112,13 @@ class CoveringData:
         return self._by_piece[pid]
 
 
-def _covered_surfaces(phi, c):
-    """(surfaces, error): the surface of every component of ``c``, piece
-    by piece, or the error text of the first component no surface fits.
-
-    A component's chi is its degree times the piece's, its boundary count
-    the number of preimage circles; the genus solves the rest.  ``c``
-    must pass the checks of ``lift_cover``'s walk.
-    """
-    surfaces = []
-    for p in phi.pieces:
-        for comp in c.of(p.id):
-            chi = comp.degree * p.surface.chi
-            boundary = sum(len(comp.partition(s)) for s in p.slots)
-            if comp.free_partitions is None:
-                boundary += comp.degree * p.free_boundary
-            else:
-                boundary += sum(len(f) for f in comp.free_partitions)
-            twice_genus = 2 - chi - boundary
-            if twice_genus < 0 or twice_genus % 2 != 0:
-                return None, "piece %s: no surface with chi = %d and %d boundary circles" % (
-                    p.id, chi, boundary)
-            surfaces.append(Surface(twice_genus // 2, boundary))
-    return surfaces, None
+def _surface(chi, boundary):
+    """The surface of Euler characteristic ``chi`` with ``boundary``
+    circles, or None when its genus would be negative or a half-integer."""
+    twice_genus = 2 - chi - boundary
+    if twice_genus < 0 or twice_genus % 2 != 0:
+        return None
+    return Surface(twice_genus // 2, boundary)
 
 
 def _ends_by_runs(runs):
@@ -147,15 +138,17 @@ def lift_cover(phi, c):
     """The covered decomposition graph, valid by construction.
 
     One walk over the pieces, their components and their slots checks
-    the cover where it reads each partition, and gathers the lifted slot
+    the cover where it reads each partition, gathers the lifted slot
     names and the runs of local degree that pair preimage circles, by
-    sorted degree, across each curve.  The refusal, a ``ValueError``, is
-    the first of: (1) every component fault, in one "inadmissible cover"
-    message; (2) otherwise every curve whose ends' local degrees differ,
-    compared once from the counts that pair its preimages, in that
-    message; (3) otherwise the first component no surface fits
-    (``_covered_surfaces``); (4) otherwise an empty reducing system, when
-    no component lies over a piece with a slot.
+    sorted degree, across each curve, and solves the surface of each
+    component, once no fault has been found, from its chi and its count
+    of preimage circles (``_surface``).  The refusal, a ``ValueError``,
+    is the first of: (1) every component fault, in one "inadmissible
+    cover" message, a piece whose entry is missing or lists no component
+    being one ("no cover data for piece ..."); (2) otherwise every curve
+    whose ends' local degrees differ, compared once from the counts that
+    pair its preimages, in that message; (3) otherwise the first
+    component no surface fits.
 
     Each preimage curve of local degree d carries twist I/d, one
     ``Fraction`` per base curve and degree, and the graph its pair table
@@ -168,6 +161,9 @@ def lift_cover(phi, c):
       its last ``~`` into a base id and an index;
     * distinct curve ids, ``"%s~%d"`` names over the distinct base ids;
     * chi = l * chi(S) < 0, and the boundary count the surface solves;
+    * a nonempty reducing system: every piece has a component of degree
+      at least 1, so every slot partition is nonempty, and the matched
+      local degrees give each curve of ``phi`` at least one preimage;
     * nonzero twists I/d, each a ``Fraction`` as I is;
     * each lifted slot used once, as its base slot is, since the matched
       degree lists of a base curve's two ends have equal length.
@@ -183,12 +179,11 @@ def lift_cover(phi, c):
         return list(map(("%s~" % (prefix,)).__add__, islice(digits, n)))
 
     with _gc_paused():
-        errors, components, pairs, curves = [], [], {}, []
+        errors, unfit, pieces, pairs, curves = [], None, [], {}, []
         runs_at = {}  # (pid, slot) -> runs (local degree, lifted piece id, lifted slot names)
         for p in phi.pieces:
-            try:
-                comps = c.of(p.id)
-            except KeyError:
+            comps = c._by_piece.get(p.id)
+            if not comps:  # none given, or an empty list: the piece has no preimage either way
                 errors.append("no cover data for piece %s" % p.id)
                 continue
             a, b = phi.pairs[p.id]
@@ -212,16 +207,24 @@ def lift_cover(phi, c):
                         [(part[0], new_id, names)] if len(degrees) == 1 else
                         ((d, new_id, list(compress(names, map(eq, repeat(d), part)))) for d in degrees))
                 if comp.free_partitions is None:  # all ones, counted rather than built
+                    free = comp.degree * p.free_boundary
                     if comp.degree < 0:  # (1,) * degree is then no partition of the degree
                         errors += [where + ": bad free partition ()"] * p.free_boundary
                 elif len(comp.free_partitions) != p.free_boundary:
                     errors.append("%s: %d free partitions for %d free circles"
                                   % (where, len(comp.free_partitions), p.free_boundary))
                 else:
+                    free = sum(map(len, comp.free_partitions))
                     for part in comp.free_partitions:
                         if sum(part) != comp.degree or min(part, default=1) < 1:
                             errors.append("%s: bad free partition %r" % (where, part))
-                components.append((new_id, tuple(slots), p.dilatation))
+                if errors:  # no surface is solved for a component with a fault
+                    continue
+                chi, boundary = comp.degree * p.surface.chi, len(slots) + free
+                surface = _surface(chi, boundary)
+                if surface is None:
+                    unfit = unfit or "piece %s: no surface with chi = %d and %d boundary circles" % (p.id, chi, boundary)
+                pieces.append(Piece(new_id, surface, tuple(slots), free, p.dilatation))
                 pairs[new_id] = (a * comp.degree, b * comp.degree)
         for curve in [] if errors else phi.curves:  # compared over admissible components only
             counts, side_a = _ends_by_runs(runs_at.get(curve.end_a, []))
@@ -234,15 +237,10 @@ def lift_cover(phi, c):
             for d, n in counts.items():
                 twists += [curve.twist / d] * n
             curves += _curves(zip(numbered(curve.id, len(side_a)), side_a, side_b, twists))
-        if errors:
-            raise ValueError("inadmissible cover: " + "; ".join(errors))
-        surfaces, error = _covered_surfaces(phi, c)
-        if error:
-            raise ValueError(error)
-        pieces = [Piece(new_id, surface, slots, surface.boundary_components - len(slots), dilatation)
-                  for (new_id, slots, dilatation), surface in zip(components, surfaces)]
-    if not curves:
-        raise ValueError("invalid decomposition graph: reducing system is empty")
+    if errors:
+        raise ValueError("inadmissible cover: " + "; ".join(errors))
+    if unfit:
+        raise ValueError(unfit)
     lifted = ReducibleMap(tuple(pieces), tuple(curves))
     vars(lifted).update(pairs=pairs, errors=[])  # the graph's cached tables, known here
     return lifted
@@ -302,11 +300,13 @@ def normalize_unit_twists(phi):
     with every slot partition cut into equal parts of size d) divides
     each twist back down to +-1.  When some covered piece at degree L
     has no surface (its genus would be negative or a half-integer), the
-    degree is 2L; the choice is made before lifting, by the genus test
-    ``lift_cover`` applies, so the graph is lifted once.  A cover of
-    more than ``MAX_LIFTED_CURVES`` lifted curves is refused before it
-    is built.  Returns the normalized graph and the (power, cover)
-    certificate.
+    degree is 2L.  The choice is read from the pieces alone, by the
+    genus law ``lift_cover`` applies: a degree-L component over S has
+    chi = L * chi(S) and, over each slot facing a twist of absolute
+    value d, L/d boundary circles, besides L per free circle of S.  The
+    cover is then built once and lifted once; one of more than
+    ``MAX_LIFTED_CURVES`` lifted curves is refused before it is built.
+    Returns the normalized graph and the (power, cover) certificate.
     """
     validate_or_raise(phi)
     for p in phi.pieces:
@@ -319,24 +319,14 @@ def normalize_unit_twists(phi):
         vars(phim)["pairs"] = {pid: (a / m, b / m) for pid, (a, b) in phi.pairs.items()}
     d_of = {c.id: abs(int(c.twist)) for c in phim.curves}
     L = math.lcm(*d_of.values())
-
-    def build(L):
-        if sum(L // d for d in d_of.values()) > MAX_LIFTED_CURVES:
-            raise ResourceLimit("the unit-twist cover lifts to more than %d curves" % MAX_LIFTED_CURVES)
-        comps = []
-        for p in phim.pieces:
-            parts = []
-            for slot in p.slots:
-                d = d_of[phim.curve_at(p.id, slot).id]
-                parts.append((slot, (d,) * (L // d)))
-            comps.append((p.id, (ComponentCover(L, tuple(parts)),)))
-        return CoveringData(tuple(comps))
-
-    cover = build(L)
-    if _covered_surfaces(phim, cover)[1]:
-        # build(L) is admissible by construction, so only a surface can fail;
-        # lift_cover raises when 2L fits no surface either
-        cover = build(2 * L)
+    d_at = {p.id: [(slot, d_of[phim.curve_at(p.id, slot).id]) for slot in p.slots] for p in phim.pieces}
+    if any(_surface(L * p.surface.chi, sum(L // d for _, d in d_at[p.id]) + L * p.free_boundary) is None
+           for p in phim.pieces):
+        L *= 2  # lift_cover refuses when 2L fits no surface either
+    if sum(L // d for d in d_of.values()) > MAX_LIFTED_CURVES:
+        raise ResourceLimit("the unit-twist cover lifts to more than %d curves" % MAX_LIFTED_CURVES)
+    cover = CoveringData(tuple((p.id, (ComponentCover(L, tuple((slot, (d,) * (L // d)) for slot, d in d_at[p.id])),))
+                               for p in phim.pieces))
     normalized = lift_cover(phim, cover)
     assert all(abs(t) == 1 for t in _distinct_twists(normalized.curves).values())
     return normalized, NormalizationCertificate(m, cover)

@@ -113,6 +113,8 @@ class FiberedGraphManifold:
                 if torus not in tori:
                     raise ValueError("gluing %s references missing torus %s.%s" % (g.id, *torus))
                 if torus in glued:
+                    if g.side_a == g.side_b:
+                        raise ValueError("gluing %s glues torus %s.%s to itself" % (g.id, *torus))
                     raise ValueError("torus %s.%s used by two gluings" % torus)
                 glued.add(torus)
         object.__setattr__(self, "_glued", glued)

@@ -432,12 +432,14 @@ def cover_faults_by_scan(phi, c):
     """The faults that make ``c`` an inadmissible cover of ``phi``, each
     in the words of ``cover.lift_cover``'s refusal.
 
-    The first entry of a repeated piece or slot counts.  Per component:
-    a degree of at least 1; for every slot, a partition of the degree
-    (entries at least 1, summing to it); one partition of it per free
-    circle, all ones when implicit.  Only when no component has a fault,
-    since a local degree means nothing without its partition: the
-    sorted local degrees of the two ends of every curve are equal.
+    The first entry of a repeated piece or slot counts, and a piece
+    whose entry is missing or lists no component has no cover data.
+    Per component: a degree of at least 1; for every slot, a partition
+    of the degree (entries at least 1, summing to it); one partition of
+    it per free circle, all ones when implicit.  Only when no component
+    has a fault, since a local degree means nothing without its
+    partition: the sorted local degrees of the two ends of every curve
+    are equal.
     """
     def is_partition(part, n):
         return sum(part) == n and all(d >= 1 for d in part)
@@ -447,7 +449,7 @@ def cover_faults_by_scan(phi, c):
         comps_of.setdefault(pid, comps)
     parts_of = {}  # (pid, slot) -> the local degrees over it, component by component
     for p in phi.pieces:
-        if p.id not in comps_of:
+        if not comps_of.get(p.id):  # a piece listed with no component has no preimage either
             faults.append("no cover data for piece %s" % p.id)
             continue
         for j, comp in enumerate(comps_of[p.id]):

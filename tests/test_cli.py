@@ -457,8 +457,13 @@ def test_operation_arguments_are_read_by_the_schema():
         ("spectrum_min", [query], {"radius": True}, "args.radius: expected int, got True"),
         ("compare", [graph], {}, "compare takes 2 input documents, got 1"),
     ):
-        with pytest.raises(cli.MalformedInput, match="^" + re.escape(message)):
+        with pytest.raises(cli.MalformedInput, match="^" + re.escape(message)) as e:
             cli.run_operation(op, docs, args)
+        assert isinstance(e.value.__cause__, ValueError)
+    # a refusal of the computation is malformed input too, caused by the library's ValueError
+    with pytest.raises(cli.MalformedInput, match="^inadmissible cover: no cover data for piece") as e:
+        cli.run_operation("cover", [graph, {"type": "covering_data", "pieces": []}], {})
+    assert type(e.value.__cause__) is ValueError
     # unknown keys are ignored, and a power is exact
     doubled = cli.run_operation("power", [graph], {"k": 2, "note": "x"})
     assert all(type(c.twist) is F for c in doubled.curves)
@@ -880,6 +885,16 @@ def test_a_torus_glued_twice_is_refused(tmp_path):
     plan = write(tmp_path / "p.json", ser.plan_doc(bounded_chain_plan(2)))
     r = run("staircase", write(tmp_path / "m.json", manifold), plan)
     assert (r.exit_code, r.stdout, r.stderr) == (2, "", "malformed input: torus S1.f used by two gluings\n")
+
+
+def test_a_torus_glued_to_itself_is_refused(tmp_path):
+    plan = write(tmp_path / "p.json", ser.plan_doc(bounded_chain_plan(2)))
+    for sides, message in (((["S2", "e2"], ["S2", "e2"]), "gluing g glues torus S2.e2 to itself"),
+                           ((["S2", "x"], ["S2", "x"]), "gluing g references missing torus S2.x")):
+        manifold = ser.manifold_doc(bounded_chain_manifold())
+        manifold["gluings"][1]["side_a"], manifold["gluings"][1]["side_b"] = sides
+        r = run("staircase", write(tmp_path / "m.json", manifold), plan)
+        assert (r.exit_code, r.stdout, r.stderr) == (2, "", "malformed input: %s\n" % message)
 
 
 def test_duplicate_curve_ids_are_refused(tmp_path):

@@ -178,14 +178,16 @@ def test_corrupted_partition_rejected():
     )
     with pytest.raises(ValueError, match="not a partition"):
         lift_cover(phi, bad)
+    # a's component fits no surface (chi = -2, one circle), and the curve's mismatch is named first
     mismatched = CoveringData(
         (
             ("a", (ComponentCover(2, (("s", (2,)),)),)),
             ("b", (ComponentCover(2, (("t", (1, 1)),)),)),
         )
     )
-    with pytest.raises(ValueError, match="local degrees"):
+    with pytest.raises(ValueError) as e:
         lift_cover(phi, mismatched)
+    assert str(e.value) == "inadmissible cover: curve c: local degrees [2] vs [1, 1] do not match"
     # entries at least 1: (3, -1) sums to 2, and at both ends the local degrees match
     negative = CoveringData(
         (
@@ -207,8 +209,9 @@ def test_inadmissible_genus_reported():
             ("b", (ComponentCover(2, (("t", (2,)),)),)),
         )
     )
-    with pytest.raises(ValueError, match="no surface"):
+    with pytest.raises(ValueError) as e:
         lift_cover(phi, impossible)
+    assert str(e.value) == "piece a: no surface with chi = -2 and 1 boundary circles"
 
 
 def test_normalize_examples():
@@ -353,6 +356,20 @@ def test_degree_zero_component_reports_degree():
     with pytest.raises(ValueError, match="piece a component 0: degree < 1") as e:
         lift_cover(phi, empty)
     assert "not a partition" not in str(e.value)
+    # degree -3 over a pair of pants: its implicit free circles would count -5 boundary
+    # circles, with an even genus, so no surface may be solved for a faulty component
+    pants = ReducibleMap(
+        (Piece("A", Surface(0, 3), ("s",), 2), Piece("B", Surface(1, 1), ("t",))),
+        (ReducingCurve("c", ("A", "s"), ("B", "t"), F(1)),),
+    )
+    c = CoveringData((("A", (ComponentCover(-3, (("s", (-3,)),)),)), ("B", (ComponentCover(1, (("t", (1,)),)),))))
+    with pytest.raises(ValueError) as e:
+        lift_cover(pants, c)
+    assert str(e.value) == (
+        "inadmissible cover: piece A component 0: degree < 1; "
+        "piece A component 0 slot s: (-3,) is not a partition of -3; "
+        "piece A component 0: bad free partition (); piece A component 0: bad free partition ()")
+    assert gc.isenabled()
 
 
 def test_missing_cover_data_reported():
@@ -362,6 +379,29 @@ def test_missing_cover_data_reported():
         lift_cover(phi, c)
     assert "piece a component 0: no partition for slot s" in str(e.value)
     assert "no cover data for piece b" in str(e.value)
+    # a piece listed with no component has no preimage, as one left out has; the first entry wins
+    one_s, one_t = (ComponentCover(1, (("s", (1,)),)),), (ComponentCover(1, (("t", (1,)),)),)
+    for components, expected in (
+        ((("a", ()), ("b", one_t)), "no cover data for piece a"),
+        ((("a", ()), ("a", one_s), ("b", one_t)), "no cover data for piece a"),
+        ((("a", one_s), ("a", ()), ("b", one_t)), None),
+    ):
+        c = CoveringData(components)
+        got = outcome(lift_cover, phi, c)
+        assert cover_faults_by_scan(phi, c) == ([expected] if expected else [])
+        if expected:
+            assert got == "ValueError: inadmissible cover: " + expected
+        else:
+            assert validate(got) == []
+    # two parts A-B and C-D: with A's and B's lists empty, C-D alone is no lift of the graph
+    parts = ReducibleMap(
+        tuple(Piece(pid, Surface(1, 1), ("s",)) for pid in "ABCD"),
+        (ReducingCurve("c", ("A", "s"), ("B", "s"), F(1)), ReducingCurve("e", ("C", "s"), ("D", "s"), F(1))),
+    )
+    c = CoveringData((("A", ()), ("B", ()), ("C", one_s), ("D", one_s)))
+    with pytest.raises(ValueError) as e:
+        lift_cover(parts, c)
+    assert str(e.value) == "inadmissible cover: no cover data for piece A; no cover data for piece B"
 
 
 def test_first_entry_of_a_repeated_key_wins():
@@ -435,8 +475,14 @@ def test_normalization_matches_retry_oracle():
 
 
 def test_normalization_lifts_once(monkeypatch):
-    lifts = []
+    """One cover built, no trial one at degree L before 2L, and one lift;
+    the certificate is the retry oracle's."""
+    lifts, built = [], []
     lift = cover.lift_cover
+
+    def counted_cover(*args):
+        built.append(args)
+        return CoveringData(*args)
 
     def counted(phi, c):
         try:
@@ -448,11 +494,13 @@ def test_normalization_lifts_once(monkeypatch):
         return lifted
 
     monkeypatch.setattr(cover, "lift_cover", counted)
+    monkeypatch.setattr(cover, "CoveringData", counted_cover)
     rng = random.Random(59)
     for phi in doubled_cover_layouts(6) + [random_d_type_map(rng, max_part=6) for _ in range(30)]:
-        del lifts[:]
-        normalize_unit_twists(phi)
-        assert lifts == ["ok"]
+        del lifts[:], built[:]
+        _, cert = normalize_unit_twists(phi)
+        assert lifts == ["ok"] and len(built) == 1
+        assert cert == normalize_by_retry(phi)[1]
 
 
 def random_cover(rng, phi, n):
@@ -673,12 +721,38 @@ def test_cover_with_no_curves_is_refused():
         ),
         (ReducingCurve("c", ("a", "s"), ("b", "t"), F(1)),),
     )
-    for free_piece in ((), (ComponentCover(2, ()),)):
+    for free_piece, also in (((), "; no cover data for piece f"), ((ComponentCover(2, ()),), "")):
         c = CoveringData((("a", ()), ("b", ()), ("f", free_piece)))
         with pytest.raises(ValueError) as e:
             lift_cover(phi, c)
-        assert str(e.value) == "invalid decomposition graph: reducing system is empty"
+        assert str(e.value) == "inadmissible cover: no cover data for piece a; no cover data for piece b" + also
+        assert str(e.value) == "inadmissible cover: " + "; ".join(cover_faults_by_scan(phi, c))
         assert gc.isenabled()
+
+
+def test_gc_pause_nests_and_restores():
+    """Each use of ``_gc_paused``, a block or a decorated call, restores
+    the state it found, also when uses nest or a call raises."""
+    states = []
+
+    @cover._gc_paused()
+    def nested(depth):
+        states.append(gc.isenabled())
+        if not depth:
+            raise ValueError("innermost")
+        nested(depth - 1)
+
+    assert gc.isenabled()
+    with pytest.raises(ValueError):
+        nested(2)
+    assert states == [False] * 3 and gc.isenabled()
+    gc.disable()
+    try:
+        with cover._gc_paused():
+            pass
+        assert not gc.isenabled()  # a pause entered with collection off leaves it off
+    finally:
+        gc.enable()
 
 
 def random_partition(rng, n):
