@@ -60,7 +60,12 @@ both output formats, on:
   the reader; ``invariants`` of a graph with a 5000-digit twist, as a
   string and as a JSON integer literal, refused by the reader; and
   ``invariants`` of a graph with the twist "1e100000", whose exponent
-  the reader refuses.
+  the reader refuses;
+* ``corpus verify`` on crafted corpora of one entry each (the command
+  stops at the first malformed entry), reaching refusals that only a
+  corpus entry reaches: branch data of odd chi, of degree 0 and with a
+  branch point that is no partition of the degree, and singularity data
+  with an entry of 2 prongs and with a repeated prong number.
 
 Each run prints one line: the exit code, the sha256 of stdout and of
 stderr, an uncaught exception's type if there was one, and the
@@ -367,6 +372,24 @@ def cover_fault_runs():
         runs.append((["cover", "free_circles", name], {"free_circles": graph, name: edited(double, *edits)}))
     return runs
 
+
+def crafted_corpora():
+    """(name, documents, operation) of the entry of each crafted corpus."""
+
+    def branch(degree, points):
+        return {"x": {"type": "branch_data", "degree": degree, "branch_points": points}}
+
+    def pa(delta):
+        return {"x": {"type": "pa_data", "dilatation": None, "delta": delta},
+                "y": {"type": "pa_data", "dilatation": None, "delta": [[4, 1]]}}
+
+    return [("odd_chi", branch(2, [[2]]), "branch_delta"),
+            ("branch_degree_0", branch(0, []), "branch_delta"),
+            ("not_a_partition", branch(2, [[1]]), "branch_delta"),
+            ("bad_singularity_entry", pa([[2, 1]]), "pa_obstruction"),
+            ("repeated_prong_number", pa([[4, 1], [4, 2]]), "pa_obstruction")]
+
+
 def main(tree):
     sys.path.insert(0, str(Path(tree).resolve() / "src"))
     from click.testing import CliRunner
@@ -382,6 +405,13 @@ def main(tree):
             for fmt in FORMATS:
                 report(runner.invoke(cli, argv + ["--format", fmt]), argv + ["--format", fmt])
         report(runner.invoke(cli, ["corpus", "verify", "--root", str(CORPUS)]), ["corpus", "verify"])
+        for name, docs, op in crafted_corpora():
+            root, check = "corpus_" + name, {"name": name, "operation": op, "inputs": sorted(docs), "expected": {}}
+            (Path(root) / name).mkdir(parents=True)
+            for file, doc in (("input.json", {"id": name, "documents": docs}), ("expected.json", {"checks": [check]})):
+                (Path(root) / name / file).write_text(json.dumps(doc), encoding="utf-8")
+            argv = ["corpus", "verify", "--root", root]
+            report(runner.invoke(cli, argv), argv)
 
 
 def report(result, argv):

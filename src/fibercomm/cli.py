@@ -22,7 +22,7 @@ from pathlib import Path
 import click
 
 from . import serialize as ser
-from .comparator import COMBINED, FULL, TOPOLOGICAL, InvariantReport, compare
+from .comparator import FULL, MODES, InvariantReport, compare
 from .cover import lift_cover, normalize_unit_twists, verify_cover_laws
 from .decomposition import power
 from .quadratic import ResourceLimit
@@ -250,7 +250,7 @@ _subcommand("classify", "classify", "Nielsen-Thurston class of a torus automorph
 _subcommand("invariants", "invariants", "A, Pi, P, and stretch-factor set of a decomposition graph.", ["input_file"])
 _subcommand(
     "compare", "compare", "Obstruction verdict between two decomposition graphs.", ["input1", "input2"],
-    click.Option(["--mode"], type=click.Choice([FULL, TOPOLOGICAL, COMBINED]), default=FULL),
+    click.Option(["--mode"], type=click.Choice(MODES), default=FULL),
 )
 _subcommand(
     "power", "power", "The decomposition graph of the k-th power.", ["input_file"],

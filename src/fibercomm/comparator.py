@@ -161,6 +161,7 @@ _WITNESS = {
     TOPOLOGICAL: "chi-normalized A or Pi differ (no flip matches at s = 1)",
     COMBINED: "no s scales the stretch factors forward and Pi backward",
 }
+MODES = tuple(_WITNESS)  # the modes of compare, as the readers and the command line list them
 
 
 def compare_reports(x, y, mode=FULL):

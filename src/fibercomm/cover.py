@@ -28,13 +28,12 @@ free circles (``free_partitions`` of None) are counted, never built.
 periodic) to one all of whose twists are +1 or -1: first a power making
 every twist an integer, then a cover whose local degrees cancel the
 integer twists.  Its degree, L or 2L, is chosen from the pieces alone
-by the same genus law, ``_surface``, so its cover is built and lifted
-once.
+by the same genus law, ``surfaces.surface_with``, so its cover is built
+and lifted once.
 """
 
 from __future__ import annotations
 
-import contextlib
 import gc
 import math
 from collections import Counter
@@ -53,16 +52,15 @@ from .decomposition import (
     validate_or_raise,
 )
 from .quadratic import ResourceLimit
-from .surfaces import Surface
+from .surfaces import surface_with
 
 MAX_LIFTED_CURVES = 200_000  # normalize then takes about 1.4 s and 310 MB on a 2-CPU VM
 
 
-class _gc_paused(contextlib.ContextDecorator):
+class _gc_paused:
     """Cyclic garbage collection paused for a block that allocates many
-    tracked objects and frees no cycle: a lift, or a document read.  A
-    function it decorates pauses it per call, each with its own instance,
-    so that nested uses each restore what they found."""
+    tracked objects and frees no cycle: a lift, or a document read.  Each
+    use restores what it found, so nested uses do too."""
 
     def __enter__(self):
         self.collecting = gc.isenabled()
@@ -71,9 +69,6 @@ class _gc_paused(contextlib.ContextDecorator):
     def __exit__(self, *exc):
         if self.collecting:
             gc.enable()
-
-    def _recreate_cm(self):
-        return _gc_paused()
 
 
 @dataclass(frozen=True)
@@ -112,15 +107,6 @@ class CoveringData:
         return self._by_piece[pid]
 
 
-def _surface(chi, boundary):
-    """The surface of Euler characteristic ``chi`` with ``boundary``
-    circles, or None when its genus would be negative or a half-integer."""
-    twice_genus = 2 - chi - boundary
-    if twice_genus < 0 or twice_genus % 2 != 0:
-        return None
-    return Surface(twice_genus // 2, boundary)
-
-
 def _ends_by_runs(runs):
     """Local-degree counts and lifted ends over one base slot.  Its runs
     (local degree, lifted piece id, slot names) sorted by degree and id,
@@ -142,7 +128,7 @@ def lift_cover(phi, c):
     names and the runs of local degree that pair preimage circles, by
     sorted degree, across each curve, and solves the surface of each
     component, once no fault has been found, from its chi and its count
-    of preimage circles (``_surface``).  The refusal, a ``ValueError``,
+    of preimage circles (``surfaces.surface_with``).  The refusal, a ``ValueError``,
     is the first of: (1) every component fault, in one "inadmissible
     cover" message, a piece whose entry is missing or lists no component
     being one ("no cover data for piece ..."); (2) otherwise every curve
@@ -221,7 +207,7 @@ def lift_cover(phi, c):
                 if errors:  # no surface is solved for a component with a fault
                     continue
                 chi, boundary = comp.degree * p.surface.chi, len(slots) + free
-                surface = _surface(chi, boundary)
+                surface = surface_with(chi, boundary)
                 if surface is None:
                     unfit = unfit or "piece %s: no surface with chi = %d and %d boundary circles" % (p.id, chi, boundary)
                 pieces.append(Piece(new_id, surface, tuple(slots), free, p.dilatation))
@@ -301,11 +287,13 @@ def normalize_unit_twists(phi):
     each twist back down to +-1.  When some covered piece at degree L
     has no surface (its genus would be negative or a half-integer), the
     degree is 2L.  The choice is read from the pieces alone, by the
-    genus law ``lift_cover`` applies: a degree-L component over S has
-    chi = L * chi(S) and, over each slot facing a twist of absolute
-    value d, L/d boundary circles, besides L per free circle of S.  The
-    cover is then built once and lifted once; one of more than
-    ``MAX_LIFTED_CURVES`` lifted curves is refused before it is built.
+    genus law ``lift_cover`` applies (``surfaces.surface_with``): a
+    degree-L component over S has chi = L * chi(S) and, over each slot
+    facing a twist of absolute value d, L/d boundary circles, besides L
+    per free circle of S.  Each curve end's d is read in the one walk
+    over the curves that finds L.  The cover is then built once and
+    lifted once; one of more than ``MAX_LIFTED_CURVES`` lifted curves is
+    refused before it is built.
     Returns the normalized graph and the (power, cover) certificate.
     """
     validate_or_raise(phi)
@@ -317,16 +305,16 @@ def normalize_unit_twists(phi):
     phim = power(phi, m) if m > 1 else phi
     if m > 1:  # each twist times m, so each reciprocal sum over m: a derived table, as a lift's
         vars(phim)["pairs"] = {pid: (a / m, b / m) for pid, (a, b) in phi.pairs.items()}
-    d_of = {c.id: abs(int(c.twist)) for c in phim.curves}
-    L = math.lcm(*d_of.values())
-    d_at = {p.id: [(slot, d_of[phim.curve_at(p.id, slot).id]) for slot in p.slots] for p in phim.pieces}
-    if any(_surface(L * p.surface.chi, sum(L // d for _, d in d_at[p.id]) + L * p.free_boundary) is None
+    d_at = {end: abs(int(c.twist)) for c in phim.curves for end in c.ends}  # curve end -> |integer twist|
+    L = math.lcm(*d_at.values())
+    if any(surface_with(L * p.surface.chi, sum(L // d_at[p.id, s] for s in p.slots) + L * p.free_boundary) is None
            for p in phim.pieces):
         L *= 2  # lift_cover refuses when 2L fits no surface either
-    if sum(L // d for d in d_of.values()) > MAX_LIFTED_CURVES:
+    if sum(L // d for d in d_at.values()) > 2 * MAX_LIFTED_CURVES:  # two ends per lifted curve
         raise ResourceLimit("the unit-twist cover lifts to more than %d curves" % MAX_LIFTED_CURVES)
-    cover = CoveringData(tuple((p.id, (ComponentCover(L, tuple((slot, (d,) * (L // d)) for slot, d in d_at[p.id])),))
-                               for p in phim.pieces))
+    cover = CoveringData(tuple(
+        (p.id, (ComponentCover(L, tuple((s, (d_at[p.id, s],) * (L // d_at[p.id, s])) for s in p.slots)),))
+        for p in phim.pieces))
     normalized = lift_cover(phim, cover)
     assert all(abs(t) == 1 for t in _distinct_twists(normalized.curves).values())
     return normalized, NormalizationCertificate(m, cover)

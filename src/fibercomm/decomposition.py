@@ -44,7 +44,7 @@ from itertools import repeat
 from math import gcd, isqrt, log10
 from typing import NamedTuple
 
-from .quadratic import QuadraticUnit, ResourceLimit, unit_log_ratio
+from .quadratic import QuadraticUnit, ResourceLimit, _exact, unit_log_ratio
 from .surfaces import Surface
 
 
@@ -69,11 +69,11 @@ class DilatationLabel:
     def __post_init__(self):
         if (self.unit is None) == (self.name is None):
             raise ValueError("label must be exactly one of exact / symbolic")
-        object.__setattr__(self, "exponent", Fraction(self.exponent))
+        object.__setattr__(self, "exponent", Fraction(_exact(self.exponent, "exponent")))
         if self.exponent <= 0:  # lambda**e <= 1 is no stretch factor
             raise ValueError("stretch-factor exponent must be positive, got %s" % self.exponent)
         if self.rotation is not None:
-            object.__setattr__(self, "rotation", Fraction(self.rotation))
+            object.__setattr__(self, "rotation", Fraction(_exact(self.rotation, "rotation")))
 
     @property
     def exact(self):
@@ -193,7 +193,7 @@ class ReducibleMap:
     curves: tuple
 
     # derived tables, built on first use and kept with the graph: ``validate``,
-    # the piece pairs, their normalized table and lookups, never a linear scan
+    # the piece pairs, their normalized table and the lookup by piece id, never a linear scan
     @cached_property
     def errors(self):
         return validate(self)
@@ -226,19 +226,8 @@ class ReducibleMap:
     def _by_id(self):
         return {p.id: p for p in self.pieces}
 
-    @cached_property
-    def _by_end(self):
-        by_end = {}
-        for c in self.curves:
-            by_end.setdefault(c.end_a, c)
-            by_end.setdefault(c.end_b, c)
-        return by_end
-
     def piece(self, pid):
         return self._by_id[pid]
-
-    def curve_at(self, pid, slot):
-        return self._by_end[(pid, slot)]
 
     @property
     def chi(self):

@@ -9,10 +9,10 @@ produced.  The central objects are
   sign and order against rationals and numbers of the same field (by
   squaring, never by approximation).  Numbers are equal by (D, a, b);
 
-* ``QuadraticUnit`` -- a quadratic number u > 1 of norm +-1, i.e. an
-  algebraic unit; stretch factors of Anosov torus maps live here, and
-  their powers u**k for k >= 1 (a power k < 1 is no unit above 1 and
-  is refused);
+* ``QuadraticUnit`` -- the quadratic numbers u > 1 of norm +-1, i.e. the
+  algebraic units, a subclass adding only those checks; stretch factors
+  of Anosov torus maps live here, and their powers u**k for k >= 1 (a
+  power k < 1 is no unit above 1 and is refused);
 
 * ``unit_log_ratio(u, v)`` -- the exact rational log(u)/log(v) when the
   two units are multiplicatively dependent, ``None`` otherwise, by
@@ -22,9 +22,10 @@ produced.  The central objects are
   tests check it against fundamental units from continued fractions
   (``tests/oracles.py``).
 
-D is checked where a value enters: by the public ``QuadraticNumber`` and
-``QuadraticUnit`` constructors.  Products and powers keep the D of their
-operands and are built unchecked by ``_trusted``.
+D, and a and b as ints or ``Fraction``s (``_exact``), are checked where a
+value enters: by the public ``QuadraticNumber`` constructor, which a
+unit's extends.  Products and powers keep the D of their operands and
+are built unchecked by ``_trusted``.
 
 Integers are Python ints throughout, so coefficient growth is never a
 correctness concern.
@@ -85,6 +86,13 @@ def _check_squarefree(D):
         raise ValueError("D must be a squarefree integer >= 2, got %r" % (D,))
 
 
+def _exact(x, field):
+    """``x``, an int or a ``Fraction`` (not a bool); anything else is refused, naming ``field``."""
+    if type(x) is bool or not isinstance(x, (int, Fraction)):
+        raise ValueError("%s must be an int or a Fraction, got %r" % (field, x))
+    return x
+
+
 def _trusted(cls, D, a, b):
     """A ``cls`` instance built without checks.
 
@@ -125,8 +133,8 @@ class QuadraticNumber:
 
     def __post_init__(self):
         _check_squarefree(self.D)
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        object.__setattr__(self, "a", Fraction(_exact(self.a, "a")))
+        object.__setattr__(self, "b", Fraction(_exact(self.b, "b")))
 
     def _same_field(self, other):
         if other.D != self.D:
@@ -176,39 +184,24 @@ class QuadraticNumber:
         return "(%s + %s*sqrt(%d))" % (self.a, self.b, self.D)
 
 
-@dataclass(frozen=True)
-class QuadraticUnit:
-    """A unit of a real quadratic order, normalized to value > 1, b > 0.
-
-    ``D`` is the squarefree part of the field discriminant; the value is
-    a + b*sqrt(D).  The norm is +1 or -1.
-    """
-
-    D: int
-    a: Fraction
-    b: Fraction
+class QuadraticUnit(QuadraticNumber):
+    """A unit of a real quadratic order, normalized to value > 1, b > 0:
+    a quadratic number of norm +1 or -1, equal only to a unit."""
 
     def __post_init__(self):
-        _check_squarefree(self.D)
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        x = self.number
+        super().__post_init__()
         if self.b <= 0:
             raise ValueError("canonical form requires b > 0")
-        if x.norm() not in (1, -1):
-            raise ValueError("not a unit: norm %s" % x.norm())
-        if not x > 1:
+        if self.norm() not in (1, -1):
+            raise ValueError("not a unit: norm %s" % self.norm())
+        if not self > 1:
             raise ValueError("unit must exceed 1")
-
-    @property
-    def number(self):
-        return _trusted(QuadraticNumber, self.D, self.a, self.b)
 
     def __pow__(self, k):
         if k < 1:  # u**k <= 1
             raise ValueError("unit must exceed 1")
         # a positive power of a unit above 1 is one too, with b > 0
-        x = self.number ** k
+        x = super().__pow__(k)
         return _trusted(QuadraticUnit, x.D, x.a, x.b)
 
     def __repr__(self):

@@ -47,7 +47,7 @@ from itertools import accumulate, chain, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter, itemgetter
 
-from .comparator import COMBINED, FULL, TOPOLOGICAL
+from .comparator import FULL, MODES
 from .cover import ComponentCover, CoveringData, _gc_paused
 from .decomposition import DilatationLabel, Piece, ReducibleMap, ReducingCurve, _distinct_twists
 from .quadratic import QuadraticUnit, ResourceLimit
@@ -323,7 +323,12 @@ def _document(type_name, build, *fields):
     their other fields, read with garbage collection paused, and the
     document of a built value."""
     shape = _object(lambda _, *values: build(*values), ("type", _const(type_name), lambda _: type_name), *fields)
-    return _gc_paused()(shape), shape.write
+
+    def read(doc):
+        with _gc_paused():
+            return shape(doc)
+
+    return read, shape.write
 
 
 _RATIONALS = _pair("a list of two rationals", _rational, _rational)
@@ -587,7 +592,7 @@ def query_doc(q):
 # operation arguments and corpus entries
 
 # each argument an operation may take; one without a default is required
-_ARGS = {"k": _int, "mode": _maybe(_const(FULL, TOPOLOGICAL, COMBINED), FULL), "bound": _rational,
+_ARGS = {"k": _int, "mode": _maybe(_const(*MODES), FULL), "bound": _rational,
          "radius": _maybe(_int)}
 
 

@@ -28,8 +28,8 @@ from itertools import accumulate, chain
 from operator import itemgetter
 
 from .cover import _gc_paused
-from .quadratic import QuadraticNumber, ResourceLimit, _trusted
-from .surfaces import Surface
+from .quadratic import QuadraticNumber, ResourceLimit, _exact, _trusted
+from .surfaces import surface_with
 from .torus import _anosov, _det, _integer_matrix, _trace, _trace_field
 
 _ZERO = Fraction(0)
@@ -89,9 +89,9 @@ def delta_from_branch_data(b):
     sum (2 - n) delta_n = 2 chi.
     """
     chi = -sum(m - 1 for p in b.branch_points for m in p)
-    if chi % 2 != 0:
+    surface = surface_with(chi, 0)  # chi <= 0, so only an odd chi fits no closed surface
+    if surface is None:
         raise ValueError("branch data gives odd chi %d" % chi)
-    surface = Surface((2 - chi) // 2, 0)
     counts = {}
     for p in b.branch_points:
         for m in p:
@@ -154,6 +154,9 @@ class SpectrumQuery:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _integer_matrix(self.matrix))
+        for field in ("origin", "point"):
+            for x in getattr(self, field):
+                _exact(x, field)
         if type(self.radius) is not int or self.radius < 1:
             raise ValueError("radius must be an integer >= 1, got %r" % (self.radius,))
         if not _anosov(_trace(self.matrix), _det(self.matrix)):

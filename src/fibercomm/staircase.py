@@ -52,7 +52,7 @@ from itertools import repeat
 from .cover import _gc_paused
 from .decomposition import Piece, ReducibleMap, _curves
 from .quadratic import ResourceLimit
-from .surfaces import Surface
+from .surfaces import Surface, surface_with
 from .torus import _integer_matrix
 
 TAIL = "tail"
@@ -322,5 +322,5 @@ def refiber(manifold, plan):
     connected = len({find(p.id) for p in pieces}) == 1
 
     boundary = sum(p.free_boundary for p in pieces)
-    fiber = Surface((2 - phi.chi - boundary) // 2, boundary) if connected else None
+    fiber = surface_with(phi.chi, boundary) if connected else None
     return RefiberResult(fiber, connected, N, phi, tuple(uncalibrated))

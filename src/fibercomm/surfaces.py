@@ -1,6 +1,7 @@
 """Compact orientable surface descriptors.
 
-A surface is written Sigma_{g,n}: genus g with n boundary circles.
+A surface is written Sigma_{g,n}: genus g with n boundary circles; chi
+and n fix it, by the genus law ``surface_with``.
 """
 
 from __future__ import annotations
@@ -24,3 +25,12 @@ class Surface:
     def __repr__(self):
         return "Sigma_{%d,%d}" % (self.genus, self.boundary_components)
 
+
+
+def surface_with(chi, boundary):
+    """The surface of Euler characteristic ``chi`` with ``boundary``
+    circles, or None when its genus would be negative or a half-integer."""
+    twice_genus = 2 - chi - boundary
+    if twice_genus < 0 or twice_genus % 2 != 0:
+        return None
+    return Surface(twice_genus // 2, boundary)

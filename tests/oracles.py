@@ -130,7 +130,7 @@ def fundamental_unit(D):
     a_part = Fraction(q_last * P, Q) + q_prev
     b_part = Fraction(q_last, Q) * surd_scale
     unit = QuadraticUnit(D, a_part, b_part)
-    assert unit.number.norm() in (1, -1)
+    assert unit.norm() in (1, -1)
     return unit
 
 

@@ -164,11 +164,12 @@ def uniform_cover(rng, phi):
     local degree d dividing L on both of its ends."""
     L = rng.choice((1, 2, 3, 4, 6))
     d = {c.id: rng.choice([x for x in (1, 2, 3) if L % x == 0]) for c in phi.curves}
+    curve_at = {end: c for c in phi.curves for end in c.ends}
     comps = []
     for p in phi.pieces:
         parts = []
         for s in p.slots:
-            ds = d[phi.curve_at(p.id, s).id]
+            ds = d[curve_at[p.id, s].id]
             parts.append((s, (ds,) * (L // ds)))
         comps.append((p.id, (ComponentCover(L, tuple(parts)),)))
     return CoveringData(tuple(comps))

@@ -731,16 +731,16 @@ def test_cover_with_no_curves_is_refused():
 
 
 def test_gc_pause_nests_and_restores():
-    """Each use of ``_gc_paused``, a block or a decorated call, restores
-    the state it found, also when uses nest or a call raises."""
+    """Each use of ``_gc_paused`` restores the state it found, also when
+    uses nest or a block raises."""
     states = []
 
-    @cover._gc_paused()
-    def nested(depth):
-        states.append(gc.isenabled())
-        if not depth:
-            raise ValueError("innermost")
-        nested(depth - 1)
+    def nested(depth):  # a block within a block, depth times
+        with cover._gc_paused():
+            states.append(gc.isenabled())
+            if not depth:
+                raise ValueError("innermost")
+            nested(depth - 1)
 
     assert gc.isenabled()
     with pytest.raises(ValueError):

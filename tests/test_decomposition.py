@@ -289,6 +289,18 @@ def test_negation_flips_everything():
         assert InvariantReport.of(neg).pi == {(q, p) for p, q in InvariantReport.of(phi).pi}
 
 
+@pytest.mark.parametrize("field", ["exponent", "rotation"])
+def test_label_rationals_are_exact(field):
+    """An int or a Fraction is stored as a Fraction; a float, a bool or a
+    string is refused by the field's name, never stored as its binary value."""
+    label = DilatationLabel(name="x", **{field: 2})
+    assert type(getattr(label, field)) is F and getattr(label, field) == 2
+    assert DilatationLabel(name="x", **{field: F(1, 10)}) == DilatationLabel(name="x", **{field: F(1, 10)})
+    for bad in (0.1, 1.0, True, "1"):
+        with pytest.raises(ValueError, match="^%s must be an int or a Fraction, got " % field):
+            DilatationLabel(name="x", **{field: bad})
+
+
 def test_dilatation_label_invariants():
     with pytest.raises(ValueError):
         DilatationLabel()

@@ -108,7 +108,7 @@ def test_fundamental_unit_known_values(D, a, b):
 
 @pytest.mark.parametrize("D", [2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 151])
 def test_fundamental_unit_powers_have_unit_norm(D):
-    u = fundamental_unit(D).number
+    u = fundamental_unit(D)
     p = QuadraticNumber(D, 1, 0)
     for k in range(1, 7):
         p = p * u
@@ -135,7 +135,7 @@ def test_fundamental_unit_is_minimal(D):
     fundamental unit (half-integers allowed when D = 1 mod 4) and
     checks nothing lands strictly between 1 and the fundamental unit.
     """
-    u = fundamental_unit(D).number
+    u = fundamental_unit(D)
     step = Fraction(1, 2) if D % 4 == 1 else Fraction(1)
     b = step
     while QuadraticNumber(D, 0, b) < u:
@@ -157,7 +157,7 @@ def test_fundamental_unit_is_minimal(D):
 def test_unit_log_ratio_examples():
     u = QuadraticUnit(5, Fraction(3, 2), Fraction(1, 2))
     v = QuadraticUnit(5, Fraction(7, 2), Fraction(3, 2))
-    assert v.number == u.number ** 2
+    assert v == u ** 2
     assert unit_log_ratio(u, v) == Fraction(1, 2)
     w = QuadraticUnit(3, 2, 1)
     assert unit_log_ratio(w, u) is None
@@ -178,8 +178,13 @@ def test_unit_log_ratio_powers_and_antisymmetry():
     assert unit_log_ratio(v, u) == 1 / s
 
 
+def _number(u):
+    """The quadratic number of the unit ``u``, which equals no unit."""
+    return QuadraticNumber(u.D, u.a, u.b)
+
+
 def test_unit_power_of():
-    eps = fundamental_unit(5).number
+    eps = _number(fundamental_unit(5))  # unit_power_of starts at eps ** 0, which no unit is
     assert unit_power_of(eps ** 4, eps) == 4
     assert unit_power_of(QuadraticNumber(5, 1, 0), eps) == 0
     # (3 + sqrt(5)) is not a power of eps (norm 4, not a unit)
@@ -192,8 +197,8 @@ def oracle_log_ratio(u, v):
         return None
     if u == v:
         return Fraction(1)
-    eps = fundamental_unit(u.D).number
-    ku, kv = unit_power_of(u.number, eps), unit_power_of(v.number, eps)
+    eps = _number(fundamental_unit(u.D))
+    ku, kv = unit_power_of(_number(u), eps), unit_power_of(_number(v), eps)
     return None if ku is None or kv is None else Fraction(ku, kv)
 
 
@@ -270,7 +275,7 @@ def test_internal_results_skip_the_field_check(monkeypatch):
     del calls[:]
     u50 = u ** 50
     assert calls == []
-    assert u50.number.norm() == 1 and unit_log_ratio(u50, u) == 50
+    assert u50.norm() == 1 and unit_log_ratio(u50, u) == 50
     assert calls == []
 
 
@@ -297,3 +302,25 @@ def test_unit_invariants_enforced():
         QuadraticUnit(5, 3, 1)  # norm 4
     with pytest.raises(ValueError):
         QuadraticUnit(5, Fraction(-1, 2), Fraction(1, 2))  # below 1
+
+
+def test_a_unit_is_a_quadratic_number():
+    u = QuadraticUnit(5, Fraction(3, 2), Fraction(1, 2))
+    assert isinstance(u, QuadraticNumber) and u > 1 and u.norm() == 1
+    assert type(u ** 3) is QuadraticUnit and u ** 3 == QuadraticUnit(5, 9, 4)
+    # equal only to a unit, and a product of units is a number
+    assert u != QuadraticNumber(5, Fraction(3, 2), Fraction(1, 2))
+    assert QuadraticNumber(5, Fraction(3, 2), Fraction(1, 2)) != u
+    assert type(u * u) is QuadraticNumber and u * u == QuadraticNumber(5, Fraction(7, 2), Fraction(3, 2))
+
+
+@pytest.mark.parametrize("cls", [QuadraticNumber, QuadraticUnit])
+@pytest.mark.parametrize("field", ["a", "b"])
+def test_coordinates_take_only_exact_rationals(cls, field):
+    """An int or a Fraction is stored as a Fraction; a float, a bool or a
+    string is refused by the field's name, never stored as its binary value."""
+    x = cls(2, 1, 1)
+    assert type(getattr(x, field)) is Fraction and x == cls(2, Fraction(1), Fraction(1))
+    for bad in (0.1, 1.0, True, "1"):
+        with pytest.raises(ValueError, match="^%s must be an int or a Fraction, got " % field):
+            cls(2, **{"a": 1, "b": 1, field: bad})

@@ -137,6 +137,19 @@ def test_query_validation():
         SpectrumQuery(((2, 0), (0, 1)), (0, 0), (0, 0), 3)
 
 
+@pytest.mark.parametrize("field", ["origin", "point"])
+def test_query_coordinates_are_exact(field):
+    """Each coordinate of a marked point is an int or a Fraction, stored as
+    given; a float, a bool or a string is refused by the field's name."""
+    points = {"origin": (F(1, 3), 0), "point": (F(1, 2), 0)}
+    q = SpectrumQuery(GOLDEN, radius=3, **points)
+    assert getattr(q, field) == points[field] and type(getattr(q, field)[1]) is int
+    assert spectrum_min(q).value > 0
+    for bad in ((0.5, 0), (0, 0.0), (True, 0), ("1/2", 0)):
+        with pytest.raises(ValueError, match="^%s must be an int or a Fraction, got " % field):
+            SpectrumQuery(GOLDEN, radius=3, **{**points, field: bad})
+
+
 def test_radius_limit_binds_library_calls(monkeypatch):
     """Past ``MAX_RADIUS`` every enumeration is refused before it starts."""
 

@@ -1,6 +1,6 @@
 import pytest
 
-from fibercomm.surfaces import Surface
+from fibercomm.surfaces import Surface, surface_with
 from oracles import euler_characteristic, surfaces_commensurable
 
 
@@ -50,3 +50,17 @@ def test_equivalence_relation():
             for s3 in hyperbolic:
                 if surfaces_commensurable(s1, s2) and surfaces_commensurable(s2, s3):
                     assert surfaces_commensurable(s1, s3)
+
+
+@pytest.mark.parametrize("chi, boundary, surface", [
+    (2, 0, Surface(0, 0)), (0, 0, Surface(1, 0)), (-2, 0, Surface(2, 0)), (-10, 0, Surface(6, 0)),
+    (1, 1, Surface(0, 1)), (-1, 1, Surface(1, 1)), (-3, 3, Surface(1, 3)), (-4, 2, Surface(2, 2)),
+    (4, 0, None), (1, 3, None), (0, 4, None),  # negative genus
+    (-1, 0, None), (-2, 1, None), (3, 0, None),  # half-integer genus
+])
+def test_genus_law(chi, boundary, surface):
+    """The surface of Euler characteristic chi with that many boundary
+    circles, closed or bordered, or None when no genus >= 0 fits."""
+    assert surface_with(chi, boundary) == surface
+    if surface is not None:
+        assert surface.chi == chi and surface.boundary_components == boundary

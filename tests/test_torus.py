@@ -197,8 +197,8 @@ def brute_force_commensurable(u, v, max_exp=12):
     """Search u^q = v^p directly in exact quadratic-integer arithmetic."""
     if u.D != v.D:
         return False
-    u_powers = [u.number ** q for q in range(1, max_exp + 1)]
-    v_powers = [v.number ** p for p in range(1, max_exp + 1)]
+    u_powers = [u ** q for q in range(1, max_exp + 1)]
+    v_powers = [v ** p for p in range(1, max_exp + 1)]
     return any(up == vp for up in u_powers for vp in v_powers)
 
 
