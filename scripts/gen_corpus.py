@@ -295,8 +295,8 @@ def bounded_chain_entry():
         "phi2": ser.reducible_doc(r2.map),
     }
     s2 = run_operation("staircase", [docs["manifold"], docs["plan2"]], {})
-    assert s2["twists"] == [F(1, 6), F(1, 2), F(1, 2)]
-    assert s2["pi"] == [(F(1), F(0)), (F(5, 3), F(0)), (F(2), F(0))]
+    assert sorted(c.twist for c in s2["map"].curves) == [F(1, 6), F(1, 2), F(1, 2)]
+    assert s2["invariants"]["pi"] == [(F(1), F(0)), (F(5, 3), F(0)), (F(2), F(0))]
     assert s2["monodromy_order"] == 6
     checks = [
         check("two-sheet refibration", "published", "staircase", ["manifold", "plan2"], s2),
@@ -333,10 +333,10 @@ def closed_chain_entry():
         "psi": ser.reducible_doc(rpsi.map),
     }
     s2 = run_operation("staircase", [docs["manifold"], docs["plan_n2"]], {})
-    assert s2["pi"] == [(F(1, 6), F(1, 6)), (F(1), F(1)), (F(5, 4), F(5, 4))]
+    assert s2["invariants"]["pi"] == [(F(1, 6), F(1, 6)), (F(1), F(1)), (F(5, 4), F(5, 4))]
     assert s2["fiber"] == {"genus": 20, "boundary": 0}
     salt = run_operation("staircase", [docs["manifold"], docs["plan_alt"]], {})
-    assert salt["pi"] == [(F(1, 4), F(1, 4)), (F(11, 8), F(11, 8)), (F(3, 2), F(3, 2))]
+    assert salt["invariants"]["pi"] == [(F(1, 4), F(1, 4)), (F(11, 8), F(11, 8)), (F(3, 2), F(3, 2))]
     assert salt["fiber"] == {"genus": 20, "boundary": 0}
     assert salt["monodromy_order"] == 12
     checks = [

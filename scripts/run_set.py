@@ -11,7 +11,9 @@ both output formats, on:
   of an entry in every mode, ``power`` at k = 1, 2 and 7, ``cover`` with
   the uniform double cover, ``staircase`` on every manifold and plan of
   an entry, ``spectrum`` at the document's radius and at 5), and
-  ``corpus verify`` on that corpus;
+  ``corpus verify`` on that corpus, so a tree whose operation writes
+  another document than the one pinned there (a tree from before the
+  one ``staircase`` document, say) fails it with exit 1;
 * malformed and refused inputs: repeated names in a graph manifold or a
   graph, a torus shared by two gluings, a gluing of a torus to itself,
   a plan that misses a piece, junctions whose sides lift to different

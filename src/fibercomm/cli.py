@@ -96,27 +96,18 @@ def _surface(s):
     return {"genus": s.genus, "boundary": s.boundary_components}
 
 
-def _refibered(manifold, plan):
-    """The refibered map, its invariant report and the fields that both
-    staircase documents share."""
+def _staircase(manifold, plan):
+    """The refibered map, its invariant report, its fiber and its
+    monodromy order."""
     result = refiber(manifold, plan)
-    doc = {
+    return {
         "fiber": None if result.fiber is None else _surface(result.fiber),
         "connected": result.connected,
         "monodromy_order": result.monodromy_order,
         "uncalibrated": result.uncalibrated,
+        "map": result.map,
+        "invariants": _report(result.map),
     }
-    return result.map, _report(result.map), doc
-
-
-def _staircase(manifold, plan):
-    phi, report, doc = _refibered(manifold, plan)
-    return {**doc, "twists": sorted(c.twist for c in phi.curves), "pi": report["pi"]}
-
-
-def _staircase_map(manifold, plan):
-    phi, report, doc = _refibered(manifold, plan)
-    return {**doc, "map": phi, "invariants": report}
 
 
 def _branch_delta(b):
@@ -163,7 +154,6 @@ OPERATIONS = {
     "cover": (("reducible", "covering"), (), _cover),
     "normalize": (("reducible",), (), _normalize),
     "staircase": (("manifold", "plan"), (), _staircase),
-    "staircase_map": (("manifold", "plan"), (), _staircase_map),
     "branch_delta": (("branch",), (), _branch_delta),
     "pa_obstruction": (("pa_data", "pa_data"), (), _pa_obstruction),
     "spectrum_min": (("query",), ("radius",), _spectrum_min),
@@ -218,54 +208,48 @@ def _load(path):
         _refuse("malformed input: %s: %s" % (path, e))
 
 
-def _command(op, paths, fmt, **args):
-    """Load the input files, run ``op`` and write its document; the input
-    documents are dropped before the output is written."""
-    try:
-        write = ser.canonical_dumps if fmt == "machine" else ser.text_dumps
-        text = write(run_operation(op, [_load(p) for p in paths], args))
-    except (MalformedInput, ResourceLimit) as e:
-        _refuse("%s: %s" % ("malformed input" if isinstance(e, MalformedInput) else "resource limit", e))
-    _write(sys.stdout, text)
-
-
 @click.group()
 def main():
     """Exact commensurability invariants of surface automorphisms."""
 
 
-def _subcommand(name, op, doc, files, *params):
-    """Register subcommand ``name``: its file arguments are loaded as the
-    input documents of ``op``, its other parameters become the args."""
+# the click form of each operation argument that a subcommand takes, by its
+# name in ``serialize._ARGS``
+_PARAMS = {
+    "mode": click.Option(["--mode"], type=click.Choice(MODES), default=FULL),
+    "k": click.Argument(["k"], type=int),
+    "radius": click.Option(["--radius"], type=int, default=None, help="override the query radius"),
+}
+
+
+def _subcommand(name, doc, files):
+    """Register the subcommand of operation ``name``: its file arguments
+    are loaded as the input documents, its operation's arguments are its
+    other parameters."""
 
     def callback(fmt, **args):
-        _command(op, [args.pop(f) for f in files], fmt, **args)
+        # the input documents are dropped before the output is written
+        try:
+            write = ser.canonical_dumps if fmt == "machine" else ser.text_dumps
+            text = write(run_operation(name, [_load(args.pop(f)) for f in files], args))
+        except (MalformedInput, ResourceLimit) as e:
+            _refuse("%s: %s" % ("malformed input" if isinstance(e, MalformedInput) else "resource limit", e))
+        _write(sys.stdout, text)
 
     fmt = click.Option(["--format", "fmt"], type=click.Choice(["text", "machine"]), default="text")
     inputs = [click.Argument([f], type=click.Path(exists=True)) for f in files]
-    main.add_command(click.Command(name, callback=callback, help=doc, params=[*inputs, *params, fmt]))
+    params = [*inputs, *(_PARAMS[a] for a in OPERATIONS[name][1]), fmt]
+    main.add_command(click.Command(name, callback=callback, help=doc, params=params))
 
 
-_subcommand("classify", "classify", "Nielsen-Thurston class of a torus automorphism.", ["input_file"])
-_subcommand("invariants", "invariants", "A, Pi, P, and stretch-factor set of a decomposition graph.", ["input_file"])
-_subcommand(
-    "compare", "compare", "Obstruction verdict between two decomposition graphs.", ["input1", "input2"],
-    click.Option(["--mode"], type=click.Choice(MODES), default=FULL),
-)
-_subcommand(
-    "power", "power", "The decomposition graph of the k-th power.", ["input_file"],
-    click.Argument(["k"], type=int),
-)
-_subcommand("cover", "cover", "Lift a decomposition graph through covering data.", ["input_file", "cover_file"])
-_subcommand("normalize", "normalize", "Reduce a D-type graph to unit twists, with certificate.", ["input_file"])
-_subcommand(
-    "staircase", "staircase_map", "Refiber a graph manifold along a staircase plan.",
-    ["manifold_file", "plan_file"],
-)
-_subcommand(
-    "spectrum", "spectrum", "Enumerated spectrum values and minimum of an Anosov model.", ["query_file"],
-    click.Option(["--radius"], type=int, default=None, help="override the query radius"),
-)
+_subcommand("classify", "Nielsen-Thurston class of a torus automorphism.", ["input_file"])
+_subcommand("invariants", "A, Pi, P, and stretch-factor set of a decomposition graph.", ["input_file"])
+_subcommand("compare", "Obstruction verdict between two decomposition graphs.", ["input1", "input2"])
+_subcommand("power", "The decomposition graph of the k-th power.", ["input_file"])
+_subcommand("cover", "Lift a decomposition graph through covering data.", ["input_file", "cover_file"])
+_subcommand("normalize", "Reduce a D-type graph to unit twists, with certificate.", ["input_file"])
+_subcommand("staircase", "Refiber a graph manifold along a staircase plan.", ["manifold_file", "plan_file"])
+_subcommand("spectrum", "Enumerated spectrum values and minimum of an Anosov model.", ["query_file"])
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from itertools import repeat
 from math import gcd, isqrt, log10
 from typing import NamedTuple
 
-from .quadratic import QuadraticUnit, ResourceLimit, _exact, unit_log_ratio
+from .quadratic import QuadraticUnit, ResourceLimit, _exact, _integer, unit_log_ratio
 from .surfaces import Surface
 
 
@@ -334,8 +334,7 @@ def power(phi, k):
     """The decomposition graph of phi**k, for a checked graph: twists and
     dilatations scale, an exact one only while it can be printed."""
     validate_or_raise(phi)
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    _integer(k, "k", 1)
     pieces = tuple(
         p if p.periodic else replace(p, dilatation=p.dilatation.power(k))
         for p in phi.pieces

@@ -93,6 +93,12 @@ def _exact(x, field):
     return x
 
 
+def _integer(k, field, least):
+    """Refuse ``k`` unless it is an int (not a bool) >= ``least``, naming ``field``."""
+    if type(k) is not int or k < least:
+        raise ValueError("%s must be an integer >= %d, got %r" % (field, least, k))
+
+
 def _trusted(cls, D, a, b):
     """A ``cls`` instance built without checks.
 
@@ -150,8 +156,7 @@ class QuadraticNumber:
         return self.a * self.a - self.D * self.b * self.b
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be an integer >= 0, got %r" % (k,))
+        _integer(k, "exponent", 0)
         result = _trusted(QuadraticNumber, self.D, _ONE, _ZERO)
         base = self
         while k:
@@ -198,7 +203,7 @@ class QuadraticUnit(QuadraticNumber):
             raise ValueError("unit must exceed 1")
 
     def __pow__(self, k):
-        if k < 1:  # u**k <= 1
+        if type(k) is int and k < 1:  # u**k <= 1; super() refuses any other k
             raise ValueError("unit must exceed 1")
         # a positive power of a unit above 1 is one too, with b > 0
         x = super().__pow__(k)

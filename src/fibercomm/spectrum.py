@@ -28,7 +28,7 @@ from itertools import accumulate, chain
 from operator import itemgetter
 
 from .cover import _gc_paused
-from .quadratic import QuadraticNumber, ResourceLimit, _exact, _trusted
+from .quadratic import QuadraticNumber, ResourceLimit, _exact, _integer, _trusted
 from .surfaces import surface_with
 from .torus import _anosov, _det, _integer_matrix, _trace, _trace_field
 
@@ -154,11 +154,12 @@ class SpectrumQuery:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _integer_matrix(self.matrix))
-        for field in ("origin", "point"):
-            for x in getattr(self, field):
+        for field, xy in (("origin", self.origin), ("point", self.point)):
+            if len(xy) != 2:
+                raise ValueError("%s must have two coordinates, got %r" % (field, xy))
+            for x in xy:
                 _exact(x, field)
-        if type(self.radius) is not int or self.radius < 1:
-            raise ValueError("radius must be an integer >= 1, got %r" % (self.radius,))
+        _integer(self.radius, "radius", 1)
         if not _anosov(_trace(self.matrix), _det(self.matrix)):
             raise ValueError("matrix is not Anosov")
 

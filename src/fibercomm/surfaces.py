@@ -15,6 +15,9 @@ class Surface:
     boundary_components: int
 
     def __post_init__(self):
+        if type(self.genus) is not int or type(self.boundary_components) is not int:
+            raise ValueError("genus and boundary count must be ints, got %r, %r"
+                             % (self.genus, self.boundary_components))
         if self.genus < 0 or self.boundary_components < 0:
             raise ValueError("genus and boundary count must be non-negative")
 
@@ -24,7 +27,6 @@ class Surface:
 
     def __repr__(self):
         return "Sigma_{%d,%d}" % (self.genus, self.boundary_components)
-
 
 
 def surface_with(chi, boundary):

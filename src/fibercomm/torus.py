@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .quadratic import QuadraticUnit, _trusted, squarefree_part, unit_log_ratio
+from .quadratic import QuadraticUnit, _integer, _trusted, squarefree_part, unit_log_ratio
 
 PERIODIC = "periodic"
 REDUCIBLE = "reducible"
@@ -91,8 +91,7 @@ class TorusAutomorphism:
     def __pow__(self, k):
         """The k-th power by repeated squaring: O(log k) products, each
         of integer matrices, gated once at the end."""
-        if k < 0:
-            raise ValueError("negative powers not needed here")
+        _integer(k, "exponent", 0)
         result, square = _IDENTITY, self.matrix
         while k:
             if k & 1:

@@ -743,12 +743,11 @@ def test_graph_documents_match_dict_oracle(tmp_path):
     double = tuple((p.id, (ComponentCover(2, tuple((s, (1, 1)) for s in p.slots)),)) for p in phi.pieces)
     jobs = [("power", [g], {"k": 3}), ("cover", [g, ser.covering_doc(CoveringData(double))], {}),
             ("normalize", [ser.reducible_doc(weird_names(d_type_family(2, 3)))], {}),
-            ("staircase_map", [ser.manifold_doc(bounded_chain_manifold()), ser.plan_doc(bounded_chain_plan(2))], {})]
+            ("staircase", [ser.manifold_doc(bounded_chain_manifold()), ser.plan_doc(bounded_chain_plan(2))], {})]
     for op, docs, args in jobs:
         oracle = plain_document(cli.run_operation(op, docs, args))
         paths = [write(tmp_path / ("%s%d.json" % (op, i)), doc) for i, doc in enumerate(docs)]
-        name = {"staircase_map": "staircase"}.get(op, op)
-        argv = [name, *paths] + ([str(args["k"])] if args else [])
+        argv = [op, *paths] + ([str(args["k"])] if args else [])
         r = run(*argv, "--format", "machine")
         assert r.exit_code == 0 and r.output == json.dumps(oracle, sort_keys=True, indent=2) + "\n", op
         r = run(*argv)
@@ -857,7 +856,126 @@ def test_long_chain_refibers_in_linear_time():
     doc = cli.run_operation("staircase", [manifold, plan], {})
     assert time.perf_counter() - t0 < 10
     assert doc["fiber"] == {"genus": k, "boundary": 2} and doc["monodromy_order"] == 1
-    assert doc["twists"] == [F(-1)] * (k - 1)
+    assert [c.twist for c in doc["map"].curves] == [F(-1)] * (k - 1)
+
+
+def test_staircase_command_prints_the_staircase_operation(tmp_path):
+    """``fibercomm staircase`` prints the document of the one refibering
+    operation, the one that the corpus pins, on both chain entries."""
+    seen = 0
+    for entry in ("ex5.2", "ex5.3"):
+        checks = ser.corpus_from_doc(*(ser.load(CORPUS_ROOT / entry / f) for f in ("input.json", "expected.json")))
+        for name, op, docs, args, expected in checks:
+            if op != "staircase":
+                continue
+            text = ser.canonical_dumps(cli.run_operation(op, docs, args))
+            assert text == ser.canonical_dumps(expected), name
+            paths = [write(tmp_path / ("%s.%d.json" % (entry, i)), doc) for i, doc in enumerate(docs)]
+            r = run("staircase", *paths, "--format", "machine")
+            assert r.exit_code == 0 and r.output == text, name
+            seen += 1
+    assert seen == 4
+
+
+# the --help text of every subcommand, as ``fibercomm`` prints it
+HELP = {
+    ("classify",): """\
+Usage: fibercomm classify [OPTIONS] INPUT_FILE
+
+  Nielsen-Thurston class of a torus automorphism.
+
+Options:
+  --format [text|machine]
+  --help                   Show this message and exit.
+""",
+    ("invariants",): """\
+Usage: fibercomm invariants [OPTIONS] INPUT_FILE
+
+  A, Pi, P, and stretch-factor set of a decomposition graph.
+
+Options:
+  --format [text|machine]
+  --help                   Show this message and exit.
+""",
+    ("compare",): """\
+Usage: fibercomm compare [OPTIONS] INPUT1 INPUT2
+
+  Obstruction verdict between two decomposition graphs.
+
+Options:
+  --mode [full|topological|combined]
+  --format [text|machine]
+  --help                          Show this message and exit.
+""",
+    ("power",): """\
+Usage: fibercomm power [OPTIONS] INPUT_FILE K
+
+  The decomposition graph of the k-th power.
+
+Options:
+  --format [text|machine]
+  --help                   Show this message and exit.
+""",
+    ("cover",): """\
+Usage: fibercomm cover [OPTIONS] INPUT_FILE COVER_FILE
+
+  Lift a decomposition graph through covering data.
+
+Options:
+  --format [text|machine]
+  --help                   Show this message and exit.
+""",
+    ("normalize",): """\
+Usage: fibercomm normalize [OPTIONS] INPUT_FILE
+
+  Reduce a D-type graph to unit twists, with certificate.
+
+Options:
+  --format [text|machine]
+  --help                   Show this message and exit.
+""",
+    ("staircase",): """\
+Usage: fibercomm staircase [OPTIONS] MANIFOLD_FILE PLAN_FILE
+
+  Refiber a graph manifold along a staircase plan.
+
+Options:
+  --format [text|machine]
+  --help                   Show this message and exit.
+""",
+    ("spectrum",): """\
+Usage: fibercomm spectrum [OPTIONS] QUERY_FILE
+
+  Enumerated spectrum values and minimum of an Anosov model.
+
+Options:
+  --radius INTEGER         override the query radius
+  --format [text|machine]
+  --help                   Show this message and exit.
+""",
+    ("corpus", "verify"): """\
+Usage: fibercomm corpus verify [OPTIONS]
+
+  Recompute every corpus entry and diff against the expectations.
+
+Options:
+  --root DIRECTORY
+  --help            Show this message and exit.
+""",
+}
+
+
+def test_help_is_pinned():
+    """The command line's surface: each subcommand's --help text, and its
+    parameters other than its input files and ``--format`` are its
+    operation's arguments, in the table's order."""
+    assert sorted(argv[0] for argv in HELP if len(argv) == 1) == SUBCOMMANDS
+    for argv, text in HELP.items():
+        r = CliRunner().invoke(main, [*argv, "--help"], prog_name="fibercomm", terminal_width=80)
+        assert r.exit_code == 0 and r.output == text, argv
+    for name in SUBCOMMANDS:
+        params = [p.name for p in main.commands[name].params if not isinstance(p.type, click.Path) and p.name != "fmt"]
+        assert params == list(cli.OPERATIONS[name][1]), name
 
 
 def test_first_plan_entry_of_a_piece_wins(tmp_path):

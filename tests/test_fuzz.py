@@ -50,7 +50,6 @@ def seed_jobs():
         ("power", [docs["reducible"]], {"k": 3}),
         ("normalize", [ser.reducible_doc(phi)], {}),
         ("cover", [ser.reducible_doc(phi), ser.covering_doc(CoveringData(double))], {}),
-        ("staircase_map", [docs["manifold"], docs["plan"]], {}),
         ("spectrum", [docs["query"]], {"radius": 5}),
     ]
     return {op: [job for job in jobs + extra if job[0] == op] for op in cli.OPERATIONS}

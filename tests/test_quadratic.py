@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -13,6 +14,9 @@ from fibercomm.quadratic import (
     squarefree_part,
     unit_log_ratio,
 )
+from fibercomm.decomposition import power
+from fibercomm.families import d_type_family
+from fibercomm.spectrum import SpectrumQuery
 from fibercomm.torus import ANOSOV, TorusAutomorphism, classify_torus
 
 rationals = st.fractions(
@@ -324,3 +328,39 @@ def test_coordinates_take_only_exact_rationals(cls, field):
     for bad in (0.1, 1.0, True, "1"):
         with pytest.raises(ValueError, match="^%s must be an int or a Fraction, got " % field):
             cls(2, **{"a": 1, "b": 1, field: bad})
+
+
+_GRAPH = d_type_family(2, 3)
+_UNIT = QuadraticUnit(5, Fraction(3, 2), Fraction(1, 2))
+_CAT = TorusAutomorphism(((2, 1), (1, 1)))
+
+
+@pytest.mark.parametrize("call, field, least, below", [
+    (lambda k: power(_GRAPH, k), "k", 1, "k must be an integer >= 1, got 0"),
+    (lambda k: QuadraticNumber(2, 1, Fraction(1, 2)) ** k, "exponent", 0, "exponent must be an integer >= 0, got -1"),
+    (lambda k: _UNIT ** k, "exponent", 0, "unit must exceed 1"),
+    (lambda k: _CAT ** k, "exponent", 0, "exponent must be an integer >= 0, got -1"),
+    (lambda k: SpectrumQuery(_CAT.matrix, (0, 0), (0, 0), k), "radius", 1, "radius must be an integer >= 1, got 0"),
+], ids=["power", "number", "unit", "torus", "radius"])
+def test_exponents_are_ints(call, field, least, below):
+    """An exponent is an int, not a bool, at or above its least value;
+    anything else is refused by its name before any work."""
+    for bad in (1.5, True, "2", Fraction(2)):
+        message = "%s must be an integer >= %d, got %r" % (field, least, bad)
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            call(bad)
+    with pytest.raises(ValueError, match="^%s$" % below):
+        call(least - 1)
+
+
+def test_integer_powers_are_unchanged():
+    """Each least exponent, and the ints above it, give the powers they
+    gave before the exponent gate."""
+    assert power(_GRAPH, 1) == _GRAPH
+    assert QuadraticNumber(2, 1, Fraction(1, 2)) ** 3 == QuadraticNumber(2, Fraction(5, 2), Fraction(7, 4))
+    assert QuadraticNumber(2, 1, 1) ** 0 == QuadraticNumber(2, 1, 0)
+    assert _UNIT ** 2 == QuadraticUnit(5, Fraction(7, 2), Fraction(3, 2))
+    assert (_CAT ** 3).matrix == ((13, 8), (8, 5)) and (_CAT ** 0).matrix == ((1, 0), (0, 1))
+    doubled = power(_GRAPH, 2)
+    assert [c.twist for c in doubled.curves] == [2 * c.twist for c in _GRAPH.curves]
+    assert all(type(c.twist) is Fraction for c in doubled.curves)

@@ -150,6 +150,20 @@ def test_query_coordinates_are_exact(field):
             SpectrumQuery(GOLDEN, radius=3, **{**points, field: bad})
 
 
+@pytest.mark.parametrize("field", ["origin", "point"])
+def test_query_points_have_two_coordinates(field):
+    """A marked point of any other length is refused by the field's name,
+    never read for its first two coordinates; a pair of ints or of
+    Fractions gives the same spectrum as before."""
+    points = {"origin": (0, 0), "point": (F(1, 2), F(1, 3))}
+    expected = spectrum_min(SpectrumQuery(GOLDEN, radius=3, **points))
+    assert expected.translate == (F(1, 2), F(1, 3))
+    assert spectrum_min(SpectrumQuery(GOLDEN, (F(0), F(0)), points["point"], 3)) == expected
+    for bad in ((), (0,), (0, 0, 5), (F(1, 2), F(1, 3), 0)):
+        with pytest.raises(ValueError, match="^%s must have two coordinates, got " % field):
+            SpectrumQuery(GOLDEN, radius=3, **{**points, field: bad})
+
+
 def test_radius_limit_binds_library_calls(monkeypatch):
     """Past ``MAX_RADIUS`` every enumeration is refused before it starts."""
 

@@ -52,6 +52,18 @@ def test_equivalence_relation():
                     assert surfaces_commensurable(s1, s3)
 
 
+@pytest.mark.parametrize("field", ["genus", "boundary_components"])
+def test_counts_are_ints(field):
+    """A count that is not an int is refused, a bool included, rather than
+    stored as its value; a negative int keeps its own refusal."""
+    assert Surface(genus=2, boundary_components=1).chi == -3
+    for bad in (1.5, True, "1"):
+        with pytest.raises(ValueError, match="^genus and boundary count must be ints, got "):
+            Surface(**{"genus": 2, "boundary_components": 1, field: bad})
+    with pytest.raises(ValueError, match="^genus and boundary count must be non-negative$"):
+        Surface(**{"genus": 2, "boundary_components": 1, field: -1})
+
+
 @pytest.mark.parametrize("chi, boundary, surface", [
     (2, 0, Surface(0, 0)), (0, 0, Surface(1, 0)), (-2, 0, Surface(2, 0)), (-10, 0, Surface(6, 0)),
     (1, 1, Surface(0, 1)), (-1, 1, Surface(1, 1)), (-3, 3, Surface(1, 3)), (-4, 2, Surface(2, 2)),
