@@ -25,7 +25,8 @@ produced.  The central objects are
 D, and a and b as ints or ``Fraction``s (``_exact``), are checked where a
 value enters: by the public ``QuadraticNumber`` constructor, which a
 unit's extends.  Products and powers keep the D of their operands and
-are built unchecked by ``_trusted``.
+are built unchecked by ``_trusted``, and many numbers of one field at
+once by ``_trusted_many``.
 
 Integers are Python ints throughout, so coefficient growth is never a
 correctness concern.
@@ -34,8 +35,11 @@ correctness concern.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import floordiv
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 TRIAL_WORK = 1 << 30  # trial divisors of squarefree_part(n) up to this / bits of n: at most ~2 s
@@ -58,7 +62,7 @@ def squarefree_part(n):
     length of n only a square cofactor is certified; any other is refused
     as a resource limit.
     """
-    if n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError("squarefree_part needs a positive integer, got %r" % (n,))
     d = 1
     p = 2
@@ -104,14 +108,31 @@ def _trusted(cls, D, a, b):
 
     For values derived inside the library: D is already known to be
     squarefree and a, b are already Fractions.  The fields are set one
-    by one, as the dataclass ``__init__`` does; writing them through
-    ``vars(x)`` would give every instance a dict of its own.
+    by one into the instance's slots, as the dataclass ``__init__`` does;
+    no instance has a dict.
     """
     x = object.__new__(cls)
     object.__setattr__(x, "D", D)
     object.__setattr__(x, "a", a)
     object.__setattr__(x, "b", b)
     return x
+
+
+def _trusted_many(cls, D, a, keys, scale):
+    """``_trusted(cls, D, a, Fraction(k, scale))`` for each int k of the
+    list ``keys``, for an int scale > 0, in C-level ``map`` passes rather
+    than two Python calls per number: one gcd pass, the reduced Fractions
+    made empty and their two private slots written (CPython's pure-Python
+    ``fractions``), then the numbers and their three slots, written through
+    the slot descriptors as ``object.__setattr__`` would."""
+    gcds = list(map(math.gcd, keys, repeat(scale)))
+    bs = list(map(object.__new__, repeat(Fraction, len(keys))))
+    deque(map(setattr, bs, repeat("_numerator"), map(floordiv, keys, gcds)), 0)
+    deque(map(setattr, bs, repeat("_denominator"), map(floordiv, repeat(scale), gcds)), 0)
+    xs = list(map(object.__new__, repeat(cls, len(keys))))
+    for slot, values in ((cls.D, repeat(D)), (cls.a, repeat(a)), (cls.b, bs)):
+        deque(map(slot.__set__, xs, values), 0)
+    return xs
 
 
 def _sign(D, a, b):
@@ -125,7 +146,7 @@ def _sign(D, a, b):
     return cmp if a > 0 else -cmp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadraticNumber:
     """a + b*sqrt(D), with a, b rational and D squarefree >= 2.
 
@@ -192,6 +213,8 @@ class QuadraticNumber:
 class QuadraticUnit(QuadraticNumber):
     """A unit of a real quadratic order, normalized to value > 1, b > 0:
     a quadratic number of norm +1 or -1, equal only to a unit."""
+
+    __slots__ = ()
 
     def __post_init__(self):
         super().__post_init__()

@@ -24,17 +24,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from operator import itemgetter
 
 from .cover import _gc_paused
-from .quadratic import QuadraticNumber, ResourceLimit, _exact, _integer, _trusted
+from .quadratic import QuadraticNumber, ResourceLimit, _exact, _integer, _trusted, _trusted_many
 from .surfaces import surface_with
 from .torus import _anosov, _det, _integer_matrix, _trace, _trace_field
 
 _ZERO = Fraction(0)
 
-MAX_RADIUS = 300  # 2 (2r + 1)**2 translates; ``fibercomm spectrum`` takes 3.3-4.1 s at this radius
+MAX_RADIUS = 300  # 2 (2r + 1)**2 translates; ``fibercomm spectrum`` takes 1.5-2.1 s at this radius on a 2-CPU VM
 
 
 @dataclass(frozen=True)
@@ -190,7 +190,7 @@ def _box(q):
     return D, L * L * r * abs(q.matrix[1][0]) * D, L
 
 
-def _translates(q, L):
+def _translates(q, L, mirrored=True):
     """Keys of all candidate straight-arc classes within the radius box.
 
     The self-pairings come first, then the O-to-P translates, a row at a
@@ -200,15 +200,33 @@ def _translates(q, L):
     are running sums of an arithmetic progression: exact integer adds in
     C, not a Python call per translate.  The zero translate has key 0,
     and no other does: the eigenlines are irrational.
+
+    Without ``mirrored`` the self-pairing rows with x < 0 are skipped:
+    f(-v) = f(v) and that box is symmetric about 0, so row -x holds the
+    keys of row x, reversed.  The key-set callers ``spectrum_values`` and
+    ``spectrum_count_below`` skip them; ``spectrum_min`` keeps every row,
+    so the first translate reaching the minimum in enumeration order stays
+    the same.  The O-to-P box is not symmetric and is enumerated whole.
     """
     f, R = _measure_form(q.matrix), q.radius
     step = 2 * f((0, L))
-    for bx, by in ((0, 0), (q.point[0] - q.origin[0], q.point[1] - q.origin[1])):
+    for bx, by, whole in ((0, 0, mirrored), (q.point[0] - q.origin[0], q.point[1] - q.origin[1], True)):
         bx, y = int(bx * L), int(by * L) - L * R
-        for x in range(bx - L * R, bx + L * R + 1, L):
+        for x in range(bx - L * R if whole else bx, bx + L * R + 1, L):
             k = f((x, y))
             d = f((x, y + L)) - k
             yield x, y, list(map(abs, accumulate(range(d, d + 2 * R * step, step), initial=k)))
+
+
+def _keys(q, L, below=None):
+    """The distinct keys of the enumerated translates, 0 left out, or only
+    those accepted by ``below``."""
+    rows = (row for _, _, row in _translates(q, L, mirrored=False))
+    if below is not None:
+        rows = map(filter, repeat(below), rows)
+    keys = set(chain.from_iterable(rows))
+    keys.discard(0)
+    return keys
 
 
 def spectrum_values(q):
@@ -217,26 +235,25 @@ def spectrum_values(q):
     with coordinates in the radius box, deduplicated and strictly positive
     (only the zero translate has measure product 0, and it is left out)."""
     D, scale, L = _box(q)
-    keys = set(chain.from_iterable(row for _, _, row in _translates(q, L)))
-    keys.discard(0)
+    keys = sorted(_keys(q, L))
     with _gc_paused():
-        return [_trusted(QuadraticNumber, D, _ZERO, Fraction(k, scale)) for k in sorted(keys)]
+        return _trusted_many(QuadraticNumber, D, _ZERO, keys, scale)
 
 
 def spectrum_count_below(q, bound):
-    """Number of distinct enumerated values below the rational ``bound``.
+    """Number of distinct enumerated values below the rational ``bound``
+    (an int or a ``Fraction``).
 
     Compares integer keys and builds no value: for bound = n/d > 0, the
     value k*sqrt(D)/scale lies below it exactly when k**2 * D * d**2 <
     n**2 * scale**2, that is when k <= isqrt((n**2 * scale**2 - 1) //
     (D * d**2)).  No value lies below a bound <= 0.
     """
+    n, d = _exact(bound, "bound").numerator, bound.denominator
     D, scale, L = _box(q)
-    n, d = bound.numerator, bound.denominator
     if n <= 0:
         return 0
-    below = math.isqrt((n * n * scale * scale - 1) // (D * d * d)).__ge__
-    return len(set(chain.from_iterable(filter(below, row) for _, _, row in _translates(q, L))) - {0})
+    return len(_keys(q, L, math.isqrt((n * n * scale * scale - 1) // (D * d * d)).__ge__))
 
 
 @dataclass(frozen=True)

@@ -532,7 +532,7 @@ def test_resource_limits_are_pinned(tmp_path, monkeypatch):
              "radius": 3}
     with monkeypatch.context() as patch:  # the radii that reach the enumeration, which yields nothing
         reached = []
-        patch.setattr(spectrum, "_translates", lambda q, L: reached.append(q.radius) or iter(()))
+        patch.setattr(spectrum, "_translates", lambda q, L, mirrored=True: reached.append(q.radius) or iter(()))
         assert cli.run_operation("spectrum_count_below", [query], {"bound": "1", "radius": 300})["count"] == 0
         for op, args in (("spectrum_count_below", {"bound": "1", "radius": 301}), ("spectrum_min", {"radius": 301}),
                          ("spectrum", {"radius": 10 ** 12})):

@@ -16,7 +16,7 @@ from fibercomm.quadratic import (
 )
 from fibercomm.decomposition import power
 from fibercomm.families import d_type_family
-from fibercomm.spectrum import SpectrumQuery
+from fibercomm.spectrum import SpectrumQuery, spectrum_values
 from fibercomm.torus import ANOSOV, TorusAutomorphism, classify_torus
 
 rationals = st.fractions(
@@ -35,6 +35,14 @@ def test_squarefree_part():
 def test_squarefree_part_rejects_nonpositive():
     with pytest.raises(ValueError):
         squarefree_part(0)
+
+
+def test_squarefree_part_takes_only_ints():
+    """A float, a bool, a string or a Fraction is refused, never read for
+    its bit length or taken as 1."""
+    for bad in (2.0, True, "4", Fraction(4), None):
+        with pytest.raises(ValueError, match="^squarefree_part needs a positive integer, got %s$" % re.escape(repr(bad))):
+            squarefree_part(bad)
 
 
 def trial_division_squarefree_part(n):
@@ -328,6 +336,24 @@ def test_coordinates_take_only_exact_rationals(cls, field):
     for bad in (0.1, 1.0, True, "1"):
         with pytest.raises(ValueError, match="^%s must be an int or a Fraction, got " % field):
             cls(2, **{"a": 1, "b": 1, field: bad})
+
+
+def test_numbers_and_units_have_no_instance_dict():
+    """Numbers and units keep their fields in slots, however they are made."""
+    u = QuadraticUnit(5, Fraction(3, 2), Fraction(1, 2))
+    made = [
+        QuadraticNumber(2, 1, Fraction(1, 2)),
+        QuadraticNumber(2, 1, Fraction(1, 2)) ** 3,
+        u,
+        u ** 3,
+        quadratic._trusted(QuadraticNumber, 2, Fraction(1), Fraction(0)),
+        quadratic._trusted(QuadraticUnit, 5, Fraction(3, 2), Fraction(1, 2)),
+        classify_torus(TorusAutomorphism(((2, 1), (1, 1)))).dilatation,
+        *spectrum_values(SpectrumQuery(((2, 1), (1, 1)), (0, 0), (Fraction(1, 2), Fraction(1, 3)), 2)),
+    ]
+    assert type(made[6]) is QuadraticUnit and len(made) > 8
+    for x in made:
+        assert not hasattr(x, "__dict__"), x
 
 
 _GRAPH = d_type_family(2, 3)

@@ -9,7 +9,7 @@ import sympy
 from oracles import fundamental_unit, spectrum_keys_by_translates
 from fibercomm import spectrum
 from fibercomm.decomposition import DilatationLabel
-from fibercomm.quadratic import ResourceLimit
+from fibercomm.quadratic import QuadraticNumber, ResourceLimit
 from fibercomm.spectrum import (
     BranchData,
     SingularityVector,
@@ -167,7 +167,7 @@ def test_query_points_have_two_coordinates(field):
 def test_radius_limit_binds_library_calls(monkeypatch):
     """Past ``MAX_RADIUS`` every enumeration is refused before it starts."""
 
-    def enumerate_translates(q, L):
+    def enumerate_translates(q, L, mirrored=True):
         raise AssertionError("radius %d enumerated" % q.radius)
 
     monkeypatch.setattr(spectrum, "_translates", enumerate_translates)
@@ -299,6 +299,16 @@ def test_count_below_compares_integer_keys_like_values():
     assert spectrum_count_below(queries[0], 3) == spectrum_count_below(queries[0], F(3))
 
 
+def test_count_below_takes_an_exact_bound():
+    """The bound is an int or a Fraction; a float, a bool or a string is
+    refused by name, never read for its numerator or counted as 1."""
+    q = SpectrumQuery(GOLDEN, (0, 0), (F(1, 2), F(1, 2)), 3)
+    for bad in (2.5, "x", True, None):
+        with pytest.raises(ValueError, match="^bound must be an int or a Fraction, got %r$" % (bad,)):
+            spectrum_count_below(q, bad)
+    assert spectrum_count_below(q, 1) == spectrum_count_below(q, F(1)) > 0
+
+
 _GENERATORS = (((1, 1), (0, 1)), ((1, -1), (0, 1)), ((1, 0), (1, 1)), ((1, 0), (-1, 1)), ((0, 1), (1, 0)))
 
 
@@ -352,7 +362,10 @@ def test_rows_match_translate_oracle():
     """The row recurrences give the keys of the translate-by-translate
     oracle: the same values, the same minimum at the same first translate
     in enumeration order, and the same counts at bounds within 10**-40 of
-    enumerated values, on either side."""
+    enumerated values, on either side.  The values built in bulk are the
+    checked constructor's numbers: each b exactly a Fraction of ints in
+    lowest terms with a positive denominator, and each value equal to, and
+    hashed like, QuadraticNumber(D, 0, Fraction(k, scale))."""
     rng = random.Random(16)
     queries = _random_queries(rng, 90)
     assert any(q.point[0] - q.origin[0] == int(q.point[0] - q.origin[0]) for q in queries)
@@ -362,6 +375,11 @@ def test_rows_match_translate_oracle():
         keys = sorted({k for k, _ in keyed})
         values = spectrum_values(q)
         assert [(v.D, v.a, v.b) for v in values] == [(D, 0, F(k, scale)) for k in keys], q
+        for v, k in zip(values, keys):
+            n, d = v.b.numerator, v.b.denominator
+            assert type(v.b) is F and type(n) is type(d) is int and d > 0 and math.gcd(n, d) == 1, (q, v)
+            checked = QuadraticNumber(D, 0, F(k, scale))
+            assert type(v) is QuadraticNumber and v == checked and hash(v) == hash(checked), (q, v)
         k, w = min(keyed, key=itemgetter(0))
         m = spectrum_min(q)
         assert (m.value.D, m.value.a, m.value.b, m.translate) == (D, 0, F(k, scale), (F(w[0], L), F(w[1], L))), q
@@ -372,3 +390,4 @@ def test_rows_match_translate_oracle():
             below = math.isqrt(keys[i] ** 2 * D * N * N)  # k*sqrt(D)*N lies in (below, below + 1)
             assert spectrum_count_below(q, F(below, scale * N)) == i, (q, i)
             assert spectrum_count_below(q, F(below + 1, scale * N)) == i + 1, (q, i)
+
