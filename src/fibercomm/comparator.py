@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .cover import _gc_paused
-from .decomposition import _add, _fraction, _mul, _pair, validate_or_raise
+from .decomposition import _add, _mul, _pair, validate_or_raise
+from .quadratic import _fraction, _gc_paused
 
 FULL = "full"
 TOPOLOGICAL = "topological"

@@ -34,7 +34,6 @@ and lifted once.
 
 from __future__ import annotations
 
-import gc
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -51,24 +50,10 @@ from .decomposition import (
     power,
     validate_or_raise,
 )
-from .quadratic import ResourceLimit
+from .quadratic import ResourceLimit, _gc_paused
 from .surfaces import surface_with
 
 MAX_LIFTED_CURVES = 200_000  # normalize then takes about 1.4 s and 310 MB on a 2-CPU VM
-
-
-class _gc_paused:
-    """Cyclic garbage collection paused for a block that allocates many
-    tracked objects and frees no cycle: a lift, or a document read.  Each
-    use restores what it found, so nested uses do too."""
-
-    def __enter__(self):
-        self.collecting = gc.isenabled()
-        gc.disable()
-
-    def __exit__(self, *exc):
-        if self.collecting:
-            gc.enable()
 
 
 @dataclass(frozen=True)

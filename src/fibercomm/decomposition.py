@@ -39,12 +39,12 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import repeat
 from math import gcd, isqrt, log10
 from typing import NamedTuple
 
-from .quadratic import QuadraticUnit, ResourceLimit, _exact, _integer, unit_log_ratio
+from .quadratic import QuadraticUnit, ResourceLimit, _exact, _fraction, _integer, _repeated, unit_log_ratio
 from .surfaces import Surface
 
 
@@ -135,10 +135,6 @@ class ReducingCurve(NamedTuple):
     @property
     def ends(self):
         return (self.end_a, self.end_b)
-
-
-# coprime n and d > 0 as n/d, with no gcd, as Fraction's own operators build results
-_fraction = getattr(Fraction, "_from_coprime_ints", None) or partial(Fraction, _normalize=False)
 
 
 def _mul(n, d, k, e):
@@ -244,7 +240,7 @@ def validate(phi):
     """Structural checks; returns a list of error strings (empty = ok)."""
     errors = []
     for kind, ids in (("piece", [p.id for p in phi.pieces]), ("curve", [c.id for c in phi.curves])):
-        if len(set(ids)) != len(ids):
+        if _repeated(ids):
             errors.append("duplicate %s ids" % kind)
     if not phi.curves:
         errors.append("reducing system is empty")
@@ -257,8 +253,8 @@ def validate(phi):
                 "piece %s: boundary count %d != slots %d + free %d"
                 % (p.id, p.surface.boundary_components, len(p.slots), p.free_boundary)
             )
-        if len(set(p.slots)) != len(p.slots):
-            errors += ["piece %s repeats slot %s" % (p.id, s) for s, n in Counter(p.slots).items() if n > 1]
+        if repeated := _repeated(p.slots):
+            errors += ["piece %s repeats slot %s" % (p.id, s) for s in repeated]
 
     by_id = {p.id: p for p in phi.pieces}
     curves = phi.curves

@@ -26,7 +26,11 @@ D, and a and b as ints or ``Fraction``s (``_exact``), are checked where a
 value enters: by the public ``QuadraticNumber`` constructor, which a
 unit's extends.  Products and powers keep the D of their operands and
 are built unchecked by ``_trusted``, and many numbers of one field at
-once by ``_trusted_many``.
+once by ``_trusted_many``.  Every layer takes from here what the layers
+share: the gates ``_exact`` and ``_integer`` (every count and exponent),
+each refusing with a ``ValueError`` that names the field, and
+``_repeated``; the trusted builders ``_fraction``, ``_trusted`` and
+``_trusted_many``; and the garbage-collection pause ``_gc_paused``.
 
 Integers are Python ints throughout, so coefficient growth is never a
 correctness concern.
@@ -34,8 +38,9 @@ correctness concern.
 
 from __future__ import annotations
 
+import gc
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -62,8 +67,7 @@ def squarefree_part(n):
     length of n only a square cofactor is certified; any other is refused
     as a resource limit.
     """
-    if type(n) is not int or n < 1:
-        raise ValueError("squarefree_part needs a positive integer, got %r" % (n,))
+    _integer(n, "n", 1)
     d = 1
     p = 2
     bits = n.bit_length()
@@ -103,14 +107,38 @@ def _integer(k, field, least):
         raise ValueError("%s must be an integer >= %d, got %r" % (field, least, k))
 
 
-def _trusted(cls, D, a, b):
-    """A ``cls`` instance built without checks.
+def _repeated(names):
+    """The names that occur more than once, in order of first occurrence."""
+    return [] if len(set(names)) == len(names) else [x for x, k in Counter(names).items() if k > 1]
 
-    For values derived inside the library: D is already known to be
-    squarefree and a, b are already Fractions.  The fields are set one
-    by one into the instance's slots, as the dataclass ``__init__`` does;
-    no instance has a dict.
-    """
+
+class _gc_paused:
+    """Cyclic garbage collection paused for a block that allocates many
+    tracked objects and frees no cycle: a lift, a report, a document read.
+    Each use restores what it found, so nested uses do too."""
+
+    def __enter__(self):
+        self.collecting = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc):
+        if self.collecting:
+            gc.enable()
+
+
+def _fraction(n, d):
+    """n/d for coprime ints n and d > 0, with no gcd: an empty ``Fraction``,
+    its two private slots written as ``_trusted_many`` writes them."""
+    x = object.__new__(Fraction)
+    x._numerator = n
+    x._denominator = d
+    return x
+
+
+def _trusted(cls, D, a, b):
+    """A ``cls`` instance built without checks, for values derived inside the
+    library: D already squarefree, a and b already Fractions.  The fields are
+    set into the instance's slots, as the dataclass ``__init__`` sets them."""
     x = object.__new__(cls)
     object.__setattr__(x, "D", D)
     object.__setattr__(x, "a", a)
@@ -292,6 +320,9 @@ def unit_log_ratio(u, v):
     algorithm gives the continued fraction of the ratio: u = v**q * r
     with 1 <= r < v, then the same for (v, r), until r = 1.
     """
+    for field, x in (("u", u), ("v", v)):
+        if not isinstance(x, QuadraticUnit):
+            raise ValueError("%s must be a QuadraticUnit, got %r" % (field, x))
     if u.D != v.D:
         return None
     if u == v:

@@ -48,9 +48,9 @@ from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter, itemgetter
 
 from .comparator import FULL, MODES
-from .cover import ComponentCover, CoveringData, _gc_paused
+from .cover import ComponentCover, CoveringData
 from .decomposition import DilatationLabel, Piece, ReducibleMap, ReducingCurve, _distinct_twists
-from .quadratic import QuadraticUnit, ResourceLimit
+from .quadratic import QuadraticUnit, ResourceLimit, _gc_paused
 from .spectrum import BranchData, SingularityVector, SpectrumQuery
 from .staircase import BundlePiece, FiberedGraphManifold, Gluing, PiecePlan, RefiberPlan
 from .surfaces import Surface

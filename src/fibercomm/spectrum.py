@@ -27,8 +27,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from operator import itemgetter
 
-from .cover import _gc_paused
-from .quadratic import QuadraticNumber, ResourceLimit, _exact, _integer, _trusted, _trusted_many
+from .quadratic import QuadraticNumber, ResourceLimit, _exact, _gc_paused, _integer, _trusted, _trusted_many
 from .surfaces import surface_with
 from .torus import _anosov, _det, _integer_matrix, _trace, _trace_field
 
@@ -44,10 +43,11 @@ class SingularityVector:
     counts: tuple  # ((prongs, count), ...)
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(sorted((n, c) for n, c in self.counts)))
-        for n, c in self.counts:
-            if n < 3 or c < 1:
-                raise ValueError("bad singularity entry (%d prongs, count %d)" % (n, c))
+        counts = [(n, c) for n, c in self.counts]
+        for n, c in counts:
+            _integer(n, "prongs", 3)
+            _integer(c, "count", 1)
+        object.__setattr__(self, "counts", tuple(sorted(counts)))
         for (n, _), (m, _) in zip(self.counts, self.counts[1:]):
             if n == m:
                 raise ValueError("repeated prong number %d" % n)
@@ -71,8 +71,7 @@ class BranchData:
     matrix: tuple = None  # optional Anosov matrix of the base
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError("branch degree must be >= 1, got %d" % self.degree)
+        _integer(self.degree, "degree", 1)
         if self.matrix is not None:
             object.__setattr__(self, "matrix", _integer_matrix(self.matrix, "branch data matrix"))
         for p in self.branch_points:

@@ -43,15 +43,13 @@ upper-right entry, but the result is flagged uncalibrated.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 
-from .cover import _gc_paused
 from .decomposition import Piece, ReducibleMap, _curves
-from .quadratic import ResourceLimit
+from .quadratic import ResourceLimit, _gc_paused, _integer, _repeated
 from .surfaces import Surface, surface_with
 from .torus import _integer_matrix
 
@@ -63,11 +61,6 @@ HORIZONTAL = "horizontal"
 # VM, ``fibercomm staircase --format machine`` takes about 1 s on the bounded
 # chain (n = 83,331) and 4 s on a chain of 83,333 pieces, output written
 MAX_STAIRCASE_SIZE = 250_000
-
-
-def _repeated(names):
-    """The names that occur more than once, in order of first occurrence."""
-    return [] if len(set(names)) == len(names) else [x for x, k in Counter(names).items() if k > 1]
 
 
 @dataclass(frozen=True)
@@ -132,8 +125,7 @@ class PiecePlan:
     arcs: tuple = ()
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("sheet count must be >= 1, got %d" % self.n)
+        _integer(self.n, "n", 1)
         for tail, head in self.arcs:
             if tail == head:
                 raise ValueError("arc endpoints on the same boundary %r" % (tail,))
@@ -182,7 +174,7 @@ def staircase_piece(surface, plan, boundaries=None):
     """
     if boundaries is None:
         boundaries = tuple("b%d" % i for i in range(surface.boundary_components))
-    n, k, g = plan.n, len(plan.arcs), surface.genus
+    n, k = plan.n, len(plan.arcs)
 
     lifts = dict.fromkeys(boundaries, BoundaryLift(HORIZONTAL, n, (1, 0), Fraction(1, n)))
     for tail, head in plan.arcs:
@@ -194,11 +186,8 @@ def staircase_piece(surface, plan, boundaries=None):
 
     if k == 0:
         return StaircasePieceResult(n, surface, lifts)
-    genus = 1 - k + n * (k - 1 + g)
     boundary = n * (surface.boundary_components - 2 * k) + 2 * k
-    covered = Surface(genus, boundary)
-    assert covered.chi == n * surface.chi
-    return StaircasePieceResult(1, covered, lifts)
+    return StaircasePieceResult(1, surface_with(n * surface.chi, boundary), lifts)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .quadratic import _integer
+
 
 @dataclass(frozen=True, order=True)
 class Surface:
@@ -15,11 +17,8 @@ class Surface:
     boundary_components: int
 
     def __post_init__(self):
-        if type(self.genus) is not int or type(self.boundary_components) is not int:
-            raise ValueError("genus and boundary count must be ints, got %r, %r"
-                             % (self.genus, self.boundary_components))
-        if self.genus < 0 or self.boundary_components < 0:
-            raise ValueError("genus and boundary count must be non-negative")
+        _integer(self.genus, "genus", 0)
+        _integer(self.boundary_components, "boundary_components", 0)
 
     @property
     def chi(self):

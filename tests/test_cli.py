@@ -398,8 +398,7 @@ def test_every_fault_is_named_by_its_path(tmp_path):
         (lambda g: g["pieces"].__setitem__(0, "x"), "pieces[0]: expected object, got 'x'"),
         (lambda g: g["pieces"][1].update(dilatation=[]), "pieces[1].dilatation: expected object, got []"),
         (lambda g: g["pieces"][1].update(dilatation={"kind": "exact"}), "pieces[1].dilatation.unit: missing"),
-        (lambda g: g["pieces"][1].update(genus=-1),
-         "pieces[1]: genus and boundary count must be non-negative"),
+        (lambda g: g["pieces"][1].update(genus=-1), "pieces[1]: genus must be an integer >= 0, got -1"),
         (lambda g: g.update(type="graph"), "type: expected 'reducible_map', got 'graph'"),
     ):
         doc = json.loads(json.dumps(graph))

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_d_type_map, random_reducible_map
-from fibercomm import cover, decomposition
+from fibercomm import cover, decomposition, quadratic
 from fibercomm.comparator import FULL, InvariantReport, compare, compare_reports
 from fibercomm.cover import (
     ComponentCover,
@@ -736,7 +736,7 @@ def test_gc_pause_nests_and_restores():
     states = []
 
     def nested(depth):  # a block within a block, depth times
-        with cover._gc_paused():
+        with quadratic._gc_paused():
             states.append(gc.isenabled())
             if not depth:
                 raise ValueError("innermost")
@@ -748,7 +748,7 @@ def test_gc_pause_nests_and_restores():
     assert states == [False] * 3 and gc.isenabled()
     gc.disable()
     try:
-        with cover._gc_paused():
+        with quadratic._gc_paused():
             pass
         assert not gc.isenabled()  # a pause entered with collection off leaves it off
     finally:

@@ -1,7 +1,10 @@
+import ast
+import math
 import random
 import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,7 +19,9 @@ from fibercomm.quadratic import (
 )
 from fibercomm.decomposition import power
 from fibercomm.families import d_type_family
-from fibercomm.spectrum import SpectrumQuery, spectrum_values
+from fibercomm.spectrum import BranchData, SingularityVector, SpectrumQuery, delta_from_branch_data, spectrum_values
+from fibercomm.staircase import PiecePlan, staircase_piece
+from fibercomm.surfaces import Surface
 from fibercomm.torus import ANOSOV, TorusAutomorphism, classify_torus
 
 rationals = st.fractions(
@@ -41,7 +46,7 @@ def test_squarefree_part_takes_only_ints():
     """A float, a bool, a string or a Fraction is refused, never read for
     its bit length or taken as 1."""
     for bad in (2.0, True, "4", Fraction(4), None):
-        with pytest.raises(ValueError, match="^squarefree_part needs a positive integer, got %s$" % re.escape(repr(bad))):
+        with pytest.raises(ValueError, match="^n must be an integer >= 1, got %s$" % re.escape(repr(bad))):
             squarefree_part(bad)
 
 
@@ -390,3 +395,85 @@ def test_integer_powers_are_unchanged():
     doubled = power(_GRAPH, 2)
     assert [c.twist for c in doubled.curves] == [2 * c.twist for c in _GRAPH.curves]
     assert all(type(c.twist) is Fraction for c in doubled.curves)
+
+
+_PHI = QuadraticUnit(5, Fraction(1, 2), Fraction(1, 2))  # the golden ratio, fundamental in Q(sqrt(5))
+
+
+@pytest.mark.parametrize("field, least, call, valid, result", [
+    ("genus", 0, lambda k: Surface(k, 1).chi, 2, -3),
+    ("boundary_components", 0, lambda k: Surface(2, k).chi, 1, -3),
+    ("degree", 1, lambda k: delta_from_branch_data(BranchData(k, ())), 1, (Surface(1, 0), SingularityVector(()))),
+    ("n", 1, lambda k: PiecePlan(k).n, 2, 2),
+    ("n", 1, lambda k: staircase_piece(Surface(1, 2), PiecePlan(k, (("b0", "b1"),))).surface, 3, Surface(3, 2)),
+    ("n", 1, squarefree_part, 720, 5),
+    ("prongs", 3, lambda k: SingularityVector(((k, 1),)).counts, 6, ((6, 1),)),
+    # checked before the sort, which cannot order None against an int
+    ("prongs", 3, lambda k: SingularityVector(((k, 1), (3, 1))).counts, 4, ((3, 1), (4, 1))),
+    ("count", 1, lambda k: SingularityVector(((6, 2), (4, k))).counts, 1, ((4, 1), (6, 2))),
+], ids=["genus", "boundary", "branch-degree", "sheets", "staircase-sheets", "squarefree", "prongs",
+        "prongs-before-sort", "count"])
+def test_every_count_passes_the_integer_gate(field, least, call, valid, result):
+    """Each count is an int, not a bool, at or above its least value, and
+    anything else is refused in ``_integer``'s words, naming the field;
+    a float at or above the least value too, which is no count."""
+    assert call(valid) == result
+    for bad in (None, True, 1.5, "2", least + 0.5, least - 1):
+        message = "%s must be an integer >= %d, got %r" % (field, least, bad)
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            call(bad)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: unit_log_ratio(2, 3), "u must be a QuadraticUnit, got 2"),
+    (lambda: unit_log_ratio(None, _PHI), "u must be a QuadraticUnit, got None"),
+    (lambda: unit_log_ratio(_PHI, QuadraticNumber(5, 0, 1)), "v must be a QuadraticUnit, got (0 + 1*sqrt(5))"),
+    (lambda: unit_log_ratio(_PHI, Fraction(3, 2)), "v must be a QuadraticUnit, got Fraction(3, 2)"),
+    (lambda: BranchData(None, ()), "degree must be an integer >= 1, got None"),
+    (lambda: PiecePlan(None), "n must be an integer >= 1, got None"),
+    (lambda: SingularityVector(((3.5, 1),)), "prongs must be an integer >= 3, got 3.5"),
+    (lambda: SingularityVector(((None, 1), (3, 1))), "prongs must be an integer >= 3, got None"),
+], ids=["ints", "none", "number", "fraction", "branch-degree", "sheets", "float-prongs", "none-prongs"])
+def test_library_callers_get_refusals_not_crashes(call, message):
+    """Calls that raised ``AttributeError`` or ``TypeError``, were accepted,
+    or ran forever (a non-unit of a unit's field) are refused by a
+    ``ValueError`` naming the argument."""
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        call()
+
+
+def test_fraction_builder_is_a_reduced_fraction():
+    """``_fraction`` of a coprime pair is the ``Fraction`` the constructor
+    builds: equal, hashed alike, printed alike, of type exactly Fraction."""
+    rng = random.Random(33)
+    pairs = [(0, 1), (1, 1), (-1, 1), (-7, 3)]
+    for _ in range(300):
+        bits = rng.choice((4, 64, 200, 230))
+        n, d = rng.randint(-(1 << bits), 1 << bits), rng.randint(1, 1 << bits)
+        g = math.gcd(n, d)
+        pairs.append((n // g, d // g))
+    for n, d in pairs:
+        x, y = quadratic._fraction(n, d), Fraction(n, d)
+        assert type(x) is Fraction
+        assert x == y and hash(x) == hash(y) and str(x) == str(y)
+        assert (x.numerator, x.denominator) == (y.numerator, y.denominator) == (n, d)
+        assert x + y == 2 * y and x * x == y * y
+
+
+def test_shared_helpers_are_defined_once_in_quadratic():
+    """The gates, trusted builders and GC pause live in ``quadratic``, and
+    the layers that share them import nothing from ``cover``."""
+    src = Path(quadratic.__file__).parent
+    defined = {}
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, []).append(path.name)
+        if path.name in ("spectrum.py", "comparator.py", "staircase.py"):
+            for node in ast.walk(tree):  # from .cover import x, from . import cover, import fibercomm.cover
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = [node.module] if getattr(node, "module", None) else [a.name for a in node.names]
+                    assert not {"cover", "fibercomm.cover"} & set(names), path.name
+    for name in ("_exact", "_integer", "_repeated", "_fraction", "_trusted", "_trusted_many", "_gc_paused"):
+        assert defined[name] == ["quadratic.py"], name

@@ -47,11 +47,11 @@ def test_delta_rejections():
         BranchData(2, ((3,),))
     with pytest.raises(ValueError, match="odd chi"):
         delta_from_branch_data(BranchData(2, ((2,),)))
-    with pytest.raises(ValueError, match="bad singularity"):
+    with pytest.raises(ValueError, match="^prongs must be an integer >= 3, got 2$"):
         SingularityVector(((2, 1),))
     # a degree below 1 with no branch points, or with the empty partition of 0, would read as the torus
     for degree, points in ((-5, ()), (0, ((),))):
-        with pytest.raises(ValueError, match="^branch degree must be >= 1, got %d$" % degree):
+        with pytest.raises(ValueError, match="^degree must be an integer >= 1, got %d$" % degree):
             BranchData(degree, points)
     # as_dict would keep one count of 4, so pa_obstruction against ((4, 3),)
     # would read s_prime 2/3 where the summed vector is proportional

@@ -114,9 +114,9 @@ def test_plan_validation_errors():
     # the first boundary named twice, in arc-end order
     with pytest.raises(ValueError, match="^boundary 'b2' used by more than one arc end$"):
         PiecePlan(2, (("b0", "b2"), ("b3", "b1"), ("b2", "b1")))
-    with pytest.raises(ValueError, match="^sheet count must be >= 1, got 0$"):
+    with pytest.raises(ValueError, match="^n must be an integer >= 1, got 0$"):
         PiecePlan(0)
-    with pytest.raises(ValueError, match="^sheet count must be >= 1, got -3$"):
+    with pytest.raises(ValueError, match="^n must be an integer >= 1, got -3$"):
         PiecePlan(-3)
     with pytest.raises(ValueError, match="not a boundary"):
         staircase_piece(Surface(1, 2), PiecePlan(2, (("b0", "zz"),)))
