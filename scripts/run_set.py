@@ -67,7 +67,12 @@ both output formats, on:
   stops at the first malformed entry), reaching refusals that only a
   corpus entry reaches: branch data of odd chi, of degree 0 and with a
   branch point that is no partition of the degree, and singularity data
-  with an entry of 2 prongs and with a repeated prong number.
+  with an entry of 2 prongs and with a repeated prong number; and
+  ``torus_compare`` checks whose expected documents are known by
+  construction: ``cat**1000`` against ``cat**1001`` (scale 1000/1001), a
+  fixed 2,000-bit m**2 against g m**3 g**-1 (scale 2/3), and two fixed
+  2,000-bit maps whose trace discriminants multiply to a non-square
+  (incommensurable).
 
 Each run prints one line: the exit code, the sha256 of stdout and of
 stderr, an uncaught exception's type if there was one, and the
@@ -78,10 +83,13 @@ lines where they behave alike; diff their outputs to see every change.
 """
 
 import copy
+import functools
 import hashlib
 import itertools
 import json
+import math
 import os
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -376,7 +384,8 @@ def cover_fault_runs():
 
 
 def crafted_corpora():
-    """(name, documents, operation) of the entry of each crafted corpus."""
+    """(name, documents, operation, expected document) of the entry of each
+    crafted corpus: first the refused entries, then the torus checks."""
 
     def branch(degree, points):
         return {"x": {"type": "branch_data", "degree": degree, "branch_points": points}}
@@ -385,11 +394,51 @@ def crafted_corpora():
         return {"x": {"type": "pa_data", "dilatation": None, "delta": delta},
                 "y": {"type": "pa_data", "dilatation": None, "delta": [[4, 1]]}}
 
-    return [("odd_chi", branch(2, [[2]]), "branch_delta"),
-            ("branch_degree_0", branch(0, []), "branch_delta"),
-            ("not_a_partition", branch(2, [[1]]), "branch_delta"),
-            ("bad_singularity_entry", pa([[2, 1]]), "pa_obstruction"),
-            ("repeated_prong_number", pa([[4, 1], [4, 2]]), "pa_obstruction")]
+    def torus(m1, m2):
+        return {name: {"type": "torus_automorphism", "matrix": m} for name, m in (("x", m1), ("y", m2))}
+
+    refused = [(name, docs, op, {}) for name, docs, op in (
+        ("odd_chi", branch(2, [[2]]), "branch_delta"),
+        ("branch_degree_0", branch(0, []), "branch_delta"),
+        ("not_a_partition", branch(2, [[1]]), "branch_delta"),
+        ("bad_singularity_entry", pa([[2, 1]]), "pa_obstruction"),
+        ("repeated_prong_number", pa([[4, 1], [4, 2]]), "pa_obstruction"))]
+    rng = random.Random(2000)
+    m, g = shear_word(rng, 500), shear_word(rng, 250)
+    unrelated = shear_word(rng, 2000), shear_word(rng, 2000)
+    discs = [(a + d) ** 2 - 4 for (a, _), (_, d) in unrelated]
+    assert math.isqrt(discs[0] * discs[1]) ** 2 != discs[0] * discs[1]
+    cat = [[2, 1], [1, 1]]
+    return refused + [
+        ("torus_cat_1000", torus(mat_pow(cat, 1000), mat_pow(cat, 1001)), "torus_compare",
+         {"kind": "commensurable", "scale": "1000/1001"}),
+        ("torus_conjugate_powers_2000", torus(mat_pow(m, 2), mat_mul(mat_mul(g, mat_pow(m, 3)), sl2_inverse(g))),
+         "torus_compare", {"kind": "commensurable", "scale": "2/3"}),
+        ("torus_unrelated_2000", torus(*unrelated), "torus_compare", {"kind": "incommensurable", "scale": None})]
+
+
+def mat_mul(m, n):
+    return [[sum(m[i][k] * n[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+
+
+def mat_pow(m, k):
+    """m**k for k >= 1, by k - 1 products."""
+    return functools.reduce(mat_mul, [m] * k)
+
+
+def sl2_inverse(m):
+    (a, b), (c, d) = m
+    return [[d, -b], [-c, a]]
+
+
+def shear_word(rng, bits):
+    """A product of the shears [[1, k], [0, 1]] and [[1, 0], [k, 1]], 1 <= k <= 3,
+    taken in turn until an entry has ``bits`` bits: positive entries, so Anosov."""
+    m = [[1, 0], [0, 1]]
+    while max(abs(x) for row in m for x in row).bit_length() < bits:
+        k = rng.randint(1, 3)
+        m = mat_mul(mat_mul(m, [[1, k], [0, 1]]), [[1, 0], [k, 1]])
+    return m
 
 
 def main(tree):
@@ -407,8 +456,8 @@ def main(tree):
             for fmt in FORMATS:
                 report(runner.invoke(cli, argv + ["--format", fmt]), argv + ["--format", fmt])
         report(runner.invoke(cli, ["corpus", "verify", "--root", str(CORPUS)]), ["corpus", "verify"])
-        for name, docs, op in crafted_corpora():
-            root, check = "corpus_" + name, {"name": name, "operation": op, "inputs": sorted(docs), "expected": {}}
+        for name, docs, op, expected in crafted_corpora():
+            root, check = "corpus_" + name, {"name": name, "operation": op, "inputs": sorted(docs), "expected": expected}
             (Path(root) / name).mkdir(parents=True)
             for file, doc in (("input.json", {"id": name, "documents": docs}), ("expected.json", {"checks": [check]})):
                 (Path(root) / name / file).write_text(json.dumps(doc), encoding="utf-8")

@@ -18,9 +18,10 @@ produced.  The central objects are
   two units are multiplicatively dependent, ``None`` otherwise, by
   Euclid's algorithm on the integer coordinates u = (A + B*sqrt(D))/2;
   each quotient is found by exact repeated squaring, so the cost grows
-  with the bit length of the units, not with their exponents.  The
-  tests check it against fundamental units from continued fractions
-  (``tests/oracles.py``).
+  with the bit length of the units, not with their exponents.  The one
+  Euclid, ``_log_ratio``, takes any non-square radicand, so ``torus``
+  compare needs no squarefree part.  The tests check it against
+  fundamental units from continued fractions (``tests/oracles.py``).
 
 D, and a and b as ints or ``Fraction``s (``_exact``), are checked where a
 value enters: by the public ``QuadraticNumber`` constructor, which a
@@ -330,9 +331,17 @@ def unit_log_ratio(u, v):
     x, y = _unit_coords(u), _unit_coords(v)
     if x is None or y is None:
         return None
+    return _log_ratio(x, y, u.D)
+
+
+def _log_ratio(x, y, R):
+    """log(x) / log(y) for units x, y > 1 with integer coordinates over
+    one non-square radicand R, squarefree or not.  Both lie in one order,
+    whose units above 1 are powers of one unit, so Euclid ends; every
+    remainder stays in it, so ``_unit_mul``'s halvings are exact."""
     quotients = []
     while y != (2, 0):
-        q, r = _unit_divmod(x, y, u.D)
+        q, r = _unit_divmod(x, y, R)
         quotients.append(q)
         x, y = y, r
     num, den = 1, 0

@@ -174,6 +174,9 @@ def staircase_piece(surface, plan, boundaries=None):
     """
     if boundaries is None:
         boundaries = tuple("b%d" % i for i in range(surface.boundary_components))
+    elif len(boundaries) != surface.boundary_components:
+        raise ValueError("boundaries: %d torus names for %d boundary circles"
+                         % (len(boundaries), surface.boundary_components))
     n, k = plan.n, len(plan.arcs)
 
     lifts = dict.fromkeys(boundaries, BoundaryLift(HORIZONTAL, n, (1, 0), Fraction(1, n)))

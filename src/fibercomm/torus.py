@@ -4,7 +4,9 @@ The mapping class group of the torus is GL(2, Z).  A class is periodic,
 reducible, or Anosov; for Anosov classes the stretch factor is the
 quadratic unit (|t| + sqrt(t**2 -+ 4)) / 2 (sign by determinant), and
 two Anosov maps are commensurable iff the logs of their stretch factors
-have a rational ratio.  A periodic class's order is read off (t, det).
+have a rational ratio, which compare decides on integers by the one
+Euclid, ``quadratic._log_ratio``.  A periodic class's order is read off
+(t, det).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .quadratic import QuadraticUnit, _integer, _trusted, squarefree_part, unit_log_ratio
+from .quadratic import QuadraticUnit, _integer, _log_ratio, _trusted, squarefree_part
 
 PERIODIC = "periodic"
 REDUCIBLE = "reducible"
@@ -149,15 +151,20 @@ def torus_commensurable(phi1, phi2):
 
     Different NT classes are never commensurable.  Periodic maps form a
     single commensurability class, as do reducible ones.  Two Anosov
-    maps are commensurable iff their log-dilatations are rationally
-    dependent; the rational ratio is returned.
+    maps are commensurable iff they share a field, whose units above 1
+    are powers of one unit: iff disc1*disc2 is a square, for disc_i =
+    t_i**2 - 4 det_i = f_i**2 D.  The scale is ``_log_ratio`` over
+    R = gcd(disc1, disc2) = gcd(f1, f2)**2 D.
     """
-    c1, c2 = classify_torus(phi1), classify_torus(phi2)
-    if c1.kind != c2.kind:
+    (t1, det1), (t2, det2) = (phi1.trace, phi1.det), (phi2.trace, phi2.det)
+    if _anosov(t1, det1) != _anosov(t2, det2):
         return TorusVerdict(INCOMMENSURABLE)
-    if c1.kind in (PERIODIC, REDUCIBLE):
-        return TorusVerdict(SAME_CLASS_TRIVIAL)
-    s = unit_log_ratio(c1.dilatation, c2.dilatation)
-    if s is None:
+    if not _anosov(t1, det1):
+        same = classify_torus(phi1).kind == classify_torus(phi2).kind
+        return TorusVerdict(SAME_CLASS_TRIVIAL if same else INCOMMENSURABLE)
+    disc1, disc2 = t1 * t1 - 4 * det1, t2 * t2 - 4 * det2
+    if math.isqrt(disc1 * disc2) ** 2 != disc1 * disc2:
         return TorusVerdict(INCOMMENSURABLE)
-    return TorusVerdict(COMMENSURABLE, scale=s)
+    R = math.gcd(disc1, disc2)
+    x, y = ((abs(t), math.isqrt(disc // R)) for t, disc in ((t1, disc1), (t2, disc2)))
+    return TorusVerdict(COMMENSURABLE, scale=_log_ratio(x, y, R))

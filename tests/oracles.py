@@ -14,6 +14,9 @@ None of these is on a decision path of the library:
   oracle for the kernel's reduced integers;
 * ``matrix_power`` -- integer matrix powers by repeated products, the
   oracle for ``TorusAutomorphism.__pow__``;
+* ``torus_commensurable_by_units`` -- two torus maps compared by their
+  classes and the log-ratio of their stretch factors as units of
+  Q(sqrt D), D squarefree, the oracle for ``torus.torus_commensurable``;
 * ``generate_same_cyclic_group`` and ``minimal_representatives`` --
   covering equivalence of periodic torus maps, and the minimal
   periodic / reducible torus classes;
@@ -63,10 +66,22 @@ from fibercomm.decomposition import (
     validate,
     validate_or_raise,
 )
-from fibercomm.quadratic import QuadraticUnit, _check_squarefree
+from fibercomm.quadratic import QuadraticUnit, _check_squarefree, unit_log_ratio
 from fibercomm.spectrum import _measure_form
 from fibercomm.surfaces import Surface
-from fibercomm.torus import PERIODIC, REDUCIBLE, TorusAutomorphism, _det, _trace, _trace_field, classify_torus
+from fibercomm.torus import (
+    COMMENSURABLE,
+    INCOMMENSURABLE,
+    PERIODIC,
+    REDUCIBLE,
+    SAME_CLASS_TRIVIAL,
+    TorusAutomorphism,
+    TorusVerdict,
+    _det,
+    _trace,
+    _trace_field,
+    classify_torus,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +282,20 @@ def matrix_power(m, k):
     for _ in range(k):
         a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
     return ((a, b), (c, d))
+
+
+def torus_commensurable_by_units(phi1, phi2):
+    """The torus verdict from both NT classes: stretch factors as units
+    of Q(sqrt D), D the squarefree part, compared by ``unit_log_ratio``."""
+    c1, c2 = classify_torus(phi1), classify_torus(phi2)
+    if c1.kind != c2.kind:
+        return TorusVerdict(INCOMMENSURABLE)
+    if c1.kind in (PERIODIC, REDUCIBLE):
+        return TorusVerdict(SAME_CLASS_TRIVIAL)
+    s = unit_log_ratio(c1.dilatation, c2.dilatation)
+    if s is None:
+        return TorusVerdict(INCOMMENSURABLE)
+    return TorusVerdict(COMMENSURABLE, scale=s)
 
 
 # ---------------------------------------------------------------------------

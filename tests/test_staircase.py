@@ -131,6 +131,14 @@ def test_bundle_piece_needs_a_torus_name_per_boundary_circle():
         BundlePiece("A", Surface(1, 2), ("t",))
 
 
+def test_staircase_piece_needs_a_name_per_boundary_circle():
+    # two names for one circle: not a closed Sigma_{2,0} at n = 2, nor a refusal of a
+    # boundary count the caller never passed at n = 3
+    for n in (2, 3):
+        with pytest.raises(ValueError, match=r"^boundaries: 2 torus names for 1 boundary circles$"):
+            staircase_piece(Surface(1, 1), PiecePlan(n, (("b0", "b1"),)), ("b0", "b1"))
+
+
 def refused(m, plan):
     """The text of ``refiber``'s refusal of a plan."""
     with pytest.raises(ValueError) as e:

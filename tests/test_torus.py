@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 import time
@@ -8,7 +9,7 @@ import pytest
 
 import sympy
 
-from oracles import generate_same_cyclic_group, matrix_power, minimal_representatives
+from oracles import generate_same_cyclic_group, matrix_power, minimal_representatives, torus_commensurable_by_units
 from fibercomm import quadratic, torus
 from fibercomm.quadratic import QuadraticNumber, QuadraticUnit
 from fibercomm.spectrum import BranchData, SpectrumQuery, spectrum_values
@@ -21,6 +22,7 @@ from fibercomm.torus import (
     REDUCIBLE,
     SAME_CLASS_TRIVIAL,
     TorusAutomorphism,
+    TorusVerdict,
     classify_torus,
     torus_commensurable,
 )
@@ -149,14 +151,33 @@ def test_large_cat_power_classifies_quickly():
     assert c.dilatation == QuadraticUnit(5, Fraction(lucas[50], 2), Fraction(fib[50], 2))
 
 
+def shear_word(rng, bits):
+    """A random product of the shears ((1, k), (0, 1)) and ((1, 0), (k, 1)),
+    1 <= k <= 3, taken in turn until an entry has ``bits`` bits: a map in
+    SL(2, Z) with positive entries, so Anosov."""
+    m = TorusAutomorphism(((1, 0), (0, 1)))
+    while max(abs(x) for row in m.matrix for x in row).bit_length() < bits:
+        k = rng.randint(1, 3)
+        m = m * TorusAutomorphism(((1, k), (0, 1))) * TorusAutomorphism(((1, 0), (k, 1)))
+    return m
+
+
+def conjugate_powers(rng, bits):
+    """m**2 and g m**3 g**-1, of about ``bits`` bits: commensurable with scale 2/3."""
+    m, g = shear_word(rng, bits // 4), shear_word(rng, bits // 8)
+    return m ** 2, g * m ** 3 * TorusAutomorphism(_invert(g.matrix))
+
+
 def test_large_cat_powers_are_commensurable_quickly():
-    # the trace discriminant of cat**k is 5 F_2k**2; its squarefree part
-    # is found without trial division up to the largest prime of F_2k
     cat = TorusAutomorphism(((2, 1), (1, 1)))
-    start = time.perf_counter()
-    v = torus_commensurable(cat ** 40, cat ** 41)
-    assert time.perf_counter() - start < 2.0
-    assert v.kind == COMMENSURABLE and v.scale == Fraction(40, 41)
+    pairs = [(cat ** 40, cat ** 41, Fraction(40, 41)), (cat ** 1000, cat ** 1001, Fraction(1000, 1001)),
+             (*conjugate_powers(random.Random(3), 2000), Fraction(2, 3))]
+    for phi, psi, scale in pairs:
+        start = time.perf_counter()
+        v = torus_commensurable(phi, psi)
+        assert time.perf_counter() - start < 2.0
+        assert v.kind == COMMENSURABLE and v.scale == scale
+    assert pairs[-1][1].matrix[0][0].bit_length() >= 1900
 
 
 def test_one_factorization_per_anosov_classification(monkeypatch):
@@ -169,9 +190,10 @@ def test_one_factorization_per_anosov_classification(monkeypatch):
         del calls[:]
         assert classify_torus(cat ** k).kind == ANOSOV
         assert len(calls) == 1
+    # the compare path factors nothing
     del calls[:]
     assert torus_commensurable(cat ** 3, TorusAutomorphism(((1, 1), (1, 0)))).kind == COMMENSURABLE
-    assert len(calls) == 2
+    assert calls == []
     del calls[:]
     q = SpectrumQuery(((2, 1), (1, 1)), (0, 0), (Fraction(1, 2), 0), 3)
     assert calls == []
@@ -191,6 +213,12 @@ def test_commensurability_examples():
     assert v.kind == SAME_CLASS_TRIVIAL
     v = torus_commensurable(a, TorusAutomorphism(((1, 1), (0, 1))))
     assert v.kind == INCOMMENSURABLE
+    # two orders of Q(sqrt 5): trace discriminants 320 = 8**2 * 5 and 5
+    golden = TorusAutomorphism(((1, 1), (1, 0)))
+    for phi, psi, scale in ((a ** 3, golden, Fraction(6)), (golden, a ** 3, Fraction(1, 6)),
+                            (a, golden ** 3, Fraction(2, 3)), (golden ** 2, a, Fraction(1))):
+        v = torus_commensurable(phi, psi)
+        assert v == torus_commensurable_by_units(phi, psi) == TorusVerdict(COMMENSURABLE, scale)
 
 
 def brute_force_commensurable(u, v, max_exp=12):
@@ -226,6 +254,31 @@ def test_oracle_agreement_small():
             verdict = torus_commensurable(seen[u], seen[v])
             expected = brute_force_commensurable(u, v)
             assert (verdict.kind == COMMENSURABLE) == expected, (u, v)
+            assert verdict == torus_commensurable_by_units(seen[u], seen[v]), (u, v)
+
+
+def test_compare_of_conjugate_powers_is_p_over_q():
+    rng = random.Random(11)
+    bases = [((2, 1), (1, 1)), ((1, 1), (1, 0)), ((3, 1), (2, 1)), ((2, 1), (1, 0)), ((3, 1), (1, 0))]
+    for m in bases:
+        a = TorusAutomorphism(m)
+        for p, q in itertools.product(range(1, 7), repeat=2):
+            g, h = (TorusAutomorphism(_random_glz(rng)) for _ in range(2))
+            phi = g * a ** p * TorusAutomorphism(_invert(g.matrix))
+            psi = h * a ** q * TorusAutomorphism(_invert(h.matrix))
+            v = torus_commensurable(phi, psi)
+            assert v == torus_commensurable_by_units(phi, psi) == TorusVerdict(COMMENSURABLE, Fraction(p, q)), (m, p, q)
+
+
+def test_unrelated_large_maps_are_incommensurable_quickly():
+    rng = random.Random(5)
+    for bits in (256, 2000):
+        phi, psi = shear_word(rng, bits), shear_word(rng, bits)
+        d1, d2 = (f.trace ** 2 - 4 * f.det for f in (phi, psi))
+        assert math.isqrt(d1 * d2) ** 2 != d1 * d2
+        start = time.perf_counter()
+        assert torus_commensurable(phi, psi).kind == INCOMMENSURABLE
+        assert time.perf_counter() - start < 2.0
 
 
 def test_minimal_representatives():
