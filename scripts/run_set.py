@@ -16,8 +16,8 @@ both output formats, on:
   one ``staircase`` document, say) fails it with exit 1;
 * malformed and refused inputs: repeated names in a graph manifold or a
   graph, a torus shared by two gluings, a gluing of a torus to itself,
-  a plan that misses a piece, junctions whose sides lift to different
-  numbers of circles, staircases
+  a plan that misses a piece, gluings outside the normal form
+  ((-1, sigma), (0, 1)) (named from either side), staircases
   at and past the size limit (the bounded chain at n = 83,331 and
   83,332, and chains of 83,333 and 83,334 genus-1 two-torus pieces at
   n = 1), refibered names that collide (a copy ``A~0`` of a piece ``A``
@@ -202,16 +202,17 @@ def edge_runs():
                "pieces": [a, {"id": "B", "genus": 1, "boundary_tori": ["t", "t~0", "x"]},
                           {"id": "C", "genus": 1, "boundary_tori": ["s", "z"]}],
                "gluings": [{"id": "j", "side_a": ["B", "t"], "side_b": ["A", "t"], "matrix": shear},
-                           {"id": "k", "side_a": ["B", "t~0"], "side_b": ["C", "s"], "matrix": [[3, 4], [2, 3]]}]},
+                           {"id": "k", "side_a": ["B", "t~0"], "side_b": ["C", "s"], "matrix": [[-1, -4], [0, 1]]}]},
               {"type": "refiber_plan", "pieces": [{"id": "A", "n": 2, "arcs": []},
                                                   {"id": "B", "n": 2, "arcs": [["t~0", "x"]]},
-                                                  {"id": "C", "n": 2, "arcs": [["z", "s"]]}]})
-    # a horizontal circle against an arc end, in either order, and one
-    # circle against one, all by uncalibrated matrices
+                                                  {"id": "C", "n": 2, "arcs": [["s", "z"]]}]})
+    # gluings off the normal form, all refused: a horizontal circle against an arc end, in
+    # either order, and one circle against one, with the gluing named from either side
     pieces = [{"id": "A", "genus": 1, "boundary_tori": ["t"]}, {"id": "B", "genus": 1, "boundary_tori": ["t", "u"]}]
     for name, sides, matrix, n_a in (("circles_2_1", (["A", "t"], ["B", "t"]), [[2, 1], [1, 1]], 2),
                                      ("circles_1_2", (["B", "t"], ["A", "t"]), [[1, -1], [-1, 2]], 2),
-                                     ("circles_1_1", (["A", "t"], ["B", "t"]), [[2, 1], [1, 1]], 1)):
+                                     ("circles_1_1", (["A", "t"], ["B", "t"]), [[2, 1], [1, 1]], 1),
+                                     ("circles_1_1_swapped", (["B", "t"], ["A", "t"]), [[1, -1], [-1, 2]], 1)):
         m = {"type": "graph_manifold", "pieces": pieces,
              "gluings": [{"id": "j", "side_a": sides[0], "side_b": sides[1], "matrix": matrix}]}
         staircase(name, m, {"type": "refiber_plan", "pieces": [{"id": "A", "n": n_a, "arcs": []},

@@ -104,7 +104,6 @@ def _staircase(manifold, plan):
         "fiber": None if result.fiber is None else _surface(result.fiber),
         "connected": result.connected,
         "monodromy_order": result.monodromy_order,
-        "uncalibrated": result.uncalibrated,
         "map": result.map,
         "invariants": _report(result.map),
     }

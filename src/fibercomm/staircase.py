@@ -14,16 +14,16 @@ from n shifted fiber copies joined along the arcs:
   slope (n, -1), the head circle to one of slope (n, +1).
 
 The plan is admissible when every piece has an entry whose arcs end on
-its boundary and, across every gluing, the matrix carries one side's
-boundary class to plus or minus the other side's and both sides lift to
-equally many circles; the glued staircases then assemble into a fiber
-of a new fibration whose monodromy is periodic of order lcm(n_i) and
-reducible along the junction circles.  ``refiber`` is the plan check:
-one walk over the pieces builds one staircase per piece shape, and the
-walk over the gluings that builds the junction curves checks each
-junction.  A plan is refused for, in this order, a graph past the size
-limit, every faulty piece, every faulty junction, or else the first
-junction of shear 0.
+its boundary and every gluing is in the normal form below, carries one
+side's boundary class to plus or minus the other side's, and has both
+sides lift to equally many circles; the glued staircases then assemble
+into a fiber of a new fibration whose monodromy is periodic of order
+lcm(n_i) and reducible along the junction circles.  ``refiber`` is the
+plan check: one walk over the pieces builds one staircase per piece
+shape, and the walk over the gluings that builds the junction curves
+checks each junction.  A plan is refused for, in this order, a graph
+past the size limit, every faulty piece, every faulty junction, or else
+the first junction of shear 0.
 
 The fractional twist at a junction depends on the gluing's shear sigma,
 read from the normal form g(1,0) = (-1,0), g(0,1) = (sigma, 1):
@@ -35,9 +35,9 @@ These two rules are calibrated against pinned targets (the pi/3
 relative twist, the (3, 1) integer twists of the sixth power, and the
 half-twist at the horizontal junction of the three-piece bounded
 family) and reproduce the all-n=1 plan as the identity: each twist is
-then -sigma, the fractional twist of the original fibration.  Gluing
-matrices outside the normal form are accepted, with sigma read as the
-upper-right entry, but the result is flagged uncalibrated.
+then -sigma, the fractional twist of the original fibration.  Any other
+gluing matrix is refused.  The normal form is its own inverse, so either
+order of a gluing's sides gives the same matrix and the same twists.
 """
 
 from __future__ import annotations
@@ -199,7 +199,6 @@ class RefiberResult:
     connected: bool
     monodromy_order: int
     map: ReducibleMap
-    uncalibrated: tuple     # gluing ids outside the calibrated normal form
 
 
 def refiber(manifold, plan):
@@ -226,9 +225,9 @@ def refiber(manifold, plan):
        ``ResourceLimit``;
     2. every piece without an entry or with an arc end off its
        boundary, in piece order, in one message;
-    3. every junction whose side-a slope the matrix does not carry to
-       plus or minus the side-b slope, or whose sides lift to unequally
-       many circles, in gluing order, in one message;
+    3. every junction off the normal form, or whose matrix does not carry
+       the side-a slope to plus or minus the side-b slope, or whose sides
+       lift to unequally many circles, in gluing order, in one message;
     4. the first gluing of shear 0, whose junction is trivially twisted.
     """
     with _gc_paused():
@@ -272,20 +271,21 @@ def refiber(manifold, plan):
             pieces += [Piece(gid, s.surface, slots, s.surface.boundary_components - len(slots)) for gid in gids]
 
         # the curves' fields, built in one C-level pass; one shared twist Fraction per (-sigma, sheets)
-        ids, ends_a, ends_b, twists, uncalibrated, trivial, by_shear = [], [], [], [], [], [], {}
+        ids, ends_a, ends_b, twists, trivial, by_shear = [], [], [], [], [], {}
         for g in manifold.gluings:
             la, lb = staircases[g.side_a[0]].lifts[g.side_a[1]], staircases[g.side_b[0]].lifts[g.side_b[1]]
             ((a, sigma), (c, d)), (x, y) = g.matrix, la.slope
-            image = (a * x + sigma * y, c * x + d * y)
-            if image != lb.slope and image != (-lb.slope[0], -lb.slope[1]):  # carried up to sign
+            image = (sigma * y - x, y)  # in the normal form
+            if (a, c, d) != (-1, 0, 1):
+                errors.append("gluing %s: matrix %r is outside the normal form ((-1, sigma), (0, 1))"
+                              % (g.id, g.matrix))
+            elif image != lb.slope and image != (-lb.slope[0], -lb.slope[1]):  # carried up to sign
                 errors.append("gluing %s: image %r of slope %r does not match %r" % (g.id, image, la.slope, lb.slope))
             elif la.count != lb.count:
                 errors.append("gluing %s: unequal sheet counts (%d and %d circles)" % (g.id, la.count, lb.count))
             elif sigma == 0:
                 trivial.append(g.id)
             else:
-                if (a, c, d) != (-1, 0, 1):  # outside the normal form
-                    uncalibrated.append(g.id)
                 key = -sigma, sheets[g.side_a[0]] * (1 if la.role == HORIZONTAL else sheets[g.side_b[0]])
                 if key not in by_shear:
                     by_shear[key] = Fraction(*key)
@@ -315,4 +315,4 @@ def refiber(manifold, plan):
 
     boundary = sum(p.free_boundary for p in pieces)
     fiber = surface_with(phi.chi, boundary) if connected else None
-    return RefiberResult(fiber, connected, N, phi, tuple(uncalibrated))
+    return RefiberResult(fiber, connected, N, phi)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from fibercomm.decomposition import Piece, ReducibleMap, ReducingCurve
+from fibercomm.staircase import BundlePiece, FiberedGraphManifold, Gluing, PiecePlan, RefiberPlan
 from fibercomm.surfaces import Surface
 
 
@@ -52,3 +53,35 @@ def random_reducible_map(rng, max_pieces=4, max_curves=5, max_part=12):
 
 def random_d_type_map(rng, max_pieces=4, max_curves=5, max_part=12):
     return random_reducible_map(rng, max_pieces, max_curves, max_part)
+
+
+def random_normal_form_chain(rng, k):
+    """A graph manifold and an admissible plan: a chain of k pieces, each
+    glued at its torus "r" to the next one's "l" by a matrix of the normal
+    form, planned with mixed sheet counts and arc sets (pieces without an
+    arc fall apart into copies).  Each piece is drawn until it can be
+    glued to the one before: a shear that carries the slopes, as many
+    circles on both sides, and a nonzero shear."""
+
+    def slope(entry, torus):  # (1, 0) off the arcs, (n, -1) at a tail, (n, 1) at a head
+        tails, heads = {t for t, _ in entry.arcs}, {h for _, h in entry.arcs}
+        return (entry.n, -1) if torus in tails else (entry.n, 1) if torus in heads else (1, 0)
+
+    pieces, entries, gluings = [], [], []
+    while len(pieces) < k:
+        extra = ["x%d" % j for j in range(rng.randint(0, 2))]
+        tori = ["l", "r"] + extra
+        arcs = rng.choice([[], [("l", "r")], [("r", "l")]] + [[("l", x)] for x in extra] + [[(x, "r")] for x in extra])
+        piece = BundlePiece("P%d" % len(pieces), Surface(rng.randint(0 if extra else 1, 2), len(tori)), tuple(tori))
+        entry = PiecePlan(rng.randint(1, 3), tuple(arcs))
+        if pieces:
+            (x, y), (m, z) = slope(entries[-1], "r"), slope(entry, "l")
+            # g(x, y) = (-x + sigma * y, y) must be plus or minus (m, z)
+            sigma = rng.choice((-2, -1, 1, 2)) if y == z == 0 else (y * z * m + x) * y if y and z else 0
+            if sigma == 0 or y == 0 and entries[-1].n != entry.n:
+                continue
+            gluings.append(Gluing("g%d" % len(gluings), (pieces[-1].id, "r"), (piece.id, "l"), ((-1, sigma), (0, 1))))
+        pieces.append(piece)
+        entries.append(entry)
+    plan = RefiberPlan(tuple((p.id, e) for p, e in zip(pieces, entries)))
+    return FiberedGraphManifold(tuple(pieces), tuple(gluings)), plan

@@ -369,7 +369,7 @@ def test_every_fault_is_named_by_its_path(tmp_path):
         cases.append(("staircase", [doc, plan], message))
     cases.append(("staircase", [manifold, {**plan, "pieces": plan["pieces"][:2]}],
                   "inadmissible plan: piece S3: no plan entry"))
-    # a horizontal circle glued to an arc end by an uncalibrated matrix
+    # a horizontal circle glued to an arc end, by a matrix off the normal form
     cases.append(("staircase", [{"type": "graph_manifold",
                                  "pieces": [{"id": "A", "genus": 1, "boundary_tori": ["t"]},
                                             {"id": "B", "genus": 1, "boundary_tori": ["t", "u"]}],
@@ -377,7 +377,8 @@ def test_every_fault_is_named_by_its_path(tmp_path):
                                               "matrix": [[2, 1], [1, 1]]}]},
                                 {"type": "refiber_plan", "pieces": [{"id": "A", "n": 2, "arcs": []},
                                                                     {"id": "B", "n": 2, "arcs": [["u", "t"]]}]}],
-                  "inadmissible plan: gluing j: unequal sheet counts (2 and 1 circles)"))
+                  "inadmissible plan: gluing j: matrix ((2, 1), (1, 1)) is outside the normal form "
+                  "((-1, sigma), (0, 1))"))
     # a graph piece that repeats a slot
     cases.append(("invariants", [{"type": "reducible_map",
                                   "pieces": [{"id": "hub", "genus": 1, "boundary": 2, "slots": ["h0", "h0"],

@@ -16,7 +16,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 from itertools import chain
 
-from conftest import random_reducible_map
+from conftest import random_normal_form_chain, random_reducible_map
 from oracles import (
     brute_force_feasible,
     feasible_by_fractions,
@@ -43,7 +43,7 @@ from fibercomm.families import (
     closed_chain_manifold,
     closed_chain_plan,
 )
-from fibercomm.staircase import BundlePiece, FiberedGraphManifold, Gluing, PiecePlan, RefiberPlan, refiber
+from fibercomm.staircase import refiber
 from fibercomm.surfaces import Surface
 
 MODES = (FULL, TOPOLOGICAL, COMBINED)
@@ -183,37 +183,6 @@ def test_kernel_on_lifted_random_covers():
         lifted += 1
 
 
-def random_refibered_chain(rng, k):
-    """A chain of k pieces, each glued at its torus "r" to the next one's
-    "l" by a matrix of the normal form, planned with mixed sheet counts and
-    arc sets (pieces without an arc fall apart into copies).  Each piece is
-    drawn until it can be glued to the one before: a shear that carries
-    the slopes, as many circles on both sides, and a nonzero shear."""
-
-    def slope(entry, torus):  # (1, 0) off the arcs, (n, -1) at a tail, (n, 1) at a head
-        tails, heads = {t for t, _ in entry.arcs}, {h for _, h in entry.arcs}
-        return (entry.n, -1) if torus in tails else (entry.n, 1) if torus in heads else (1, 0)
-
-    pieces, entries, gluings = [], [], []
-    while len(pieces) < k:
-        extra = ["x%d" % j for j in range(rng.randint(0, 2))]
-        tori = ["l", "r"] + extra
-        arcs = rng.choice([[], [("l", "r")], [("r", "l")]] + [[("l", x)] for x in extra] + [[(x, "r")] for x in extra])
-        piece = BundlePiece("P%d" % len(pieces), Surface(rng.randint(0 if extra else 1, 2), len(tori)), tuple(tori))
-        entry = PiecePlan(rng.randint(1, 3), tuple(arcs))
-        if pieces:
-            (x, y), (m, z) = slope(entries[-1], "r"), slope(entry, "l")
-            # g(x, y) = (-x + sigma * y, y) must be plus or minus (m, z)
-            sigma = rng.choice((-2, -1, 1, 2)) if y == z == 0 else (y * z * m + x) * y if y and z else 0
-            if sigma == 0 or y == 0 and entries[-1].n != entry.n:
-                continue
-            gluings.append(Gluing("g%d" % len(gluings), (pieces[-1].id, "r"), (piece.id, "l"), ((-1, sigma), (0, 1))))
-        pieces.append(piece)
-        entries.append(entry)
-    plan = RefiberPlan(tuple((p.id, e) for p, e in zip(pieces, entries)))
-    return refiber(FiberedGraphManifold(tuple(pieces), tuple(gluings)), plan).map
-
-
 def test_kernel_on_refibered_chains():
     maps = []
     for n in range(1, 7):
@@ -230,7 +199,7 @@ def test_kernel_on_random_refibered_chains():
     rng = random.Random(139)
     chains, shared = [], 0
     while len(chains) < 150:
-        phi = random_refibered_chain(rng, rng.randint(2, 12))
+        phi = refiber(*random_normal_form_chain(rng, rng.randint(2, 12))).map
         checked_report(phi)
         pairs = list(phi.pairs.values())
         assert len({*map(id, pairs)}) == len(set(pairs))

@@ -372,7 +372,7 @@ NESTINGS = (
     lambda g: g,
     lambda g: {"laws": [{"ok": True, "piece": "p"}], "lifted": g},
     lambda g: {"certificate": {"cover": {"pieces": []}, "power": 2}, "normalized": g},
-    lambda g: {"connected": True, "invariants": {"chi": -2}, "map": g, "uncalibrated": []},
+    lambda g: {"connected": True, "invariants": {"chi": -2}, "map": g},
     lambda g: [g, {"graphs": [g, "x"]}],
 )
 

@@ -200,20 +200,27 @@ def test_refusal_order():
 
 
 def test_junction_circle_counts_must_agree():
-    """An uncalibrated matrix can carry a horizontal circle to an arc end:
-    n circles on one side, one on the other, refused either way round."""
+    """A matrix that carries a horizontal circle to an arc end is off the
+    normal form, so it is refused as such, whichever side is named first
+    and however many circles each side lifts to.  In the normal form a
+    horizontal circle meets a horizontal one, and unequal sheet counts
+    are refused either way round."""
     a = BundlePiece("A", Surface(1, 1), ("t",))
     b = BundlePiece("B", Surface(1, 2), ("t", "u"))
-    plan = RefiberPlan((("A", PiecePlan(2)), ("B", PiecePlan(2, (("u", "t"),)))))
-    for gluing, counts in ((Gluing("j", ("A", "t"), ("B", "t"), ((2, 1), (1, 1))), "(2 and 1 circles)"),
-                           (Gluing("j", ("B", "t"), ("A", "t"), ((1, -1), (-1, 2))), "(1 and 2 circles)")):
-        m = FiberedGraphManifold((a, b), (gluing,))
+    for n_a in (2, 1):
+        plan = RefiberPlan((("A", PiecePlan(n_a)), ("B", PiecePlan(2, (("u", "t"),)))))
+        for gluing in (Gluing("j", ("A", "t"), ("B", "t"), ((2, 1), (1, 1))),
+                       Gluing("j", ("B", "t"), ("A", "t"), ((1, -1), (-1, 2)))):
+            assert refused(FiberedGraphManifold((a, b), (gluing,)), plan) == (
+                "inadmissible plan: gluing j: matrix %r is outside the normal form ((-1, sigma), (0, 1))"
+                % (gluing.matrix,)
+            )
+    b = BundlePiece("B", Surface(1, 3), ("t", "u", "v"))
+    plan = RefiberPlan((("A", PiecePlan(2)), ("B", PiecePlan(3, (("u", "v"),)))))
+    for sides, counts in (((("A", "t"), ("B", "t")), "(2 and 3 circles)"),
+                          ((("B", "t"), ("A", "t")), "(3 and 2 circles)")):
+        m = FiberedGraphManifold((a, b), (Gluing("j", *sides, ((-1, 1), (0, 1))),))
         assert refused(m, plan) == "inadmissible plan: gluing j: unequal sheet counts %s" % counts
-    # one circle on each side: the twist is -sigma / n of side a, as before
-    m = FiberedGraphManifold((a, b), (Gluing("j", ("A", "t"), ("B", "t"), ((2, 1), (1, 1))),))
-    r = refiber(m, RefiberPlan((("A", PiecePlan(1)), ("B", PiecePlan(2, (("u", "t"),))))))
-    assert [(c.end_a, c.end_b, c.twist) for c in r.map.curves] == [(("A", "t"), ("B", "t"), F(-1))]
-    assert r.uncalibrated == ("j",) and r.monodromy_order == 2
 
 
 def test_identity_plan_reproduces_fibration():
@@ -358,8 +365,8 @@ def test_refibered_names_that_collide_are_refused_by_validate():
         InvariantReport.of(phi)
     b, c = BundlePiece("B", Surface(1, 3), ("t", "t~0", "x")), BundlePiece("C", Surface(1, 2), ("s", "z"))
     m = FiberedGraphManifold((a, b, c), (Gluing("j", ("B", "t"), ("A", "t"), shear),
-                                         Gluing("k", ("B", "t~0"), ("C", "s"), ((3, 4), (2, 3)))))
-    plan = RefiberPlan((("A", PiecePlan(2)), ("B", PiecePlan(2, (("t~0", "x"),))), ("C", PiecePlan(2, (("z", "s"),)))))
+                                         Gluing("k", ("B", "t~0"), ("C", "s"), ((-1, -4), (0, 1)))))
+    plan = RefiberPlan((("A", PiecePlan(2)), ("B", PiecePlan(2, (("t~0", "x"),))), ("C", PiecePlan(2, (("s", "z"),)))))
     phi = refiber(m, plan).map
     assert phi.piece("B").slots == ("t~0", "t~1", "t~0")
     with pytest.raises(ValueError) as e:
@@ -369,21 +376,32 @@ def test_refibered_names_that_collide_are_refused_by_validate():
     )
 
 
-def test_uncalibrated_gluing_flagged():
-    pieces = (
-        BundlePiece("A", Surface(1, 1), ("t",)),
-        BundlePiece("B", Surface(1, 1), ("t",)),
-    )
-    # not in the normal form g(1,0) = (-1,0), g(0,1) = (sigma, 1)
-    gluing = Gluing("j", ("A", "t"), ("B", "t"), ((1, 1), (0, 1)))
-    m = FiberedGraphManifold(pieces, (gluing,))
+def test_gluing_outside_the_normal_form_is_refused():
+    """Only ((-1, sigma), (0, 1)) has a derived twist rule.  Any other
+    matrix is a junction fault, named before that gluing's slope test and
+    beside the other junction faults in gluing order, and before a shear
+    of 0; a normal-form gluing of shear 0 is still refused last."""
+    pieces = (BundlePiece("A", Surface(1, 1), ("t",)), BundlePiece("B", Surface(1, 1), ("t",)))
     plan = RefiberPlan((("A", PiecePlan(1)), ("B", PiecePlan(1))))
-    r = refiber(m, plan)
-    assert r.uncalibrated == ("j",)
-    calibrated = FiberedGraphManifold(
-        pieces, (Gluing("j", ("A", "t"), ("B", "t"), ((-1, 1), (0, 1))),)
+    for matrix in (((1, 1), (0, 1)), ((1, 1), (0, -1)), ((1, -3), (0, -1)), ((1, 0), (0, 1)), ((-1, 1), (0, -1))):
+        for sides in ((("A", "t"), ("B", "t")), (("B", "t"), ("A", "t"))):
+            m = FiberedGraphManifold(pieces, (Gluing("j", *sides, matrix),))
+            assert refused(m, plan) == (
+                "inadmissible plan: gluing j: matrix %r is outside the normal form ((-1, sigma), (0, 1))" % (matrix,)
+            )
+    normal = FiberedGraphManifold(pieces, (Gluing("j", ("A", "t"), ("B", "t"), ((-1, 1), (0, 1))),))
+    assert [c.twist for c in refiber(normal, plan).map.curves] == [F(-1)]
+    m = bounded_chain_manifold()
+    f, g = m.gluings
+    both = FiberedGraphManifold(m.pieces, (replace(f, matrix=((1, 0), (0, 1))), replace(g, matrix=((-1, 0), (0, 1)))))
+    assert refused(both, bounded_chain_plan(2)) == (
+        "inadmissible plan: gluing f: matrix ((1, 0), (0, 1)) is outside the normal form ((-1, sigma), (0, 1)); "
+        "gluing g: image (-2, 1) of slope (2, 1) does not match (3, -1)"
     )
-    assert refiber(calibrated, plan).uncalibrated == ()
+    first = FiberedGraphManifold(m.pieces, (replace(f, matrix=((-1, 0), (0, 1))), replace(g, matrix=((1, 1), (0, 1)))))
+    assert refused(first, bounded_chain_plan(2)) == (
+        "inadmissible plan: gluing g: matrix ((1, 1), (0, 1)) is outside the normal form ((-1, sigma), (0, 1))"
+    )
 
 
 def test_disconnected_fiber_reported():
