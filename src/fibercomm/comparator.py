@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .decomposition import _add, _mul, _pair, validate_or_raise
-from .quadratic import _fraction, _gc_paused
+from .decomposition import _add, _mul, _pair, _scale, validate_or_raise
+from .quadratic import _gc_paused
 
 FULL = "full"
 TOPOLOGICAL = "topological"
@@ -38,12 +38,12 @@ NOT_OBSTRUCTED = "not_obstructed"
 class InvariantReport:
     """The invariants of a map, as its chi-normalized table.
 
-    ``table`` holds the items of ``ReducibleMap.normalized``: each piece
-    pair over -chi as reduced integers (n, d, n', d'), with the chi of the
-    pieces realizing it.  With chi(F) it determines every invariant, each
-    computed when first read: A / -chi(F), as reduced integers for the
-    comparator, and A, Pi and P as ``Fraction``s.  P determines the table,
-    so equal reports have equal invariants.
+    ``table`` is the one normalized table of a graph: each piece pair of
+    ``ReducibleMap.pairs`` over -chi, a reduced integer key (n, d, n', d'),
+    with the chi of the pieces realizing it.  With chi(F) it determines
+    every invariant, each computed when first read: A / -chi(F), as
+    reduced integers for the comparator, and A, Pi and P as ``Fraction``s.
+    P determines the table, so equal reports have equal invariants.
     """
 
     table: frozenset         # ((n, d, n', d'), chi) items
@@ -67,7 +67,13 @@ class InvariantReport:
     def of(phi):
         with _gc_paused():  # the check and the tables allocate tuples per piece and curve, and free no cycle
             validate_or_raise(phi)
-            return InvariantReport(frozenset(phi.normalized.items()), phi.dilatation_set, phi.chi)
+            pairs, counts, table = phi.pairs, {}, {}  # counts: (key's id, chi) -> [key, pieces], one division each
+            for p in phi.pieces:
+                counts.setdefault((id(pairs[p.id]), p.surface.chi), [pairs[p.id], 0])[1] += 1
+            for (_, chi), (key, n) in counts.items():
+                key = _scale(key, (1, -chi))
+                table[key] = table.get(key, 0) + n * chi
+            return InvariantReport(frozenset(table.items()), phi.dilatation_set, phi.chi)
 
 
 @dataclass(frozen=True)
@@ -83,10 +89,6 @@ class Verdict:
 
 def _flip(key):
     return key[2], key[3], key[0], key[1]
-
-
-def _scale(key, s):  # an integer pair times s = (n, d), reduced
-    return (*_mul(key[0], key[1], *s), *_mul(key[2], key[3], *s))
 
 
 def _lead(keys):
@@ -126,7 +128,7 @@ def _feasible(x, y, mode):
         # scaling is one-to-one, so Pi matches when every scaled pair is in y's
         if len(pi1) != len(pi2) or any(_scale(k, s) not in pi2 for k in pi1):
             continue
-        scale = _fraction(*s)
+        scale = Fraction(*s)
         if mode == COMBINED:
             ok = _dilatation_scale_ok(scale, x.dilatations, y.dilatations)
         else:

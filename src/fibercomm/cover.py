@@ -46,7 +46,10 @@ from .decomposition import (
     ReducibleMap,
     _curves,
     _distinct_twists,
+    _pair,
     _pairs_from_curves,
+    _scale,
+    _with_tables,
     power,
     validate_or_raise,
 )
@@ -123,9 +126,10 @@ def lift_cover(phi, c):
 
     Each preimage curve of local degree d carries twist I/d, one
     ``Fraction`` per base curve and degree, and the graph its pair table
-    in closed form, l * A(S) over S for a degree-l component, as ``pairs``.
+    in closed form, the key of S scaled by l for a degree-l component
+    (``decomposition._scale``), stored as ``pairs`` by ``_with_tables``.
 
-    The lift is not validated, its ``errors`` are set empty: the checks
+    The lift is not validated, its ``errors`` are stored empty: the checks
     of ``phi`` and of the walk imply every check of ``validate`` on it:
 
     * distinct piece and slot ids: a ``"%s~%d"`` name splits uniquely at
@@ -157,7 +161,6 @@ def lift_cover(phi, c):
             if not comps:  # none given, or an empty list: the piece has no preimage either way
                 errors.append("no cover data for piece %s" % p.id)
                 continue
-            a, b = phi.pairs[p.id]
             for j, comp in enumerate(comps):
                 where = "piece %s component %d" % (p.id, j)
                 new_id, slots = "%s~%d" % (p.id, j), []
@@ -196,7 +199,7 @@ def lift_cover(phi, c):
                 if surface is None:
                     unfit = unfit or "piece %s: no surface with chi = %d and %d boundary circles" % (p.id, chi, boundary)
                 pieces.append(Piece(new_id, surface, tuple(slots), free, p.dilatation))
-                pairs[new_id] = (a * comp.degree, b * comp.degree)
+                pairs[new_id] = _scale(phi.pairs[p.id], (comp.degree, 1))
         for curve in [] if errors else phi.curves:  # compared over admissible components only
             counts, side_a = _ends_by_runs(runs_at.get(curve.end_a, []))
             counts_b, side_b = _ends_by_runs(runs_at.get(curve.end_b, []))
@@ -212,9 +215,7 @@ def lift_cover(phi, c):
         raise ValueError("inadmissible cover: " + "; ".join(errors))
     if unfit:
         raise ValueError(unfit)
-    lifted = ReducibleMap(tuple(pieces), tuple(curves))
-    vars(lifted).update(pairs=pairs, errors=[])  # the graph's cached tables, known here
-    return lifted
+    return _with_tables(ReducibleMap(tuple(pieces), tuple(curves)), pairs)
 
 
 @dataclass(frozen=True)
@@ -242,10 +243,10 @@ def verify_cover_laws(phi, c, lifted):
     checks = []
     base_pairs, lifted_pairs = _pairs_from_curves(phi), _pairs_from_curves(lifted)
     for p in phi.pieces:
-        (a, b), chi = base_pairs[p.id], p.surface.chi
+        (a, b), chi = _pair(base_pairs[p.id]), p.surface.chi
         for j, comp in enumerate(c.of(p.id)):
             new_id = "%s~%d" % (p.id, j)
-            (la, lb), lchi = lifted_pairs[new_id], lifted.piece(new_id).surface.chi
+            (la, lb), lchi = _pair(lifted_pairs[new_id]), lifted.piece(new_id).surface.chi
             checks += [
                 LawCheck(new_id, "A multiplies by degree", (la, lb), (a * comp.degree, b * comp.degree)),
                 LawCheck(new_id, "A / -chi unchanged", (la / -lchi, lb / -lchi), (a / -chi, b / -chi)),
@@ -287,9 +288,8 @@ def normalize_unit_twists(phi):
             raise ValueError("piece %s is not periodic; normalization needs a D-type map" % p.id)
 
     m = math.lcm(*[c.twist.denominator for c in phi.curves])
-    phim = power(phi, m) if m > 1 else phi
-    if m > 1:  # each twist times m, so each reciprocal sum over m: a derived table, as a lift's
-        vars(phim)["pairs"] = {pid: (a / m, b / m) for pid, (a, b) in phi.pairs.items()}
+    # each twist times m, so each pair over m: the power of a valid graph carries its tables, as a lift does
+    phim = phi if m == 1 else _with_tables(power(phi, m), {pid: _scale(key, (1, m)) for pid, key in phi.pairs.items()})
     d_at = {end: abs(int(c.twist)) for c in phim.curves for end in c.ends}  # curve end -> |integer twist|
     L = math.lcm(*d_at.values())
     if any(surface_with(L * p.surface.chi, sum(L // d_at[p.id, s] for s in p.slots) + L * p.free_boundary) is None

@@ -12,21 +12,19 @@ A reducible automorphism in standard form is recorded combinatorially:
   the same piece) and carrying its fractional twist I, the Dehn-twist
   power of a boundary-fixing power of the map divided by that power.
 
-From this data the graph derives, once each (cached properties, as is
-every table a graph derives):
+From this data the graph derives ``phi.pairs`` once (a cached property,
+as is every table a graph derives): for each piece S, the pair of
+reciprocal-twist sums over the slots of S, split by twist sign, counted
+by piece and twist and kept as the reduced integer key (n, d, n', d') of
+n/d and n'/d'; ``_pair`` reads a key as two ``Fraction``s, built only
+for a value that is read.  A builder that knows a graph's pairs in
+closed form (a lift, and the power that normalization lifts) stores
+them with ``_with_tables``, never counted.
 
-* ``phi.pairs``      -- for each piece S, the pair of reciprocal-twist
-  sums over the slots of S, split by twist sign;
-* ``phi.normalized`` -- each pair normalized by -chi(S), as reduced
-  integers, with the chi of the pieces realizing it.
-
-``comparator.InvariantReport`` reads the twist invariants from the
-normalized table: A, half the sum of the piece pairs, Pi, the set of
-normalized pairs, and P, the chi-weighted polynomial that packages
-both.  The curve ends are counted by piece and twist first, and the
-sums are kept as reduced integers, so a ``Fraction`` is built only for
-a value that is read; a lifted graph, and the power that normalization
-lifts, carry their tables in closed form, never counted.
+``comparator.InvariantReport`` normalizes the pairs by -chi(S), the one
+normalized table, and reads the twist invariants from it: A, half the
+sum of the piece pairs, Pi, the set of normalized pairs, and P, the
+chi-weighted polynomial that packages both.
 
 Constructors store what they are given; ``validate`` requires each
 twist to be a nonzero ``Fraction``: a curve with trivial fractional
@@ -44,7 +42,7 @@ from itertools import repeat
 from math import gcd, isqrt, log10
 from typing import NamedTuple
 
-from .quadratic import QuadraticUnit, ResourceLimit, _exact, _fraction, _integer, _repeated, unit_log_ratio
+from .quadratic import QuadraticUnit, ResourceLimit, _exact, _integer, _repeated, unit_log_ratio
 from .surfaces import Surface
 
 
@@ -158,9 +156,14 @@ def _add(n, d, k, e):
     return (t, s * e) if g == 1 else (t // g, s * (e // g))
 
 
+def _scale(key, s):
+    """A reduced integer key (n, d, n', d') times s = (k, e), e > 0, reduced."""
+    return (*_mul(key[0], key[1], *s), *_mul(key[2], key[3], *s))
+
+
 def _pair(key):
     """The ``Fraction`` pair of a reduced integer key (n, d, n', d')."""
-    return _fraction(key[0], key[1]), _fraction(key[2], key[3])
+    return Fraction(key[0], key[1]), Fraction(key[2], key[3])
 
 
 def _curves(rows):  # ReducingCurve(*row) calls tuple.__new__(cls, row) from a Python frame; this is one C call
@@ -188,35 +191,20 @@ class ReducibleMap:
     pieces: tuple
     curves: tuple
 
-    # derived tables, built on first use and kept with the graph: ``validate``,
-    # the piece pairs, their normalized table and the lookup by piece id, never a linear scan
+    # derived tables, built on first use and kept with the graph: ``validate``, the pairs, the lookup by id
     @cached_property
     def errors(self):
         return validate(self)
 
     @cached_property
     def pairs(self):
-        """Reciprocal-twist pair of every piece, as a dict piece id -> pair:
-        1/k summed over the slots of positive incident twist k, 1/(-k) over
-        those of negative k; a curve with both ends on the piece counts
-        through both slots.  Pieces of equal sums share one pair, so a graph
-        of many pieces of one shape holds few.  A lift (``cover.lift_cover``)
-        carries it."""
+        """Reciprocal-twist pair of every piece, as a dict piece id -> reduced
+        integer key (n, d, n', d'): n/d is 1/k summed over the slots of
+        positive incident twist k, n'/d' is 1/(-k) over those of negative k;
+        a curve with both ends on the piece counts through both slots.
+        Pieces of equal sums share one key, so a graph of many pieces of one
+        shape holds few.  A lift (``cover.lift_cover``) carries it."""
         return _pairs_from_curves(self)
-
-    @cached_property
-    def normalized(self):
-        """Each chi-normalized piece pair, as reduced integers (n, d, n', d'), -> the chi
-        of the pieces realizing it: the pieces counted by pair object and chi, then one
-        division per distinct count, no Fraction hashed."""
-        pairs, counts, normalized = self.pairs, {}, {}  # counts: (pair's id, chi) -> [pair, pieces]
-        for p in self.pieces:
-            counts.setdefault((id(pairs[p.id]), p.surface.chi), [pairs[p.id], 0])[1] += 1
-        for (_, chi), ((a, b), n) in counts.items():
-            (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
-            key = (*_mul(an, ad, 1, -chi), *_mul(bn, bd, 1, -chi))
-            normalized[key] = normalized.get(key, 0) + n * chi
-        return normalized
 
     @cached_property
     def _by_id(self):
@@ -321,9 +309,15 @@ def _pairs_from_curves(phi):
         num, den = twists[key].as_integer_ratio()
         if num:
             sums[pid, num < 0] = _add(*sums[pid, num < 0], *_mul(n, 1, den, abs(num)))
-    shared = {}  # the one Fraction pair of each distinct pair of sums
-    return {p.id: shared.get(key) or shared.setdefault(key, (_fraction(*key[0]), _fraction(*key[1])))
-            for p in phi.pieces for key in [(sums[p.id, False], sums[p.id, True])]}
+    shared = {}  # the one key of each distinct pair of sums
+    return {p.id: shared.setdefault(key, key) for p in phi.pieces for key in [(*sums[p.id, False], *sums[p.id, True])]}
+
+
+def _with_tables(phi, pairs):
+    """``phi`` with its ``pairs`` table stored and its ``errors`` stored empty,
+    for a graph that its builder made valid and whose pairs it knows."""
+    vars(phi).update(pairs=pairs, errors=[])
+    return phi
 
 
 def power(phi, k):

@@ -28,10 +28,11 @@ value enters: by the public ``QuadraticNumber`` constructor, which a
 unit's extends.  Products and powers keep the D of their operands and
 are built unchecked by ``_trusted``, and many numbers of one field at
 once by ``_trusted_many``.  Every layer takes from here what the layers
-share: the gates ``_exact`` and ``_integer`` (every count and exponent),
-each refusing with a ``ValueError`` that names the field, and
-``_repeated``; the trusted builders ``_fraction``, ``_trusted`` and
-``_trusted_many``; and the garbage-collection pause ``_gc_paused``.
+share: the gates ``_exact``, ``_integer`` (every count and exponent) and
+``_sequence`` (every tuple a public constructor unpacks), each refusing
+with a ``ValueError`` that names the field, and ``_repeated``; the
+trusted builders ``_trusted`` and ``_trusted_many``, the one writer of
+``Fraction``'s private slots; and the garbage-collection pause ``_gc_paused``.
 
 Integers are Python ints throughout, so coefficient growth is never a
 correctness concern.
@@ -108,6 +109,16 @@ def _integer(k, field, least):
         raise ValueError("%s must be an integer >= %d, got %r" % (field, least, k))
 
 
+def _sequence(x, field, two):
+    """``x``, a tuple or a list, of two entries, called ``two`` (a plural noun),
+    unless ``two`` is None; anything else is refused, naming ``field``."""
+    if not isinstance(x, (tuple, list)):
+        raise ValueError("%s must be a tuple or a list, got %r" % (field, x))
+    if two is not None and len(x) != 2:
+        raise ValueError("%s must have two %s, got %r" % (field, two, x))
+    return x
+
+
 def _repeated(names):
     """The names that occur more than once, in order of first occurrence."""
     return [] if len(set(names)) == len(names) else [x for x, k in Counter(names).items() if k > 1]
@@ -125,15 +136,6 @@ class _gc_paused:
     def __exit__(self, *exc):
         if self.collecting:
             gc.enable()
-
-
-def _fraction(n, d):
-    """n/d for coprime ints n and d > 0, with no gcd: an empty ``Fraction``,
-    its two private slots written as ``_trusted_many`` writes them."""
-    x = object.__new__(Fraction)
-    x._numerator = n
-    x._denominator = d
-    return x
 
 
 def _trusted(cls, D, a, b):

@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from operator import itemgetter
 
-from .quadratic import QuadraticNumber, ResourceLimit, _exact, _gc_paused, _integer, _trusted, _trusted_many
+from .quadratic import QuadraticNumber, ResourceLimit, _exact, _gc_paused, _integer, _sequence, _trusted, _trusted_many
 from .surfaces import surface_with
 from .torus import _anosov, _det, _integer_matrix, _trace, _trace_field
 
@@ -74,8 +74,8 @@ class BranchData:
         _integer(self.degree, "degree", 1)
         if self.matrix is not None:
             object.__setattr__(self, "matrix", _integer_matrix(self.matrix, "branch data matrix"))
-        for p in self.branch_points:
-            if sum(p) != self.degree or any(m < 1 for m in p):
+        for p in _sequence(self.branch_points, "branch_points", None):
+            if any(type(m) is not int or m < 1 for m in _sequence(p, "branch point", None)) or sum(p) != self.degree:
                 raise ValueError("%r is not a partition of %d" % (p, self.degree))
 
 
@@ -154,9 +154,7 @@ class SpectrumQuery:
     def __post_init__(self):
         object.__setattr__(self, "matrix", _integer_matrix(self.matrix))
         for field, xy in (("origin", self.origin), ("point", self.point)):
-            if len(xy) != 2:
-                raise ValueError("%s must have two coordinates, got %r" % (field, xy))
-            for x in xy:
+            for x in _sequence(xy, field, "coordinates"):
                 _exact(x, field)
         _integer(self.radius, "radius", 1)
         if not _anosov(_trace(self.matrix), _det(self.matrix)):

@@ -49,7 +49,7 @@ from functools import cached_property
 from itertools import repeat
 
 from .decomposition import Piece, ReducibleMap, _curves
-from .quadratic import ResourceLimit, _gc_paused, _integer, _repeated
+from .quadratic import ResourceLimit, _gc_paused, _integer, _repeated, _sequence
 from .surfaces import Surface, surface_with
 from .torus import _integer_matrix
 
@@ -70,7 +70,7 @@ class BundlePiece:
     boundaries: tuple  # names of the boundary tori
 
     def __post_init__(self):
-        if len(self.boundaries) != self.surface.boundary_components:
+        if len(_sequence(self.boundaries, "boundaries", None)) != self.surface.boundary_components:
             raise ValueError(
                 "piece %s: %d torus names for %d boundary circles"
                 % (self.id, len(self.boundaries), self.surface.boundary_components)
@@ -87,6 +87,8 @@ class Gluing:
     matrix: tuple  # maps side-a (section, fiber) coordinates to side-b
 
     def __post_init__(self):
+        _sequence(self.side_a, "side_a", "names")
+        _sequence(self.side_b, "side_b", "names")
         object.__setattr__(self, "matrix", _integer_matrix(self.matrix, "gluing %s: matrix", (self.id,)))
 
 
@@ -126,7 +128,8 @@ class PiecePlan:
 
     def __post_init__(self):
         _integer(self.n, "n", 1)
-        for tail, head in self.arcs:
+        for arc in _sequence(self.arcs, "arcs", None):
+            tail, head = _sequence(arc, "arc", "ends")
             if tail == head:
                 raise ValueError("arc endpoints on the same boundary %r" % (tail,))
         if repeated := _repeated([b for arc in self.arcs for b in arc]):

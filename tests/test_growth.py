@@ -9,9 +9,13 @@ the same on every machine, where a time is not.
 
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import fibercomm
+from conftest import random_reducible_map
+from fibercomm.comparator import FULL, NOT_OBSTRUCTED, compare
+from fibercomm.decomposition import ReducibleMap, power
 from fibercomm.torus import COMMENSURABLE, INCOMMENSURABLE, torus_commensurable
 from test_torus import conjugate_powers, shear_word
 
@@ -24,8 +28,8 @@ SIZES = (64, 128, 256, 512, 1024)
 # multiplies them by far more.
 GROWTH = 8
 # the line events allowed at the smallest size: torus compare takes under
-# 200 there, and a loop in the value is stopped in well under a second
-# rather than left to run for minutes
+# 200 there and graph compare under 1,000, and a loop in the value is
+# stopped in well under a second rather than left to run for minutes
 FIRST_BUDGET = 100_000
 
 
@@ -60,14 +64,14 @@ def line_events(call, budget):
     return count, result
 
 
-def check_growth(family, expected):
-    """Count ``torus_commensurable`` on each size's pair of ``family``, and
-    fail at the first doubling that multiplies the count by more than GROWTH."""
+def check_growth(family, call, expected):
+    """Count ``call`` on each size's arguments from ``family``, and fail at
+    the first doubling that multiplies the count by more than GROWTH."""
     rng = random.Random(1)
     budget, counts = FIRST_BUDGET, []
     for bits in SIZES:
-        phi, psi = family(rng, bits)
-        count, verdict = line_events(lambda: torus_commensurable(phi, psi), budget)
+        args = family(rng, bits)
+        count, verdict = line_events(lambda: call(*args), budget)
         counts.append(count)
         assert 0 < count <= budget, "%d bits: over %d line events; counts so far %s" % (bits, budget, counts)
         assert verdict.kind == expected, (bits, verdict)
@@ -76,9 +80,26 @@ def check_growth(family, expected):
 
 def test_torus_compare_of_one_field_grows_polynomially():
     # m**2 against g m**3 g**-1: commensurable, by the Euclid on units
-    check_growth(conjugate_powers, COMMENSURABLE)
+    check_growth(conjugate_powers, torus_commensurable, COMMENSURABLE)
 
 
 def test_torus_compare_of_unrelated_maps_grows_polynomially():
     # two independent words: their discriminants' product is no square
-    check_growth(lambda rng, bits: (shear_word(rng, bits), shear_word(rng, bits)), INCOMMENSURABLE)
+    check_growth(lambda rng, bits: (shear_word(rng, bits), shear_word(rng, bits)), torus_commensurable, INCOMMENSURABLE)
+
+
+def odd(rng, bits):
+    """A random odd integer of exactly ``bits`` bits."""
+    return rng.getrandbits(bits) | 1 << bits - 1 | 1
+
+
+def long_twists(rng, bits):
+    """One small graph with every twist +-(odd b-bit) / (odd b-bit)."""
+    phi = random_reducible_map(random.Random(1), max_part=6)
+    curves = [c._replace(twist=Fraction(rng.choice((1, -1)) * odd(rng, bits), odd(rng, bits))) for c in phi.curves]
+    return (ReducibleMap(phi.pieces, tuple(curves)),)
+
+
+def test_graph_compare_with_a_power_grows_polynomially():
+    # phi against phi**3: the invariant kernel's sums, normalizations and scale test
+    check_growth(long_twists, lambda phi: compare(phi, power(phi, 3), FULL), NOT_OBSTRUCTED)

@@ -1,12 +1,13 @@
 """The invariant kernel against its Fraction-arithmetic oracle.
 
-``InvariantReport.of`` and the comparator keep every sum, normalized
-pair and scale as reduced integers and build a ``Fraction`` only for a
-value that is read.  Every report field (P included), every piece-pair
-table, and every feasible set in the three modes must equal what the
-``Fraction`` formulas of ``oracles`` give, and ``brute_force_feasible``
-where it is cheap enough.  ``Fraction`` equality compares numerators and
-denominators, so an unreduced value fails it.
+A graph's piece pairs, ``InvariantReport.of`` and the comparator keep
+every sum, normalized pair and scale as reduced integers and build a
+``Fraction`` only for a value that is read.  Every report field (P
+included), every piece-pair table, and every feasible set in the three
+modes must equal what the ``Fraction`` formulas of ``oracles`` give, and
+``brute_force_feasible`` where it is cheap enough.  A pair table is
+compared key by key with the oracle's reduced integers, and every key of
+it and of the report's table is checked reduced.
 """
 
 import random
@@ -15,6 +16,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import chain
+from math import gcd
 
 from conftest import random_normal_form_chain, random_reducible_map
 from oracles import (
@@ -34,6 +36,7 @@ from fibercomm.decomposition import (
     Piece,
     ReducibleMap,
     ReducingCurve,
+    _pair,
     power,
 )
 from fibercomm.families import (
@@ -63,16 +66,28 @@ def fractions_in(value):
             yield from fractions_in(v)
 
 
+def key_of(pair):
+    """The reduced integer key (n, d, n', d') of a ``Fraction`` pair."""
+    return (*pair[0].as_integer_ratio(), *pair[1].as_integer_ratio())
+
+
+def keys_by_fractions(phi):
+    """The oracle's ``pairs`` table, as the graph keeps it."""
+    return {pid: key_of(pair) for pid, pair in pairs_by_fractions(phi).items()}
+
+
 def checked_report(phi):
     """``InvariantReport.of(phi)`` after checking it, the graph's tables
     and the public invariant functions against the oracle."""
     report, oracle = InvariantReport.of(phi), report_by_fractions(phi)
-    assert phi.pairs == pairs_by_fractions(phi)
+    assert phi.pairs == keys_by_fractions(phi)
+    for n, d, n2, d2 in chain(phi.pairs.values(), (key for key, _ in report.table)):
+        assert d > 0 and d2 > 0 and gcd(n, d) == gcd(n2, d2) == 1 and all(type(x) is int for x in (n, d, n2, d2))
     for field in FIELDS:
         assert getattr(report, field) == getattr(oracle, field), field
     assert InvariantReport.of(phi).a == oracle.a and InvariantReport.of(phi).pi == oracle.pi
     assert sorted(dict(InvariantReport.of(phi).p).items()) == list(oracle.p)
-    for f in fractions_in([report.a, report.a_normalized, report.pi, report.p, phi.pairs]):
+    for f in fractions_in([report.a, report.a_normalized, report.pi, report.p]):
         assert type(f) is F and f.denominator > 0
     hash(report)
     return report, oracle
@@ -130,7 +145,7 @@ def test_kernel_on_criterion_8_and_normalizations():
     for _ in range(100):
         phi = random_reducible_map(rng, max_part=12)
         normalized, cert = normalize_unit_twists(phi)
-        assert normalized.pairs == pairs_by_fractions(normalized)
+        assert normalized.pairs == keys_by_fractions(normalized)
         check_pairs([phi, normalized])
 
 
@@ -273,7 +288,7 @@ def test_lift_report_from_the_base_table():
             continue
         table = Counter()
         for p in phi.pieces:
-            a, b = (x / -p.surface.chi for x in phi.pairs[p.id])
+            a, b = (x / -p.surface.chi for x in _pair(phi.pairs[p.id]))
             table[(*a.as_integer_ratio(), *b.as_integer_ratio())] += p.surface.chi * sum(x.degree for x in c.of(p.id))
         expected = InvariantReport(frozenset(table.items()), phi.dilatation_set, sum(table.values()))
         report = InvariantReport.of(lift)

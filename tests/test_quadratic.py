@@ -20,7 +20,7 @@ from fibercomm.quadratic import (
 from fibercomm.decomposition import power
 from fibercomm.families import d_type_family
 from fibercomm.spectrum import BranchData, SingularityVector, SpectrumQuery, delta_from_branch_data, spectrum_values
-from fibercomm.staircase import PiecePlan, staircase_piece
+from fibercomm.staircase import BundlePiece, Gluing, PiecePlan, staircase_piece
 from fibercomm.surfaces import Surface
 from fibercomm.torus import ANOSOV, TorusAutomorphism, classify_torus
 
@@ -442,22 +442,26 @@ def test_library_callers_get_refusals_not_crashes(call, message):
         call()
 
 
-def test_fraction_builder_is_a_reduced_fraction():
-    """``_fraction`` of a coprime pair is the ``Fraction`` the constructor
-    builds: equal, hashed alike, printed alike, of type exactly Fraction."""
-    rng = random.Random(33)
-    pairs = [(0, 1), (1, 1), (-1, 1), (-7, 3)]
-    for _ in range(300):
-        bits = rng.choice((4, 64, 200, 230))
-        n, d = rng.randint(-(1 << bits), 1 << bits), rng.randint(1, 1 << bits)
-        g = math.gcd(n, d)
-        pairs.append((n // g, d // g))
-    for n, d in pairs:
-        x, y = quadratic._fraction(n, d), Fraction(n, d)
-        assert type(x) is Fraction
-        assert x == y and hash(x) == hash(y) and str(x) == str(y)
-        assert (x.numerator, x.denominator) == (y.numerator, y.denominator) == (n, d)
-        assert x + y == 2 * y and x * x == y * y
+@pytest.mark.parametrize("call, message", [
+    (lambda: BranchData(2, 5), "branch_points must be a tuple or a list, got 5"),
+    (lambda: BranchData(2, ((1, 1), 2)), "branch point must be a tuple or a list, got 2"),
+    (lambda: BranchData(2, ((1, "a"),)), "(1, 'a') is not a partition of 2"),
+    (lambda: PiecePlan(2, 5), "arcs must be a tuple or a list, got 5"),
+    (lambda: PiecePlan(2, ("ab",)), "arc must be a tuple or a list, got 'ab'"),
+    (lambda: PiecePlan(2, (("a", "b", "c"),)), "arc must have two ends, got ('a', 'b', 'c')"),
+    (lambda: BundlePiece("a", Surface(1, 1), 5), "boundaries must be a tuple or a list, got 5"),
+    (lambda: Gluing("j", 5, ("B", "t"), ((-1, 1), (0, 1))), "side_a must be a tuple or a list, got 5"),
+    (lambda: Gluing("j", ("A", "t"), ["B"], ((-1, 1), (0, 1))), "side_b must have two names, got ['B']"),
+    (lambda: SpectrumQuery(((2, 1), (1, 1)), 5, (0, 0), 3), "origin must be a tuple or a list, got 5"),
+    (lambda: SpectrumQuery(((2, 1), (1, 1)), (0, 0), "00", 3), "point must be a tuple or a list, got '00'"),
+], ids=["branch-points", "branch-point", "local-degree", "arcs", "arc", "arc-length", "boundaries", "side-a", "side-b-length",
+        "origin", "point"])
+def test_wrong_shapes_are_refused_in_the_gates_words(call, message):
+    """A public constructor takes a tuple or a list where it unpacks one, at
+    the top and in its entries, of two entries where a pair is meant; each
+    call here raised ``TypeError``, or was built and crashed later."""
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        call()
 
 
 def test_shared_helpers_are_defined_once_in_quadratic():
@@ -475,5 +479,5 @@ def test_shared_helpers_are_defined_once_in_quadratic():
                 if isinstance(node, (ast.Import, ast.ImportFrom)):
                     names = [node.module] if getattr(node, "module", None) else [a.name for a in node.names]
                     assert not {"cover", "fibercomm.cover"} & set(names), path.name
-    for name in ("_exact", "_integer", "_repeated", "_fraction", "_trusted", "_trusted_many", "_gc_paused"):
+    for name in ("_exact", "_integer", "_repeated", "_trusted", "_trusted_many", "_gc_paused"):
         assert defined[name] == ["quadratic.py"], name

@@ -1,8 +1,17 @@
-"""Refibering is a function of the graph manifold, not of its description.
+"""Invariants are functions of what is described, not of the description.
 
-One manifold and plan are described again: pieces, gluings, plan entries
-and each piece's tori re-ordered, some gluings' sides swapped (the
-matrix inverted), and pieces, tori and gluings renamed.  Every
+A decomposition graph is described again: its pieces, curves and each
+piece's slots re-ordered, some curves' ends swapped, and its piece, slot
+and curve ids renamed, names holding ``~`` among them.  Its invariant
+report, the report of its power and the report of its unit-twist
+normalization stay equal, and ``compare`` keeps its verdict in every
+mode; ``compare(y, x)`` has the kind of ``compare(x, y)`` and the
+inverted scales.  The inputs are the random graphs of ``conftest``, with
+pseudo-Anosov pieces where normalization is not asked for.
+
+One manifold and plan are described again too: pieces, gluings, plan
+entries and each piece's tori re-ordered, some gluings' sides swapped
+(the matrix inverted), and pieces, tori and gluings renamed.  Every
 description refibers to the same fiber, connectivity, monodromy order
 and invariant report, and ``compare`` calls no two of them
 ``incommensurable``, in any mode.  The inputs are the chain families and
@@ -11,14 +20,20 @@ random admissible chains of normal-form gluings
 in ``test_fuzz``.
 """
 
+from dataclasses import replace
+
 import pytest
 from click.testing import CliRunner
-from conftest import random_normal_form_chain
+from conftest import random_normal_form_chain, random_reducible_map
 from hypothesis import given, settings, strategies as st
+from oracles import negate_twists
+from test_comparator import with_pseudo_anosov_pieces
 
 from fibercomm import serialize as ser
 from fibercomm.cli import main
 from fibercomm.comparator import MODES, InvariantReport, compare
+from fibercomm.cover import normalize_unit_twists
+from fibercomm.decomposition import ReducibleMap, ReducingCurve, power
 from fibercomm.families import (
     bounded_chain_manifold,
     bounded_chain_plan,
@@ -28,6 +43,73 @@ from fibercomm.families import (
 )
 from fibercomm.staircase import BundlePiece, FiberedGraphManifold, Gluing, PiecePlan, RefiberPlan, refiber
 from fibercomm.surfaces import Surface
+
+NAMES = ("%s", "%s~0", "~%s", "\u00e9\u001b[%s~12")  # each one-to-one
+
+
+def shuffled(rng, xs):
+    return rng.sample(list(xs), len(xs))
+
+
+def redescribe_graph(rng, phi):
+    """``phi`` described again, by draws from ``rng``."""
+    piece_name, slot_name, curve_name = (rng.choice(NAMES) for _ in range(3))
+    pids = [p.id for p in phi.pieces]
+    name = dict(zip(pids, (piece_name % x for x in shuffled(rng, pids))))
+    end, pieces = {}, []
+    for p in phi.pieces:
+        slots = dict(zip(p.slots, (slot_name % s for s in shuffled(rng, p.slots))))
+        end.update(((p.id, s), (name[p.id], new)) for s, new in slots.items())
+        pieces.append(replace(p, id=name[p.id], slots=tuple(shuffled(rng, slots.values()))))
+    cids = [c.id for c in phi.curves]
+    cname = dict(zip(cids, (curve_name % x for x in shuffled(rng, cids))))
+    curves = []
+    for c in phi.curves:
+        a, b = end[c.end_a], end[c.end_b]
+        curves.append(ReducingCurve(cname[c.id], *((b, a) if rng.random() < 0.5 else (a, b)), c.twist))
+    return ReducibleMap(tuple(shuffled(rng, pieces)), tuple(shuffled(rng, curves)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=True))
+def test_reports_are_functions_of_the_graph(rng):
+    phi, k = random_reducible_map(rng, max_part=6), rng.randint(2, 4)
+    for _ in range(2):
+        psi = redescribe_graph(rng, phi)
+        assert InvariantReport.of(psi) == InvariantReport.of(phi)
+        assert InvariantReport.of(power(psi, k)) == InvariantReport.of(power(phi, k))
+        assert InvariantReport.of(normalize_unit_twists(psi)[0]) == InvariantReport.of(normalize_unit_twists(phi)[0])
+
+
+def graph_pairs(rng):
+    """A graph against its power, its mirror, its unit-twist normalization
+    and another graph, or, with pseudo-Anosov pieces drawn for each, all but
+    the normalization."""
+    phi = random_reducible_map(rng, max_part=6)
+    others = [power(phi, rng.randint(2, 4)), negate_twists(phi), normalize_unit_twists(phi)[0],
+              random_reducible_map(rng, max_part=6)]
+    if rng.random() < 0.5:
+        phi, *others = (with_pseudo_anosov_pieces(rng, g) for g in [phi] + others[:2] + others[3:])
+    return [(phi, psi) for psi in others]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=True))
+def test_compare_keeps_its_kind_under_redescription(rng):
+    for phi, psi in graph_pairs(rng):
+        x, y = redescribe_graph(rng, phi), redescribe_graph(rng, psi)
+        for mode in MODES:
+            assert compare(x, y, mode).kind == compare(phi, psi, mode).kind
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=True))
+def test_compare_is_symmetric_with_inverted_scales(rng):
+    for phi, psi in graph_pairs(rng):
+        for mode in MODES:
+            v, back = compare(phi, psi, mode), compare(psi, phi, mode)
+            assert back.kind == v.kind and back.feasible == {1 / s for s in v.feasible}
+
 
 FAMILIES = (
     [(bounded_chain_manifold(), bounded_chain_plan(n)) for n in (1, 2, 3)]

@@ -321,8 +321,8 @@ def test_pieces_of_one_shape_share_one_pair_and_one_slots_tuple():
     phi = refiber(FiberedGraphManifold(pieces, gluings), RefiberPlan(tuple((p.id, PiecePlan(1)) for p in pieces))).map
     inner = phi.pieces[1:-1]
     assert len({id(p.slots) for p in inner}) == 1 and inner[0].slots == ("l", "r")
-    assert len({id(phi.pairs[p.id]) for p in inner}) == 1 and phi.pairs[inner[0].id] == (F(2), F(0))
-    assert phi.pairs["P0"] == phi.pairs["P59"] == (F(1), F(0)) and phi.pairs["P0"] is phi.pairs["P59"]
+    assert len({id(phi.pairs[p.id]) for p in inner}) == 1 and phi.pairs[inner[0].id] == (2, 1, 0, 1)
+    assert phi.pairs["P0"] == phi.pairs["P59"] == (1, 1, 0, 1) and phi.pairs["P0"] is phi.pairs["P59"]
     copies = [p for p in refiber(bounded_chain_manifold(), bounded_chain_plan(5)).map.pieces if p.id.startswith("S1~")]
     assert len(copies) == 5 and len({id(p.slots) for p in copies}) == len({id(p.surface) for p in copies}) == 1
 
